@@ -16,20 +16,21 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import generators, report
 from .critics import CriticBackend, CriticConfig
 from .generators import (
     Benchmark,
+    DatasetError,
     GenSpec,
     InvalidSpec,
-    ManifestEntry,
     ObfuscationMap,
     ObfuscationMode,
     deceptive_map,
     identity_map,
-    load_manifest,
+    load_dataset,
     nonspecific_map,
     obfuscate,
 )
@@ -43,6 +44,7 @@ from .orchestrator import (
 )
 from .pddl import (
     PddlError,
+    Plan,
     parse_domain,
     parse_plan,
     parse_problem,
@@ -190,22 +192,16 @@ def _map_from_file(path: str) -> ObfuscationMap:
 
 
 def _cmd_obfuscate(args) -> int:
-    entries = load_manifest(Path(args.manifest))
-    if not entries:
-        raise UsageError("empty manifest")
-    loaded = [generators.load_entry(entry) for entry in entries]
-    domain = loaded[0][0]
-    for other, _, _ in loaded[1:]:
-        if other != domain:
-            print("error: manifest mixes domains", file=sys.stderr)
-            return EXIT_FAILURE
+    dataset = load_dataset(args.manifest)
+    entries = dataset.entries
+    domain = dataset.domain
+    problems = [dataset.problems[entry.id] for entry in entries]
 
     if args.map:
         mapping = _map_from_file(args.map)
     elif args.mode == "deceptive":
         renames = {
-            p.name: "MY-" + p.name[3:] if p.name.startswith("BW-") else p.name
-            for _, p, _ in loaded
+            p.name: "MY-" + p.name[3:] if p.name.startswith("BW-") else p.name for p in problems
         }
         mapping = deceptive_map(problem_names=renames)
     elif args.mode == "nonspecific":
@@ -213,11 +209,10 @@ def _cmd_obfuscate(args) -> int:
     else:
         mapping = identity_map(domain)
 
-    problems = [p for _, p, _ in loaded]
-    plans = [pl for _, _, pl in loaded]
-    have_plans = any(pl is not None for pl in plans)
+    have_plans = bool(dataset.plans)
+    plans = [dataset.plans.get(entry.id, Plan(())) for entry in entries]
     new_domain, new_problems, new_plans = obfuscate(
-        domain, problems, [pl or generators.Plan(()) for pl in plans] if have_plans else None, mapping
+        domain, problems, plans if have_plans else None, mapping
     )
 
     out = Path(args.out)
@@ -315,37 +310,28 @@ def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
 
 
 def _build_pool(path: str, seed: int):
-    entries = load_manifest(Path(path))
+    dataset = load_dataset(path)
     exemplars = []
-    domain = None
-    for entry in entries:
-        if entry.plan_file is None:
+    for entry in dataset.entries:
+        if entry.id not in dataset.plans:
             raise UsageError(f"pool entry {entry.id} has no plan file")
-        domain, problem, plan = generators.load_entry(entry)
-        exemplars.append(Exemplar(problem, plan))
-    if domain is None:
-        raise UsageError("empty pool manifest")
-    return build_pool(domain, exemplars, seed)
+        exemplars.append(Exemplar(dataset.problems[entry.id], dataset.plans[entry.id]))
+    return build_pool(dataset.domain, exemplars, seed)
 
 
 def _cmd_run(args) -> int:
     config, pool_path, pool_seed = _config_from_args(args)
-    entries = load_manifest(Path(args.manifest)) if Path(args.manifest).is_file() else None
-    if entries is None:
-        raise UsageError(f"no such file: {args.manifest}")
+    dataset = load_dataset(args.manifest)
     pool = _build_pool(pool_path, pool_seed) if config.shots > 0 and pool_path else None
     records = run_batch(
-        entries,
+        dataset,
         config,
         parallelism=args.parallelism,
         records_path=args.records,
         pool=pool,
     )
-    domain, problems = _load_problems(entries)
-    metrics = report.score(records, domain, problems)
-    stops: dict[str, int] = {}
-    for record in records:
-        stops[record.stop_reason.value] = stops.get(record.stop_reason.value, 0) + 1
+    metrics = report.score(records, dataset.domain, dataset.problems)
+    stops = Counter(record.stop_reason.value for record in records)
     stop_text = ", ".join(f"{k}={v}" for k, v in sorted(stops.items()))
     print(
         f"n={metrics.n} accuracy={metrics.accuracy:.4f} "
@@ -358,28 +344,14 @@ def _cmd_run(args) -> int:
 # score / report
 
 
-def _load_problems(entries: list[ManifestEntry]):
-    domain = None
-    problems = {}
-    for entry in entries:
-        entry_domain, problem, _ = generators.load_entry(entry)
-        if domain is None:
-            domain = entry_domain
-        elif entry_domain != domain:
-            raise UsageError("manifest mixes domains; score one dataset at a time")
-        problems[entry.id] = problem
-    if domain is None:
-        raise UsageError("empty manifest")
-    return domain, problems
+def _score_records(args) -> report.Metrics:
+    records = read_records(args.records)
+    dataset = load_dataset(args.manifest)
+    return report.score(records, dataset.domain, dataset.problems)
 
 
 def _cmd_score(args) -> int:
-    records = read_records(args.records) if Path(args.records).is_file() else None
-    if records is None:
-        raise UsageError(f"no such file: {args.records}")
-    entries = load_manifest(Path(args.manifest))
-    domain, problems = _load_problems(entries)
-    metrics = report.score(records, domain, problems)
+    metrics = _score_records(args)
     text = json.dumps(report.metrics_to_dict(metrics), indent=2, sort_keys=True)
     print(text)
     if args.out:
@@ -388,12 +360,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = read_records(args.records) if Path(args.records).is_file() else None
-    if records is None:
-        raise UsageError(f"no such file: {args.records}")
-    entries = load_manifest(Path(args.manifest))
-    domain, problems = _load_problems(entries)
-    metrics = report.score(records, domain, problems)
+    metrics = _score_records(args)
     written = report.emit_report(metrics, args.format, args.out_dir)
     for path in written:
         print(path)
@@ -494,10 +461,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+    except (
+        UsageError,
+        DatasetError,
+        FileNotFoundError,
+        IsADirectoryError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

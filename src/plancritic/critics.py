@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .llm import ChatClient
+from .llm import ChatClient, EndpointConfig
 from .pddl import DomainDef, Plan, ProblemDef
 from .prompting import TemplateId
 from .semantics import (
@@ -110,21 +110,15 @@ class CriticBackend(str, Enum):
 
 
 @dataclass(frozen=True)
-class CriticConfig:
+class CriticConfig(EndpointConfig):
     backend: CriticBackend = CriticBackend.ORACLE
     self_consistency: int = 1
     template: TemplateId = TemplateId.CRITIQUE_0SHOT_DD
     temperature: float | None = None  # default: 0.0 for N=1, 0.7 otherwise
     exemplars: tuple[str, ...] = ()
-    # llm backend
-    base_url: str = ""
-    model: str = ""
-    api_key_env: str = "PLANCRITIC_API_KEY"
+    # llm backend (endpoint fields come from EndpointConfig)
     max_output_tokens: int = 4096
     max_concurrency: int = 4
-    requests_per_second: float = 0.0
-    timeout: float = 120.0
-    debug_log: str | None = None
     # mock backend
     false_positive: float = 0.0
     false_negative: float = 0.0
@@ -218,14 +212,7 @@ class LlmCritic(Critic):
 
     def __init__(self, config: CriticConfig, client: ChatClient | None = None):
         self.config = config
-        self.client = client or ChatClient(
-            base_url=config.base_url,
-            model=config.model,
-            api_key_env=config.api_key_env,
-            timeout=config.timeout,
-            requests_per_second=config.requests_per_second,
-            debug_log=config.debug_log,
-        )
+        self.client = client or ChatClient(config.endpoint)
 
     def critique(self, domain, problem, plan, *, problem_id, iteration, prompt=None):
         if prompt is None:
@@ -245,10 +232,10 @@ class LlmCritic(Critic):
         return CritiqueVerdict.from_samples(samples)
 
 
-def make_critic(config: CriticConfig) -> Critic:
+def make_critic(config: CriticConfig, client: ChatClient | None = None) -> Critic:
     backend = CriticBackend(config.backend)
     if backend is CriticBackend.ORACLE:
         return OracleCritic(config)
     if backend is CriticBackend.MOCK:
         return MockCritic(config)
-    return LlmCritic(config)
+    return LlmCritic(config, client)

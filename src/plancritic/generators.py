@@ -646,10 +646,45 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
+def _load_instance(entry: ManifestEntry, domain: DomainDef) -> tuple[ProblemDef, Plan | None]:
+    problem = parse_problem(entry.problem_file.read_text(), domain)
+    plan = None if entry.plan_file is None else parse_plan(entry.plan_file.read_text(), domain)
+    return problem, plan
+
+
 def load_entry(entry: ManifestEntry) -> tuple[DomainDef, ProblemDef, Plan | None]:
     domain = parse_domain(entry.domain_file.read_text())
-    problem = parse_problem(entry.problem_file.read_text(), domain)
-    plan = None
-    if entry.plan_file is not None:
-        plan = parse_plan(entry.plan_file.read_text(), domain)
-    return domain, problem, plan
+    return (domain, *_load_instance(entry, domain))
+
+
+class DatasetError(ValueError):
+    """A manifest that cannot be loaded as one dataset (empty, or mixing domains)."""
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """A loaded manifest: its entries, their one domain, and problems and
+    golden plans by entry id (``plans`` only holds entries with a plan file)."""
+
+    entries: tuple[ManifestEntry, ...]
+    domain: DomainDef
+    problems: Mapping[str, ProblemDef]
+    plans: Mapping[str, Plan]
+
+
+def load_dataset(manifest: str | Path) -> Dataset:
+    """Load a manifest, parsing each distinct domain file once; raises
+    DatasetError when it is empty or its entries resolve to different domains."""
+    entries = tuple(load_manifest(manifest))
+    if not entries:
+        raise DatasetError(f"empty manifest: {manifest}")
+    files = dict.fromkeys(entry.domain_file for entry in entries)
+    domain, *others = (parse_domain(path.read_text()) for path in files)
+    if any(other != domain for other in others):
+        raise DatasetError(f"manifest mixes domains: {manifest}")
+    problems, plans = {}, {}
+    for entry in entries:
+        problems[entry.id], plan = _load_instance(entry, domain)
+        if plan is not None:
+            plans[entry.id] = plan
+    return Dataset(entries, domain, problems, plans)

@@ -3,7 +3,7 @@
 One request carries one user message and returns the completion text.
 Transport failures and retryable status codes (429, 5xx) are retried up to
 three times with exponential backoff; anything else fails fast.  A simple
-process-wide rate limiter spaces out request starts when configured.
+per-client rate limiter spaces out request starts when configured.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import requests
 
@@ -48,30 +48,43 @@ class _RateLimiter:
             time.sleep(delay)
 
 
-@dataclass
-class ChatClient:
-    base_url: str
-    model: str
+@dataclass(frozen=True)
+class EndpointConfig:
+    """The endpoint settings, shared by the planner and critic configs."""
+
+    base_url: str = ""
+    model: str = ""
     api_key_env: str = "PLANCRITIC_API_KEY"
-    timeout: float = 120.0
-    max_retries: int = 3
-    backoff: float = 1.0
     requests_per_second: float = 0.0
+    timeout: float = 120.0
     debug_log: str | None = None
 
+    @property
+    def endpoint(self) -> "EndpointConfig":
+        """These settings alone, so that two roles' endpoints compare equal."""
+        return EndpointConfig(**{f.name: getattr(self, f.name) for f in fields(EndpointConfig)})
+
+
+@dataclass
+class ChatClient:
+    endpoint: EndpointConfig
+    max_retries: int = 3
+    backoff: float = 1.0
+
     def __post_init__(self):
-        self._limiter = _RateLimiter(self.requests_per_second)
+        self._limiter = _RateLimiter(self.endpoint.requests_per_second)
         self._log_lock = threading.Lock()
 
     def complete(self, prompt: str, temperature: float, max_tokens: int) -> str:
         """Send one user message and return the assistant text."""
-        url = self.base_url.rstrip("/") + "/chat/completions"
+        endpoint = self.endpoint
+        url = endpoint.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env, "")
+        api_key = os.environ.get(endpoint.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         payload = {
-            "model": self.model,
+            "model": endpoint.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
             "max_tokens": max_tokens,
@@ -81,7 +94,9 @@ class ChatClient:
         for attempt in range(self.max_retries):
             self._limiter.wait()
             try:
-                response = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
+                response = requests.post(
+                    url, json=payload, headers=headers, timeout=endpoint.timeout
+                )
             except requests.RequestException as exc:
                 last_error = exc
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)
@@ -111,7 +126,7 @@ class ChatClient:
         return content
 
     def _debug(self, payload: dict, response_text: str | None = None, error: str | None = None) -> None:
-        if not self.debug_log:
+        if not self.endpoint.debug_log:
             return
         record = {"request": payload}
         if response_text is not None:
@@ -119,5 +134,5 @@ class ChatClient:
         if error is not None:
             record["error"] = error
         with self._log_lock:
-            with open(self.debug_log, "a") as fh:
+            with open(self.endpoint.debug_log, "a") as fh:
                 fh.write(json.dumps(record) + "\n")

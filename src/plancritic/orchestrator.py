@@ -15,6 +15,7 @@ records as they finish, and can resume from a partially written record file.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import random
@@ -27,8 +28,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .critics import Critic, CriticBackend, CriticConfig, CritiqueLabel, make_critic
-from .generators import ManifestEntry, load_entry
-from .llm import ChatClient, MalformedResponse, TransportError
+from .generators import Dataset, ManifestEntry
+from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError
 from .pddl import DomainDef, PddlError, Plan, ProblemDef, parse_plan, print_plan
 from .prompting import (
     BudgetExceeded,
@@ -70,17 +71,11 @@ class PlannerBackend(str, Enum):
 
 
 @dataclass(frozen=True)
-class PlannerConfig:
+class PlannerConfig(EndpointConfig):
     backend: PlannerBackend = PlannerBackend.MOCK
+    # llm backend (endpoint fields come from EndpointConfig)
     temperature: float = 0.0
     max_output_tokens: int = 2048
-    # llm backend
-    base_url: str = ""
-    model: str = ""
-    api_key_env: str = "PLANCRITIC_API_KEY"
-    requests_per_second: float = 0.0
-    timeout: float = 120.0
-    debug_log: str | None = None
     # mock backend
     golden_prob: float = 1.0
     seed: int = 0
@@ -98,14 +93,7 @@ class Planner:
 class LlmPlanner(Planner):
     def __init__(self, config: PlannerConfig, client: ChatClient | None = None):
         self.config = config
-        self.client = client or ChatClient(
-            base_url=config.base_url,
-            model=config.model,
-            api_key_env=config.api_key_env,
-            timeout=config.timeout,
-            requests_per_second=config.requests_per_second,
-            debug_log=config.debug_log,
-        )
+        self.client = client or ChatClient(config.endpoint)
 
     def generate(self, prompt, *, problem_id, iteration):
         return self.client.complete(prompt, self.config.temperature, self.config.max_output_tokens)
@@ -144,9 +132,13 @@ class ScriptedPlanner(Planner):
         return script[min(iteration, len(script) - 1)]
 
 
-def make_planner(config: PlannerConfig, goldens: Mapping[str, str] | None = None) -> Planner:
+def make_planner(
+    config: PlannerConfig,
+    goldens: Mapping[str, str] | None = None,
+    client: ChatClient | None = None,
+) -> Planner:
     if PlannerBackend(config.backend) is PlannerBackend.LLM:
-        return LlmPlanner(config)
+        return LlmPlanner(config, client)
     return MockPlanner(goldens or {}, config.golden_prob, config.seed)
 
 
@@ -228,8 +220,7 @@ def run_problem(
     pid = problem_id or problem.name
     transcript = Transcript(char_budget=config.transcript_budget)
     iterations: list[IterationEntry] = []
-    prev_plan_text = ""
-    final_plan = ""
+    prev_plan = final_plan = Plan(())
     stop: StopReason | None = None
     error: str | None = None
     c = config.critic.self_consistency
@@ -239,14 +230,14 @@ def run_problem(
             plan_prompt = build_plan_prompt(domain, problem, shots, transcript)
         except BudgetExceeded as exc:
             stop = StopReason.BUDGET_EXCEEDED
-            final_plan = prev_plan_text
+            final_plan = prev_plan
             error = str(exc)
             break
         try:
             raw = planner.generate(plan_prompt, problem_id=pid, iteration=step)
         except (TransportError, MalformedResponse) as exc:
             stop = StopReason.TRANSPORT_FAILURE
-            final_plan = prev_plan_text
+            final_plan = prev_plan
             error = f"planner: {exc}"
             break
         plan = extract_plan(raw, domain)
@@ -267,7 +258,7 @@ def run_problem(
             )
         except (TransportError, MalformedResponse) as exc:
             stop = StopReason.TRANSPORT_FAILURE
-            final_plan = plan_text
+            final_plan = plan
             error = f"critic: {exc}"
             break
         iterations.append(
@@ -282,21 +273,21 @@ def run_problem(
         )
         if verdict.label is CritiqueLabel.CORRECT:
             stop = StopReason.CRITIC_ACCEPTED
-            final_plan = plan_text
+            final_plan = plan
             break
         transcript.append(plan_text, verdict.text)
-        prev_plan_text = plan_text
+        prev_plan = plan
     else:
         stop = StopReason.ITERATIONS_EXHAUSTED
-        final_plan = prev_plan_text
+        final_plan = prev_plan
 
-    truth = validate_plan(problem, parse_plan(final_plan, domain), domain)
+    truth = validate_plan(problem, final_plan, domain)
     return RunRecord(
         problem_id=pid,
         max_steps=config.k,
         self_consistency=c,
         iterations=tuple(iterations),
-        final_plan=final_plan,
+        final_plan=print_plan(final_plan),
         stop_reason=stop,
         llm_calls=call_count(len(iterations), c),
         ground_truth=verdict_to_dict(truth.verdict),
@@ -308,86 +299,84 @@ def run_problem(
 # Record persistence
 
 
+def _fields_of(cls, data: dict) -> dict:
+    return {f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data}
+
+
 def record_to_dict(record: RunRecord) -> dict:
-    return {
-        "problem_id": record.problem_id,
-        "max_steps": record.max_steps,
-        "self_consistency": record.self_consistency,
-        "iterations": [
-            {
-                "step": e.step,
-                "plan": e.plan,
-                "critic_label": e.critic_label,
-                "votes": e.votes,
-                "plan_prompt_chars": e.plan_prompt_chars,
-                "critique_prompt_chars": e.critique_prompt_chars,
-            }
-            for e in record.iterations
-        ],
-        "final_plan": record.final_plan,
-        "stop_reason": record.stop_reason.value,
-        "llm_calls": record.llm_calls,
-        "ground_truth": record.ground_truth,
-        "error": record.error,
-    }
+    return dataclasses.asdict(record)  # StopReason is a str, so it serializes as its value
 
 
 def record_from_dict(data: dict) -> RunRecord:
-    return RunRecord(
-        problem_id=data["problem_id"],
-        max_steps=data["max_steps"],
-        self_consistency=data["self_consistency"],
-        iterations=tuple(
-            IterationEntry(
-                step=e["step"],
-                plan=e["plan"],
-                critic_label=e["critic_label"],
-                votes=dict(e["votes"]),
-                plan_prompt_chars=e["plan_prompt_chars"],
-                critique_prompt_chars=e["critique_prompt_chars"],
-            )
-            for e in data["iterations"]
-        ),
-        final_plan=data["final_plan"],
-        stop_reason=StopReason(data["stop_reason"]),
-        llm_calls=data["llm_calls"],
-        ground_truth=data.get("ground_truth"),
-        error=data.get("error"),
+    values = _fields_of(RunRecord, data)
+    values["iterations"] = tuple(
+        IterationEntry(**_fields_of(IterationEntry, e)) for e in data["iterations"]
     )
+    values["stop_reason"] = StopReason(data["stop_reason"])
+    return RunRecord(**values)
+
+
+def _record_line(record: RunRecord) -> str:
+    return json.dumps(record_to_dict(record), sort_keys=True) + "\n"
+
+
+def _parse_records(text: str) -> list[RunRecord]:
+    return [record_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
 def read_records(path: str | Path) -> list[RunRecord]:
-    records = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_dict(json.loads(line)))
-    return records
+    return _parse_records(Path(path).read_text())
+
+
+def _resume_records(path: Path) -> list[RunRecord]:
+    """The stored records of an interrupted batch.
+
+    Every record is written as one whole line, so a last line without its
+    newline was torn by a crash mid-write: it is dropped and cut from the
+    file, so that new records append after the last whole one.
+    """
+    data = path.read_bytes()
+    whole = data.rfind(b"\n") + 1
+    if whole < len(data):
+        log.warning("%s: dropping a torn last record line (%d bytes)", path, len(data) - whole)
+        with path.open("r+b") as fh:
+            fh.truncate(whole)
+    return _parse_records(data[:whole].decode())
 
 
 def write_records(path: str | Path, records: Sequence[RunRecord]) -> None:
     with Path(path).open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+        fh.writelines(_record_line(record) for record in records)
 
 
 # ---------------------------------------------------------------------------
 # Batch runner
 
 
+def make_backends(
+    config: LoopConfig, goldens: Mapping[str, str] | None = None
+) -> tuple[Planner, Critic]:
+    """The planner and critic of a run.  With equal endpoint settings they
+    share one client, so one rate limit and one debug-log lock cover both
+    roles; backends that call no endpoint ignore the client."""
+    endpoint = config.planner.endpoint
+    client = ChatClient(endpoint) if endpoint == config.critic.endpoint else None
+    return make_planner(config.planner, goldens, client), make_critic(config.critic, client)
+
+
 def run_batch(
-    entries: Sequence[ManifestEntry],
+    dataset: Dataset,
     config: LoopConfig,
     *,
     parallelism: int = 1,
     records_path: str | Path | None = None,
     pool: FewShotPool | None = None,
 ) -> list[RunRecord]:
-    """Run every manifest entry, returning records in manifest order.
+    """Run every entry of the dataset, returning records in manifest order.
 
     If ``records_path`` exists, problems with a record there are skipped and
-    their stored records reused; new records are appended as runs finish.
+    their stored records reused; new records are appended as runs finish.  A
+    torn last line, left by a crash mid-write, is dropped with a warning.
     Failures are isolated: a problem that errors yields a transport-failure
     record and the batch continues.
     """
@@ -397,27 +386,21 @@ def run_batch(
         if config.shots > len(pool):
             raise PoolTooSmall(f"asked for {config.shots} shots, pool has {len(pool)}")
 
-    loaded: dict[str, tuple[DomainDef, ProblemDef, Plan | None]] = {}
-    for entry in entries:
-        loaded[entry.id] = load_entry(entry)
-    goldens = {
-        pid: print_plan(plan) for pid, (_, _, plan) in loaded.items() if plan is not None
-    }
-    planner = make_planner(config.planner, goldens)
-    critic = make_critic(config.critic)
+    goldens = {pid: print_plan(plan) for pid, plan in dataset.plans.items()}
+    planner, critic = make_backends(config, goldens)
 
     existing: dict[str, RunRecord] = {}
     if records_path is not None and Path(records_path).exists():
-        existing = {r.problem_id: r for r in read_records(records_path)}
+        existing = {r.problem_id: r for r in _resume_records(Path(records_path))}
 
     write_lock = threading.Lock()
 
     def work(entry: ManifestEntry) -> RunRecord:
-        domain, problem, _ = loaded[entry.id]
+        problem = dataset.problems[entry.id]
         shots = select_fewshots(pool, entry.id, config.shots) if config.shots else ()
         try:
             record = run_problem(
-                domain, problem, config, planner, critic, shots=shots, problem_id=entry.id
+                dataset.domain, problem, config, planner, critic, shots=shots, problem_id=entry.id
             )
         except Exception as exc:  # isolate the problem, keep the batch alive
             log.exception("run failed for %s", entry.id)
@@ -435,9 +418,10 @@ def run_batch(
         if records_path is not None:
             with write_lock:
                 with Path(records_path).open("a") as fh:
-                    fh.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+                    fh.write(_record_line(record))
         return record
 
+    entries = dataset.entries
     todo = [e for e in entries if e.id not in existing]
     results: dict[str, RunRecord] = {}
     if parallelism > 1 and len(todo) > 1:

@@ -12,6 +12,7 @@ bytes, so prompts can be frozen as golden files.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass, field
@@ -67,7 +68,9 @@ _SHOT_BLOCK = (
 _PLACEHOLDER = re.compile(r"\{([a-z_]+)\}")
 
 
+@functools.cache
 def load_template(template_id: TemplateId) -> str:
+    """A packaged template's text, read once per process."""
     path = resources.files(__package__) / "templates" / f"{template_id.value}.txt"
     return path.read_text(encoding="utf-8")
 
@@ -141,7 +144,6 @@ def select_fewshots(pool: FewShotPool, problem_id: str, n: int) -> tuple[Exempla
 class TranscriptEntry:
     plan_text: str
     critique_text: str
-    repair_requested: bool = True
 
 
 @dataclass
@@ -157,10 +159,9 @@ class Transcript:
     def render(self) -> str:
         parts = []
         for entry in self.entries:
-            text = "The clean plan:\n" + entry.plan_text + "\n" + entry.critique_text
-            if entry.repair_requested:
-                text += "\n\n" + REPAIR_REQUEST
-            parts.append(text + "\n")
+            parts.append(
+                f"The clean plan:\n{entry.plan_text}\n{entry.critique_text}\n\n{REPAIR_REQUEST}\n"
+            )
         return "".join(parts)
 
     def __len__(self) -> int:

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -163,30 +163,18 @@ def summary_line(metrics: Metrics) -> str:
     return f"{metrics.accuracy * 100:.1f}±{metrics.ci_half_width * 100:.1f}"
 
 
+def _rounded(obj, names) -> dict:
+    """The named attributes of ``obj``, numbers rounded to six places."""
+    values = {name: getattr(obj, name) for name in names}
+    return {name: v if v is None else round(v, 6) for name, v in values.items()}
+
+
 def metrics_to_dict(metrics: Metrics) -> dict:
+    step_names = [f.name for f in fields(StepMetrics)] + ["precision", "recall", "critic_accuracy"]
     return {
-        "n": metrics.n,
-        "accuracy": round(metrics.accuracy, 6),
-        "ci_half_width": round(metrics.ci_half_width, 6),
+        **_rounded(metrics, [f.name for f in fields(Metrics) if f.name != "steps"]),
         "summary": summary_line(metrics),
-        "mean_llm_calls": round(metrics.mean_llm_calls, 6),
-        "steps": [
-            {
-                "step": s.step,
-                "n_correct": s.n_correct,
-                "accuracy": round(s.accuracy, 6),
-                "tp": s.tp,
-                "fp": s.fp,
-                "tn": s.tn,
-                "fn": s.fn,
-                "precision": round(s.precision, 6) if s.precision is not None else None,
-                "recall": round(s.recall, 6) if s.recall is not None else None,
-                "critic_accuracy": round(s.critic_accuracy, 6)
-                if s.critic_accuracy is not None
-                else None,
-            }
-            for s in metrics.steps
-        ],
+        "steps": [_rounded(s, step_names) for s in metrics.steps],
     }
 
 

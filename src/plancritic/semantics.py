@@ -106,15 +106,28 @@ def _bind(domain: DomainDef, action: GroundAction) -> tuple[ActionSchema, dict[s
     return schema, dict(zip(schema.parameters, action.args))
 
 
+def _step(
+    state: State, action: GroundAction, domain: DomainDef
+) -> tuple[tuple[tuple[Atom, bool], ...], State | None]:
+    """Bind ``action`` once: its precondition checks against ``state``, and
+    the successor state when every check holds (None otherwise)."""
+    schema, binding = _bind(domain, action)
+    checks = tuple(
+        (ground, ground in state)
+        for ground in (atom.substitute(binding) for atom in schema.precondition)
+    )
+    if not all(ok for _, ok in checks):
+        return checks, None
+    dels = {atom.substitute(binding) for atom in schema.del_effects}
+    adds = {atom.substitute(binding) for atom in schema.add_effects}
+    return checks, (state - dels) | adds
+
+
 def precondition_checks(
     state: State, action: GroundAction, domain: DomainDef
 ) -> tuple[tuple[Atom, bool], ...]:
     """Evaluate each ground precondition of ``action`` against ``state``."""
-    schema, binding = _bind(domain, action)
-    return tuple(
-        (ground, ground in state)
-        for ground in (atom.substitute(binding) for atom in schema.precondition)
-    )
+    return _step(state, action, domain)[0]
 
 
 def is_applicable(
@@ -128,13 +141,10 @@ def is_applicable(
 
 def apply(state: State, action: GroundAction, domain: DomainDef) -> State:
     """Apply ``action`` to ``state``; raises InapplicableAction if it cannot fire."""
-    ok, unmet = is_applicable(state, action, domain)
-    if not ok:
-        raise InapplicableAction(action, unmet)
-    schema, binding = _bind(domain, action)
-    dels = {atom.substitute(binding) for atom in schema.del_effects}
-    adds = {atom.substitute(binding) for atom in schema.add_effects}
-    return (state - dels) | adds
+    checks, after = _step(state, action, domain)
+    if after is None:
+        raise InapplicableAction(action, tuple(atom for atom, ok in checks if not ok))
+    return after
 
 
 def goal_satisfied(state: State, problem: ProblemDef) -> tuple[bool, tuple[Atom, ...]]:
@@ -152,13 +162,10 @@ def validate_plan(problem: ProblemDef, plan: Plan, domain: DomainDef) -> Validat
     state = initial_state(problem)
     trace: list[StepTrace] = []
     for index, action in enumerate(plan.steps, start=1):
-        checks = precondition_checks(state, action, domain)
-        unmet = tuple(atom for atom, ok in checks if not ok)
-        if unmet:
-            trace.append(StepTrace(index, action, state, checks, None))
-            return ValidationResult(WrongAtStep(index, unmet), tuple(trace))
-        after = apply(state, action, domain)
+        checks, after = _step(state, action, domain)
         trace.append(StepTrace(index, action, state, checks, after))
+        if after is None:
+            return ValidationResult(WrongAtStep(index, trace[-1].unmet), tuple(trace))
         state = after
     ok, unsatisfied = goal_satisfied(state, problem)
     if ok:

@@ -319,6 +319,27 @@ class TestRunScoreReport:
         assert code == 2
         assert "bogus_knob" in capsys.readouterr().err
 
+    def test_resume_after_torn_last_line(self, dataset_dir, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        run = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+               "--records", str(records), "--k", "2"]
+        assert cli.main(run) == 0
+        whole = records.read_bytes()
+        last = whole.rstrip(b"\n").rfind(b"\n") + 1
+        records.write_bytes(whole[: last + 30])  # killed while writing the last record
+        assert cli.main(run) == 0
+        assert records.read_bytes() == whole
+        assert "accuracy=1.0000" in capsys.readouterr().out
+
+    def test_malformed_whole_line_still_fails(self, dataset_dir, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text("{not json\n")
+        code = cli.main(
+            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+             "--records", str(records), "--k", "2"]
+        )
+        assert code == 2
+
     def test_score_missing_records_file(self, dataset_dir, capsys):
         code = cli.main(
             ["score", "--records", "/nonexistent/records.jsonl",
@@ -337,3 +358,49 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def mixed_manifest(dataset_dir, tmp_path_factory):
+    """A manifest whose entries point at a blocksworld and a logistics dataset."""
+    root = tmp_path_factory.mktemp("mixed")
+    assert cli.main(
+        ["generate", "--benchmark", "logistics", "--preset", "easy", "--seed", "3",
+         "--count", "1", "--out", str(root / "lg"), "--solve"]
+    ) == 0
+    lines = []
+    for base in (dataset_dir, root / "lg"):
+        for line in (base / "manifest.jsonl").read_text().splitlines():
+            raw = json.loads(line)
+            for key in ("domain_file", "problem_file", "plan_file"):
+                raw[key] = str(base / raw[key])
+            lines.append(json.dumps(raw))
+    manifest = root / "mixed" / "manifest.jsonl"
+    manifest.parent.mkdir()
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+class TestMixedDomains:
+    def test_run_refuses_before_running(self, mixed_manifest, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        code = cli.main(["run", "--manifest", str(mixed_manifest), "--records", str(records)])
+        assert code == 2
+        assert "mixes domains" in capsys.readouterr().err
+        assert not records.exists()
+
+    def test_other_commands_exit_2(self, mixed_manifest, dataset_dir, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        assert cli.main(
+            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records)]
+        ) == 0
+        commands = [
+            ["obfuscate", "--manifest", str(mixed_manifest), "--out", str(tmp_path / "obf")],
+            ["score", "--records", str(records), "--manifest", str(mixed_manifest)],
+            ["report", "--records", str(records), "--manifest", str(mixed_manifest),
+             "--out-dir", str(tmp_path / "report")],
+        ]
+        capsys.readouterr()
+        for args in commands:
+            assert cli.main(args) == 2, args[0]
+            assert "mixes domains" in capsys.readouterr().err

@@ -18,7 +18,7 @@ from plancritic.critics import (
     make_critic,
     self_consistency,
 )
-from plancritic.llm import ChatClient, MalformedResponse, TransportError
+from plancritic.llm import ChatClient, EndpointConfig, MalformedResponse, TransportError
 from plancritic.pddl import Plan
 
 C = CritiqueLabel.CORRECT
@@ -280,7 +280,7 @@ def llm_critic(endpoint, n=1):
         self_consistency=n,
         max_concurrency=1,  # keep scripted responses in order
     )
-    client = ChatClient(base_url=endpoint.url, model="fake-model", backoff=0.01)
+    client = ChatClient(EndpointConfig(base_url=endpoint.url, model="fake-model"), backoff=0.01)
     return LlmCritic(config, client)
 
 

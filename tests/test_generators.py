@@ -6,6 +6,7 @@ from plancritic.domains import blocksworld_domain, mystery_domain
 from plancritic.generators import (
     Benchmark,
     CollidingMap,
+    DatasetError,
     GenSpec,
     IncompleteMap,
     InvalidSpec,
@@ -15,6 +16,7 @@ from plancritic.generators import (
     generate,
     identity_map,
     inverse_map,
+    load_dataset,
     load_entry,
     load_manifest,
     nonspecific_map,
@@ -277,3 +279,48 @@ class TestDatasetFiles:
         m2 = write_dataset(tmp_path / "b", domain, problems, spec)
         for name in [p.name for p in m1.parent.iterdir()]:
             assert (m1.parent / name).read_bytes() == (m2.parent / name).read_bytes()
+
+
+class TestLoadDataset:
+    @pytest.fixture()
+    def manifest(self, tmp_path):
+        spec = GenSpec.blocksworld(blocks=3, seed=5, count=3)
+        domain, problems = generate(spec)
+        plans = [bfs_plan(domain, p, SearchLimits()).plan for p in problems]
+        plans[1] = None
+        return write_dataset(tmp_path / "ds", domain, problems, spec, plans)
+
+    def test_matches_load_entry(self, manifest):
+        dataset = load_dataset(manifest)
+        entries = load_manifest(manifest)
+        assert dataset.entries == tuple(entries)
+        for entry in entries:
+            domain, problem, plan = load_entry(entry)
+            assert dataset.domain == domain
+            assert dataset.problems[entry.id] == problem
+            assert dataset.plans.get(entry.id) == plan
+        assert entries[1].id not in dataset.plans
+
+    def test_parses_the_domain_once(self, manifest, monkeypatch):
+        from plancritic import generators
+
+        calls = []
+        original = generators.parse_domain
+        monkeypatch.setattr(generators, "parse_domain", lambda text: calls.append(1) or original(text))
+        load_dataset(manifest)
+        assert len(calls) == 1
+
+    def test_rejects_mixed_domains(self, manifest):
+        other = manifest.parent / "other.pddl"
+        other.write_text(print_domain(generate(GenSpec.logistics_easy(1, 1))[0]) + "\n")
+        lines = manifest.read_text().splitlines()
+        lines[0] = lines[0].replace('"domain.pddl"', '"other.pddl"')
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="mixes domains"):
+            load_dataset(manifest)
+
+    def test_rejects_empty_manifest(self, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("")
+        with pytest.raises(DatasetError, match="empty"):
+            load_dataset(manifest)

@@ -1,22 +1,26 @@
 import dataclasses
 import json
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from plancritic.critics import CriticBackend, CriticConfig, CritiqueLabel, CritiqueVerdict, OracleCritic
-from plancritic.generators import GenSpec, generate, load_manifest, write_dataset
+from plancritic.generators import GenSpec, generate, load_dataset, write_dataset
 from plancritic.llm import TransportError
 from plancritic.orchestrator import (
     IterationEntry,
     LoopConfig,
     MockPlanner,
+    PlannerBackend,
     PlannerConfig,
     RunRecord,
     ScriptedPlanner,
     StopReason,
     call_count,
     extract_plan,
+    make_backends,
     make_planner,
     read_records,
     record_from_dict,
@@ -27,6 +31,8 @@ from plancritic.orchestrator import (
 )
 from plancritic.pddl import Plan, print_plan
 from plancritic.search import SearchLimits, bfs_plan
+
+from .test_critics import FakeEndpoint, chat_body
 
 C = CritiqueLabel.CORRECT
 W = CritiqueLabel.WRONG
@@ -53,6 +59,23 @@ class FailingPlanner:
 class FailingCritic:
     def critique(self, domain, problem, plan, *, problem_id, iteration, prompt=None):
         raise TransportError("critic down")
+
+
+# one record line as written before records were serialized from the dataclasses
+STORED_LINE = (
+    r'{"error": null, '
+    r'"final_plan": "(unstack b5 b2)\n(put-down b5)\n(unstack b2 b1)\n(put-down b2)\n(pick-up b3)\n(stack b3 b2)\n(pick-up b5)\n(stack b5 b3)\n(pick-up b2)\n(stack b2 b5)\n(pick-up b1)\n(stack b1 b4)", '
+    r'"ground_truth": {"step": 9, "unmet": ["(clear b2)"], "verdict": "wrong_at_step"}, '
+    r'"iterations": [{"critic_label": "goal_not_reached", "critique_prompt_chars": 0, '
+    r'"plan": "(unstack b5 b2)\n(put-down b5)\n(unstack b2 b1)\n(put-down b2)", '
+    r'"plan_prompt_chars": 1382, "step": 0, '
+    r'"votes": {"goal_not_reached": 1}}, {"critic_label": "wrong", '
+    r'"critique_prompt_chars": 0, '
+    r'"plan": "(unstack b5 b2)\n(put-down b5)\n(unstack b2 b1)\n(put-down b2)\n(pick-up b3)\n(stack b3 b2)\n(pick-up b5)\n(stack b5 b3)\n(pick-up b2)\n(stack b2 b5)\n(pick-up b1)\n(stack b1 b4)", '
+    r'"plan_prompt_chars": 2479, "step": 1, "votes": {"wrong": 1}}], "llm_calls": 4, '
+    r'"max_steps": 1, "problem_id": "p1", "self_consistency": 1, '
+    r'"stop_reason": "iterations-exhausted"}'
+)
 
 
 def loop_config(**kwargs):
@@ -278,6 +301,24 @@ class TestRecordPersistence:
         write_records(path, [record, failure])
         assert read_records(path) == [record, failure]
 
+    def test_stored_line_reads_and_writes_back_byte_identical(
+        self, bw_domain, bw5_problem, wrong_plan, tmp_path
+    ):
+        stored = tmp_path / "stored.jsonl"
+        stored.write_text(STORED_LINE + "\n")
+        records = read_records(stored)
+        rewritten = tmp_path / "rewritten.jsonl"
+        write_records(rewritten, records)
+        assert rewritten.read_bytes() == stored.read_bytes()
+        wrong = print_plan(wrong_plan)
+        scripts = {"p1": [wrong[:60], wrong]}
+        assert records == [
+            run_problem(
+                bw_domain, bw5_problem, loop_config(k=1), ScriptedPlanner(scripts), OracleCritic(),
+                problem_id="p1",
+            )
+        ]
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -288,7 +329,7 @@ def dataset(tmp_path_factory):
     plans = [bfs_plan(domain, p, SearchLimits()).plan for p in problems]
     plans[2] = None  # no golden for this one: the mock planner cannot run it
     manifest = write_dataset(out, domain, problems, spec, plans)
-    return load_manifest(manifest)
+    return load_dataset(manifest)
 
 
 class TestRunBatch:
@@ -301,7 +342,7 @@ class TestRunBatch:
 
     def test_manifest_order_and_isolation(self, dataset):
         records = run_batch(dataset, self.config())
-        assert [r.problem_id for r in records] == [e.id for e in dataset]
+        assert [r.problem_id for r in records] == [e.id for e in dataset.entries]
         ok = [r for i, r in enumerate(records) if i != 2]
         assert all(r.stop_reason is StopReason.CRITIC_ACCEPTED for r in ok)
         broken = records[2]  # golden plan missing -> isolated failure record
@@ -319,12 +360,30 @@ class TestRunBatch:
         second = run_batch(dataset, self.config(), records_path=path)
         assert second[0].error == "cached-sentinel"
         assert second[1:] == first[1:]
-        assert len(read_records(path)) == len(dataset)  # nothing re-appended
+        assert len(read_records(path)) == len(dataset.entries)  # nothing re-appended
 
     def test_parallelism_equivalent(self, dataset):
         serial = run_batch(dataset, self.config())
         parallel = run_batch(dataset, self.config(), parallelism=4)
         assert serial == parallel
+
+    def test_resume_drops_torn_last_line(self, dataset, tmp_path, caplog):
+        path = tmp_path / "records.jsonl"
+        first = run_batch(dataset, self.config(), records_path=path)
+        whole = path.read_bytes()
+        last = whole.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(whole[: last + 40])  # the last record, cut mid-JSON
+        assert run_batch(dataset, self.config(), records_path=path) == first
+        assert path.read_bytes() == whole
+        assert "torn" in caplog.text
+
+    def test_resume_rejects_malformed_whole_line(self, dataset, tmp_path):
+        path = tmp_path / "records.jsonl"
+        run_batch(dataset, self.config(), records_path=path)
+        with path.open("a") as fh:
+            fh.write("{not json\n")
+        with pytest.raises(json.JSONDecodeError):
+            run_batch(dataset, self.config(), records_path=path)
 
     def test_shots_need_pool(self, dataset):
         with pytest.raises(ValueError):
@@ -352,3 +411,70 @@ class TestIterationEntry:
             llm_calls=2,
             ground_truth=None,
         ).iterations == (entry,)
+
+
+class TestMakeBackends:
+    def config(self, **critic):
+        endpoint = {"base_url": "http://127.0.0.1:9/v1", "model": "m", "requests_per_second": 5.0}
+        return loop_config(
+            planner=PlannerConfig(backend=PlannerBackend.LLM, **endpoint),
+            critic=CriticConfig(backend=CriticBackend.LLM, **{**endpoint, **critic}),
+        )
+
+    def test_same_endpoint_shares_one_client(self):
+        planner, critic = make_backends(self.config(self_consistency=3, max_output_tokens=64))
+        assert planner.client is critic.client
+        assert planner.client._limiter is critic.client._limiter
+
+    @pytest.mark.parametrize(
+        "change", [{"model": "other"}, {"requests_per_second": 1.0}, {"debug_log": "x.jsonl"}]
+    )
+    def test_different_endpoints_get_two_clients(self, change):
+        planner, critic = make_backends(self.config(**change))
+        assert planner.client is not critic.client
+        assert planner.client._limiter is not critic.client._limiter
+        field, value = next(iter(change.items()))
+        assert getattr(critic.client.endpoint, field) == value
+        assert getattr(planner.client.endpoint, field) != value
+
+
+class TestSharedEndpoint:
+    """An llm planner and critic on one endpoint, driven by a batch."""
+
+    @pytest.fixture()
+    def endpoint(self):
+        ep = FakeEndpoint()
+        ep.script = [(200, chat_body("the plan is wrong"))]  # empty plans, always rejected
+        yield ep
+        ep.close()
+
+    def config(self, endpoint, **shared):
+        settings = {"base_url": endpoint.url, "model": "fake", **shared}
+        return loop_config(
+            k=4,
+            planner=PlannerConfig(backend=PlannerBackend.LLM, **settings),
+            critic=CriticConfig(backend=CriticBackend.LLM, max_concurrency=1, **settings),
+        )
+
+    def test_one_rate_limit_covers_both_roles(self, dataset, endpoint):
+        one = dataclasses.replace(dataset, entries=dataset.entries[:1])
+        start = time.monotonic()
+        records = run_batch(one, self.config(endpoint, requests_per_second=20.0))
+        elapsed = time.monotonic() - start
+        assert records[0].llm_calls == 10 == len(endpoint.requests)
+        # ten request starts 50 ms apart; a limiter per role would allow 0.2 s
+        assert elapsed >= 0.45
+
+    def test_parallel_batch_shares_one_debug_log(self, dataset, endpoint, tmp_path):
+        debug_log = tmp_path / "debug.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = run_batch(
+                dataset, self.config(endpoint, debug_log=str(debug_log)), parallelism=8
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        lines = debug_log.read_text().splitlines()
+        assert len(lines) == sum(r.llm_calls for r in records) == len(endpoint.requests) == 50
+        assert all(json.loads(line)["response"] == "the plan is wrong" for line in lines)
