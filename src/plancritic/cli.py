@@ -32,7 +32,7 @@ from .generators import (
     identity_map,
     load_dataset,
     nonspecific_map,
-    obfuscate,
+    obfuscate_dataset,
 )
 from .llm import TransportError
 from .orchestrator import (
@@ -43,16 +43,14 @@ from .orchestrator import (
     run_batch,
 )
 from .pddl import (
+    DomainDef,
     PddlError,
-    Plan,
     parse_domain,
     parse_plan,
     parse_problem,
-    print_domain,
     print_plan,
-    print_problem,
 )
-from .prompting import Exemplar, PoolTooSmall, TemplateId, build_pool
+from .prompting import Exemplar, MissingPlaceholderValue, PoolTooSmall, TemplateId, build_pool
 from .search import SearchLimits, SearchStatus, bfs_plan
 from .semantics import (
     format_trace,
@@ -193,51 +191,20 @@ def _map_from_file(path: str) -> ObfuscationMap:
 
 def _cmd_obfuscate(args) -> int:
     dataset = load_dataset(args.manifest)
-    entries = dataset.entries
-    domain = dataset.domain
-    problems = [dataset.problems[entry.id] for entry in entries]
-
     if args.map:
         mapping = _map_from_file(args.map)
     elif args.mode == "deceptive":
         renames = {
-            p.name: "MY-" + p.name[3:] if p.name.startswith("BW-") else p.name for p in problems
+            p.name: "MY-" + p.name[3:] if p.name.startswith("BW-") else p.name
+            for p in dataset.problems.values()
         }
         mapping = deceptive_map(problem_names=renames)
     elif args.mode == "nonspecific":
-        mapping = nonspecific_map(domain)
+        mapping = nonspecific_map(dataset.domain)
     else:
-        mapping = identity_map(domain)
-
-    have_plans = bool(dataset.plans)
-    plans = [dataset.plans.get(entry.id, Plan(())) for entry in entries]
-    new_domain, new_problems, new_plans = obfuscate(
-        domain, problems, plans if have_plans else None, mapping
-    )
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "domain.pddl").write_text(print_domain(new_domain) + "\n")
-    with (out / "manifest.jsonl").open("w") as fh:
-        for i, entry in enumerate(entries):
-            problem_file = entry.problem_file.name
-            (out / problem_file).write_text(print_problem(new_problems[i]) + "\n")
-            record = {
-                "id": entry.id,
-                "benchmark": entry.benchmark,
-                "seed": entry.seed,
-                "index": entry.index,
-                "params": {**entry.params, "obfuscation": mapping.mode.value},
-                "domain_file": "domain.pddl",
-                "problem_file": problem_file,
-            }
-            if have_plans and entry.plan_file is not None:
-                plan_file = entry.plan_file.name
-                text = print_plan(new_plans[i])
-                (out / plan_file).write_text(text + "\n" if text else "")
-                record["plan_file"] = plan_file
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    print(f"wrote obfuscated dataset to {out}")
+        mapping = identity_map(dataset.domain)
+    manifest = obfuscate_dataset(dataset, mapping, args.out)
+    print(f"wrote obfuscated dataset to {manifest.parent}")
     return EXIT_OK
 
 
@@ -258,17 +225,20 @@ def _config_from_dict(raw: dict) -> LoopConfig:
     critic_raw = dict(raw.pop("critic", {}))
     raw.pop("pool_manifest", None)
     raw.pop("pool_seed", None)
-    if "backend" in planner_raw:
-        planner_raw["backend"] = PlannerBackend(planner_raw["backend"])
-    if "backend" in critic_raw:
-        critic_raw["backend"] = CriticBackend(critic_raw["backend"])
-    if "template" in critic_raw:
-        critic_raw["template"] = TemplateId(critic_raw["template"])
-    if "exemplars" in critic_raw:
-        critic_raw["exemplars"] = tuple(critic_raw["exemplars"])
-    planner = build(PlannerConfig, planner_raw, "planner")
-    critic = build(CriticConfig, critic_raw, "critic")
-    return build(LoopConfig, {**raw, "planner": planner, "critic": critic}, "run")
+    try:
+        if "backend" in planner_raw:
+            planner_raw["backend"] = PlannerBackend(planner_raw["backend"])
+        if "backend" in critic_raw:
+            critic_raw["backend"] = CriticBackend(critic_raw["backend"])
+        if "template" in critic_raw:
+            critic_raw["template"] = TemplateId(critic_raw["template"])
+        if "exemplars" in critic_raw:
+            critic_raw["exemplars"] = tuple(critic_raw["exemplars"])
+        planner = build(PlannerConfig, planner_raw, "planner")
+        critic = build(CriticConfig, critic_raw, "critic")
+        return build(LoopConfig, {**raw, "planner": planner, "critic": critic}, "run")
+    except (ValueError, MissingPlaceholderValue) as exc:
+        raise UsageError(f"bad run configuration: {exc}") from exc
 
 
 def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
@@ -309,20 +279,27 @@ def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
     return config, args.pool, args.pool_seed
 
 
-def _build_pool(path: str, seed: int):
+def _build_pool(path: str, seed: int, domain: DomainDef):
+    """The few-shot pool of a run on ``domain``; refuses one of another domain."""
     dataset = load_dataset(path)
+    if dataset.domain != domain:
+        raise DatasetError(
+            f"pool {path} is for domain {dataset.domain.name}, the run is for {domain.name}"
+        )
     exemplars = []
     for entry in dataset.entries:
         if entry.id not in dataset.plans:
             raise UsageError(f"pool entry {entry.id} has no plan file")
         exemplars.append(Exemplar(dataset.problems[entry.id], dataset.plans[entry.id]))
-    return build_pool(dataset.domain, exemplars, seed)
+    return build_pool(dataset.domain, exemplars, seed, [entry.id for entry in dataset.entries])
 
 
 def _cmd_run(args) -> int:
     config, pool_path, pool_seed = _config_from_args(args)
     dataset = load_dataset(args.manifest)
-    pool = _build_pool(pool_path, pool_seed) if config.shots > 0 and pool_path else None
+    pool = None
+    if config.shots > 0 and pool_path:
+        pool = _build_pool(pool_path, pool_seed, dataset.domain)
     records = run_batch(
         dataset,
         config,

@@ -4,8 +4,8 @@ A critic judges a candidate plan and answers with one of three labels,
 matching the assessment phrases a critique prompt asks for.  Three backends
 exist:
 
-* ``llm``: renders a critique prompt and samples an OpenAI-compatible
-  endpoint, once per self-consistency vote.
+* ``llm``: renders its configured critique prompt and samples an
+  OpenAI-compatible endpoint on it, once per self-consistency vote.
 * ``oracle``: asks the ground-truth validator and writes a step-by-step
   verification as its critique text.
 * ``mock``: starts from the oracle's label and flips it with configured
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 from .llm import ChatClient, EndpointConfig
 from .pddl import DomainDef, Plan, ProblemDef
-from .prompting import TemplateId
+from .prompting import TemplateId, build_critique_prompt, check_critique_template
 from .semantics import (
     Correct,
     GoalNotReached,
@@ -93,6 +93,7 @@ class CritiqueVerdict:
     text: str  # raw critique text (a representative sample when N > 1)
     sample_count: int
     votes: dict[CritiqueLabel, int]
+    prompt_chars: int = 0  # length of the critique prompt sent; 0 when none was
 
     @classmethod
     def from_samples(cls, samples: Sequence[tuple[CritiqueLabel, str]]) -> "CritiqueVerdict":
@@ -131,6 +132,8 @@ class CriticConfig(EndpointConfig):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be a probability")
+        if CriticBackend(self.backend) is CriticBackend.LLM:
+            check_critique_template(self.template, self.exemplars)
 
     @property
     def effective_temperature(self) -> float:
@@ -150,7 +153,6 @@ class Critic:
         *,
         problem_id: str,
         iteration: int,
-        prompt: str | None = None,
     ) -> CritiqueVerdict:
         raise NotImplementedError
 
@@ -174,7 +176,7 @@ class OracleCritic(Critic):
     def __init__(self, config: CriticConfig | None = None):
         self.config = config or CriticConfig(backend=CriticBackend.ORACLE)
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration, prompt=None):
+    def critique(self, domain, problem, plan, *, problem_id, iteration):
         sample = _oracle_sample(domain, problem, plan)
         samples = [sample] * self.config.self_consistency
         return CritiqueVerdict.from_samples(samples)
@@ -192,7 +194,7 @@ class MockCritic(Critic):
     def __init__(self, config: CriticConfig):
         self.config = config
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration, prompt=None):
+    def critique(self, domain, problem, plan, *, problem_id, iteration):
         true_label, _ = _oracle_sample(domain, problem, plan)
         rng = random.Random(f"{self.config.seed}:{problem_id}:{iteration}")
         samples = []
@@ -208,15 +210,16 @@ class MockCritic(Critic):
 
 
 class LlmCritic(Critic):
-    """Samples an LLM judge once per self-consistency vote."""
+    """Renders its critique prompt and samples an LLM judge once per vote."""
 
     def __init__(self, config: CriticConfig, client: ChatClient | None = None):
         self.config = config
         self.client = client or ChatClient(config.endpoint)
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration, prompt=None):
-        if prompt is None:
-            raise ValueError("llm critic needs a rendered critique prompt")
+    def critique(self, domain, problem, plan, *, problem_id, iteration):
+        prompt = build_critique_prompt(
+            self.config.template, domain, problem, plan, exemplars=self.config.exemplars or None
+        )
         n = self.config.self_consistency
         temperature = self.config.effective_temperature
 
@@ -229,7 +232,7 @@ class LlmCritic(Critic):
         else:
             with ThreadPoolExecutor(max_workers=min(n, self.config.max_concurrency)) as pool:
                 samples = list(pool.map(one, range(n)))
-        return CritiqueVerdict.from_samples(samples)
+        return replace(CritiqueVerdict.from_samples(samples), prompt_chars=len(prompt))
 
 
 def make_critic(config: CriticConfig, client: ChatClient | None = None) -> Critic:

@@ -590,34 +590,41 @@ def write_dataset(
     """Write ``domain.pddl``, one problem file per instance, optional plan
     files, and a ``manifest.jsonl`` listing them.  Returns the manifest path.
     """
+    plans = plans if plans is not None else [None] * len(problems)
+    entries = []
+    bench = spec.benchmark.value
+    for index in range(len(problems)):
+        stem = f"{bench}-{spec.seed}-{index:04d}"
+        plan_file = None if plans[index] is None else Path(f"{stem}.plan")
+        files = (Path("domain.pddl"), Path(f"{stem}.pddl"), plan_file)
+        entries.append(ManifestEntry(stem, bench, spec.seed, index, spec.params(), *files))
+    return _write_files(out_dir, domain, entries, problems, plans)
+
+
+def _write_files(
+    out_dir: str | Path, domain: DomainDef, entries: list[ManifestEntry],
+    problems: list[ProblemDef], plans: list[Plan | None]
+) -> Path:
+    """Write ``domain.pddl``, each entry's problem file and plan file (when it
+    names one) under the entry's file names, and ``manifest.jsonl`` with one
+    line per entry.  Returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "domain.pddl").write_text(print_domain(domain) + "\n")
-    records = []
-    for index, problem in enumerate(problems):
-        instance_id = f"{spec.benchmark.value}-{spec.seed}-{index:04d}"
-        problem_file = f"{instance_id}.pddl"
-        (out / problem_file).write_text(print_problem(problem) + "\n")
-        record = {
-            "id": instance_id,
-            "benchmark": spec.benchmark.value,
-            "seed": spec.seed,
-            "index": index,
-            "params": spec.params(),
-            "domain_file": "domain.pddl",
-            "problem_file": problem_file,
-        }
-        plan = plans[index] if plans is not None else None
-        if plan is not None:
-            plan_file = f"{instance_id}.plan"
+    lines = []
+    for entry, problem, plan in zip(entries, problems, plans):
+        record = dataclasses.asdict(entry)
+        record.update(domain_file="domain.pddl", problem_file=entry.problem_file.name)
+        (out / entry.problem_file.name).write_text(print_problem(problem) + "\n")
+        if entry.plan_file is None:
+            del record["plan_file"]
+        else:
+            record["plan_file"] = entry.plan_file.name
             text = print_plan(plan)
-            (out / plan_file).write_text(text + "\n" if text else "")
-            record["plan_file"] = plan_file
-        records.append(record)
+            (out / entry.plan_file.name).write_text(text + "\n" if text else "")
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
     manifest = out / "manifest.jsonl"
-    with manifest.open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    manifest.write_text("".join(lines))
     return manifest
 
 
@@ -688,3 +695,19 @@ def load_dataset(manifest: str | Path) -> Dataset:
         if plan is not None:
             plans[entry.id] = plan
     return Dataset(entries, domain, problems, plans)
+
+
+def obfuscate_dataset(dataset: Dataset, mapping: ObfuscationMap, out_dir: str | Path) -> Path:
+    """Write ``dataset`` renamed by ``mapping`` to ``out_dir``, keeping its
+    entry ids and file names.  Returns the manifest path."""
+    entries = [
+        dataclasses.replace(e, params={**e.params, "obfuscation": mapping.mode.value})
+        for e in dataset.entries
+    ]
+    domain, problems, plans = obfuscate(
+        dataset.domain,
+        [dataset.problems[e.id] for e in entries],
+        [dataset.plans.get(e.id, Plan(())) for e in entries],
+        mapping,
+    )
+    return _write_files(out_dir, domain, entries, problems, plans)

@@ -1,9 +1,9 @@
 """Minimal chat-completions client for OpenAI-compatible endpoints.
 
 One request carries one user message and returns the completion text.
-Transport failures and retryable status codes (429, 5xx) are retried up to
-three times with exponential backoff; anything else fails fast.  A simple
-per-client rate limiter spaces out request starts when configured.
+Transport failures and retryable status codes (429, 5xx) get three attempts
+in all, with exponential backoff between them; anything else fails fast.  A
+simple per-client rate limiter spaces out request starts when configured.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ class MalformedResponse(Exception):
 
 
 _RETRYABLE = {429, 500, 502, 503, 504}
+MAX_ATTEMPTS = 3
 
 
 class _RateLimiter:
@@ -68,7 +69,6 @@ class EndpointConfig:
 @dataclass
 class ChatClient:
     endpoint: EndpointConfig
-    max_retries: int = 3
     backoff: float = 1.0
 
     def __post_init__(self):
@@ -91,7 +91,9 @@ class ChatClient:
         }
 
         last_error: Exception | None = None
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_ATTEMPTS):
+            if attempt:
+                time.sleep(self.backoff * 2 ** (attempt - 1))
             self._limiter.wait()
             try:
                 response = requests.post(
@@ -100,20 +102,19 @@ class ChatClient:
             except requests.RequestException as exc:
                 last_error = exc
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)
-                time.sleep(self.backoff * 2**attempt)
                 continue
             if response.status_code in _RETRYABLE:
                 last_error = TransportError(f"HTTP {response.status_code}")
                 log.warning("HTTP %d from %s, attempt %d", response.status_code, url, attempt + 1)
-                time.sleep(self.backoff * 2**attempt)
                 continue
-            if response.status_code >= 400:
-                raise TransportError(f"HTTP {response.status_code}: {response.text[:200]}")
+            if response.status_code >= 400:  # not retryable
+                last_error = TransportError(f"HTTP {response.status_code}: {response.text[:200]}")
+                break
             text = self._extract(response)
             self._debug(payload, response_text=text)
             return text
         self._debug(payload, error=str(last_error))
-        raise TransportError(f"request failed after {self.max_retries} attempts: {last_error}")
+        raise TransportError(f"request failed after {attempt + 1} attempt(s): {last_error}")
 
     def _extract(self, response) -> str:
         try:

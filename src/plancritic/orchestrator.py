@@ -27,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .critics import Critic, CriticBackend, CriticConfig, CritiqueLabel, make_critic
+from .critics import Critic, CriticConfig, CritiqueLabel, make_critic
 from .generators import Dataset, ManifestEntry
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError
 from .pddl import DomainDef, PddlError, Plan, ProblemDef, parse_plan, print_plan
@@ -36,7 +36,6 @@ from .prompting import (
     FewShotPool,
     PoolTooSmall,
     Transcript,
-    build_critique_prompt,
     build_plan_prompt,
     select_fewshots,
 )
@@ -243,19 +242,8 @@ def run_problem(
         plan = extract_plan(raw, domain)
         plan_text = print_plan(plan)
 
-        critique_prompt = None
-        if CriticBackend(config.critic.backend) is CriticBackend.LLM:
-            critique_prompt = build_critique_prompt(
-                config.critic.template,
-                domain,
-                problem,
-                plan,
-                exemplars=config.critic.exemplars or None,
-            )
         try:
-            verdict = critic.critique(
-                domain, problem, plan, problem_id=pid, iteration=step, prompt=critique_prompt
-            )
+            verdict = critic.critique(domain, problem, plan, problem_id=pid, iteration=step)
         except (TransportError, MalformedResponse) as exc:
             stop = StopReason.TRANSPORT_FAILURE
             final_plan = plan
@@ -268,7 +256,7 @@ def run_problem(
                 critic_label=verdict.label.value,
                 votes={label.value: n for label, n in verdict.votes.items()},
                 plan_prompt_chars=len(plan_prompt),
-                critique_prompt_chars=len(critique_prompt or ""),
+                critique_prompt_chars=verdict.prompt_chars,
             )
         )
         if verdict.label is CritiqueLabel.CORRECT:
@@ -383,8 +371,10 @@ def run_batch(
     if config.shots > 0:
         if pool is None:
             raise ValueError("shots > 0 needs a few-shot pool")
-        if config.shots > len(pool):
-            raise PoolTooSmall(f"asked for {config.shots} shots, pool has {len(pool)}")
+        # a target in the pool is never shown its own exemplar
+        available = len(pool) - any(pid in dataset.problems for pid in pool.ids)
+        if config.shots > available:
+            raise PoolTooSmall(f"asked for {config.shots} shots, pool has {available}")
 
     goldens = {pid: print_plan(plan) for pid, plan in dataset.plans.items()}
     planner, critic = make_backends(config, goldens)

@@ -56,7 +56,8 @@ class PoolTooSmall(ValueError):
 
 
 class MissingPlaceholderValue(KeyError):
-    pass
+    def __str__(self) -> str:
+        return f"no value for the {{{self.args[0]}}} placeholder"
 
 
 REPAIR_REQUEST = "Please can you explain the error and fix it."
@@ -105,34 +106,39 @@ class Exemplar:
 class FewShotPool:
     exemplars: tuple[Exemplar, ...]
     seed: int
+    ids: tuple[str, ...] = ()  # the exemplars' manifest ids, when they come from one
 
     def __len__(self) -> int:
         return len(self.exemplars)
 
 
-def build_pool(domain: DomainDef, exemplars: Sequence[Exemplar], seed: int) -> FewShotPool:
+def build_pool(
+    domain: DomainDef, exemplars: Sequence[Exemplar], seed: int, ids: Sequence[str] = ()
+) -> FewShotPool:
     """Build a pool, checking every exemplar's plan actually solves its problem."""
     for ex in exemplars:
         if not validate_plan(ex.problem, ex.plan, domain).is_correct:
             raise ValueError(f"exemplar plan for {ex.problem.name!r} does not validate")
-    return FewShotPool(tuple(exemplars), seed)
+    return FewShotPool(tuple(exemplars), seed, tuple(ids))
 
 
 def select_fewshots(pool: FewShotPool, problem_id: str, n: int) -> tuple[Exemplar, ...]:
     """Deterministic selection of ``n`` exemplars for one problem.
 
-    The full pool is permuted by a stream keyed on (pool seed, problem id)
-    and the first ``n`` entries are taken, so a smaller selection is always a
-    prefix of a larger one.  The caller must keep the target problem out of
-    the pool.
+    The full pool is permuted by a stream keyed on (pool seed, problem id),
+    the exemplar whose id is ``problem_id`` is skipped, and the first ``n``
+    remaining entries are taken, so a smaller selection is always a prefix of
+    a larger one.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > len(pool.exemplars):
-        raise PoolTooSmall(f"asked for {n} exemplars, pool has {len(pool.exemplars)}")
     rng = random.Random(f"{pool.seed}:{problem_id}")
     order = list(range(len(pool.exemplars)))
     rng.shuffle(order)
+    if pool.ids:
+        order = [i for i in order if pool.ids[i] != problem_id]
+    if n > len(order):
+        raise PoolTooSmall(f"asked for {n} exemplars, pool has {len(order)} for {problem_id}")
     return tuple(pool.exemplars[i] for i in order[:n])
 
 
@@ -202,6 +208,18 @@ def build_plan_prompt(
     return text
 
 
+def check_critique_template(template_id: TemplateId, exemplars: Sequence[str] | None) -> None:
+    """Raise unless ``template_id`` is a critique template that renders with
+    ``exemplars``: the few-shot variant needs them, the others take none."""
+    if template_id not in CRITIQUE_TEMPLATES:
+        raise ValueError(f"{TemplateId(template_id).value} is not a critique template")
+    if template_id is TemplateId.CRITIQUE_FEWSHOT:
+        if not exemplars:
+            raise MissingPlaceholderValue("self_evaluations_exemplars")
+    elif exemplars:
+        raise ValueError(f"{template_id.value} does not take exemplars")
+
+
 def build_critique_prompt(
     template_id: TemplateId,
     domain: DomainDef,
@@ -211,16 +229,10 @@ def build_critique_prompt(
 ) -> str:
     """Assemble one of the five critique prompts.
 
-    ``exemplars`` are pre-rendered verification walkthrough texts; they are
-    required by the few-shot variant and rejected by the others.
+    ``exemplars`` are pre-rendered verification walkthrough texts; see
+    check_critique_template for which templates take them.
     """
-    if template_id not in CRITIQUE_TEMPLATES:
-        raise ValueError(f"{template_id} is not a critique template")
-    if template_id is TemplateId.CRITIQUE_FEWSHOT:
-        if not exemplars:
-            raise MissingPlaceholderValue("self_evaluations_exemplars")
-    elif exemplars:
-        raise ValueError(f"{template_id.value} does not take exemplars")
+    check_critique_template(template_id, exemplars)
     values = {
         "domain_pddl": print_domain(domain),
         "instance": print_problem(problem),

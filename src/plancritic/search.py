@@ -31,7 +31,7 @@ class SearchLimits:
 
 class SearchStatus(Enum):
     FOUND = "found"
-    NO_PLAN = "no-plan"
+    NO_PLAN = "no-plan"  # exhaustive over groundings with pairwise-distinct arguments
     LIMIT_EXCEEDED = "limit-exceeded"
 
 
@@ -42,20 +42,16 @@ class SearchResult:
     expanded: int
 
 
-def ground_actions(
-    domain: DomainDef, problem: ProblemDef, distinct_args: bool = True
-) -> list[GroundAction]:
-    """All substitutions of schema parameters by declared objects.
+def ground_actions(domain: DomainDef, problem: ProblemDef) -> list[GroundAction]:
+    """All substitutions of schema parameters by pairwise-distinct objects.
 
     Enumeration order is canonical: schemas in declaration order, arguments
-    drawn from the sorted object list.  ``distinct_args`` keeps only
-    substitutions whose arguments are pairwise distinct.
+    drawn from the sorted object list.
     """
     objs = sorted(problem.objects)
     out: list[GroundAction] = []
     for schema in domain.actions:
-        arity = len(schema.parameters)
-        combos = itertools.permutations(objs, arity) if distinct_args else itertools.product(objs, repeat=arity)
+        combos = itertools.permutations(objs, len(schema.parameters))
         out.extend(GroundAction(schema.name, args) for args in combos)
     return out
 
@@ -93,9 +89,7 @@ def _static_predicates(domain: DomainDef) -> set[str]:
     return {p.name for p in domain.predicates} - touched
 
 
-def _reachable_ops(
-    domain: DomainDef, problem: ProblemDef, distinct_args: bool
-) -> list[_GroundOp]:
+def _reachable_ops(domain: DomainDef, problem: ProblemDef) -> list[_GroundOp]:
     """Grounded operators, minus ones whose static preconditions fail in init.
 
     A precondition over a predicate no effect can touch must already hold in
@@ -105,7 +99,7 @@ def _reachable_ops(
     static = _static_predicates(domain)
     init = problem.init
     ops = []
-    for action in ground_actions(domain, problem, distinct_args):
+    for action in ground_actions(domain, problem):
         op = _make_op(domain, action)
         if all(atom in init for atom in op.pre if atom.pred in static):
             ops.append(op)
@@ -113,18 +107,16 @@ def _reachable_ops(
 
 
 def bfs_plan(
-    domain: DomainDef,
-    problem: ProblemDef,
-    limits: SearchLimits = SearchLimits(),
-    distinct_args: bool = True,
+    domain: DomainDef, problem: ProblemDef, limits: SearchLimits = SearchLimits()
 ) -> SearchResult:
     """Shortest plan by breadth-first search; deterministic for fixed inputs.
 
     Among shortest plans, the one found first under the canonical ground
-    action order is returned.  ``LIMIT_EXCEEDED`` means the search gave up,
-    which is distinct from ``NO_PLAN`` (exhaustive proof that no plan exists).
+    action order is returned.  ``LIMIT_EXCEEDED`` means the search gave up;
+    ``NO_PLAN`` means it was exhaustive over groundings with pairwise-distinct
+    arguments (see ground_actions) and found no plan.
     """
-    ops = _reachable_ops(domain, problem, distinct_args)
+    ops = _reachable_ops(domain, problem)
     init = frozenset(problem.init)
     goal = set(problem.goal)
     if goal <= init:

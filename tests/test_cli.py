@@ -4,12 +4,13 @@ import pytest
 
 from plancritic import cli
 from plancritic.domains import blocksworld_domain
-from plancritic.generators import load_manifest
+from plancritic.generators import load_dataset, load_manifest
 from plancritic.orchestrator import read_records
-from plancritic.pddl import parse_plan, print_domain
+from plancritic.pddl import parse_plan, print_domain, print_problem
 
 from .conftest import BW5_PROBLEM_TEXT, CORRECT_PLAN_TEXT, WRONG_PLAN_TEXT
 from .helpers import tree_digest
+from .test_critics import FakeEndpoint, chat_body
 
 UNSOLVABLE_PROBLEM = """\
 (define (problem impossible)
@@ -301,6 +302,72 @@ class TestRunScoreReport:
         assert code == 1
         assert "pool" in capsys.readouterr().err
 
+    def test_pool_may_be_the_run_manifest(self, dataset_dir, tmp_path, capsys):
+        manifest = str(dataset_dir / "manifest.jsonl")
+        endpoint = FakeEndpoint()
+        endpoint.script = [(200, chat_body("no plan"))]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "k": 0, "shots": 2, "pool_manifest": manifest,
+            "planner": {"backend": "llm", "base_url": endpoint.url, "model": "m"},
+        }))
+        try:
+            code = cli.main(["run", "--manifest", manifest, "--records",
+                             str(tmp_path / "r.jsonl"), "--config", str(config)])
+        finally:
+            endpoint.close()
+        assert code == 0
+        # three problems, two shots each: every prompt shows each problem
+        # once, so no target is its own exemplar
+        texts = [print_problem(p) for p in load_dataset(manifest).problems.values()]
+        prompts = [r["payload"]["messages"][0]["content"] for r in endpoint.requests]
+        assert len(prompts) == 3
+        for prompt in prompts:
+            assert [prompt.count(text) for text in texts] == [1, 1, 1]
+        capsys.readouterr()
+
+    def test_pool_without_the_target_too_small(self, dataset_dir, tmp_path, capsys):
+        manifest = str(dataset_dir / "manifest.jsonl")
+        records = tmp_path / "r.jsonl"
+        code = cli.main(["run", "--manifest", manifest, "--records", str(records),
+                         "--shots", "3", "--pool", manifest])
+        assert code == 1
+        assert "pool has 2" in capsys.readouterr().err
+        assert not records.exists()
+
+    def test_pool_from_another_domain(self, dataset_dir, logistics_dir, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        code = cli.main(
+            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records),
+             "--shots", "1", "--pool", str(logistics_dir / "manifest.jsonl")]
+        )
+        assert code == 2
+        assert "domain" in capsys.readouterr().err
+        assert not records.exists()
+
+    @pytest.mark.parametrize(
+        "critic", [{"template": "critique_fewshot"}, {"template": "plan_fewshot"}]
+    )
+    def test_unrenderable_critic_template(self, dataset_dir, tmp_path, capsys, critic):
+        endpoint = FakeEndpoint()
+        endpoint.script = [(200, chat_body("the plan is correct"))]
+        settings = {"backend": "llm", "base_url": endpoint.url, "model": "m"}
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"k": 1, "shots": 0, "planner": settings, "critic": {**settings, **critic}})
+        )
+        records = tmp_path / "r.jsonl"
+        try:
+            code = cli.main(["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                             "--records", str(records), "--config", str(config)])
+        finally:
+            endpoint.close()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.endswith("\n") and err.count("\n") == 1
+        assert not records.exists()
+        assert endpoint.requests == []
+
     def test_llm_requires_config(self, dataset_dir, tmp_path, capsys):
         code = cli.main(
             ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
@@ -361,15 +428,21 @@ class TestArgparseBehavior:
 
 
 @pytest.fixture(scope="module")
-def mixed_manifest(dataset_dir, tmp_path_factory):
-    """A manifest whose entries point at a blocksworld and a logistics dataset."""
-    root = tmp_path_factory.mktemp("mixed")
+def logistics_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("lg")
     assert cli.main(
         ["generate", "--benchmark", "logistics", "--preset", "easy", "--seed", "3",
-         "--count", "1", "--out", str(root / "lg"), "--solve"]
+         "--count", "1", "--out", str(out), "--solve"]
     ) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def mixed_manifest(dataset_dir, logistics_dir, tmp_path_factory):
+    """A manifest whose entries point at a blocksworld and a logistics dataset."""
+    root = tmp_path_factory.mktemp("mixed")
     lines = []
-    for base in (dataset_dir, root / "lg"):
+    for base in (dataset_dir, logistics_dir):
         for line in (base / "manifest.jsonl").read_text().splitlines():
             raw = json.loads(line)
             for key in ("domain_file", "problem_file", "plan_file"):

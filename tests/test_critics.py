@@ -20,6 +20,7 @@ from plancritic.critics import (
 )
 from plancritic.llm import ChatClient, EndpointConfig, MalformedResponse, TransportError
 from plancritic.pddl import Plan
+from plancritic.prompting import MissingPlaceholderValue, TemplateId, build_critique_prompt
 
 C = CritiqueLabel.CORRECT
 W = CritiqueLabel.WRONG
@@ -140,6 +141,18 @@ class TestCriticConfig:
         assert CriticConfig(self_consistency=1).effective_temperature == 0.0
         assert CriticConfig(self_consistency=5).effective_temperature == 0.7
         assert CriticConfig(self_consistency=5, temperature=0.2).effective_temperature == 0.2
+
+    def test_llm_template_must_render(self):
+        llm = {"backend": CriticBackend.LLM, "base_url": "http://x", "model": "m"}
+        with pytest.raises(MissingPlaceholderValue):
+            CriticConfig(**llm, template=TemplateId.CRITIQUE_FEWSHOT)
+        with pytest.raises(ValueError):
+            CriticConfig(**llm, template=TemplateId.PLAN_FEWSHOT)
+        with pytest.raises(ValueError):
+            CriticConfig(**llm, exemplars=("walkthrough",))
+        CriticConfig(**llm, template=TemplateId.CRITIQUE_FEWSHOT, exemplars=("walkthrough",))
+        # critics that render no prompt ignore the template
+        CriticConfig(backend=CriticBackend.ORACLE, template=TemplateId.CRITIQUE_FEWSHOT)
 
     def test_make_critic_dispatch(self):
         assert isinstance(make_critic(CriticConfig(backend=CriticBackend.ORACLE)), OracleCritic)
@@ -289,24 +302,19 @@ class TestLlmCritic:
         monkeypatch.setenv("PLANCRITIC_API_KEY", "secret-key")
         endpoint.script = [(200, chat_body("I checked carefully. the plan is wrong"))]
         critic = llm_critic(endpoint)
-        verdict = critic.critique(
-            bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0, prompt="judge this"
-        )
+        verdict = critic.critique(bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0)
         assert verdict.label is W
         assert verdict.text.endswith("the plan is wrong")
+        prompt = build_critique_prompt(
+            TemplateId.CRITIQUE_0SHOT_DD, bw_domain, bw5_problem, wrong_plan
+        )
+        assert verdict.prompt_chars == len(prompt)
         request = endpoint.requests[0]
         assert request["path"] == "/chat/completions"
         assert request["auth"] == "Bearer secret-key"
-        assert request["payload"]["messages"] == [{"role": "user", "content": "judge this"}]
+        assert request["payload"]["messages"] == [{"role": "user", "content": prompt}]
         assert request["payload"]["model"] == "fake-model"
         assert request["payload"]["temperature"] == 0.0
-
-    def test_requires_prompt(self, endpoint, bw_domain, bw5_problem, wrong_plan):
-        critic = llm_critic(endpoint)
-        with pytest.raises(ValueError):
-            critic.critique(
-                bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0, prompt=None
-            )
 
     def test_self_consistency_votes(self, endpoint, bw_domain, bw5_problem, wrong_plan):
         endpoint.script = [
@@ -316,7 +324,7 @@ class TestLlmCritic:
         ]
         critic = llm_critic(endpoint, n=3)
         verdict = critic.critique(
-            bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0, prompt="judge"
+            bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0
         )
         assert verdict.label is W
         assert verdict.votes == {C: 1, W: 2}
@@ -331,7 +339,7 @@ class TestLlmCritic:
         ]
         critic = llm_critic(endpoint)
         verdict = critic.critique(
-            bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0, prompt="judge"
+            bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0
         )
         assert verdict.label is G
         assert len(endpoint.requests) == 2
@@ -341,7 +349,7 @@ class TestLlmCritic:
         critic = llm_critic(endpoint)
         with pytest.raises(TransportError):
             critic.critique(
-                bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0, prompt="judge"
+                bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0
             )
         assert len(endpoint.requests) == 3  # all retries consumed
 
@@ -350,7 +358,7 @@ class TestLlmCritic:
         critic = llm_critic(endpoint)
         with pytest.raises(TransportError):
             critic.critique(
-                bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0, prompt="judge"
+                bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0
             )
         assert len(endpoint.requests) == 1  # fails fast, no retry
 
@@ -359,5 +367,28 @@ class TestLlmCritic:
         critic = llm_critic(endpoint)
         with pytest.raises(MalformedResponse):
             critic.critique(
-                bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0, prompt="judge"
+                bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=0
             )
+
+
+class TestChatClient:
+    def test_no_sleep_after_the_last_attempt(self, endpoint, monkeypatch):
+        endpoint.script = [(503, "down")]
+        sleeps = []
+        monkeypatch.setattr("plancritic.llm.time.sleep", sleeps.append)
+        client = ChatClient(EndpointConfig(base_url=endpoint.url, model="m"), backoff=0.5)
+        with pytest.raises(TransportError):
+            client.complete("judge", 0.0, 16)
+        assert len(endpoint.requests) == 3
+        assert sleeps == [0.5, 1.0]  # between attempts only
+
+    def test_client_error_is_logged(self, endpoint, tmp_path):
+        endpoint.script = [(401, "bad key")]
+        debug_log = tmp_path / "debug.jsonl"
+        config = EndpointConfig(base_url=endpoint.url, model="m", debug_log=str(debug_log))
+        with pytest.raises(TransportError):
+            ChatClient(config).complete("judge", 0.0, 16)
+        [line] = debug_log.read_text().splitlines()
+        record = json.loads(line)
+        assert record["error"].startswith("HTTP 401")
+        assert record["request"]["messages"] == [{"role": "user", "content": "judge"}]

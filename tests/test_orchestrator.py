@@ -30,6 +30,7 @@ from plancritic.orchestrator import (
     write_records,
 )
 from plancritic.pddl import Plan, print_plan
+from plancritic.prompting import Exemplar, PoolTooSmall, build_pool
 from plancritic.search import SearchLimits, bfs_plan
 
 from .test_critics import FakeEndpoint, chat_body
@@ -44,7 +45,7 @@ class ScriptedCritic:
     def __init__(self, labels):
         self.labels = list(labels)
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration, prompt=None):
+    def critique(self, domain, problem, plan, *, problem_id, iteration):
         label = self.labels[min(iteration, len(self.labels) - 1)]
         return CritiqueVerdict(
             label=label, text=f"the plan is {label.value}", sample_count=1, votes={label: 1}
@@ -57,7 +58,7 @@ class FailingPlanner:
 
 
 class FailingCritic:
-    def critique(self, domain, problem, plan, *, problem_id, iteration, prompt=None):
+    def critique(self, domain, problem, plan, *, problem_id, iteration):
         raise TransportError("critic down")
 
 
@@ -388,6 +389,16 @@ class TestRunBatch:
     def test_shots_need_pool(self, dataset):
         with pytest.raises(ValueError):
             run_batch(dataset, self.config(shots=2))
+
+    def test_pool_counted_without_the_target(self, dataset):
+        ids = list(dataset.plans)  # four entries of the run itself
+        exemplars = [Exemplar(dataset.problems[pid], dataset.plans[pid]) for pid in ids]
+        pool = build_pool(dataset.domain, exemplars, seed=0, ids=ids)
+        with pytest.raises(PoolTooSmall):
+            run_batch(dataset, self.config(shots=4), pool=pool)
+        records = run_batch(dataset, self.config(shots=3), pool=pool)
+        solved = [r for r in records if r.problem_id in dataset.plans]
+        assert all(r.stop_reason is StopReason.CRITIC_ACCEPTED for r in solved)
 
 
 class TestIterationEntry:

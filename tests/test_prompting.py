@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,19 @@ class TestFewShotSelection:
     def test_pool_too_small(self, pool):
         with pytest.raises(PoolTooSmall):
             select_fewshots(pool, "t", 7)
+
+    def test_target_is_never_its_own_exemplar(self, pool):
+        named = dataclasses.replace(pool, ids=tuple(f"p{i}" for i in range(len(pool))))
+
+        def picked(target, n):
+            return [pool.exemplars.index(e) for e in select_fewshots(named, target, n)]
+
+        # a target outside the pool gets the selection an id-less pool gives it
+        assert picked("target-1", 6) == [4, 0, 1, 5, 2, 3]
+        # the same seeded order, with the target's own exemplar (first here) skipped
+        assert picked("p1", 5) == [0, 3, 2, 5, 4]
+        with pytest.raises(PoolTooSmall):
+            select_fewshots(named, "p1", 6)
 
     def test_zero_shots(self, pool):
         assert select_fewshots(pool, "t", 0) == ()
