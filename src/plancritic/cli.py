@@ -20,8 +20,9 @@ from collections import Counter
 from pathlib import Path
 
 from . import generators, report
-from .critics import CriticBackend, CriticConfig
+from .critics import CriticConfig
 from .generators import (
+    SIZE_FIELDS,
     Benchmark,
     DatasetError,
     GenSpec,
@@ -35,13 +36,7 @@ from .generators import (
     obfuscate_dataset,
 )
 from .llm import TransportError
-from .orchestrator import (
-    LoopConfig,
-    PlannerBackend,
-    PlannerConfig,
-    read_records,
-    run_batch,
-)
+from .orchestrator import LoopConfig, PlannerConfig, read_records, run_batch
 from .pddl import (
     DomainDef,
     PddlError,
@@ -50,7 +45,7 @@ from .pddl import (
     parse_problem,
     print_plan,
 )
-from .prompting import Exemplar, MissingPlaceholderValue, PoolTooSmall, TemplateId, build_pool
+from .prompting import Exemplar, MissingPlaceholderValue, PoolTooSmall, build_pool
 from .search import SearchLimits, SearchStatus, bfs_plan
 from .semantics import (
     format_trace,
@@ -75,45 +70,40 @@ def _read_text(path: str) -> str:
     return p.read_text()
 
 
+def _build(cls, data: dict, what: str):
+    """``cls(**data)``, refusing keys that are not fields of ``cls``."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise UsageError(f"unknown {what} option(s): {', '.join(sorted(unknown))}")
+    return cls(**data)
+
+
 # ---------------------------------------------------------------------------
 # generate
 
 
 def _spec_from_args(args) -> GenSpec:
     benchmark = Benchmark(args.benchmark)
-    if benchmark is Benchmark.BLOCKSWORLD:
-        if args.blocks is None:
-            raise UsageError("--blocks is required for blocksworld")
-        return GenSpec.blocksworld(args.blocks, args.seed, args.count)
-    if benchmark is Benchmark.LOGISTICS:
-        if args.preset == "easy":
-            return GenSpec.logistics_easy(args.seed, args.count)
-        if args.preset == "hard":
-            return GenSpec.logistics_hard(args.seed, args.count)
-        required = (args.cities, args.places_per_city, args.packages, args.trucks, args.airplanes)
-        if any(v is None for v in required):
-            raise UsageError("logistics needs --preset or explicit size flags")
-        return GenSpec(
-            Benchmark.LOGISTICS,
-            args.seed,
-            args.count,
-            cities=args.cities,
-            places_per_city=args.places_per_city,
-            packages=args.packages,
-            trucks=args.trucks,
-            airplanes=args.airplanes,
-        )
-    if args.width is None or args.height is None:
-        raise UsageError("--width and --height are required for minigrid")
-    return GenSpec.minigrid(args.width, args.height, args.keys, args.seed, args.count)
+    if benchmark is Benchmark.LOGISTICS and args.preset:
+        preset = GenSpec.logistics_easy if args.preset == "easy" else GenSpec.logistics_hard
+        return preset(args.seed, args.count)
+    sizes = {name: getattr(args, name) for name in SIZE_FIELDS[benchmark]}
+    return GenSpec(benchmark, args.seed, args.count, **sizes)
+
+
+def _limits_from_args(args) -> SearchLimits:
+    try:
+        return SearchLimits(args.max_expanded, args.max_length)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_generate(args) -> int:
     spec = _spec_from_args(args)
+    limits = _limits_from_args(args)
     domain, problems = generators.generate(spec)
     plans = None
     if args.solve:
-        limits = SearchLimits(args.max_expanded, args.max_length)
         plans = []
         for problem in problems:
             result = bfs_plan(domain, problem, limits)
@@ -153,8 +143,7 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     domain = parse_domain(_read_text(args.domain))
     problem = parse_problem(_read_text(args.problem), domain)
-    limits = SearchLimits(args.max_expanded, args.max_length)
-    result = bfs_plan(domain, problem, limits)
+    result = bfs_plan(domain, problem, _limits_from_args(args))
     if result.status is SearchStatus.FOUND:
         text = print_plan(result.plan)
         if args.out:
@@ -177,15 +166,8 @@ def _cmd_solve(args) -> int:
 def _map_from_file(path: str) -> ObfuscationMap:
     raw = json.loads(_read_text(path))
     try:
-        return ObfuscationMap(
-            mode=ObfuscationMode(raw.get("mode", "identity")),
-            predicates=dict(raw["predicates"]),
-            actions=dict(raw["actions"]),
-            objects=dict(raw.get("objects", {})),
-            domain_names=dict(raw.get("domain_names", {})),
-            problem_names=dict(raw.get("problem_names", {})),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return _build(ObfuscationMap, {"mode": ObfuscationMode.IDENTITY, **raw}, "map")
+    except (UsageError, TypeError, ValueError) as exc:
         raise UsageError(f"bad map file {path}: {exc}") from exc
 
 
@@ -213,31 +195,16 @@ def _cmd_obfuscate(args) -> int:
 
 
 def _config_from_dict(raw: dict) -> LoopConfig:
-    def build(cls, data: dict, what: str):
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise UsageError(f"unknown {what} option(s): {', '.join(sorted(unknown))}")
-        return cls(**data)
-
     raw = dict(raw)
-    planner_raw = dict(raw.pop("planner", {}))
-    critic_raw = dict(raw.pop("critic", {}))
+    planner_raw = raw.pop("planner", {})
+    critic_raw = raw.pop("critic", {})
     raw.pop("pool_manifest", None)
     raw.pop("pool_seed", None)
     try:
-        if "backend" in planner_raw:
-            planner_raw["backend"] = PlannerBackend(planner_raw["backend"])
-        if "backend" in critic_raw:
-            critic_raw["backend"] = CriticBackend(critic_raw["backend"])
-        if "template" in critic_raw:
-            critic_raw["template"] = TemplateId(critic_raw["template"])
-        if "exemplars" in critic_raw:
-            critic_raw["exemplars"] = tuple(critic_raw["exemplars"])
-        planner = build(PlannerConfig, planner_raw, "planner")
-        critic = build(CriticConfig, critic_raw, "critic")
-        return build(LoopConfig, {**raw, "planner": planner, "critic": critic}, "run")
-    except (ValueError, MissingPlaceholderValue) as exc:
+        planner = _build(PlannerConfig, planner_raw, "planner")
+        critic = _build(CriticConfig, critic_raw, "critic")
+        return _build(LoopConfig, {**raw, "planner": planner, "critic": critic}, "run")
+    except (TypeError, ValueError, MissingPlaceholderValue) as exc:
         raise UsageError(f"bad run configuration: {exc}") from exc
 
 
@@ -245,38 +212,24 @@ def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
     """Returns (config, pool manifest path, pool seed)."""
     if args.config:
         raw = json.loads(_read_text(args.config))
+        if not isinstance(raw, dict):
+            raise UsageError(f"{args.config}: a run configuration is a JSON object")
         pool_manifest = raw.get("pool_manifest")
         pool_seed = raw.get("pool_seed", 0)
         return _config_from_dict(raw), pool_manifest, pool_seed
 
-    if args.planner == "mock-golden":
-        planner = PlannerConfig(backend=PlannerBackend.MOCK, golden_prob=1.0, seed=args.seed)
-    elif args.planner == "mock":
-        planner = PlannerConfig(
-            backend=PlannerBackend.MOCK, golden_prob=args.golden_prob, seed=args.seed
-        )
-    else:
-        raise UsageError("llm planner runs need --config with endpoint settings")
-    if args.critic == "oracle":
-        critic = CriticConfig(backend=CriticBackend.ORACLE, self_consistency=args.self_consistency)
-    elif args.critic == "mock":
-        critic = CriticConfig(
-            backend=CriticBackend.MOCK,
-            self_consistency=args.self_consistency,
-            false_positive=args.fp,
-            false_negative=args.fn,
-            seed=args.seed,
-        )
-    else:
-        raise UsageError("llm critic runs need --config with endpoint settings")
-    config = LoopConfig(
-        k=args.k,
-        shots=args.shots,
-        transcript_budget=args.budget,
-        planner=planner,
-        critic=critic,
-    )
-    return config, args.pool, args.pool_seed
+    for role in ("planner", "critic"):
+        if getattr(args, role) == "llm":
+            raise UsageError(f"llm {role} runs need --config with endpoint settings")
+    # only the fields the chosen backends read
+    golden_prob = 1.0 if args.planner == "mock-golden" else args.golden_prob
+    planner = {"backend": "mock", "golden_prob": golden_prob, "seed": args.seed}
+    critic = {"backend": args.critic, "self_consistency": args.self_consistency}
+    if args.critic == "mock":
+        critic.update(false_positive=args.fp, false_negative=args.fn, seed=args.seed)
+    raw = {"k": args.k, "shots": args.shots, "transcript_budget": args.budget,
+           "planner": planner, "critic": critic}
+    return _config_from_dict(raw), args.pool, args.pool_seed
 
 
 def _build_pool(path: str, seed: int, domain: DomainDef):
@@ -348,6 +301,11 @@ def _cmd_report(args) -> int:
 # parser
 
 
+def _add_limit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-expanded", type=int, default=SearchLimits.max_expanded)
+    p.add_argument("--max-length", type=int, default=SearchLimits.max_plan_length)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plancritic",
@@ -367,12 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--packages", type=int)
     p.add_argument("--trucks", type=int)
     p.add_argument("--airplanes", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=int, dest="grid_width")
+    p.add_argument("--height", type=int, dest="grid_height")
     p.add_argument("--keys", type=int, default=0)
     p.add_argument("--solve", action="store_true", help="also write shortest plans")
-    p.add_argument("--max-expanded", type=int, default=200_000)
-    p.add_argument("--max-length", type=int, default=100)
+    _add_limit_flags(p)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("validate", help="validate a plan against a problem")
@@ -387,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--problem", required=True)
     p.add_argument("--out")
-    p.add_argument("--max-expanded", type=int, default=200_000)
-    p.add_argument("--max-length", type=int, default=100)
+    _add_limit_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("obfuscate", help="rename a dataset's vocabulary")
@@ -404,15 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run configuration")
     p.add_argument("--critic", choices=["oracle", "mock", "llm"], default="oracle")
     p.add_argument("--planner", choices=["mock-golden", "mock", "llm"], default="mock-golden")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=LoopConfig.k)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--pool", help="manifest of solved problems for few-shot examples")
     p.add_argument("--pool-seed", type=int, default=0, dest="pool_seed")
-    p.add_argument("--budget", type=int, default=400_000)
-    p.add_argument("--self-consistency", type=int, default=1, dest="self_consistency")
-    p.add_argument("--golden-prob", type=float, default=1.0, dest="golden_prob")
-    p.add_argument("--fp", type=float, default=0.0)
-    p.add_argument("--fn", type=float, default=0.0)
+    p.add_argument("--budget", type=int, default=LoopConfig.transcript_budget)
+    p.add_argument(
+        "--self-consistency", type=int, default=CriticConfig.self_consistency,
+        dest="self_consistency",
+    )
+    p.add_argument(
+        "--golden-prob", type=float, default=PlannerConfig.golden_prob, dest="golden_prob"
+    )
+    p.add_argument("--fp", type=float, default=CriticConfig.false_positive)
+    p.add_argument("--fn", type=float, default=CriticConfig.false_negative)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parallelism", type=int, default=1)
     p.set_defaults(func=_cmd_run)
@@ -441,6 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except (
         UsageError,
         DatasetError,
+        InvalidSpec,
         FileNotFoundError,
         IsADirectoryError,
         json.JSONDecodeError,
@@ -449,7 +411,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (
         PddlError,
-        InvalidSpec,
         PoolTooSmall,
         TransportError,
         report.MissingProblem,

@@ -126,13 +126,16 @@ class CriticConfig(EndpointConfig):
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "backend", CriticBackend(self.backend))
+        object.__setattr__(self, "template", TemplateId(self.template))
+        object.__setattr__(self, "exemplars", tuple(self.exemplars))
         if self.self_consistency < 1:
             raise ValueError("self_consistency must be at least 1")
         for name in ("false_positive", "false_negative"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be a probability")
-        if CriticBackend(self.backend) is CriticBackend.LLM:
+        if self.backend is CriticBackend.LLM:
             check_critique_template(self.template, self.exemplars)
 
     @property
@@ -236,9 +239,8 @@ class LlmCritic(Critic):
 
 
 def make_critic(config: CriticConfig, client: ChatClient | None = None) -> Critic:
-    backend = CriticBackend(config.backend)
-    if backend is CriticBackend.ORACLE:
+    if config.backend is CriticBackend.ORACLE:
         return OracleCritic(config)
-    if backend is CriticBackend.MOCK:
+    if config.backend is CriticBackend.MOCK:
         return MockCritic(config)
     return LlmCritic(config, client)

@@ -56,6 +56,14 @@ class Benchmark(str, Enum):
     MINIGRID = "minigrid"
 
 
+# the GenSpec size fields each benchmark reads
+SIZE_FIELDS = {
+    Benchmark.BLOCKSWORLD: ("blocks",),
+    Benchmark.LOGISTICS: ("cities", "places_per_city", "packages", "trucks", "airplanes"),
+    Benchmark.MINIGRID: ("grid_width", "grid_height", "keys"),
+}
+
+
 class InvalidSpec(ValueError):
     pass
 
@@ -87,7 +95,7 @@ class GenSpec:
             if self.blocks is None or not 2 <= self.blocks <= 20:
                 raise InvalidSpec("blocksworld needs a block count in [2, 20]")
         elif b is Benchmark.LOGISTICS:
-            for name in ("cities", "places_per_city", "packages", "trucks", "airplanes"):
+            for name in SIZE_FIELDS[b]:
                 value = getattr(self, name)
                 if value is None or value < 0:
                     raise InvalidSpec(f"logistics needs a non-negative {name}")
@@ -100,7 +108,7 @@ class GenSpec:
             if self.packages > 0 and self.cities * self.places_per_city < 2:
                 raise InvalidSpec("deliveries need at least two places")
         elif b is Benchmark.MINIGRID:
-            if self.grid_width is None or self.grid_height is None or self.keys is None:
+            if any(getattr(self, name) is None for name in SIZE_FIELDS[b]):
                 raise InvalidSpec("minigrid needs grid_width, grid_height, and keys")
             if self.grid_width < 1 or self.grid_height < 1 or self.keys < 0:
                 raise InvalidSpec("minigrid sizes must be positive (keys may be zero)")
@@ -203,12 +211,6 @@ def _blocksworld_instance(spec: GenSpec, index: int) -> ProblemDef:
     )
 
 
-def gen_blocksworld(spec: GenSpec) -> list[ProblemDef]:
-    if Benchmark(spec.benchmark) is not Benchmark.BLOCKSWORLD:
-        raise InvalidSpec("spec is not a blocksworld spec")
-    return [_blocksworld_instance(spec, i) for i in range(spec.count)]
-
-
 # ---------------------------------------------------------------------------
 # Logistics
 
@@ -256,12 +258,6 @@ def _logistics_instance(spec: GenSpec, index: int) -> ProblemDef:
         init=frozenset(init),
         goal=goal,
     )
-
-
-def gen_logistics(spec: GenSpec) -> list[ProblemDef]:
-    if Benchmark(spec.benchmark) is not Benchmark.LOGISTICS:
-        raise InvalidSpec("spec is not a logistics spec")
-    return [_logistics_instance(spec, i) for i in range(spec.count)]
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +366,17 @@ def _minigrid_instance(spec: GenSpec, index: int) -> ProblemDef:
     )
 
 
-def gen_minigrid(spec: GenSpec) -> list[ProblemDef]:
-    if Benchmark(spec.benchmark) is not Benchmark.MINIGRID:
-        raise InvalidSpec("spec is not a minigrid spec")
-    return [_minigrid_instance(spec, i) for i in range(spec.count)]
-
-
 _GENERATORS = {
-    Benchmark.BLOCKSWORLD: (gen_blocksworld, domains.blocksworld_domain),
-    Benchmark.LOGISTICS: (gen_logistics, domains.logistics_domain),
-    Benchmark.MINIGRID: (gen_minigrid, domains.minigrid_domain),
+    Benchmark.BLOCKSWORLD: (_blocksworld_instance, domains.blocksworld_domain),
+    Benchmark.LOGISTICS: (_logistics_instance, domains.logistics_domain),
+    Benchmark.MINIGRID: (_minigrid_instance, domains.minigrid_domain),
 }
 
 
 def generate(spec: GenSpec) -> tuple[DomainDef, list[ProblemDef]]:
     """Generate instances plus the domain they belong to."""
-    gen, dom = _GENERATORS[Benchmark(spec.benchmark)]
-    return dom(), gen(spec)
+    instance, dom = _GENERATORS[spec.benchmark]
+    return dom(), [instance(spec, i) for i in range(spec.count)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +412,11 @@ class ObfuscationMap:
     objects: Mapping[str, str] = field(default_factory=dict)
     domain_names: Mapping[str, str] = field(default_factory=dict)
     problem_names: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode", ObfuscationMode(self.mode))
+        for table in dataclasses.fields(self)[1:]:
+            object.__setattr__(self, table.name, dict(getattr(self, table.name)))
 
 
 DECEPTIVE_PREDICATES = {
@@ -665,7 +660,8 @@ def load_entry(entry: ManifestEntry) -> tuple[DomainDef, ProblemDef, Plan | None
 
 
 class DatasetError(ValueError):
-    """A manifest that cannot be loaded as one dataset (empty, or mixing domains)."""
+    """A manifest that cannot be loaded as one dataset (empty, mixing domains,
+    or listing an id twice)."""
 
 
 @dataclass(frozen=True)
@@ -681,7 +677,8 @@ class Dataset:
 
 def load_dataset(manifest: str | Path) -> Dataset:
     """Load a manifest, parsing each distinct domain file once; raises
-    DatasetError when it is empty or its entries resolve to different domains."""
+    DatasetError when it is empty, its entries resolve to different domains,
+    or it lists an id twice."""
     entries = tuple(load_manifest(manifest))
     if not entries:
         raise DatasetError(f"empty manifest: {manifest}")
@@ -691,6 +688,8 @@ def load_dataset(manifest: str | Path) -> Dataset:
         raise DatasetError(f"manifest mixes domains: {manifest}")
     problems, plans = {}, {}
     for entry in entries:
+        if entry.id in problems:
+            raise DatasetError(f"manifest lists id {entry.id} twice: {manifest}")
         problems[entry.id], plan = _load_instance(entry, domain)
         if plan is not None:
             plans[entry.id] = plan

@@ -2,8 +2,11 @@
 
 One request carries one user message and returns the completion text.
 Transport failures and retryable status codes (429, 5xx) get three attempts
-in all, with exponential backoff between them; anything else fails fast.  A
+in all, with exponential backoff between them, or the wait a retryable
+response asks for in an integer ``Retry-After``; anything else fails fast.  A
 simple per-client rate limiter spaces out request starts when configured.
+Each thread that uses a client keeps one session, so its requests reuse one
+connection.
 """
 
 from __future__ import annotations
@@ -74,6 +77,14 @@ class ChatClient:
     def __post_init__(self):
         self._limiter = _RateLimiter(self.endpoint.requests_per_second)
         self._log_lock = threading.Lock()
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        """This thread's session: a ``requests.Session`` is not thread-safe."""
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def complete(self, prompt: str, temperature: float, max_tokens: int) -> str:
         """Send one user message and return the assistant text."""
@@ -91,12 +102,15 @@ class ChatClient:
         }
 
         last_error: Exception | None = None
+        retry_after: int | None = None
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                backoff = self.backoff * 2 ** (attempt - 1)
+                time.sleep(backoff if retry_after is None else retry_after)
+            retry_after = None
             self._limiter.wait()
             try:
-                response = requests.post(
+                response = self._session().post(
                     url, json=payload, headers=headers, timeout=endpoint.timeout
                 )
             except requests.RequestException as exc:
@@ -104,6 +118,8 @@ class ChatClient:
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)
                 continue
             if response.status_code in _RETRYABLE:
+                value = response.headers.get("Retry-After", "")
+                retry_after = int(value) if value.isascii() and value.isdigit() else None
                 last_error = TransportError(f"HTTP {response.status_code}")
                 log.warning("HTTP %d from %s, attempt %d", response.status_code, url, attempt + 1)
                 continue

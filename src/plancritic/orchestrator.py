@@ -49,6 +49,7 @@ class StopReason(str, Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
     ITERATIONS_EXHAUSTED = "iterations-exhausted"
     TRANSPORT_FAILURE = "transport-failure"
+    INTERNAL_ERROR = "internal-error"
 
 
 def call_count(rounds: int, self_consistency: int = 1) -> int:
@@ -80,6 +81,7 @@ class PlannerConfig(EndpointConfig):
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "backend", PlannerBackend(self.backend))
         if not 0.0 <= self.golden_prob <= 1.0:
             raise ValueError("golden_prob must be a probability")
 
@@ -136,7 +138,7 @@ def make_planner(
     goldens: Mapping[str, str] | None = None,
     client: ChatClient | None = None,
 ) -> Planner:
-    if PlannerBackend(config.backend) is PlannerBackend.LLM:
+    if config.backend is PlannerBackend.LLM:
         return LlmPlanner(config, client)
     return MockPlanner(goldens or {}, config.golden_prob, config.seed)
 
@@ -365,8 +367,9 @@ def run_batch(
     If ``records_path`` exists, problems with a record there are skipped and
     their stored records reused; new records are appended as runs finish.  A
     torn last line, left by a crash mid-write, is dropped with a warning.
-    Failures are isolated: a problem that errors yields a transport-failure
-    record and the batch continues.
+    Failures are isolated: a problem that errors yields a record whose stop
+    reason is transport-failure for an endpoint error and internal-error for
+    any other exception, and the batch continues.
     """
     if config.shots > 0:
         if pool is None:
@@ -394,16 +397,19 @@ def run_batch(
             )
         except Exception as exc:  # isolate the problem, keep the batch alive
             log.exception("run failed for %s", entry.id)
+            transport = isinstance(exc, (TransportError, MalformedResponse))
             record = RunRecord(
                 problem_id=entry.id,
                 max_steps=config.k,
                 self_consistency=config.critic.self_consistency,
                 iterations=(),
                 final_plan="",
-                stop_reason=StopReason.TRANSPORT_FAILURE,
+                stop_reason=(
+                    StopReason.TRANSPORT_FAILURE if transport else StopReason.INTERNAL_ERROR
+                ),
                 llm_calls=0,
                 ground_truth=None,
-                error=str(exc),
+                error=f"{type(exc).__name__}: {exc}",
             )
         if records_path is not None:
             with write_lock:

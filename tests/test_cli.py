@@ -4,7 +4,12 @@ import pytest
 
 from plancritic import cli
 from plancritic.domains import blocksworld_domain
-from plancritic.generators import load_dataset, load_manifest
+from plancritic.generators import (
+    DECEPTIVE_ACTIONS,
+    DECEPTIVE_PREDICATES,
+    load_dataset,
+    load_manifest,
+)
 from plancritic.orchestrator import read_records
 from plancritic.pddl import parse_plan, print_domain, print_problem
 
@@ -79,6 +84,27 @@ class TestGenerate:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [["--benchmark", "blocksworld", "--blocks", "50"],
+         ["--benchmark", "minigrid", "--width", "0", "--height", "2"],
+         ["--benchmark", "minigrid", "--width", "2"],
+         ["--benchmark", "logistics", "--cities", "1"]],
+    )
+    def test_bad_size_exits_2(self, tmp_path, capsys, sizes):
+        code = cli.main(["generate", *sizes, "--seed", "1", "--count", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not (tmp_path / "manifest.jsonl").exists()
+
+    def test_bad_search_limit_exits_2(self, tmp_path, capsys):
+        code = cli.main(
+            ["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
+             "--count", "1", "--out", str(tmp_path), "--solve", "--max-length", "0"]
+        )
+        assert code == 2
+        assert "search limits" in capsys.readouterr().err
 
     def test_logistics_preset(self, tmp_path):
         code = cli.main(
@@ -172,6 +198,15 @@ class TestSolve:
         assert "limits exceeded" in capsys.readouterr().err
 
 
+    def test_bad_search_limit_exits_2(self, fixture_files, capsys):
+        code = cli.main(
+            ["solve", "--domain", str(fixture_files["domain"]),
+             "--problem", str(fixture_files["problem"]), "--max-expanded", "0"]
+        )
+        assert code == 2
+        assert "search limits" in capsys.readouterr().err
+
+
 class TestObfuscate:
     def test_deceptive_round_trip(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "mystery"
@@ -192,6 +227,36 @@ class TestObfuscate:
         )
         assert validate_code == 0
         assert "the plan is correct" in capsys.readouterr().out
+
+    def test_map_file(self, dataset_dir, tmp_path):
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({
+            "mode": "deceptive", "predicates": DECEPTIVE_PREDICATES,
+            "actions": DECEPTIVE_ACTIONS, "domain_names": {"blocksworld-4ops": "mystery-4ops"},
+        }))
+        manifest = str(dataset_dir / "manifest.jsonl")
+        out = tmp_path / "obf"
+        assert cli.main(["obfuscate", "--manifest", manifest, "--out", str(out),
+                         "--map", str(mapping)]) == 0
+        assert "craves" in (out / "domain.pddl").read_text()
+        assert '"obfuscation": "deceptive"' in (out / "manifest.jsonl").read_text()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [{"predicates": {}, "actions": {}, "renames": {}},
+         {"mode": "cryptic", "predicates": {}, "actions": {}},
+         {"actions": {}}],
+    )
+    def test_bad_map_file_exits_2(self, dataset_dir, tmp_path, capsys, raw):
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps(raw))
+        code = cli.main(["obfuscate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                         "--out", str(tmp_path / "obf"), "--map", str(mapping)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "map file" in err
+        if "renames" in raw:
+            assert "unknown map option(s): renames" in err
 
     def test_identity_mode(self, dataset_dir, tmp_path):
         out = tmp_path / "same"
@@ -385,6 +450,101 @@ class TestRunScoreReport:
         )
         assert code == 2
         assert "bogus_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,config",
+        [(["--k", "-1"], {"k": -1}),
+         (["--critic", "mock", "--fp", "2"], {"critic": {"backend": "mock", "false_positive": 2}}),
+         (["--self-consistency", "0"], {"critic": {"self_consistency": 0}}),
+         (["--planner", "mock", "--golden-prob", "1.5"], {"planner": {"golden_prob": 1.5}}),
+         (["--shots", "-2"], {"shots": -2})],
+    )
+    def test_bad_value_exits_2_from_flags_and_config(
+        self, dataset_dir, tmp_path, capsys, flags, config
+    ):
+        records = tmp_path / "r.jsonl"
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        run = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records)]
+        for args in (flags, ["--config", str(config_file)]):
+            assert cli.main(run + args) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad run configuration") and err.count("\n") == 1
+            assert not records.exists()
+
+    def test_fields_of_other_backends_are_ignored(self, dataset_dir, tmp_path, capsys):
+        code = cli.main(
+            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+             "--records", str(tmp_path / "r.jsonl"), "--critic", "oracle", "--fp", "2",
+             "--planner", "mock-golden", "--golden-prob", "7"]
+        )
+        assert code == 0
+        assert "accuracy=1.0000" in capsys.readouterr().out
+
+    def test_flags_and_config_write_the_same_records(self, dataset_dir, tmp_path, capsys):
+        manifest = str(dataset_dir / "manifest.jsonl")
+        pool_dir = tmp_path / "pool"
+        assert cli.main(
+            ["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "23",
+             "--count", "4", "--out", str(pool_dir), "--solve"]
+        ) == 0
+        pool = str(pool_dir / "manifest.jsonl")
+        by_flags = tmp_path / "flags.jsonl"
+        assert cli.main(
+            ["run", "--manifest", manifest, "--records", str(by_flags),
+             "--planner", "mock", "--golden-prob", "0.4", "--critic", "mock",
+             "--fp", "0.3", "--fn", "0.2", "--self-consistency", "3", "--k", "3",
+             "--budget", "50000", "--seed", "4", "--shots", "2", "--pool", pool,
+             "--pool-seed", "1"]
+        ) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "k": 3, "shots": 2, "transcript_budget": 50000,
+            "pool_manifest": pool, "pool_seed": 1,
+            "planner": {"backend": "mock", "golden_prob": 0.4, "seed": 4},
+            "critic": {"backend": "mock", "self_consistency": 3, "false_positive": 0.3,
+                       "false_negative": 0.2, "seed": 4},
+        }))
+        by_config = tmp_path / "config.jsonl"
+        assert cli.main(
+            ["run", "--manifest", manifest, "--records", str(by_config), "--config", str(config)]
+        ) == 0
+        assert by_flags.read_bytes() == by_config.read_bytes()
+        assert "accuracy=1.0000" not in capsys.readouterr().out  # the noise is in play
+
+    def test_duplicate_ids_refused_before_any_call(self, dataset_dir, tmp_path, capsys):
+        manifest = tmp_path / "manifest.jsonl"
+        first = (dataset_dir / "manifest.jsonl").read_text().splitlines()[0]
+        raw = json.loads(first)
+        for key in ("domain_file", "problem_file", "plan_file"):
+            raw[key] = str(dataset_dir / raw[key])
+        manifest.write_text((json.dumps(raw) + "\n") * 2)
+        endpoint = FakeEndpoint()
+        endpoint.script = [(200, chat_body("the plan is correct"))]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "k": 0, "shots": 0, "planner": {"backend": "llm", "base_url": endpoint.url, "model": "m"},
+        }))
+        records = tmp_path / "r.jsonl"
+        try:
+            code = cli.main(["run", "--manifest", str(manifest), "--records", str(records),
+                             "--config", str(config)])
+        finally:
+            endpoint.close()
+        assert code == 2
+        assert f"id {raw['id']} twice" in capsys.readouterr().err
+        assert endpoint.requests == []
+        assert not records.exists()
+
+    def test_config_not_an_object(self, dataset_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([["k", 1]]))
+        code = cli.main(
+            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+             "--records", str(tmp_path / "r.jsonl"), "--config", str(config)]
+        )
+        assert code == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_resume_after_torn_last_line(self, dataset_dir, tmp_path, capsys):
         records = tmp_path / "records.jsonl"

@@ -154,6 +154,29 @@ class TestCriticConfig:
         # critics that render no prompt ignore the template
         CriticConfig(backend=CriticBackend.ORACLE, template=TemplateId.CRITIQUE_FEWSHOT)
 
+    def test_string_values_are_checked(self):
+        llm = {"backend": "llm", "base_url": "http://x", "model": "m"}
+        with pytest.raises(MissingPlaceholderValue):
+            CriticConfig(**llm, template="critique_fewshot")
+        with pytest.raises(ValueError):
+            CriticConfig(**llm, template="plan_fewshot")
+        with pytest.raises(ValueError):
+            CriticConfig(backend="judge")
+
+    def test_fields_are_coerced(self):
+        config = CriticConfig(
+            backend="llm", base_url="http://x", model="m",
+            template="critique_fewshot", exemplars=["walkthrough"],
+        )
+        assert config.backend is CriticBackend.LLM
+        assert config.template is TemplateId.CRITIQUE_FEWSHOT
+        assert config.exemplars == ("walkthrough",)
+        assert config == CriticConfig(
+            backend=CriticBackend.LLM, base_url="http://x", model="m",
+            template=TemplateId.CRITIQUE_FEWSHOT, exemplars=("walkthrough",),
+        )
+        assert isinstance(make_critic(config), LlmCritic)
+
     def test_make_critic_dispatch(self):
         assert isinstance(make_critic(CriticConfig(backend=CriticBackend.ORACLE)), OracleCritic)
         assert isinstance(make_critic(CriticConfig(backend=CriticBackend.MOCK)), MockCritic)
@@ -238,26 +261,36 @@ def chat_body(text):
 
 
 class FakeEndpoint:
-    """Local chat-completions server replaying a scripted response list."""
+    """Local chat-completions server replaying a scripted response list.
 
-    def __init__(self):
-        self.script = []  # (status:int, body:str); last entry repeats
+    With ``keep_alive`` it speaks HTTP/1.1 and keeps connections open
+    between requests; each request records the client port it came from.
+    """
+
+    def __init__(self, keep_alive: bool = False):
+        # (status:int, body:str) or (status, body, headers:dict); last entry repeats
+        self.script = []
         self.requests = []
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length))
                 endpoint.requests.append(
-                    {"path": self.path, "payload": payload, "auth": self.headers.get("Authorization")}
+                    {"path": self.path, "payload": payload,
+                     "auth": self.headers.get("Authorization"), "port": self.client_address[1]}
                 )
                 index = min(len(endpoint.requests) - 1, len(endpoint.script) - 1)
-                status, body = endpoint.script[index]
+                status, body, *headers = endpoint.script[index]
                 data = body.encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (headers[0] if headers else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -265,6 +298,7 @@ class FakeEndpoint:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.block_on_close = False  # kept-alive connections outlive the test
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
@@ -381,6 +415,65 @@ class TestChatClient:
             client.complete("judge", 0.0, 16)
         assert len(endpoint.requests) == 3
         assert sleeps == [0.5, 1.0]  # between attempts only
+
+    @pytest.mark.parametrize(
+        "retry_after,expected",
+        [("7", [7, 7]), ("0", [0, 0]), ("-3", [0.5, 1.0]), ("1.5", [0.5, 1.0]),
+         ("Wed, 21 Oct 2026 07:28:00 GMT", [0.5, 1.0])],
+    )
+    def test_retry_after(self, endpoint, monkeypatch, retry_after, expected):
+        endpoint.script = [(429, "slow down", {"Retry-After": retry_after})]
+        sleeps = []
+        monkeypatch.setattr("plancritic.llm.time.sleep", sleeps.append)
+        client = ChatClient(EndpointConfig(base_url=endpoint.url, model="m"), backoff=0.5)
+        with pytest.raises(TransportError):
+            client.complete("judge", 0.0, 16)
+        assert sleeps == expected
+
+    def test_retry_after_then_success(self, endpoint, monkeypatch):
+        endpoint.script = [(503, "busy", {"Retry-After": "2"}), (200, chat_body("ok"))]
+        sleeps = []
+        monkeypatch.setattr("plancritic.llm.time.sleep", sleeps.append)
+        client = ChatClient(EndpointConfig(base_url=endpoint.url, model="m"), backoff=0.5)
+        assert client.complete("judge", 0.0, 16) == "ok"
+        assert sleeps == [2]
+
+    def test_sequential_calls_reuse_one_connection(self):
+        endpoint = FakeEndpoint(keep_alive=True)
+        endpoint.script = [(200, chat_body("ok"))]
+        try:
+            client = ChatClient(EndpointConfig(base_url=endpoint.url, model="m"))
+            for _ in range(4):
+                assert client.complete("judge", 0.0, 16) == "ok"
+        finally:
+            endpoint.close()
+        assert len(endpoint.requests) == 4
+        assert len({r["port"] for r in endpoint.requests}) == 1
+
+    def test_threads_do_not_share_a_session(self):
+        endpoint = FakeEndpoint(keep_alive=True)
+        endpoint.script = [(200, chat_body("ok"))]
+        client = ChatClient(EndpointConfig(base_url=endpoint.url, model="m"))
+        sessions = []
+
+        def work():
+            client.complete("judge", 0.0, 16)
+            sessions.append(client._session())
+            client.complete("judge", 0.0, 16)
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            endpoint.close()
+        assert len(endpoint.requests) == 4
+        assert len(sessions) == 2 and sessions[0] is not sessions[1]
+        # each thread's two calls share its connection
+        assert len({r["port"] for r in endpoint.requests}) == 2
 
     def test_client_error_is_logged(self, endpoint, tmp_path):
         endpoint.script = [(401, "bad key")]

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from plancritic.domains import blocksworld_domain, mystery_domain
 from plancritic.generators import (
+    DECEPTIVE_ACTIONS,
+    DECEPTIVE_PREDICATES,
     Benchmark,
     CollidingMap,
     DatasetError,
@@ -21,11 +23,14 @@ from plancritic.generators import (
     load_manifest,
     nonspecific_map,
     obfuscate,
+    obfuscate_dataset,
     write_dataset,
 )
 from plancritic.pddl import Atom, print_domain, print_plan, print_problem
 from plancritic.search import SearchLimits, SearchStatus, bfs_plan
 from plancritic.semantics import WrongAtStep, validate_plan
+
+from .helpers import tree_digest
 
 
 class TestGenSpec:
@@ -239,6 +244,16 @@ class TestObfuscation:
         with pytest.raises(CollidingMap):
             obfuscate(bw_domain, [], None, mapping)
 
+    def test_fields_are_coerced(self):
+        mapping = ObfuscationMap(
+            mode="deceptive", predicates=[("on", "craves")], actions={"stack": "overcome"}
+        )
+        assert mapping.mode is ObfuscationMode.DECEPTIVE
+        assert mapping.predicates == {"on": "craves"}
+        assert mapping.objects == {}
+        with pytest.raises(ValueError):
+            ObfuscationMap(mode="cryptic", predicates={}, actions={})
+
     def test_object_rename_collision_in_problem(self, bw_domain, bw5_problem):
         mapping = ObfuscationMap(
             mode=ObfuscationMode.IDENTITY,
@@ -318,6 +333,25 @@ class TestLoadDataset:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="mixes domains"):
             load_dataset(manifest)
+
+    def test_rejects_duplicate_ids(self, manifest):
+        first = manifest.read_text().splitlines()[0]
+        manifest.write_text(first + "\n" + first + "\n")
+        entry_id = load_manifest(manifest)[0].id
+        with pytest.raises(DatasetError, match=f"id {entry_id} twice"):
+            load_dataset(manifest)
+
+    def test_obfuscate_with_string_mode(self, manifest, tmp_path):
+        dataset = load_dataset(manifest)
+        fields = {"predicates": dict(DECEPTIVE_PREDICATES), "actions": dict(DECEPTIVE_ACTIONS)}
+        by_string = obfuscate_dataset(
+            dataset, ObfuscationMap(mode="deceptive", **fields), tmp_path / "a"
+        )
+        by_enum = obfuscate_dataset(
+            dataset, ObfuscationMap(mode=ObfuscationMode.DECEPTIVE, **fields), tmp_path / "b"
+        )
+        assert tree_digest(by_string.parent) == tree_digest(by_enum.parent)
+        assert '"obfuscation": "deceptive"' in by_string.read_text()
 
     def test_rejects_empty_manifest(self, tmp_path):
         manifest = tmp_path / "manifest.jsonl"

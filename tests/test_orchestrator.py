@@ -12,7 +12,9 @@ from plancritic.llm import TransportError
 from plancritic.orchestrator import (
     IterationEntry,
     LoopConfig,
+    LlmPlanner,
     MockPlanner,
+    Planner,
     PlannerBackend,
     PlannerConfig,
     RunRecord,
@@ -149,6 +151,14 @@ class TestPlanners:
         planner = make_planner(PlannerConfig(golden_prob=0.25, seed=9), {"p": "(a)"})
         assert isinstance(planner, MockPlanner)
         assert planner.golden_prob == 0.25
+
+    def test_backend_is_coerced(self):
+        config = PlannerConfig(backend="llm", base_url="http://x", model="m")
+        assert config.backend is PlannerBackend.LLM
+        assert isinstance(make_planner(config), LlmPlanner)
+        assert isinstance(make_planner(PlannerConfig(backend="mock")), MockPlanner)
+        with pytest.raises(ValueError):
+            PlannerConfig(backend="oracle")
 
 
 class TestRunProblem:
@@ -347,8 +357,8 @@ class TestRunBatch:
         ok = [r for i, r in enumerate(records) if i != 2]
         assert all(r.stop_reason is StopReason.CRITIC_ACCEPTED for r in ok)
         broken = records[2]  # golden plan missing -> isolated failure record
-        assert broken.stop_reason is StopReason.TRANSPORT_FAILURE
-        assert "golden" in broken.error
+        assert broken.stop_reason is StopReason.INTERNAL_ERROR
+        assert broken.error.startswith("KeyError: ") and "golden" in broken.error
         assert broken.llm_calls == 0
 
     def test_records_path_appends_and_resumes(self, dataset, tmp_path):
@@ -385,6 +395,29 @@ class TestRunBatch:
             fh.write("{not json\n")
         with pytest.raises(json.JSONDecodeError):
             run_batch(dataset, self.config(), records_path=path)
+
+    def test_exception_is_an_internal_error(self, dataset, tmp_path, monkeypatch):
+        class Broken(Planner):
+            def generate(self, prompt, *, problem_id, iteration):
+                if problem_id == dataset.entries[1].id:
+                    raise RuntimeError("planner bug")
+                return print_plan(dataset.plans[problem_id])
+
+        from plancritic import orchestrator
+
+        monkeypatch.setattr(
+            orchestrator, "make_backends", lambda config, goldens: (Broken(), OracleCritic())
+        )
+        path = tmp_path / "records.jsonl"
+        records = run_batch(dataset, self.config(), records_path=path)
+        stops = [r.stop_reason for r in records]
+        assert stops == [
+            StopReason.CRITIC_ACCEPTED, StopReason.INTERNAL_ERROR, StopReason.INTERNAL_ERROR,
+            StopReason.CRITIC_ACCEPTED, StopReason.CRITIC_ACCEPTED,
+        ]
+        assert records[1].error == "RuntimeError: planner bug"
+        assert records[2].error.startswith("KeyError: ")  # no golden plan for this entry
+        assert read_records(path) == records  # the batch went on and stored every record
 
     def test_shots_need_pool(self, dataset):
         with pytest.raises(ValueError):
