@@ -25,14 +25,13 @@ from .llm import ChatClient, EndpointConfig
 from .pddl import DomainDef, Plan, ProblemDef
 from .prompting import TemplateId, build_critique_prompt, check_critique_template
 from .semantics import (
-    Correct,
-    GoalNotReached,
     PHRASE_CORRECT,
     PHRASE_GOAL_NOT_REACHED,
     PHRASE_WRONG,
     format_trace,
     format_verdict,
     validate_plan,
+    verdict_phrase,
 )
 
 
@@ -47,6 +46,7 @@ _PHRASES = {
     CritiqueLabel.WRONG: PHRASE_WRONG,
     CritiqueLabel.GOAL_NOT_REACHED: PHRASE_GOAL_NOT_REACHED,
 }
+_LABELS = {phrase: label for label, phrase in _PHRASES.items()}
 
 
 def extract_verdict(text: str) -> CritiqueLabel:
@@ -119,7 +119,7 @@ class CriticConfig(EndpointConfig):
     exemplars: tuple[str, ...] = ()
     # llm backend (endpoint fields come from EndpointConfig)
     max_output_tokens: int = 4096
-    max_concurrency: int = 4
+    max_concurrency: int = 4  # most votes the critic has in flight at once
     # mock backend
     false_positive: float = 0.0
     false_negative: float = 0.0
@@ -159,18 +159,15 @@ class Critic:
     ) -> CritiqueVerdict:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the critic holds; only the llm critic holds anything."""
+
 
 def _oracle_sample(domain: DomainDef, problem: ProblemDef, plan: Plan) -> tuple[CritiqueLabel, str]:
     result = validate_plan(problem, plan, domain)
-    if isinstance(result.verdict, Correct):
-        label = CritiqueLabel.CORRECT
-    elif isinstance(result.verdict, GoalNotReached):
-        label = CritiqueLabel.GOAL_NOT_REACHED
-    else:
-        label = CritiqueLabel.WRONG
     trace = format_trace(result)
     text = (trace + "\n\n" if trace else "") + format_verdict(result.verdict)
-    return label, text
+    return _LABELS[verdict_phrase(result.verdict)], text
 
 
 class OracleCritic(Critic):
@@ -218,24 +215,29 @@ class LlmCritic(Critic):
     def __init__(self, config: CriticConfig, client: ChatClient | None = None):
         self.config = config
         self.client = client or ChatClient(config.endpoint)
+        # one vote pool for the critic's life, so that a vote thread keeps its
+        # client session, and with it its connection, across critiques
+        self._pool = None
+        if config.self_consistency > 1 and config.max_concurrency > 1:
+            self._pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
 
     def critique(self, domain, problem, plan, *, problem_id, iteration):
         prompt = build_critique_prompt(
             self.config.template, domain, problem, plan, exemplars=self.config.exemplars or None
         )
-        n = self.config.self_consistency
         temperature = self.config.effective_temperature
 
         def one(_: int) -> tuple[CritiqueLabel, str]:
             text = self.client.complete(prompt, temperature, self.config.max_output_tokens)
             return extract_verdict(text), text
 
-        if n == 1 or self.config.max_concurrency <= 1:
-            samples = [one(i) for i in range(n)]
-        else:
-            with ThreadPoolExecutor(max_workers=min(n, self.config.max_concurrency)) as pool:
-                samples = list(pool.map(one, range(n)))
+        votes = range(self.config.self_consistency)
+        samples = list(self._pool.map(one, votes) if self._pool else map(one, votes))
         return replace(CritiqueVerdict.from_samples(samples), prompt_chars=len(prompt))
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 def make_critic(config: CriticConfig, client: ChatClient | None = None) -> Critic:

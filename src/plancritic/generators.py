@@ -493,13 +493,13 @@ def _rename_atom(atom: Atom, mapping: ObfuscationMap) -> Atom:
 
 def obfuscate(
     domain: DomainDef,
-    problems: list[ProblemDef] | None = None,
-    plans: list[Plan] | None = None,
-    mapping: ObfuscationMap | None = None,
+    problems: list[ProblemDef],
+    plans: list[Plan] | None,
+    mapping: ObfuscationMap,
 ) -> tuple[DomainDef, list[ProblemDef], list[Plan] | None]:
-    """Consistently rename a domain and everything that refers to it."""
-    if mapping is None:
-        raise ValueError("an ObfuscationMap is required")
+    """Consistently rename a domain and everything that refers to it.
+
+    ``plans`` may be None, and then None is returned in their place."""
     _check_map(domain, mapping)
 
     def rename_schema_atom(atom: Atom) -> Atom:
@@ -524,7 +524,7 @@ def obfuscate(
     )
 
     new_problems = []
-    for problem in problems or []:
+    for problem in problems:
         renamed_objects = tuple(mapping.objects.get(o, o) for o in problem.objects)
         if len(set(renamed_objects)) != len(renamed_objects):
             raise CollidingMap(f"object renames collide in problem {problem.name}")

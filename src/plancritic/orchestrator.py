@@ -379,9 +379,6 @@ def run_batch(
         if config.shots > available:
             raise PoolTooSmall(f"asked for {config.shots} shots, pool has {available}")
 
-    goldens = {pid: print_plan(plan) for pid, plan in dataset.plans.items()}
-    planner, critic = make_backends(config, goldens)
-
     existing: dict[str, RunRecord] = {}
     if records_path is not None and Path(records_path).exists():
         existing = {r.problem_id: r for r in _resume_records(Path(records_path))}
@@ -420,11 +417,16 @@ def run_batch(
     entries = dataset.entries
     todo = [e for e in entries if e.id not in existing]
     results: dict[str, RunRecord] = {}
-    if parallelism > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as executor:
-            for entry, record in zip(todo, executor.map(work, todo)):
-                results[entry.id] = record
-    else:
-        for entry in todo:
-            results[entry.id] = work(entry)
+    goldens = {pid: print_plan(plan) for pid, plan in dataset.plans.items()}
+    planner, critic = make_backends(config, goldens)
+    try:
+        if parallelism > 1 and len(todo) > 1:
+            with ThreadPoolExecutor(max_workers=parallelism) as executor:
+                for entry, record in zip(todo, executor.map(work, todo)):
+                    results[entry.id] = record
+        else:
+            for entry in todo:
+                results[entry.id] = work(entry)
+    finally:
+        critic.close()
     return [existing.get(e.id) or results[e.id] for e in entries]

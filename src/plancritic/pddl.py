@@ -7,7 +7,8 @@ untyped STRIPS: predicate declarations, action schemas with conjunctive
 positive preconditions and conjunctive literal effects, plain object lists,
 ground positive init atoms, and a conjunctive positive goal.  Everything else
 (typing, ADL connectives, quantifiers, conditional effects, numeric fluents,
-negated goals) raises :class:`UnsupportedFeature`.
+negation outside effects) raises :class:`UnsupportedFeature`; a repeated
+section other than ``:action`` raises :class:`PddlSyntaxError`.
 
 Printing is canonical: lowercase keywords, one init/goal atom per line, init
 atoms sorted, fields otherwise in declaration order.  For any value produced
@@ -17,6 +18,7 @@ by this package, ``parse(print(x)) == x``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 
 class PddlError(Exception):
@@ -116,12 +118,6 @@ class DomainDef:
     requirements: tuple[str, ...]
     predicates: tuple[Predicate, ...]
     actions: tuple[ActionSchema, ...]
-
-    def predicate(self, name: str) -> Predicate | None:
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        return None
 
     def action(self, name: str) -> ActionSchema | None:
         for a in self.actions:
@@ -253,28 +249,78 @@ def _sym_text(node, what: str) -> str:
 def _check_name(name: str, node, what: str) -> str:
     if name.startswith(":") or name.startswith("?"):
         raise PddlSyntaxError(f"invalid {what} {name!r}", node.line, node.col)
-    if name.lower() == "-" or "-" == name:
+    if name == "-":
         raise UnsupportedFeature("types are not supported", node.line, node.col)
     return name
 
 
+def _read_define(text: str, kind: str, keys: tuple[str, ...]) -> tuple[str, list[tuple[str, _SList]]]:
+    """Read ``(define (KIND NAME) (:KEY ...)...)``.
+
+    Returns NAME and the ``(key, section)`` pairs in order, keys lowercased.
+    A key outside ``keys`` is unsupported; only ``:action`` may repeat.
+    """
+    root = _read_one(text, kind)
+    items = root.items
+    if not items or not _is_kw(items[0], "define"):
+        raise PddlSyntaxError(f"{kind} must start with (define ...)", root.line, root.col)
+    if len(items) < 2 or not isinstance(items[1], _SList):
+        raise PddlSyntaxError(f"missing ({kind} NAME)", root.line, root.col)
+    head = items[1].items
+    if len(head) != 2 or not _is_kw(head[0], kind):
+        raise PddlSyntaxError(f"missing ({kind} NAME)", items[1].line, items[1].col)
+    name = _check_name(_sym_text(head[1], f"{kind} name"), head[1], f"{kind} name")
+    sections: list[tuple[str, _SList]] = []
+    for section in items[2:]:
+        if not isinstance(section, _SList) or not section.items:
+            raise PddlSyntaxError(f"expected a {kind} section", section.line, section.col)
+        key = _sym_text(section.items[0], "section keyword").lower()
+        if key not in keys:
+            raise UnsupportedFeature(f"{kind} section {key!r}", section.line, section.col)
+        if key != ":action" and any(key == seen for seen, _ in sections):
+            raise PddlSyntaxError(f"duplicate {key} section", section.line, section.col)
+        sections.append((key, section))
+    return name, sections
+
+
+def _parse_names(items, what: str, *, variables: bool) -> tuple[str, ...]:
+    """Read an untyped list of distinct names: ``?``-variables or object names."""
+    names: list[str] = []
+    for item in items:
+        name = _sym_text(item, what)
+        if not variables:
+            _check_name(name, item, what)
+        elif name == "-":
+            raise UnsupportedFeature("typed parameters are not supported", item.line, item.col)
+        elif not name.startswith("?"):
+            raise PddlSyntaxError(f"{what} {name!r} must start with '?'", item.line, item.col)
+        if name in names:
+            raise PddlSyntaxError(f"duplicate {what} {name!r}", item.line, item.col)
+        names.append(name)
+    return tuple(names)
+
+
 # ---------------------------------------------------------------------------
-# Domain parsing
+# Formulas
 
 
 _ADL_WORDS = {"or", "imply", "exists", "forall", "when", "oneof", "either"}
 
 
-def _parse_atom(node, *, allow_variables: bool, what: str) -> Atom:
+def _parse_atom(node, what: str, *, allow_variables: bool = False) -> Atom:
     if not isinstance(node, _SList):
         raise PddlSyntaxError(f"expected atom in {what}", node.line, node.col)
     if not node.items:
         raise PddlSyntaxError(f"empty atom in {what}", node.line, node.col)
     head = node.items[0]
     name = _sym_text(head, f"predicate name in {what}")
-    if name.lower() in _ADL_WORDS:
+    word = name.lower()
+    if word == "not":
+        # STRIPS negates only in effects, which _parse_literal reads first
+        raise UnsupportedFeature(f"negation is not supported in {what}", node.line, node.col)
+    if word in _ADL_WORDS:
         raise UnsupportedFeature(f"'{name}' is not supported", head.line, head.col)
-    if name.lower() in ("and", "not"):
+    if word == "and":
         raise PddlSyntaxError(f"misplaced '{name}' in {what}", head.line, head.col)
     _check_name(name, head, "predicate name")
     args = []
@@ -293,53 +339,40 @@ def _parse_atom(node, *, allow_variables: bool, what: str) -> Atom:
     return Atom(name, tuple(args))
 
 
-def _parse_conjunction(node, *, allow_variables: bool, what: str) -> tuple[Atom, ...]:
-    """Parse ``(and atom...)``, a bare atom, or ``(and)`` for empty."""
-    if not isinstance(node, _SList):
-        raise PddlSyntaxError(f"expected {what}", node.line, node.col)
-    if node.items and _is_kw(node.items[0], "and"):
-        return tuple(
-            _parse_atom(item, allow_variables=allow_variables, what=what) for item in node.items[1:]
-        )
-    if node.items and _is_kw(node.items[0], "not"):
-        raise UnsupportedFeature(f"negation is not supported in {what}", node.line, node.col)
-    return (_parse_atom(node, allow_variables=allow_variables, what=what),)
-
-
 def _parse_literal(node, what: str) -> Literal:
     if isinstance(node, _SList) and node.items and _is_kw(node.items[0], "not"):
         if len(node.items) != 2:
             raise PddlSyntaxError("'not' takes exactly one atom", node.line, node.col)
-        return Literal(_parse_atom(node.items[1], allow_variables=True, what=what), positive=False)
-    return Literal(_parse_atom(node, allow_variables=True, what=what), positive=True)
+        return Literal(_parse_atom(node.items[1], what, allow_variables=True), positive=False)
+    return Literal(_parse_atom(node, what, allow_variables=True), positive=True)
 
 
-def _parse_effect(node, what: str) -> tuple[Literal, ...]:
+def _parse_conjunction(node, what: str, parse_item=_parse_atom) -> tuple:
+    """Parse ``(and item...)``, a bare item, or ``(and)`` for none."""
     if not isinstance(node, _SList):
         raise PddlSyntaxError(f"expected {what}", node.line, node.col)
-    if node.items and isinstance(node.items[0], _Sym) and node.items[0].text.lower() in _ADL_WORDS:
-        raise UnsupportedFeature(
-            f"'{node.items[0].text}' is not supported", node.line, node.col
-        )
-    if node.items and _is_kw(node.items[0], "and"):
-        return tuple(_parse_literal(item, what) for item in node.items[1:])
-    return (_parse_literal(node, what),)
+    items = node.items[1:] if node.items and _is_kw(node.items[0], "and") else (node,)
+    return tuple(parse_item(item, what) for item in items)
 
 
-def _parse_params(node, action: str) -> tuple[str, ...]:
-    if not isinstance(node, _SList):
-        raise PddlSyntaxError(f"expected parameter list for {action}", node.line, node.col)
-    params = []
-    for item in node.items:
-        text = _sym_text(item, "parameter")
-        if text == "-":
-            raise UnsupportedFeature("typed parameters are not supported", item.line, item.col)
-        if not text.startswith("?"):
-            raise PddlSyntaxError(f"parameter {text!r} must start with '?'", item.line, item.col)
-        if text in params:
-            raise PddlSyntaxError(f"duplicate parameter {text!r}", item.line, item.col)
-        params.append(text)
-    return tuple(params)
+def _check_atoms(atoms, predicates: dict[str, Predicate], where: str, objects=None) -> None:
+    """Check each atom's predicate and arity and, given ``objects``, its arguments."""
+    for atom in atoms:
+        decl = predicates.get(atom.pred)
+        if decl is None:
+            raise UnknownPredicate(f"undeclared predicate {atom.pred!r} in {where}")
+        if decl.arity != len(atom.args):
+            raise ArityMismatch(
+                f"{atom.pred} expects {decl.arity} argument(s), got {len(atom.args)} in {where}"
+            )
+        if objects is not None:
+            for arg in atom.args:
+                if arg not in objects:
+                    raise UnknownObject(f"undeclared object {arg!r} in {where}")
+
+
+# ---------------------------------------------------------------------------
+# Domain parsing
 
 
 def _parse_action(node) -> ActionSchema:
@@ -362,13 +395,15 @@ def _parse_action(node) -> ActionSchema:
             raise PddlSyntaxError(f"missing value for {key}", key_node.line, key_node.col)
         value = items[i + 1]
         if key == ":parameters":
-            params = _parse_params(value, name)
+            if not isinstance(value, _SList):
+                raise PddlSyntaxError(f"expected parameter list for {name}", value.line, value.col)
+            params = _parse_names(value.items, "parameter", variables=True)
         elif key == ":precondition":
             precond = _parse_conjunction(
-                value, allow_variables=True, what=f"precondition of {name}"
+                value, f"precondition of {name}", partial(_parse_atom, allow_variables=True)
             )
         elif key == ":effect":
-            effects = _parse_effect(value, f"effect of {name}")
+            effects = _parse_conjunction(value, f"effect of {name}", _parse_literal)
         else:
             raise UnsupportedFeature(f"action section {key!r}", key_node.line, key_node.col)
         i += 2
@@ -390,66 +425,36 @@ def _parse_action(node) -> ActionSchema:
 
 def parse_domain(text: str) -> DomainDef:
     """Parse a PDDL domain, validating it against the :strips subset."""
-    root = _read_one(text, "domain")
-    items = root.items
-    if not items or not _is_kw(items[0], "define"):
-        raise PddlSyntaxError("domain must start with (define ...)", root.line, root.col)
-    if len(items) < 2 or not isinstance(items[1], _SList):
-        raise PddlSyntaxError("missing (domain NAME)", root.line, root.col)
-    head = items[1].items
-    if len(head) != 2 or not _is_kw(head[0], "domain"):
-        raise PddlSyntaxError("missing (domain NAME)", items[1].line, items[1].col)
-    name = _check_name(_sym_text(head[1], "domain name"), head[1], "domain name")
-
-    requirements: tuple[str, ...] | None = None
-    predicates: list[Predicate] = []
+    name, sections = _read_define(text, "domain", (":requirements", ":predicates", ":action"))
+    predicates: dict[str, Predicate] = {}
     actions: list[ActionSchema] = []
-    saw_predicates = False
-    for section in items[2:]:
-        if not isinstance(section, _SList) or not section.items:
-            raise PddlSyntaxError("expected a domain section", section.line, section.col)
-        key = _sym_text(section.items[0], "section keyword").lower()
+    for key, section in sections:
         if key == ":requirements":
-            reqs = tuple(_sym_text(item, "requirement") for item in section.items[1:])
-            for req in reqs:
+            for item in section.items[1:]:
+                req = _sym_text(item, "requirement")
                 if req.lower() != ":strips":
                     raise UnsupportedFeature(
                         f"requirement {req} is not supported", section.line, section.col
                     )
-            requirements = (":strips",)
         elif key == ":predicates":
-            if saw_predicates:
-                raise PddlSyntaxError("duplicate :predicates section", section.line, section.col)
-            saw_predicates = True
             for decl in section.items[1:]:
-                atom = _parse_atom(decl, allow_variables=True, what=":predicates")
-                if any(p.name == atom.pred for p in predicates):
+                atom = _parse_atom(decl, ":predicates", allow_variables=True)
+                if atom.pred in predicates:
                     raise PddlSyntaxError(
                         f"duplicate predicate {atom.pred!r}", decl.line, decl.col
                     )
-                predicates.append(Predicate(atom.pred, atom.args))
-        elif key == ":action":
+                predicates[atom.pred] = Predicate(atom.pred, atom.args)
+        else:
             schema = _parse_action(section)
             if any(a.name == schema.name for a in actions):
                 raise PddlSyntaxError(f"duplicate action {schema.name!r}", section.line, section.col)
             actions.append(schema)
-        else:
-            raise UnsupportedFeature(f"domain section {key!r}", section.line, section.col)
 
-    if requirements is None:
-        requirements = (":strips",)  # implicit STRIPS
-
-    by_name = {p.name: p for p in predicates}
     for schema in actions:
-        for atom in schema.precondition + tuple(lit.atom for lit in schema.effects):
-            decl = by_name.get(atom.pred)
-            if decl is None:
-                raise UnknownPredicate(f"undeclared predicate {atom.pred!r} in action {schema.name}")
-            if decl.arity != len(atom.args):
-                raise ArityMismatch(
-                    f"{atom.pred} expects {decl.arity} argument(s), got {len(atom.args)} in action {schema.name}"
-                )
-    return DomainDef(name, requirements, tuple(predicates), tuple(actions))
+        atoms = schema.precondition + tuple(lit.atom for lit in schema.effects)
+        _check_atoms(atoms, predicates, f"action {schema.name}")
+    # :strips is the only requirement accepted, and the implicit one
+    return DomainDef(name, (":strips",), tuple(predicates.values()), tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -458,65 +463,25 @@ def parse_domain(text: str) -> DomainDef:
 
 def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
     """Parse a PDDL problem and check it is consistent with ``domain``."""
-    root = _read_one(text, "problem")
-    items = root.items
-    if not items or not _is_kw(items[0], "define"):
-        raise PddlSyntaxError("problem must start with (define ...)", root.line, root.col)
-    if len(items) < 2 or not isinstance(items[1], _SList):
-        raise PddlSyntaxError("missing (problem NAME)", root.line, root.col)
-    head = items[1].items
-    if len(head) != 2 or not _is_kw(head[0], "problem"):
-        raise PddlSyntaxError("missing (problem NAME)", items[1].line, items[1].col)
-    name = _check_name(_sym_text(head[1], "problem name"), head[1], "problem name")
-
+    name, sections = _read_define(text, "problem", (":domain", ":objects", ":init", ":goal"))
     domain_name: str | None = None
-    objects: list[str] = []
+    objects: tuple[str, ...] = ()
     init: list[Atom] = []
     goal: tuple[Atom, ...] | None = None
-    seen: set[str] = set()
-    for section in items[2:]:
-        if not isinstance(section, _SList) or not section.items:
-            raise PddlSyntaxError("expected a problem section", section.line, section.col)
-        key = _sym_text(section.items[0], "section keyword").lower()
-        if key in seen:
-            raise PddlSyntaxError(f"duplicate {key} section", section.line, section.col)
-        seen.add(key)
+    for key, section in sections:
+        args = section.items[1:]
         if key == ":domain":
-            if len(section.items) != 2:
+            if len(args) != 1:
                 raise PddlSyntaxError("(:domain NAME) takes one name", section.line, section.col)
-            domain_name = _sym_text(section.items[1], "domain name")
+            domain_name = _sym_text(args[0], "domain name")
         elif key == ":objects":
-            for item in section.items[1:]:
-                obj = _sym_text(item, "object name")
-                if obj == "-":
-                    raise UnsupportedFeature("typed objects are not supported", item.line, item.col)
-                if obj.startswith("?") or obj.startswith(":"):
-                    raise PddlSyntaxError(f"invalid object name {obj!r}", item.line, item.col)
-                if obj in objects:
-                    raise PddlSyntaxError(f"duplicate object {obj!r}", item.line, item.col)
-                objects.append(obj)
+            objects = _parse_names(args, "object name", variables=False)
         elif key == ":init":
-            for item in section.items[1:]:
-                if isinstance(item, _SList) and item.items and _is_kw(item.items[0], "not"):
-                    raise UnsupportedFeature("negated init atoms are not supported", item.line, item.col)
-                init.append(_parse_atom(item, allow_variables=False, what=":init"))
-        elif key == ":goal":
-            if len(section.items) != 2:
-                raise PddlSyntaxError("(:goal ...) takes one formula", section.line, section.col)
-            formula = section.items[1]
-            if isinstance(formula, _SList) and formula.items and _is_kw(formula.items[0], "not"):
-                raise UnsupportedFeature("negated goals are not supported", formula.line, formula.col)
-            if (
-                isinstance(formula, _SList)
-                and formula.items
-                and _is_kw(formula.items[0], "and")
-            ):
-                for sub in formula.items[1:]:
-                    if isinstance(sub, _SList) and sub.items and _is_kw(sub.items[0], "not"):
-                        raise UnsupportedFeature("negated goals are not supported", sub.line, sub.col)
-            goal = _parse_conjunction(formula, allow_variables=False, what=":goal")
+            init = [_parse_atom(item, ":init") for item in args]
         else:
-            raise UnsupportedFeature(f"problem section {key!r}", section.line, section.col)
+            if len(args) != 1:
+                raise PddlSyntaxError("(:goal ...) takes one formula", section.line, section.col)
+            goal = _parse_conjunction(args[0], ":goal")
 
     if domain_name is None:
         raise PddlSyntaxError("problem is missing a (:domain ...) section")
@@ -527,20 +492,11 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
     if goal is None:
         raise PddlSyntaxError("problem is missing a (:goal ...) section")
 
+    predicates = {p.name: p for p in domain.predicates}
     object_set = set(objects)
-    for where, atoms in (("init", init), ("goal", list(goal))):
-        for atom in atoms:
-            decl = domain.predicate(atom.pred)
-            if decl is None:
-                raise UnknownPredicate(f"undeclared predicate {atom.pred!r} in {where}")
-            if decl.arity != len(atom.args):
-                raise ArityMismatch(
-                    f"{atom.pred} expects {decl.arity} argument(s), got {len(atom.args)} in {where}"
-                )
-            for arg in atom.args:
-                if arg not in object_set:
-                    raise UnknownObject(f"undeclared object {arg!r} in {where}")
-    return ProblemDef(name, domain_name, tuple(objects), frozenset(init), tuple(goal))
+    _check_atoms(init, predicates, "init", object_set)
+    _check_atoms(goal, predicates, "goal", object_set)
+    return ProblemDef(name, domain_name, objects, frozenset(init), goal)
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,30 @@ class TestLlmCritic:
             )
 
 
+    def test_votes_reuse_connections_across_critiques(self, bw_domain, bw5_problem, wrong_plan):
+        endpoint = FakeEndpoint(keep_alive=True)
+        endpoint.script = [(200, chat_body("the plan is wrong"))]
+        config = CriticConfig(
+            backend=CriticBackend.LLM,
+            base_url=endpoint.url,
+            model="fake-model",
+            self_consistency=3,
+            max_concurrency=3,
+        )
+        critic = LlmCritic(config)
+        try:
+            for i in range(4):
+                verdict = critic.critique(
+                    bw_domain, bw5_problem, wrong_plan, problem_id="p", iteration=i
+                )
+                assert verdict.votes == {W: 3}
+        finally:
+            critic.close()
+            endpoint.close()
+        assert len(endpoint.requests) == 12
+        assert len({r["port"] for r in endpoint.requests}) <= config.max_concurrency
+
+
 class TestChatClient:
     def test_no_sleep_after_the_last_attempt(self, endpoint, monkeypatch):
         endpoint.script = [(503, "down")]

@@ -216,6 +216,64 @@ class TestParseProblem:
         assert problem.goal == ()
 
 
+NEGATION_DOMAIN = (
+    "(define (domain d) (:predicates (p ?x) (q ?x)) "
+    "(:action a :parameters (?x) :precondition {pre} :effect (not (p ?x))))"
+)
+NEGATION_PROBLEM = "(define (problem t) (:domain d) (:objects o) (:init {init}) (:goal {goal}))"
+
+
+class TestSubsetRules:
+    """Each rule of the STRIPS subset holds wherever its construct can appear."""
+
+    @pytest.mark.parametrize(
+        "pre,init,goal",
+        [
+            ("(not (q ?x))", "(p o)", "(q o)"),
+            ("(and (p ?x) (not (q ?x)))", "(p o)", "(q o)"),
+            ("(p ?x)", "(p o)", "(not (q o))"),
+            ("(p ?x)", "(p o)", "(and (q o) (not (p o)))"),
+            ("(p ?x)", "(not (p o))", "(q o)"),
+        ],
+        ids=["bare-precondition", "precondition-in-and", "bare-goal", "goal-in-and", "init"],
+    )
+    def test_negation_outside_effects_unsupported(self, pre, init, goal):
+        with pytest.raises(UnsupportedFeature):
+            domain = parse_domain(NEGATION_DOMAIN.format(pre=pre))
+            parse_problem(NEGATION_PROBLEM.format(init=init, goal=goal), domain)
+
+    def test_only_actions_may_repeat(self):
+        action = "(:action {} :parameters (?x) :precondition (p ?x) :effect (not (p ?x)))"
+        domain = parse_domain(
+            "(define (domain d) (:requirements :strips) (:predicates (p ?x)) "
+            + action.format("a") + action.format("b") + ")"
+        )
+        assert [a.name for a in domain.actions] == ["a", "b"]
+        with pytest.raises(PddlSyntaxError, match="duplicate :requirements"):
+            parse_domain(
+                "(define (domain d) (:requirements :strips) (:requirements :strips) "
+                "(:predicates (p ?x)))"
+            )
+
+    def test_refusal_positions(self, bw_domain):
+        # a tab counts as one column; a comment and a \r\n line end move no column
+        domain_text = (
+            "; header\r\n(define (domain d)\r\n\t(:predicates (p ?x)) ; decls\r\n"
+            "\t(:action a\r\n\t\t:parameters (?x)\r\n"
+            "\t\t:precondition (not (p ?x))\r\n\t\t:effect (p ?x)))\r\n"
+        )
+        with pytest.raises(UnsupportedFeature) as err:
+            parse_domain(domain_text)
+        assert (err.value.line, err.value.column) == (6, 17)
+        problem_text = (
+            "(define (problem t) ; comment (with parens)\r\n\t(:domain blocksworld-4ops)\r\n"
+            "\t(:objects a)\r\n\t(:init (clear a))\t(:init (ontable a))\r\n\t(:goal (clear a)))"
+        )
+        with pytest.raises(PddlSyntaxError) as err:
+            parse_problem(problem_text, bw_domain)
+        assert (err.value.line, err.value.column) == (4, 20)
+
+
 class TestParsePlan:
     def test_two_step_plan(self, bw_domain):
         plan = parse_plan("(unstack b3 b4)\n(stack b3 b2)", bw_domain)
