@@ -307,7 +307,8 @@ def _parse_names(items, what: str, *, variables: bool) -> tuple[str, ...]:
 _ADL_WORDS = {"or", "imply", "exists", "forall", "when", "oneof", "either"}
 
 
-def _parse_atom(node, what: str, *, allow_variables: bool = False) -> Atom:
+def _atom_name(node, what: str) -> str:
+    """The predicate name heading ``node``, an atom or a predicate declaration."""
     if not isinstance(node, _SList):
         raise PddlSyntaxError(f"expected atom in {what}", node.line, node.col)
     if not node.items:
@@ -322,32 +323,53 @@ def _parse_atom(node, what: str, *, allow_variables: bool = False) -> Atom:
         raise UnsupportedFeature(f"'{name}' is not supported", head.line, head.col)
     if word == "and":
         raise PddlSyntaxError(f"misplaced '{name}' in {what}", head.line, head.col)
-    _check_name(name, head, "predicate name")
+    return _check_name(name, head, "predicate name")
+
+
+def _parse_atom(node, what: str, predicates: dict[str, Predicate], objects=None) -> Atom:
+    """Read an atom over a declared predicate, with the declared arity.
+
+    Given ``objects``, the atom is ground and each argument must be one of
+    them; otherwise it is a schema atom and each argument a ``?``-variable.
+    """
+    name = _atom_name(node, what)
+    head = node.items[0]
+    decl = predicates.get(name)
+    if decl is None:
+        raise UnknownPredicate(f"undeclared predicate {name!r} in {what}", head.line, head.col)
     args = []
     for item in node.items[1:]:
         arg = _sym_text(item, f"argument in {what}")
         if arg == "-":
             raise UnsupportedFeature("types are not supported", item.line, item.col)
         if arg.startswith("?"):
-            if not allow_variables:
+            if objects is not None:
                 raise PddlSyntaxError(f"variable {arg!r} in ground atom", item.line, item.col)
-        elif allow_variables:
+        elif objects is None:
             # schema atoms must be fully lifted; bare constants would need a
             # :constants section, which the subset does not include
             raise UnsupportedFeature(f"constant {arg!r} in action definition", item.line, item.col)
+        elif arg not in objects:
+            raise UnknownObject(f"undeclared object {arg!r} in {what}", item.line, item.col)
         args.append(arg)
+    if decl.arity != len(args):
+        raise ArityMismatch(
+            f"{name} expects {decl.arity} argument(s), got {len(args)} in {what}",
+            node.line,
+            node.col,
+        )
     return Atom(name, tuple(args))
 
 
-def _parse_literal(node, what: str) -> Literal:
+def _parse_literal(node, what: str, predicates: dict[str, Predicate]) -> Literal:
     if isinstance(node, _SList) and node.items and _is_kw(node.items[0], "not"):
         if len(node.items) != 2:
             raise PddlSyntaxError("'not' takes exactly one atom", node.line, node.col)
-        return Literal(_parse_atom(node.items[1], what, allow_variables=True), positive=False)
-    return Literal(_parse_atom(node, what, allow_variables=True), positive=True)
+        return Literal(_parse_atom(node.items[1], what, predicates), positive=False)
+    return Literal(_parse_atom(node, what, predicates), positive=True)
 
 
-def _parse_conjunction(node, what: str, parse_item=_parse_atom) -> tuple:
+def _parse_conjunction(node, what: str, parse_item) -> tuple:
     """Parse ``(and item...)``, a bare item, or ``(and)`` for none."""
     if not isinstance(node, _SList):
         raise PddlSyntaxError(f"expected {what}", node.line, node.col)
@@ -355,27 +377,11 @@ def _parse_conjunction(node, what: str, parse_item=_parse_atom) -> tuple:
     return tuple(parse_item(item, what) for item in items)
 
 
-def _check_atoms(atoms, predicates: dict[str, Predicate], where: str, objects=None) -> None:
-    """Check each atom's predicate and arity and, given ``objects``, its arguments."""
-    for atom in atoms:
-        decl = predicates.get(atom.pred)
-        if decl is None:
-            raise UnknownPredicate(f"undeclared predicate {atom.pred!r} in {where}")
-        if decl.arity != len(atom.args):
-            raise ArityMismatch(
-                f"{atom.pred} expects {decl.arity} argument(s), got {len(atom.args)} in {where}"
-            )
-        if objects is not None:
-            for arg in atom.args:
-                if arg not in objects:
-                    raise UnknownObject(f"undeclared object {arg!r} in {where}")
-
-
 # ---------------------------------------------------------------------------
 # Domain parsing
 
 
-def _parse_action(node) -> ActionSchema:
+def _parse_action(node, predicates: dict[str, Predicate]) -> ActionSchema:
     items = node.items
     if len(items) < 2:
         raise PddlSyntaxError("incomplete action definition", node.line, node.col)
@@ -400,10 +406,12 @@ def _parse_action(node) -> ActionSchema:
             params = _parse_names(value.items, "parameter", variables=True)
         elif key == ":precondition":
             precond = _parse_conjunction(
-                value, f"precondition of {name}", partial(_parse_atom, allow_variables=True)
+                value, f"precondition of {name}", partial(_parse_atom, predicates=predicates)
             )
         elif key == ":effect":
-            effects = _parse_conjunction(value, f"effect of {name}", _parse_literal)
+            effects = _parse_conjunction(
+                value, f"effect of {name}", partial(_parse_literal, predicates=predicates)
+            )
         else:
             raise UnsupportedFeature(f"action section {key!r}", key_node.line, key_node.col)
         i += 2
@@ -426,7 +434,16 @@ def _parse_action(node) -> ActionSchema:
 def parse_domain(text: str) -> DomainDef:
     """Parse a PDDL domain, validating it against the :strips subset."""
     name, sections = _read_define(text, "domain", (":requirements", ":predicates", ":action"))
+    # declarations first, so every schema atom is checked where it is read
     predicates: dict[str, Predicate] = {}
+    for decl in next((s.items[1:] for key, s in sections if key == ":predicates"), ()):
+        pred = Predicate(
+            _atom_name(decl, ":predicates"),
+            _parse_names(decl.items[1:], "parameter", variables=True),
+        )
+        if pred.name in predicates:
+            raise PddlSyntaxError(f"duplicate predicate {pred.name!r}", decl.line, decl.col)
+        predicates[pred.name] = pred
     actions: list[ActionSchema] = []
     for key, section in sections:
         if key == ":requirements":
@@ -436,23 +453,11 @@ def parse_domain(text: str) -> DomainDef:
                     raise UnsupportedFeature(
                         f"requirement {req} is not supported", section.line, section.col
                     )
-        elif key == ":predicates":
-            for decl in section.items[1:]:
-                atom = _parse_atom(decl, ":predicates", allow_variables=True)
-                if atom.pred in predicates:
-                    raise PddlSyntaxError(
-                        f"duplicate predicate {atom.pred!r}", decl.line, decl.col
-                    )
-                predicates[atom.pred] = Predicate(atom.pred, atom.args)
-        else:
-            schema = _parse_action(section)
+        elif key == ":action":
+            schema = _parse_action(section, predicates)
             if any(a.name == schema.name for a in actions):
                 raise PddlSyntaxError(f"duplicate action {schema.name!r}", section.line, section.col)
             actions.append(schema)
-
-    for schema in actions:
-        atoms = schema.precondition + tuple(lit.atom for lit in schema.effects)
-        _check_atoms(atoms, predicates, f"action {schema.name}")
     # :strips is the only requirement accepted, and the implicit one
     return DomainDef(name, (":strips",), tuple(predicates.values()), tuple(actions))
 
@@ -464,38 +469,36 @@ def parse_domain(text: str) -> DomainDef:
 def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
     """Parse a PDDL problem and check it is consistent with ``domain``."""
     name, sections = _read_define(text, "problem", (":domain", ":objects", ":init", ":goal"))
-    domain_name: str | None = None
-    objects: tuple[str, ...] = ()
-    init: list[Atom] = []
-    goal: tuple[Atom, ...] | None = None
-    for key, section in sections:
-        args = section.items[1:]
-        if key == ":domain":
-            if len(args) != 1:
-                raise PddlSyntaxError("(:domain NAME) takes one name", section.line, section.col)
-            domain_name = _sym_text(args[0], "domain name")
-        elif key == ":objects":
-            objects = _parse_names(args, "object name", variables=False)
-        elif key == ":init":
-            init = [_parse_atom(item, ":init") for item in args]
-        else:
-            if len(args) != 1:
-                raise PddlSyntaxError("(:goal ...) takes one formula", section.line, section.col)
-            goal = _parse_conjunction(args[0], ":goal")
-
-    if domain_name is None:
+    # no problem section repeats; read them in dependency order, so every
+    # atom is checked against the domain and the objects where it is read
+    section = dict(sections)
+    if ":domain" not in section:
         raise PddlSyntaxError("problem is missing a (:domain ...) section")
+    node = section[":domain"]
+    if len(node.items) != 2:
+        raise PddlSyntaxError("(:domain NAME) takes one name", node.line, node.col)
+    name_node = node.items[1]
+    domain_name = _sym_text(name_node, "domain name")
     if domain_name != domain.name:
         raise PddlSyntaxError(
-            f"problem references domain {domain_name!r}, expected {domain.name!r}"
+            f"problem references domain {domain_name!r}, expected {domain.name!r}",
+            name_node.line,
+            name_node.col,
         )
-    if goal is None:
+    if ":goal" not in section:
         raise PddlSyntaxError("problem is missing a (:goal ...) section")
+    node = section[":goal"]
+    if len(node.items) != 2:
+        raise PddlSyntaxError("(:goal ...) takes one formula", node.line, node.col)
 
+    def body(key: str) -> tuple:
+        return section[key].items[1:] if key in section else ()
+
+    objects = _parse_names(body(":objects"), "object name", variables=False)
     predicates = {p.name: p for p in domain.predicates}
-    object_set = set(objects)
-    _check_atoms(init, predicates, "init", object_set)
-    _check_atoms(goal, predicates, "goal", object_set)
+    parse = partial(_parse_atom, predicates=predicates, objects=set(objects))
+    init = [parse(item, ":init") for item in body(":init")]
+    goal = _parse_conjunction(node.items[1], ":goal", parse)
     return ProblemDef(name, domain_name, objects, frozenset(init), goal)
 
 

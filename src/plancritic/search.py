@@ -1,16 +1,22 @@
-"""Brute-force breadth-first planner over the grounded state space.
+"""Breadth-first planner over the grounded state space.
 
 This module keeps its own grounding and transition code on purpose: plans it
 finds (and plans it re-executes with :func:`run_plan`) are judged by logic
 that shares nothing with the ``semantics`` validator, so the two
 implementations can cross-check each other.
+
+Grounding joins each schema's static preconditions against ``:init`` while it
+binds the parameters, then keeps only the operators a delete-relaxed fixpoint
+from ``:init`` reaches (Helmert, "Concise finite-domain representations for
+PDDL planning tasks", AIJ 2009).  The search interns atoms to bit positions,
+so a state is an ``int``.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,7 +37,7 @@ class SearchLimits:
 
 class SearchStatus(Enum):
     FOUND = "found"
-    NO_PLAN = "no-plan"  # exhaustive over groundings with pairwise-distinct arguments
+    NO_PLAN = "no-plan"  # exhaustive over every grounding, repeated arguments included
     LIMIT_EXCEEDED = "limit-exceeded"
 
 
@@ -43,21 +49,25 @@ class SearchResult:
 
 
 def ground_actions(domain: DomainDef, problem: ProblemDef) -> list[GroundAction]:
-    """All substitutions of schema parameters by pairwise-distinct objects.
+    """Every substitution of schema parameters by objects, repeats allowed.
 
-    Enumeration order is canonical: schemas in declaration order, arguments
-    drawn from the sorted object list.
+    Enumeration order is canonical: schemas in declaration order, argument
+    tuples in lexicographic order over the sorted object list.  This is the
+    brute-force reference; :func:`bfs_plan` grounds by a join instead and
+    yields its operators in the same order.
     """
     objs = sorted(problem.objects)
     out: list[GroundAction] = []
     for schema in domain.actions:
-        combos = itertools.permutations(objs, len(schema.parameters))
+        combos = itertools.product(objs, repeat=len(schema.parameters))
         out.extend(GroundAction(schema.name, args) for args in combos)
     return out
 
 
 @dataclass(frozen=True)
 class _GroundOp:
+    """One step of the straight-line executor, :func:`run_plan`."""
+
     action: GroundAction
     pre: tuple[Atom, ...]
     adds: frozenset[Atom]
@@ -89,21 +99,105 @@ def _static_predicates(domain: DomainDef) -> set[str]:
     return {p.name for p in domain.predicates} - touched
 
 
-def _reachable_ops(domain: DomainDef, problem: ProblemDef) -> list[_GroundOp]:
-    """Grounded operators, minus ones whose static preconditions fail in init.
+def _join(arity: int, static_pre: list[tuple[str, tuple[int, ...]]], objs: list[str], init: set):
+    """Argument tuples under which every static precondition holds in ``init``.
 
-    A precondition over a predicate no effect can touch must already hold in
-    the initial state, otherwise the operator can never fire; dropping those
-    operators does not change the reachable state space.
+    Parameters are bound in order, each over ``objs``, so tuples come out in
+    lexicographic order.  A precondition ``(pred, positions)`` is checked as
+    soon as its last parameter is bound; ``init`` holds ``(pred, args)`` keys.
+    """
+    # preconditions over parameter k alone narrow its candidates once;
+    # tests[k] holds the others whose last parameter is k
+    candidates = [objs] * arity
+    tests: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(arity)]
+    for pred, pos in static_pre:
+        if not pos:
+            if (pred, ()) not in init:
+                return
+        elif min(pos) == max(pos):
+            k = pos[0]
+            candidates[k] = [o for o in candidates[k] if (pred, (o,) * len(pos)) in init]
+        else:
+            tests[max(pos)].append((pred, pos))
+    args: list[str] = [""] * arity
+
+    def bind(k: int):
+        if k == arity:
+            yield tuple(args)
+            return
+        for obj in candidates[k]:
+            args[k] = obj
+            if all((pred, tuple(args[i] for i in pos)) in init for pred, pos in tests[k]):
+                yield from bind(k + 1)
+
+    yield from bind(0)
+
+
+# a grounded operator: its action, then its precondition, add and delete
+# atoms as (pred, args) tuples
+_Op = tuple[GroundAction, tuple[tuple, ...], tuple[tuple, ...], tuple[tuple, ...]]
+
+
+def _reachable_ops(domain: DomainDef, problem: ProblemDef) -> list[_Op]:
+    """The grounded operators that can fire in some relaxed-reachable state.
+
+    The same operators, in the same order, as grounding every action by
+    :func:`ground_actions`, dropping operators whose static preconditions
+    fail in ``:init`` (no effect can ever make them true), and keeping only
+    operators a delete-relaxed fixpoint from ``:init`` reaches.  Every state
+    the real search reaches is a subset of the relaxed-reachable atoms, so no
+    dropped operator could ever fire.
     """
     static = _static_predicates(domain)
-    init = problem.init
-    ops = []
-    for action in ground_actions(domain, problem):
-        op = _make_op(domain, action)
-        if all(atom in init for atom in op.pre if atom.pred in static):
-            ops.append(op)
-    return ops
+    init = {(atom.pred, atom.args) for atom in problem.init}
+    objs = sorted(problem.objects)
+    ops: list[_Op] = []
+    for schema in domain.actions:
+        index = {param: i for i, param in enumerate(schema.parameters)}
+
+        def lifted(atoms) -> list[tuple[str, tuple[int, ...]]]:
+            return [(a.pred, tuple([index[x] for x in a.args])) for a in atoms]
+
+        pre = lifted(schema.precondition)
+        adds = lifted(schema.add_effects)
+        dels = lifted(schema.del_effects)
+        static_pre = [(pred, pos) for pred, pos in pre if pred in static]
+        for args in _join(len(index), static_pre, objs, init):
+            ops.append((
+                GroundAction(schema.name, args),
+                _instantiate(pre, args),
+                _instantiate(adds, args),
+                _instantiate(dels, args),
+            ))
+    return _relaxed_reachable(ops, init)
+
+
+def _instantiate(atoms: list[tuple[str, tuple[int, ...]]], args: tuple[str, ...]) -> tuple:
+    """``(pred, positions)`` atoms as ``(pred, args)`` keys under ``args``."""
+    return tuple([(pred, tuple([args[i] for i in pos])) for pred, pos in atoms])
+
+
+def _relaxed_reachable(ops: list[_Op], init: set[tuple]) -> list[_Op]:
+    """The entries of ``ops`` that a delete-relaxed fixpoint from ``init``
+    fires, in their order."""
+    waiting: dict[tuple, list[int]] = defaultdict(list)
+    unmet: list[int] = []
+    for i, (_, pre, _, _) in enumerate(ops):
+        need = set(pre) - init
+        unmet.append(len(need))
+        for atom in need:
+            waiting[atom].append(i)
+    reached = set(init)
+    agenda = [i for i, count in enumerate(unmet) if count == 0]
+    while agenda:
+        for atom in ops[agenda.pop()][2]:
+            if atom not in reached:
+                reached.add(atom)
+                for j in waiting[atom]:
+                    unmet[j] -= 1
+                    if unmet[j] == 0:
+                        agenda.append(j)
+    return [op for op, count in zip(ops, unmet) if count == 0]
 
 
 def bfs_plan(
@@ -112,19 +206,30 @@ def bfs_plan(
     """Shortest plan by breadth-first search; deterministic for fixed inputs.
 
     Among shortest plans, the one found first under the canonical ground
-    action order is returned.  ``LIMIT_EXCEEDED`` means the search gave up;
-    ``NO_PLAN`` means it was exhaustive over groundings with pairwise-distinct
-    arguments (see ground_actions) and found no plan.
+    action order (see ground_actions) is returned.  ``LIMIT_EXCEEDED`` means
+    the search gave up; ``NO_PLAN`` means it was exhaustive over every
+    grounding of every action, repeated arguments included, and found no plan.
     """
     ops = _reachable_ops(domain, problem)
-    init = frozenset(problem.init)
-    goal = set(problem.goal)
-    if goal <= init:
+    bits: dict[tuple, int] = {}
+
+    def mask(atoms) -> int:
+        m = 0
+        for atom in atoms:
+            m |= 1 << bits.setdefault(atom, len(bits))
+        return m
+
+    init = mask((atom.pred, atom.args) for atom in problem.init)
+    goal = mask((atom.pred, atom.args) for atom in problem.goal)
+    # (pre, keep, adds, action): applicable when state & pre == pre, and the
+    # successor is (state & keep) | adds, keep being the complement of dels
+    steps = [(mask(pre), ~mask(dels), mask(adds), action) for action, pre, adds, dels in ops]
+    if init & goal == goal:
         return SearchResult(SearchStatus.FOUND, Plan(()), 0)
 
     visited = {init}
-    parent: dict[frozenset, tuple[frozenset, GroundAction]] = {}
-    queue: deque[tuple[frozenset, int]] = deque([(init, 0)])
+    parent: dict[int, tuple[int, GroundAction]] = {}
+    queue: deque[tuple[int, int]] = deque([(init, 0)])
     expanded = 0
     truncated = False
     while queue:
@@ -136,21 +241,21 @@ def bfs_plan(
         if depth >= limits.max_plan_length:
             truncated = True
             continue
-        for op in ops:
-            if all(atom in state for atom in op.pre):
-                succ = (state - op.dels) | op.adds
+        for pre, keep, adds, action in steps:
+            if state & pre == pre:
+                succ = (state & keep) | adds
                 if succ in visited:
                     continue
                 visited.add(succ)
-                parent[succ] = (state, op.action)
-                if goal <= succ:
-                    steps: list[GroundAction] = []
+                parent[succ] = (state, action)
+                if succ & goal == goal:
+                    plan: list[GroundAction] = []
                     node = succ
                     while node != init:
                         node, action = parent[node]
-                        steps.append(action)
-                    steps.reverse()
-                    return SearchResult(SearchStatus.FOUND, Plan(tuple(steps)), expanded)
+                        plan.append(action)
+                    plan.reverse()
+                    return SearchResult(SearchStatus.FOUND, Plan(tuple(plan)), expanded)
                 queue.append((succ, depth + 1))
     if truncated:
         return SearchResult(SearchStatus.LIMIT_EXCEEDED, None, expanded)

@@ -273,6 +273,39 @@ class TestSubsetRules:
             parse_problem(problem_text, bw_domain)
         assert (err.value.line, err.value.column) == (4, 20)
 
+    def test_repeated_predicate_parameter_rejected(self):
+        with pytest.raises(PddlSyntaxError, match="duplicate"):
+            parse_domain("(define (domain d) (:predicates (p ?x ?x)))")
+
+    def test_declaration_check_positions(self, bw_domain):
+        # the position of the offending name, not of the section around it
+        domain_text = (
+            "(define (domain d)\n"
+            "  (:predicates (p ?x))\n"
+            "  (:action a :parameters (?x)\n"
+            "    :precondition (and (p ?x) (shiny ?x))\n"
+            "    :effect (not (p ?x))))\n"
+        )
+        with pytest.raises(UnknownPredicate) as err:
+            parse_domain(domain_text)
+        assert (err.value.line, err.value.column) == (4, 32)
+        problem_text = (
+            "(define (problem t)\n"
+            "  (:domain blocksworld-4ops)\n"
+            "  (:objects a)\n"
+            "  (:init (ontable a))\n"
+            "  (:goal (and (clear a) (on a b))))\n"
+        )
+        with pytest.raises(UnknownObject) as err:
+            parse_problem(problem_text, bw_domain)
+        assert (err.value.line, err.value.column) == (5, 31)
+        with pytest.raises(ArityMismatch) as err:
+            parse_problem(problem_text.replace("(on a b)", "(on a)"), bw_domain)
+        assert (err.value.line, err.value.column) == (5, 25)
+        with pytest.raises(PddlSyntaxError) as err:
+            parse_problem(problem_text.replace("blocksworld-4ops", "other"), bw_domain)
+        assert (err.value.line, err.value.column) == (2, 12)
+
 
 class TestParsePlan:
     def test_two_step_plan(self, bw_domain):

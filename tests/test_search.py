@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plancritic import cli
 from plancritic.generators import GenSpec, generate
-from plancritic.pddl import GroundAction, Plan, parse_plan, parse_problem
+from plancritic.pddl import GroundAction, Plan, parse_domain, parse_plan, parse_problem
 from plancritic.search import (
     ExecutionOutcome,
     SearchLimits,
     SearchStatus,
+    _make_op,
+    _reachable_ops,
+    _static_predicates,
     bfs_plan,
     ground_actions,
     run_plan,
@@ -56,23 +60,141 @@ class TestGrounding:
     def test_three_block_count_and_order(self, bw_domain):
         problem = parse_problem(THREE_BLOCKS, bw_domain)
         actions = ground_actions(bw_domain, problem)
-        assert len(actions) == 18  # 3 + 3 + 6 + 6
-        # schemas in declaration order, objects sorted, distinct args
+        assert len(actions) == 24  # 3 + 3 + 9 + 9
+        # schemas in declaration order, argument tuples in lexicographic order
         assert actions[:3] == [
             GroundAction("pick-up", ("a",)),
             GroundAction("pick-up", ("b",)),
             GroundAction("pick-up", ("c",)),
         ]
-        assert actions[6] == GroundAction("stack", ("a", "b"))
-        assert all(
-            len(set(a.args)) == len(a.args) for a in actions
-        ), "ground arguments must be pairwise distinct"
+        assert actions[6:8] == [
+            GroundAction("stack", ("a", "a")),
+            GroundAction("stack", ("a", "b")),
+        ]
 
-    def test_logistics_grounding_allows_repeats_only_across_roles(self, bw_domain):
-        # same-arg grounding like (stack a a) must not appear
+    def test_grounding_allows_repeated_arguments(self, bw_domain):
+        # a schema's parameters may name the same object, as in the validator
         problem = parse_problem(THREE_BLOCKS, bw_domain)
         actions = ground_actions(bw_domain, problem)
-        assert GroundAction("stack", ("a", "a")) not in actions
+        assert GroundAction("stack", ("a", "a")) in actions
+
+
+def reference_ops(domain, problem):
+    """Brute-force grounding: every argument tuple, the static-in-init filter,
+    then a naive delete-relaxed fixpoint from init."""
+    static = _static_predicates(domain)
+    ops = [_make_op(domain, action) for action in ground_actions(domain, problem)]
+    ops = [op for op in ops if all(a in problem.init for a in op.pre if a.pred in static)]
+    reached = set(problem.init)
+    fired: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for i, op in enumerate(ops):
+            if i not in fired and all(a in reached for a in op.pre):
+                fired.add(i)
+                reached |= op.adds
+                changed = True
+    return [op for i, op in enumerate(ops) if i in fired]
+
+
+def as_keys(op):
+    """A _make_op operator in _reachable_ops's form, effects as sets."""
+    def key(atom):
+        return (atom.pred, atom.args)
+
+    return (
+        op.action,
+        tuple(map(key, op.pre)),
+        frozenset(map(key, op.adds)),
+        frozenset(map(key, op.dels)),
+    )
+
+
+GROUNDING_SPECS = [
+    GenSpec.logistics_easy(seed=3, count=2),
+    GenSpec.minigrid(3, 3, 2, seed=3, count=3),
+    GenSpec.blocksworld(blocks=4, seed=3, count=3),
+]
+
+
+class TestJoinGrounding:
+    @pytest.mark.parametrize("spec", GROUNDING_SPECS, ids=lambda s: s.benchmark.value)
+    def test_equals_brute_force_reference(self, spec):
+        domain, problems = generate(spec)
+        for problem in problems:
+            ops = [
+                (action, pre, frozenset(adds), frozenset(dels))
+                for action, pre, adds, dels in _reachable_ops(domain, problem)
+            ]
+            assert ops == [as_keys(op) for op in reference_ops(domain, problem)]
+
+
+TOUCH_DOMAIN = """\
+(define (domain touch)
+(:predicates (p ?x) (q ?x ?y))
+(:action touch
+  :parameters (?x ?y)
+  :precondition (and (p ?x) (p ?y))
+  :effect (q ?x ?y)))
+"""
+
+TOUCH_PROBLEM = """\
+(define (problem touch-self)
+(:domain touch)
+(:objects a b)
+(:init (p a) (p b))
+(:goal (q a a)))
+"""
+
+
+class TestSoundNoPlan:
+    """NO_PLAN must hold over every grounding the validator accepts."""
+
+    def test_plan_repeating_an_argument_is_found(self):
+        domain = parse_domain(TOUCH_DOMAIN)
+        problem = parse_problem(TOUCH_PROBLEM, domain)
+        result = bfs_plan(domain, problem)
+        assert result.status is SearchStatus.FOUND
+        assert result.plan == Plan((GroundAction("touch", ("a", "a")),))
+        assert validate_plan(problem, result.plan, domain).is_correct
+
+    def test_solve_prints_the_plan(self, tmp_path, capsys):
+        (tmp_path / "domain.pddl").write_text(TOUCH_DOMAIN)
+        (tmp_path / "problem.pddl").write_text(TOUCH_PROBLEM)
+        code = cli.main(
+            ["solve", "--domain", str(tmp_path / "domain.pddl"),
+             "--problem", str(tmp_path / "problem.pddl")]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "(touch a a)"
+
+
+# (expanded, plan length) of each instance, as the earlier search with
+# frozenset states found them; a change to the operator order or to the goal
+# test moves these numbers
+SEARCH_PINS = [
+    (GenSpec.blocksworld(blocks=4, seed=7, count=8), [
+        (7, 4), (16, 4), (4, 2), (63, 10), (109, 10), (56, 8), (18, 4), (8, 4),
+    ]),
+    (GenSpec.logistics_easy(seed=7, count=4), [(349, 16), (134, 9), (259, 11), (195, 10)]),
+    (GenSpec.minigrid(3, 3, 2, seed=7, count=8), [
+        (33, 9), (62, 11), (44, 11), (165, 11), (69, 9), (65, 11), (73, 10), (210, 16),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,pins", SEARCH_PINS, ids=["blocksworld-4", "logistics-easy", "minigrid-3x3-2keys"]
+)
+def test_expansions_and_plan_lengths_pinned(spec, pins):
+    domain, problems = generate(spec)
+    got = []
+    for problem in problems:
+        result = bfs_plan(domain, problem)
+        assert result.status is SearchStatus.FOUND
+        got.append((result.expanded, len(result.plan)))
+    assert got == pins
 
 
 class TestBfs:
