@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
-from .llm import ChatClient, EndpointConfig
+from .llm import ChatClient, EndpointConfig, split_base_url
 from .pddl import DomainDef, Plan, ProblemDef
 from .prompting import TemplateId, build_critique_prompt, check_critique_template
 from .semantics import (
@@ -136,6 +136,7 @@ class CriticConfig(EndpointConfig):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be a probability")
         if self.backend is CriticBackend.LLM:
+            split_base_url(self.base_url)
             check_critique_template(self.template, self.exemplars)
 
     @property

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .critics import Critic, CriticConfig, CritiqueLabel, make_critic
 from .generators import Dataset, ManifestEntry
-from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError
+from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url
 from .pddl import DomainDef, PddlError, Plan, ProblemDef, parse_plan, print_plan
 from .prompting import (
     BudgetExceeded,
@@ -84,6 +84,8 @@ class PlannerConfig(EndpointConfig):
         object.__setattr__(self, "backend", PlannerBackend(self.backend))
         if not 0.0 <= self.golden_prob <= 1.0:
             raise ValueError("golden_prob must be a probability")
+        if self.backend is PlannerBackend.LLM:
+            split_base_url(self.base_url)
 
 
 class Planner:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -433,6 +437,28 @@ class TestRunScoreReport:
         assert not records.exists()
         assert endpoint.requests == []
 
+    def test_llm_backend_without_endpoint_refused(self, dataset_dir, tmp_path, capsys):
+        endpoint = FakeEndpoint()
+        endpoint.script = [(200, chat_body("(pick-up a)"))]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "k": 1, "shots": 0,
+            "planner": {"backend": "llm", "base_url": endpoint.url, "model": "m"},
+            "critic": {"backend": "llm", "model": "m"},
+        }))
+        records = tmp_path / "r.jsonl"
+        try:
+            code = cli.main(["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                             "--records", str(records), "--config", str(config)])
+        finally:
+            endpoint.close()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert "base_url" in err
+        assert not records.exists()
+        assert endpoint.requests == []
+
     def test_llm_requires_config(self, dataset_dir, tmp_path, capsys):
         code = cli.main(
             ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
@@ -637,3 +663,20 @@ class TestMixedDomains:
         for args in commands:
             assert cli.main(args) == 2, args[0]
             assert "mixes domains" in capsys.readouterr().err
+
+
+def test_cli_imports_no_third_party_module():
+    # only what the import adds: a site hook may load a package at start-up
+    code = (
+        "import sys; before = set(sys.modules); import plancritic.cli; "
+        "print(' '.join({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "plancritic" in loaded
+    assert not loaded & {"requests", "urllib3", "certifi", "charset_normalizer", "idna"}

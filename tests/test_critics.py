@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -509,3 +510,72 @@ class TestChatClient:
         record = json.loads(line)
         assert record["error"].startswith("HTTP 401")
         assert record["request"]["messages"] == [{"role": "user", "content": "judge"}]
+
+
+class TestTransport:
+    def test_configured_key_is_sent_whatever_the_environment(
+        self, endpoint, monkeypatch, tmp_path
+    ):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password pw\n")
+        with socket.socket() as probe:  # a port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            closed_port = probe.getsockname()[1]
+        monkeypatch.setenv("NETRC", str(netrc))
+        for name in ("HTTP_PROXY", "http_proxy"):
+            monkeypatch.setenv(name, f"http://127.0.0.1:{closed_port}")
+        for name in ("NO_PROXY", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("PLANCRITIC_API_KEY", "secret-key")
+        endpoint.script = [(200, chat_body("ok"))]
+        client = ChatClient(EndpointConfig(base_url=endpoint.url, model="m"), backoff=0.01)
+        assert client.complete("judge", 0.0, 16) == "ok"
+        [request] = endpoint.requests
+        assert request["auth"] == "Bearer secret-key"
+
+    def test_dropped_keep_alive_connection_is_reopened_at_no_cost(self, monkeypatch):
+        # answers one request per connection over HTTP/1.1, without announcing
+        # "Connection: close", then closes the socket
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.2)
+        connections = []
+        stop = threading.Event()
+
+        def serve():
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except TimeoutError:
+                    continue
+                with conn:
+                    conn.settimeout(10)
+                    reader = conn.makefile("rb")
+                    headers = {}
+                    for line in iter(reader.readline, b"\r\n"):
+                        name, _, value = line.decode().partition(":")
+                        headers[name.strip().lower()] = value.strip()
+                    reader.read(int(headers["content-length"]))
+                    reader.close()
+                    connections.append(conn.getpeername())
+                    body = chat_body("ok").encode()
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+                    )
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        sleeps = []
+        monkeypatch.setattr("plancritic.llm.time.sleep", sleeps.append)
+        host, port = listener.getsockname()
+        client = ChatClient(EndpointConfig(base_url=f"http://{host}:{port}", model="m"))
+        try:
+            for _ in range(3):
+                assert client.complete("judge", 0.0, 16) == "ok"
+        finally:
+            stop.set()
+            server.join(timeout=10)
+            listener.close()
+        assert not server.is_alive()
+        assert sleeps == []
+        assert len(connections) == 3

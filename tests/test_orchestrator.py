@@ -160,6 +160,16 @@ class TestPlanners:
         with pytest.raises(ValueError):
             PlannerConfig(backend="oracle")
 
+    @pytest.mark.parametrize(
+        "base_url", ["", "api.example.com/v1", "ftp://api.example.com/v1", "http://", "http://h:port"]
+    )
+    @pytest.mark.parametrize("config_class", [PlannerConfig, CriticConfig])
+    def test_llm_backend_needs_an_http_endpoint(self, config_class, base_url):
+        with pytest.raises(ValueError):
+            config_class(backend="llm", base_url=base_url, model="m")
+        config_class(backend="llm", base_url="https://api.example.com/v1", model="m")
+        config_class(backend="mock", base_url=base_url)  # an unused endpoint is not checked
+
 
 class TestRunProblem:
     def test_immediate_accept(self, bw_domain, bw5_problem, correct_plan):
