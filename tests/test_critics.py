@@ -552,9 +552,11 @@ class TestTransport:
                     reader = conn.makefile("rb")
                     headers = {}
                     for line in iter(reader.readline, b"\r\n"):
+                        if not line:  # the client went away mid-request
+                            break
                         name, _, value = line.decode().partition(":")
                         headers[name.strip().lower()] = value.strip()
-                    reader.read(int(headers["content-length"]))
+                    reader.read(int(headers.get("content-length", 0)))
                     reader.close()
                     connections.append(conn.getpeername())
                     body = chat_body("ok").encode()
