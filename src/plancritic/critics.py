@@ -196,7 +196,7 @@ class MockCritic(Critic):
         self.config = config
 
     def critique(self, domain, problem, plan, *, problem_id, iteration):
-        true_label, _ = _oracle_sample(domain, problem, plan)
+        true_label = _LABELS[verdict_phrase(validate_plan(problem, plan, domain).verdict)]
         rng = random.Random(f"{self.config.seed}:{problem_id}:{iteration}")
         samples = []
         for _ in range(self.config.self_consistency):

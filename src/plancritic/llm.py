@@ -3,8 +3,9 @@
 One request carries one user message and returns the completion text.
 Transport failures and retryable status codes (429, 5xx) get three attempts
 in all, with exponential backoff between them, or the wait a retryable
-response asks for in an integer ``Retry-After``; anything else fails fast.  A
-simple per-client rate limiter spaces out request starts when configured.
+response asks for in an integer ``Retry-After``; anything else, a server
+certificate that fails verification included, fails fast.  A simple
+per-client rate limiter spaces out request starts when configured.
 The client speaks HTTP/1.1 through the standard library's ``http.client``.
 Each thread that uses a client keeps one connection and reuses it across
 requests; a kept-alive connection that the server dropped is reopened once,
@@ -148,6 +149,9 @@ class ChatClient:
             self._limiter.wait()
             try:
                 status, value, data = self._post(path, body, headers)
+            except ssl.SSLCertVerificationError as exc:  # not retryable
+                last_error = exc
+                break
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)

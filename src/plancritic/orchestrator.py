@@ -3,11 +3,13 @@
 One problem run alternates plan generation and critique for up to ``k + 1``
 rounds (round 0 is the baseline attempt).  A round whose critique says the
 plan is correct stops the loop; otherwise the plan and its critique are
-appended to the transcript and the next prompt asks for a fix.  When the
-prompt outgrows its character budget the loop stops and the previous round's
-plan stands.  Each run yields a serializable record of every round, the stop
-reason, and the exact number of backend calls: ``rounds`` planner calls plus
-``rounds × self_consistency`` critic calls.
+appended to the transcript and the next prompt asks for a fix.  The loop
+also stops when the prompt outgrows its character budget, when the endpoint
+fails, or on any other exception; whatever stops it, the latest plan
+proposed stands.  ``run_problem`` is the one place where a run ends: each
+run, failed or not, yields a serializable record of the rounds that ran,
+the stop reason, and the exact number of backend calls: ``rounds`` planner
+calls plus ``rounds × self_consistency`` critic calls.
 
 Batches execute problems independently (optionally in parallel), persist
 records as they finish, and can resume from a partially written record file.
@@ -194,12 +196,13 @@ def extract_plan(text: str, domain: DomainDef) -> Plan:
     """Pull a plan out of raw model output.
 
     Keeps, in order, every line that parses as a ground action of the domain
-    (after stripping list numbering and bullets); all other lines are
-    ignored.  Output that contains no action at all yields the empty plan.
+    (after stripping list numbering, bullets and a ``;`` comment); all other
+    lines are ignored.  Output that contains no action at all yields the
+    empty plan.
     """
     steps = []
     for raw_line in text.splitlines():
-        line = _NUMBERING.sub("", raw_line.strip())
+        line = _NUMBERING.sub("", raw_line.split(";", 1)[0].strip())
         if not (line.startswith("(") and line.endswith(")")):
             continue
         try:
@@ -219,67 +222,58 @@ def run_problem(
     shots: Sequence = (),
     problem_id: str | None = None,
 ) -> RunRecord:
-    """Run the full refinement loop for one problem."""
+    """Run the full refinement loop for one problem.
+
+    Every run ends here, in a record: a failure of the planner, the critic or
+    the loop itself becomes the record's stop reason and ``error``, and the
+    record keeps the rounds that ran and the latest plan proposed.
+    """
     pid = problem_id or problem.name
     transcript = Transcript(char_budget=config.transcript_budget)
     iterations: list[IterationEntry] = []
-    prev_plan = final_plan = Plan(())
-    stop: StopReason | None = None
+    plan = Plan(())  # the latest plan proposed; it stands whatever stops the run
+    stop = StopReason.ITERATIONS_EXHAUSTED
     error: str | None = None
     c = config.critic.self_consistency
 
-    for step in range(config.k + 1):
-        try:
+    try:
+        for step in range(config.k + 1):
+            role = "planner"  # the role whose call a transport error comes from
             plan_prompt = build_plan_prompt(domain, problem, shots, transcript)
-        except BudgetExceeded as exc:
-            stop = StopReason.BUDGET_EXCEEDED
-            final_plan = prev_plan
-            error = str(exc)
-            break
-        try:
             raw = planner.generate(plan_prompt, problem_id=pid, iteration=step)
-        except (TransportError, MalformedResponse) as exc:
-            stop = StopReason.TRANSPORT_FAILURE
-            final_plan = prev_plan
-            error = f"planner: {exc}"
-            break
-        plan = extract_plan(raw, domain)
-        plan_text = print_plan(plan)
-
-        try:
+            plan = extract_plan(raw, domain)
+            plan_text = print_plan(plan)
+            role = "critic"
             verdict = critic.critique(domain, problem, plan, problem_id=pid, iteration=step)
-        except (TransportError, MalformedResponse) as exc:
-            stop = StopReason.TRANSPORT_FAILURE
-            final_plan = plan
-            error = f"critic: {exc}"
-            break
-        iterations.append(
-            IterationEntry(
-                step=step,
-                plan=plan_text,
-                critic_label=verdict.label.value,
-                votes={label.value: n for label, n in verdict.votes.items()},
-                plan_prompt_chars=len(plan_prompt),
-                critique_prompt_chars=verdict.prompt_chars,
+            iterations.append(
+                IterationEntry(
+                    step=step,
+                    plan=plan_text,
+                    critic_label=verdict.label.value,
+                    votes={label.value: n for label, n in verdict.votes.items()},
+                    plan_prompt_chars=len(plan_prompt),
+                    critique_prompt_chars=verdict.prompt_chars,
+                )
             )
-        )
-        if verdict.label is CritiqueLabel.CORRECT:
-            stop = StopReason.CRITIC_ACCEPTED
-            final_plan = plan
-            break
-        transcript.append(plan_text, verdict.text)
-        prev_plan = plan
-    else:
-        stop = StopReason.ITERATIONS_EXHAUSTED
-        final_plan = prev_plan
+            if verdict.label is CritiqueLabel.CORRECT:
+                stop = StopReason.CRITIC_ACCEPTED
+                break
+            transcript.append(plan_text, verdict.text)
+    except BudgetExceeded as exc:
+        stop, error = StopReason.BUDGET_EXCEEDED, str(exc)
+    except (TransportError, MalformedResponse) as exc:
+        stop, error = StopReason.TRANSPORT_FAILURE, f"{role}: {exc}"
+    except Exception as exc:  # isolate the problem, keep the batch alive
+        log.exception("run failed for %s", pid)
+        stop, error = StopReason.INTERNAL_ERROR, f"{type(exc).__name__}: {exc}"
 
-    truth = validate_plan(problem, final_plan, domain)
+    truth = validate_plan(problem, plan, domain)
     return RunRecord(
         problem_id=pid,
         max_steps=config.k,
         self_consistency=c,
         iterations=tuple(iterations),
-        final_plan=print_plan(final_plan),
+        final_plan=print_plan(plan),
         stop_reason=stop,
         llm_calls=call_count(len(iterations), c),
         ground_truth=verdict_to_dict(truth.verdict),
@@ -369,9 +363,8 @@ def run_batch(
     If ``records_path`` exists, problems with a record there are skipped and
     their stored records reused; new records are appended as runs finish.  A
     torn last line, left by a crash mid-write, is dropped with a warning.
-    Failures are isolated: a problem that errors yields a record whose stop
-    reason is transport-failure for an endpoint error and internal-error for
-    any other exception, and the batch continues.
+    Failures are isolated: ``run_problem`` turns a problem's failure into its
+    record, which is stored like any other, and the batch continues.
     """
     if config.shots > 0:
         if pool is None:
@@ -388,28 +381,16 @@ def run_batch(
     write_lock = threading.Lock()
 
     def work(entry: ManifestEntry) -> RunRecord:
-        problem = dataset.problems[entry.id]
         shots = select_fewshots(pool, entry.id, config.shots) if config.shots else ()
-        try:
-            record = run_problem(
-                dataset.domain, problem, config, planner, critic, shots=shots, problem_id=entry.id
-            )
-        except Exception as exc:  # isolate the problem, keep the batch alive
-            log.exception("run failed for %s", entry.id)
-            transport = isinstance(exc, (TransportError, MalformedResponse))
-            record = RunRecord(
-                problem_id=entry.id,
-                max_steps=config.k,
-                self_consistency=config.critic.self_consistency,
-                iterations=(),
-                final_plan="",
-                stop_reason=(
-                    StopReason.TRANSPORT_FAILURE if transport else StopReason.INTERNAL_ERROR
-                ),
-                llm_calls=0,
-                ground_truth=None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        record = run_problem(
+            dataset.domain,
+            dataset.problems[entry.id],
+            config,
+            planner,
+            critic,
+            shots=shots,
+            problem_id=entry.id,
+        )
         if records_path is not None:
             with write_lock:
                 with Path(records_path).open("a") as fh:
@@ -418,17 +399,15 @@ def run_batch(
 
     entries = dataset.entries
     todo = [e for e in entries if e.id not in existing]
-    results: dict[str, RunRecord] = {}
     goldens = {pid: print_plan(plan) for pid, plan in dataset.plans.items()}
     planner, critic = make_backends(config, goldens)
     try:
         if parallelism > 1 and len(todo) > 1:
             with ThreadPoolExecutor(max_workers=parallelism) as executor:
-                for entry, record in zip(todo, executor.map(work, todo)):
-                    results[entry.id] = record
-        else:
-            for entry in todo:
-                results[entry.id] = work(entry)
+                records = list(executor.map(work, todo))
+        else:  # on this thread, so Ctrl-C stops the batch at once
+            records = [work(entry) for entry in todo]
     finally:
         critic.close()
+    results = {record.problem_id: record for record in records}
     return [existing.get(e.id) or results[e.id] for e in entries]

@@ -106,16 +106,25 @@ class Exemplar:
 class FewShotPool:
     exemplars: tuple[Exemplar, ...]
     seed: int
-    ids: tuple[str, ...] = ()  # the exemplars' manifest ids, when they come from one
+    ids: tuple[str, ...]  # one id per exemplar: a target is never shown its own
 
     def __len__(self) -> int:
         return len(self.exemplars)
 
 
 def build_pool(
-    domain: DomainDef, exemplars: Sequence[Exemplar], seed: int, ids: Sequence[str] = ()
+    domain: DomainDef, exemplars: Sequence[Exemplar], seed: int, ids: Sequence[str]
 ) -> FewShotPool:
-    """Build a pool, checking every exemplar's plan actually solves its problem."""
+    """Build a pool, checking every exemplar's plan actually solves its problem.
+
+    ``ids`` names each exemplar, in order, with a distinct id; a target whose
+    id is in the pool is never shown that exemplar.
+    """
+    if len(ids) != len(exemplars) or len(set(ids)) != len(ids):
+        raise ValueError(
+            f"{len(exemplars)} exemplars need one distinct id each, "
+            f"got {len(ids)} ids, {len(set(ids))} distinct"
+        )
     for ex in exemplars:
         if not validate_plan(ex.problem, ex.plan, domain).is_correct:
             raise ValueError(f"exemplar plan for {ex.problem.name!r} does not validate")
@@ -135,8 +144,7 @@ def select_fewshots(pool: FewShotPool, problem_id: str, n: int) -> tuple[Exempla
     rng = random.Random(f"{pool.seed}:{problem_id}")
     order = list(range(len(pool.exemplars)))
     rng.shuffle(order)
-    if pool.ids:
-        order = [i for i in order if pool.ids[i] != problem_id]
+    order = [i for i in order if pool.ids[i] != problem_id]
     if n > len(order):
         raise PoolTooSmall(f"asked for {n} exemplars, pool has {len(order)} for {problem_id}")
     return tuple(pool.exemplars[i] for i in order[:n])

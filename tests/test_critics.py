@@ -1,5 +1,6 @@
 import json
 import socket
+import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -251,6 +252,21 @@ class TestMockCritic:
             for i in range(30)
         }
         assert labels == {C, W}  # both outcomes appear across iterations
+
+    def test_formats_no_trace(self, bw_domain, bw5_problem, wrong_plan, correct_plan, monkeypatch):
+        from plancritic import critics
+
+        calls = []
+        real = critics.format_trace
+        monkeypatch.setattr(critics, "format_trace", lambda result: calls.append(1) or real(result))
+        short = Plan(correct_plan.steps[:-1])
+        mock = MockCritic(CriticConfig(backend=CriticBackend.MOCK, self_consistency=3))
+        oracle = OracleCritic()
+        for plan in (correct_plan, wrong_plan, short):
+            verdict = mock.critique(bw_domain, bw5_problem, plan, problem_id="p", iteration=0)
+            truth = oracle.critique(bw_domain, bw5_problem, plan, problem_id="p", iteration=0)
+            assert verdict.label is truth.label
+        assert len(calls) == 3  # the oracle's three critiques only
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +529,21 @@ class TestChatClient:
 
 
 class TestTransport:
+    def test_certificate_failure_is_not_retried(self, monkeypatch):
+        attempts, sleeps = [], []
+
+        def refuse(connection, path, body, headers):
+            attempts.append(path)
+            raise ssl.SSLCertVerificationError("certificate verify failed: self-signed certificate")
+
+        monkeypatch.setattr("plancritic.llm._exchange", refuse)
+        monkeypatch.setattr("plancritic.llm.time.sleep", sleeps.append)
+        client = ChatClient(EndpointConfig(base_url="https://127.0.0.1:9/v1", model="m"))
+        with pytest.raises(TransportError, match="after 1 attempt.*certificate verify failed"):
+            client.complete("judge", 0.0, 16)
+        assert len(attempts) == 1
+        assert sleeps == []
+
     def test_configured_key_is_sent_whatever_the_environment(
         self, endpoint, monkeypatch, tmp_path
     ):

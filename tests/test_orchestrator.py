@@ -34,6 +34,7 @@ from plancritic.orchestrator import (
 from plancritic.pddl import Plan, print_plan
 from plancritic.prompting import Exemplar, PoolTooSmall, build_pool
 from plancritic.search import SearchLimits, bfs_plan
+from plancritic.semantics import validate_plan, verdict_to_dict
 
 from .test_critics import FakeEndpoint, chat_body
 
@@ -62,6 +63,26 @@ class FailingPlanner:
 class FailingCritic:
     def critique(self, domain, problem, plan, *, problem_id, iteration):
         raise TransportError("critic down")
+
+
+class CrashingCritic(ScriptedCritic):
+    """Rejects every plan of the problems in ``crash_ids`` and raises a bug
+    at round ``at``; accepts every plan of any other problem."""
+
+    def __init__(self, crash_ids, at=2):
+        super().__init__([W])
+        self.crash_ids = set(crash_ids)
+        self.at = at
+
+    def critique(self, domain, problem, plan, *, problem_id, iteration):
+        if problem_id not in self.crash_ids:
+            return CritiqueVerdict(label=C, text="the plan is correct", sample_count=1, votes={C: 1})
+        if iteration == self.at:
+            raise RuntimeError("critic bug")
+        return super().critique(domain, problem, plan, problem_id=problem_id, iteration=iteration)
+
+    def close(self):
+        pass
 
 
 # one record line as written before records were serialized from the dataclasses
@@ -118,6 +139,11 @@ class TestExtractPlan:
 
     def test_no_actions_gives_empty_plan(self, bw_domain):
         assert extract_plan("I give up.", bw_domain) == Plan(())
+
+    def test_comments_stripped(self, bw_domain):
+        text = "(pick-up b1) ; grab it\n(stack b1 b2)\n; (put-down b3)\n2. (pick-up b3);x"
+        plan = extract_plan(text, bw_domain)
+        assert print_plan(plan) == "(pick-up b1)\n(stack b1 b2)\n(pick-up b3)"
 
 
 class TestPlanners:
@@ -286,6 +312,40 @@ class TestRunProblem:
         assert record.final_plan == wrong  # keeps the plan that was proposed
         assert record.error.startswith("critic:")
 
+    def test_exception_keeps_the_rounds_that_ran(
+        self, bw_domain, bw5_problem, wrong_plan, correct_plan, caplog
+    ):
+        third = Plan(correct_plan.steps[:-1])
+        scripts = {"p1": [print_plan(wrong_plan), print_plan(wrong_plan), print_plan(third)]}
+        c = 3
+        record = run_problem(
+            bw_domain,
+            bw5_problem,
+            loop_config(k=5, critic=CriticConfig(self_consistency=c)),
+            ScriptedPlanner(scripts),
+            CrashingCritic(["p1"], at=2),
+            problem_id="p1",
+        )
+        assert record.stop_reason is StopReason.INTERNAL_ERROR
+        assert [e.step for e in record.iterations] == [0, 1]
+        assert record.llm_calls == call_count(2, c)
+        assert record.final_plan == print_plan(third)  # the round-2 plan stands
+        truth = validate_plan(bw5_problem, third, bw_domain)
+        assert record.ground_truth == verdict_to_dict(truth.verdict)
+        assert record.ground_truth["verdict"] == "goal_not_reached"
+        assert record.error == "RuntimeError: critic bug"
+        assert "run failed for p1" in caplog.text
+
+    def test_keyboard_interrupt_propagates(self, bw_domain, bw5_problem):
+        class Interrupted(Planner):
+            def generate(self, prompt, *, problem_id, iteration):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_problem(
+                bw_domain, bw5_problem, loop_config(), Interrupted(), OracleCritic(), problem_id="p1"
+            )
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LoopConfig(k=-1)
@@ -427,6 +487,44 @@ class TestRunBatch:
         ]
         assert records[1].error == "RuntimeError: planner bug"
         assert records[2].error.startswith("KeyError: ")  # no golden plan for this entry
+        assert read_records(path) == records  # the batch went on and stored every record
+
+    def test_failed_round_is_stored_with_its_rounds(self, dataset, tmp_path, monkeypatch):
+        target = dataset.entries[1].id
+        config = self.config(k=5)
+        goldens = {pid: print_plan(plan) for pid, plan in dataset.plans.items()}
+        from plancritic import orchestrator
+
+        monkeypatch.setattr(
+            orchestrator,
+            "make_backends",
+            lambda config, goldens: (MockPlanner(goldens), CrashingCritic([target])),
+        )
+        path = tmp_path / "records.jsonl"
+        records = run_batch(dataset, config, records_path=path)
+        assert [r.stop_reason for r in records] == [
+            StopReason.CRITIC_ACCEPTED, StopReason.INTERNAL_ERROR, StopReason.INTERNAL_ERROR,
+            StopReason.CRITIC_ACCEPTED, StopReason.CRITIC_ACCEPTED,
+        ]
+        expected = run_problem(
+            dataset.domain,
+            dataset.problems[target],
+            config,
+            MockPlanner(goldens),
+            CrashingCritic([target]),
+            problem_id=target,
+        )
+        assert records[1] == expected
+        assert len(expected.iterations) == 2
+        assert expected.llm_calls == call_count(2)
+        assert expected.final_plan == goldens[target]
+        assert expected.ground_truth == {"verdict": "correct"}
+        assert expected.error == "RuntimeError: critic bug"
+        # a failure in round 0 stores the empty plan's verdict
+        no_golden = records[2]
+        assert no_golden.iterations == () and no_golden.final_plan == ""
+        empty = validate_plan(dataset.problems[no_golden.problem_id], Plan(()), dataset.domain)
+        assert no_golden.ground_truth == verdict_to_dict(empty.verdict)
         assert read_records(path) == records  # the batch went on and stored every record
 
     def test_shots_need_pool(self, dataset):

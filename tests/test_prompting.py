@@ -163,7 +163,7 @@ def pool():
         Exemplar(p, bfs_plan(domain, p, SearchLimits(200_000, 60)).plan)
         for p in problems
     ]
-    return build_pool(domain, exemplars, seed=13)
+    return build_pool(domain, exemplars, seed=13, ids=[f"p{i}" for i in range(len(exemplars))])
 
 
 class TestFewShotSelection:
@@ -200,6 +200,11 @@ class TestFewShotSelection:
     def test_zero_shots(self, pool):
         assert select_fewshots(pool, "t", 0) == ()
 
+    @pytest.mark.parametrize("ids", [(), ("only",), ("a", "b", "a"), ("a", "b", "c", "d")])
+    def test_pool_needs_one_distinct_id_per_exemplar(self, bw_domain, pool, ids):
+        with pytest.raises(ValueError, match="distinct id"):
+            build_pool(bw_domain, pool.exemplars[:3], seed=0, ids=ids)
+
     def test_pool_rejects_invalid_exemplar(self, bw_domain, bw5_problem):
         with pytest.raises(ValueError):
-            build_pool(bw_domain, [Exemplar(bw5_problem, Plan(()))], seed=0)
+            build_pool(bw_domain, [Exemplar(bw5_problem, Plan(()))], seed=0, ids=["p"])
