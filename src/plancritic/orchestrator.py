@@ -38,7 +38,7 @@ from .prompting import (
     FewShotPool,
     PoolTooSmall,
     Transcript,
-    build_plan_prompt,
+    plan_prompt_prefix,
     select_fewshots,
 )
 from .semantics import validate_plan, verdict_to_dict
@@ -226,7 +226,10 @@ def run_problem(
 
     Every run ends here, in a record: a failure of the planner, the critic or
     the loop itself becomes the record's stop reason and ``error``, and the
-    record keeps the rounds that ran and the latest plan proposed.
+    record keeps the rounds that ran and the latest plan proposed.  The plan
+    prompt's fixed prefix (template, domain, shots, target) is rendered once
+    per problem; each round appends only the transcript, so every round's
+    prompt equals ``build_plan_prompt(domain, problem, shots, transcript)``.
     """
     pid = problem_id or problem.name
     transcript = Transcript(char_budget=config.transcript_budget)
@@ -237,9 +240,10 @@ def run_problem(
     c = config.critic.self_consistency
 
     try:
+        prefix = plan_prompt_prefix(domain, problem, shots)
         for step in range(config.k + 1):
             role = "planner"  # the role whose call a transport error comes from
-            plan_prompt = build_plan_prompt(domain, problem, shots, transcript)
+            plan_prompt = transcript.prompt(prefix)
             raw = planner.generate(plan_prompt, problem_id=pid, iteration=step)
             plan = extract_plan(raw, domain)
             plan_text = print_plan(plan)

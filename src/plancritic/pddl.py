@@ -17,8 +17,10 @@ by this package, ``parse(print(x)) == x``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
+from typing import NoReturn
 
 
 class PddlError(Exception):
@@ -170,8 +172,8 @@ class _SList:
     col: int
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
+def _tokenize(text: str, line: int = 1):
+    col = 1
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -198,12 +200,13 @@ def _tokenize(text: str):
             yield text[start:i], line, start_col
 
 
-def _read_all(text: str) -> list:
-    """Read every top-level s-expression in ``text``."""
+def _read_all(text: str, first_line: int = 1) -> list:
+    """Read every top-level s-expression in ``text``, whose first line is
+    numbered ``first_line``."""
     stack: list[list] = []
     top: list = []
     positions: list[tuple[int, int]] = []
-    for tok, line, col in _tokenize(text):
+    for tok, line, col in _tokenize(text, first_line):
         if tok == "(":
             stack.append([])
             positions.append((line, col))
@@ -506,38 +509,67 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
 # Plan parsing
 
 
+# One ground action: the name and the arguments, as one string.  The token
+# and whitespace classes are disjoint, so a match runs in linear time.
+_STEP = re.compile(r"\(\s*([^\s();]+)((?:\s+[^\s();]+)*)\s*\)")
+_TOKEN = re.compile(r"[^\s();]+")
+
+
+def _check_plan_arg(arg: str, line: int, column: int) -> None:
+    if arg.startswith("?"):
+        raise PddlSyntaxError(f"variable {arg!r} in ground action", line, column)
+
+
+def _refuse_plan_line(code: str, lineno: int, column: int) -> NoReturn:
+    """Raise the s-expression reader's error for a plan line ``_STEP`` refuses.
+
+    ``code`` is the raw line without its comment and ``column`` the column of
+    its first non-blank character.
+    """
+    nodes = _read_all(code, lineno)
+    if len(nodes) != 1 or not isinstance(nodes[0], _SList):
+        raise PddlSyntaxError("expected one (action args...) per line", lineno, column)
+    node = nodes[0]
+    if not node.items:
+        raise PddlSyntaxError("empty action", lineno, node.col)
+    _sym_text(node.items[0], "action name")
+    for item in node.items[1:]:
+        _check_plan_arg(_sym_text(item, "action argument"), item.line, item.col)
+    raise AssertionError(f"_STEP refused a well-formed plan line: {code!r}")
+
+
 def parse_plan(text: str, domain: DomainDef) -> Plan:
     """Parse a plan: one parenthesized ground action per line.
 
     Blank lines and ``;`` comments are skipped.  Action names must be defined
-    by ``domain`` and argument counts must match the schema's parameters.
+    by ``domain`` and argument counts must match the schema's parameters.  An
+    error carries the plan line and the column in that raw line.
     """
     steps: list[GroundAction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0].strip()
+        code = raw.split(";", 1)[0]
+        line = code.strip()
         if not line:
             continue
-        nodes = _read_all(line)
-        if len(nodes) != 1 or not isinstance(nodes[0], _SList):
-            raise PddlSyntaxError("expected one (action args...) per line", lineno, 1)
-        node = nodes[0]
-        if not node.items:
-            raise PddlSyntaxError("empty action", lineno, 1)
-        name = _sym_text(node.items[0], "action name")
-        args = []
-        for item in node.items[1:]:
-            arg = _sym_text(item, "action argument")
-            if arg.startswith("?"):
-                raise PddlSyntaxError(f"variable {arg!r} in ground action", item.line, item.col)
-            args.append(arg)
+        # columns count from the raw line: ``line`` starts after the indent
+        indent = len(code) - len(code.lstrip())
+        match = _STEP.fullmatch(line)
+        if match is None:
+            _refuse_plan_line(code, lineno, indent + 1)
+        name, arg_text = match.groups()
+        args = arg_text.split()
+        if "?" in arg_text:
+            for token in _TOKEN.finditer(arg_text):
+                column = indent + match.start(2) + token.start() + 1
+                _check_plan_arg(token.group(), lineno, column)
         schema = domain.action(name)
         if schema is None:
-            raise UnknownAction(f"unknown action {name!r}", lineno, node.col)
+            raise UnknownAction(f"unknown action {name!r}", lineno, indent + 1)
         if len(schema.parameters) != len(args):
             raise ArityMismatch(
                 f"{name} expects {len(schema.parameters)} argument(s), got {len(args)}",
                 lineno,
-                node.col,
+                indent + 1,
             )
         steps.append(GroundAction(name, tuple(args)))
     return Plan(tuple(steps))

@@ -3,8 +3,11 @@
 Planning prompts show the domain, worked (problem, plan) example blocks, and
 the target problem.  When earlier attempts were rejected, the transcript of
 (plan, critique, repair request) turns is appended so the model revises its
-own output.  Critique prompts come in five fixed variants that differ in how
-much guidance they give the judge.
+own output.  The part before the transcript is the same in every round of a
+problem, so the refinement loop renders it once per problem with
+``plan_prompt_prefix`` and each round appends only the transcript, through
+``Transcript.prompt``.  Critique prompts come in five fixed variants that
+differ in how much guidance they give the judge.
 
 All rendering is deterministic: the same inputs always produce the same
 bytes, so prompts can be frozen as golden files.
@@ -178,6 +181,14 @@ class Transcript:
             )
         return "".join(parts)
 
+    def prompt(self, prefix: str) -> str:
+        """``prefix`` followed by the transcript; raises BudgetExceeded when
+        the whole no longer fits ``char_budget``."""
+        text = prefix + self.render()
+        if self.char_budget is not None and len(text) > self.char_budget:
+            raise BudgetExceeded(len(text), self.char_budget)
+        return text
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -192,28 +203,35 @@ def render_shot(exemplar: Exemplar) -> str:
     )
 
 
-def build_plan_prompt(
-    domain: DomainDef,
-    problem: ProblemDef,
-    shots: Sequence[Exemplar] = (),
-    transcript: Transcript | None = None,
+def plan_prompt_prefix(
+    domain: DomainDef, problem: ProblemDef, shots: Sequence[Exemplar] = ()
 ) -> str:
-    """Assemble the planning prompt; raises BudgetExceeded when too long."""
-    body = load_template(TemplateId.PLAN_FEWSHOT)
-    text = render_template(
-        body,
+    """The planning prompt before any transcript: template, domain, shots and
+    target problem, which stay fixed across the rounds of one problem."""
+    return render_template(
+        load_template(TemplateId.PLAN_FEWSHOT),
         {
             "domain_pddl": print_domain(domain),
             "few_shots": "".join(render_shot(s) for s in shots),
             "instance": print_problem(problem),
         },
     )
-    if transcript is not None:
-        text += transcript.render()
-        budget = transcript.char_budget
-        if budget is not None and len(text) > budget:
-            raise BudgetExceeded(len(text), budget)
-    return text
+
+
+def build_plan_prompt(
+    domain: DomainDef,
+    problem: ProblemDef,
+    shots: Sequence[Exemplar] = (),
+    transcript: Transcript | None = None,
+) -> str:
+    """Assemble the planning prompt; raises BudgetExceeded when too long.
+
+    The refinement loop does not call this: it renders the prefix once per
+    problem and calls ``transcript.prompt(prefix)`` each round, which yields
+    the same text.
+    """
+    prefix = plan_prompt_prefix(domain, problem, shots)
+    return prefix if transcript is None else transcript.prompt(prefix)
 
 
 def check_critique_template(template_id: TemplateId, exemplars: Sequence[str] | None) -> None:

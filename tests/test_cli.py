@@ -171,6 +171,17 @@ class TestValidate:
         assert code == 1
         assert "not supported" in capsys.readouterr().err
 
+    def test_plan_error_names_the_plan_line(self, tmp_path, fixture_files, capsys):
+        bad = tmp_path / "bad.plan"
+        bad.write_text("(unstack b5 b2)\n\n(put-down ?x)\n")
+        code = cli.main(
+            ["validate", "--domain", str(fixture_files["domain"]),
+             "--problem", str(fixture_files["problem"]),
+             "--plan", str(bad)]
+        )
+        assert code == 1
+        assert "variable '?x' in ground action (line 3, column 11)" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_finds_plan(self, fixture_files, tmp_path, capsys):

@@ -32,7 +32,7 @@ from plancritic.orchestrator import (
     write_records,
 )
 from plancritic.pddl import Plan, print_plan
-from plancritic.prompting import Exemplar, PoolTooSmall, build_pool
+from plancritic.prompting import Exemplar, PoolTooSmall, Transcript, build_plan_prompt, build_pool
 from plancritic.search import SearchLimits, bfs_plan
 from plancritic.semantics import validate_plan, verdict_to_dict
 
@@ -53,6 +53,31 @@ class ScriptedCritic:
         return CritiqueVerdict(
             label=label, text=f"the plan is {label.value}", sample_count=1, votes={label: 1}
         )
+
+
+class RecordingPlanner(Planner):
+    """Returns one fixed plan text and keeps every prompt it is sent."""
+
+    def __init__(self, plan_text):
+        self.plan_text = plan_text
+        self.prompts = []
+
+    def generate(self, prompt, *, problem_id, iteration):
+        self.prompts.append(prompt)
+        return self.plan_text
+
+
+class RecordingCritic(OracleCritic):
+    """The oracle critic, keeping the text of every critique."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def critique(self, domain, problem, plan, *, problem_id, iteration):
+        verdict = super().critique(domain, problem, plan, problem_id=problem_id, iteration=iteration)
+        self.texts.append(verdict.text)
+        return verdict
 
 
 class FailingPlanner:
@@ -282,6 +307,58 @@ class TestRunProblem:
         assert len(record.iterations) == 1  # the second prompt blew the cap
         assert record.final_plan == wrong
         assert "budget" in record.error
+
+    def test_each_round_sees_the_full_plan_prompt(
+        self, bw_domain, bw5_problem, wrong_plan, shot_problem, shot_plan, correct_plan
+    ):
+        shots = (Exemplar(shot_problem, shot_plan), Exemplar(bw5_problem, correct_plan))
+        planner = RecordingPlanner(print_plan(wrong_plan))
+        critic = RecordingCritic()
+        record = run_problem(
+            bw_domain, bw5_problem, loop_config(k=3), planner, critic, shots=shots, problem_id="p1"
+        )
+        assert len(record.iterations) == len(planner.prompts) == 4
+        transcript = Transcript(char_budget=loop_config().transcript_budget)
+        for entry, prompt, critique in zip(record.iterations, planner.prompts, critic.texts):
+            assert prompt == build_plan_prompt(bw_domain, bw5_problem, shots, transcript)
+            assert entry.plan_prompt_chars == len(prompt)
+            transcript.append(entry.plan, critique)
+
+    def _round_prompt_lengths(self, bw_domain, bw5_problem, wrong_plan):
+        planner = RecordingPlanner(print_plan(wrong_plan))
+        run_problem(bw_domain, bw5_problem, loop_config(k=1), planner, OracleCritic(), problem_id="p1")
+        return [len(p) for p in planner.prompts]
+
+    def test_budget_between_prefix_and_round_one(self, bw_domain, bw5_problem, wrong_plan):
+        prefix_len, round_one_len = self._round_prompt_lengths(bw_domain, bw5_problem, wrong_plan)
+        budget = (prefix_len + round_one_len) // 2
+        record = run_problem(
+            bw_domain,
+            bw5_problem,
+            loop_config(k=3, transcript_budget=budget),
+            ScriptedPlanner({"p1": [print_plan(wrong_plan)]}),
+            OracleCritic(),
+            problem_id="p1",
+        )
+        assert record.stop_reason is StopReason.BUDGET_EXCEEDED
+        assert len(record.iterations) == 1
+        assert record.error == f"prompt length {round_one_len} exceeds budget {budget}"
+
+    def test_budget_below_prefix_stops_at_round_zero(self, bw_domain, bw5_problem, wrong_plan):
+        prefix_len, _ = self._round_prompt_lengths(bw_domain, bw5_problem, wrong_plan)
+        planner = RecordingPlanner(print_plan(wrong_plan))
+        record = run_problem(
+            bw_domain,
+            bw5_problem,
+            loop_config(k=3, transcript_budget=prefix_len - 1),
+            planner,
+            OracleCritic(),
+            problem_id="p1",
+        )
+        assert record.stop_reason is StopReason.BUDGET_EXCEEDED
+        assert record.iterations == () and planner.prompts == []
+        assert record.llm_calls == 0
+        assert record.error == f"prompt length {prefix_len} exceeds budget {prefix_len - 1}"
 
     def test_planner_transport_failure(self, bw_domain, bw5_problem):
         record = run_problem(

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,12 @@ from plancritic.domains import (
     mystery_domain,
 )
 from plancritic.generators import Benchmark, GenSpec, generate
+from plancritic.orchestrator import extract_plan
 from plancritic.pddl import (
     ArityMismatch,
     Atom,
+    GroundAction,
+    PddlError,
     PddlSyntaxError,
     Plan,
     UnknownAction,
@@ -332,6 +337,110 @@ class TestParsePlan:
     def test_junk_rejected(self, bw_domain):
         with pytest.raises(PddlSyntaxError):
             parse_plan("pick-up b1", bw_domain)
+
+    @pytest.mark.parametrize(
+        "text,error,line,column",
+        [
+            ("(pick-up a)\n\n(pick-up ?x)", PddlSyntaxError, 3, 10),
+            ("(pick-up a)\n  (pick-up   ?x)", PddlSyntaxError, 2, 14),
+            ("  (fly a)", UnknownAction, 1, 3),
+            ("(pick-up a)\n\t(pick-up a b)", ArityMismatch, 2, 2),
+            ("; head\n   (pick-up a", PddlSyntaxError, 2, 4),
+            ("(pick-up a)\n  (pick-up  a\t(b))", PddlSyntaxError, 2, 15),
+            ("\n\t ()", PddlSyntaxError, 2, 3),
+            ("(pick-up a)\n  a b", PddlSyntaxError, 2, 3),
+        ],
+    )
+    def test_error_carries_plan_line_and_raw_column(self, bw_domain, text, error, line, column):
+        # the column counts in the raw line, a tab as one; a variable is
+        # pointed at, an unknown action or a wrong arity at its "("
+        with pytest.raises(error) as err:
+            parse_plan(text, bw_domain)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value).endswith(f"(line {line}, column {column})")
+
+
+class TestPlanLineReader:
+    """``parse_plan`` reads a line with one pattern match; these tables hold
+    what the general s-expression reader gave for the same lines."""
+
+    @pytest.mark.parametrize(
+        "text,steps",
+        [
+            ("( pick-up   a )", [("pick-up", ("a",))]),
+            ("(pick-up\ta)", [("pick-up", ("a",))]),
+            ("\t(pick-up a)\t", [("pick-up", ("a",))]),
+            ("(pick-up\u00a0a)", [("pick-up", ("a",))]),
+            ("(stack\u2003a\u00a0b)", [("stack", ("a", "b"))]),
+            ("(put-down a) ; done", [("put-down", ("a",))]),
+            ("(pick-up a)\n(stack a b)\n", [("pick-up", ("a",)), ("stack", ("a", "b"))]),
+            (
+                "(unstack a b)\n\n; middle\n  (put-down a)  \n(pick-up b)",
+                [("unstack", ("a", "b")), ("put-down", ("a",)), ("pick-up", ("b",))],
+            ),
+        ],
+    )
+    def test_accepted_lines(self, bw_domain, text, steps):
+        expected = Plan(tuple(GroundAction(name, args) for name, args in steps))
+        assert parse_plan(text, bw_domain) == expected
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            (
+                "Plan:\n1. (unstack b5 b2)\n2.\t( put-down  b5 )\n3) (pick-up b3) ; grab\n"
+                "- (stack b3 b5)\n4. (fly b3)\n5. (pick-up ?x)\n6. (stack b1)\nDone.",
+                "(unstack b5 b2)\n(put-down b5)\n(pick-up b3)\n(stack b3 b5)",
+            ),
+            (
+                "1. (pick-up a)\n   2. (stack a b)\n10. (pick-up c)",
+                "(pick-up a)\n(stack a b)\n(pick-up c)",
+            ),
+        ],
+    )
+    def test_numbered_plans_extract_as_before(self, bw_domain, text, expected):
+        assert print_plan(extract_plan(text, bw_domain)) == expected
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("()", PddlSyntaxError, "empty action (line 1, column 1)"),
+            ("( )", PddlSyntaxError, "empty action (line 1, column 1)"),
+            ("(a (b))", PddlSyntaxError, "expected action argument (line 1, column 4)"),
+            ("((a) b)", PddlSyntaxError, "expected action name (line 1, column 2)"),
+            ("a b", PddlSyntaxError, "expected one (action args...) per line (line 1, column 1)"),
+            ("(a) (b)", PddlSyntaxError, "expected one (action args...) per line (line 1, column 1)"),
+            ("(pick-up a", PddlSyntaxError, "unbalanced '(' (line 1, column 1)"),
+            ("((pick-up a)", PddlSyntaxError, "unbalanced '(' (line 1, column 1)"),
+            ("pick-up a)", PddlSyntaxError, "unbalanced ')' (line 1, column 10)"),
+            ("(pick-up a))", PddlSyntaxError, "unbalanced ')' (line 1, column 12)"),
+            ("(pick-up ?x)", PddlSyntaxError, "variable '?x' in ground action (line 1, column 10)"),
+            (
+                "(pick-up ?x (b))",
+                PddlSyntaxError,
+                "variable '?x' in ground action (line 1, column 10)",
+            ),
+            ("(pick-up a (b) ?c)", PddlSyntaxError, "expected action argument (line 1, column 12)"),
+            ("(fly a)", UnknownAction, "unknown action 'fly' (line 1, column 1)"),
+            ("(?x a)", UnknownAction, "unknown action '?x' (line 1, column 1)"),
+            ("(pick-up a b)", ArityMismatch, "pick-up expects 1 argument(s), got 2 (line 1, column 1)"),
+        ],
+    )
+    def test_refused_lines(self, bw_domain, text, error, message):
+        with pytest.raises(PddlError) as err:
+            parse_plan(text, bw_domain)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(pick-up " + "a " * 100_000, "(" * 200_000, "(pick-up a" + " ?b" * 66_666 + " (c"],
+    )
+    def test_long_malformed_line_is_refused_quickly(self, bw_domain, text):
+        start = time.perf_counter()
+        with pytest.raises(PddlSyntaxError):
+            parse_plan(text, bw_domain)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestRoundTrip:

@@ -20,6 +20,7 @@ from plancritic.prompting import (
     build_plan_prompt,
     build_pool,
     load_template,
+    plan_prompt_prefix,
     render_shot,
     render_template,
     select_fewshots,
@@ -116,6 +117,23 @@ class TestPlanPromptStructure:
             build_plan_prompt(bw_domain, bw5_problem, (), transcript)
         assert err.value.budget == 100
         assert err.value.length > 100
+
+    def test_prompt_is_prefix_then_transcript(self, bw_domain, bw5_problem, shot_problem, shot_plan):
+        shots = (Exemplar(shot_problem, shot_plan),)
+        prefix = plan_prompt_prefix(bw_domain, bw5_problem, shots)
+        assert prefix == build_plan_prompt(bw_domain, bw5_problem, shots)
+        transcript = Transcript(char_budget=len(prefix) + 200)
+        assert transcript.prompt(prefix) == prefix
+        transcript.append("(pick-up a)", "x" * 50)
+        assert transcript.prompt(prefix) == prefix + transcript.render()
+        assert transcript.prompt(prefix) == build_plan_prompt(bw_domain, bw5_problem, shots, transcript)
+        transcript.append("(pick-up a)", "x" * 50)
+        with pytest.raises(BudgetExceeded) as err:
+            transcript.prompt(prefix)
+        assert (err.value.length, err.value.budget) == (
+            len(prefix) + len(transcript.render()),
+            len(prefix) + 200,
+        )
 
     def test_no_budget_means_no_limit(self, bw_domain, bw5_problem):
         transcript = Transcript(char_budget=None)
