@@ -36,7 +36,7 @@ from .generators import (
     obfuscate_dataset,
 )
 from .llm import TransportError
-from .orchestrator import LoopConfig, PlannerConfig, read_records, run_batch
+from .orchestrator import LoopConfig, MalformedRecord, PlannerConfig, read_records, run_batch
 from .pddl import (
     DomainDef,
     PddlError,
@@ -406,6 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         FileNotFoundError,
         IsADirectoryError,
         json.JSONDecodeError,
+        MalformedRecord,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,8 +8,11 @@ also stops when the prompt outgrows its character budget, when the endpoint
 fails, or on any other exception; whatever stops it, the latest plan
 proposed stands.  ``run_problem`` is the one place where a run ends: each
 run, failed or not, yields a serializable record of the rounds that ran,
-the stop reason, and the exact number of backend calls: ``rounds`` planner
-calls plus ``rounds × self_consistency`` critic calls.
+the stop reason, and ``llm_calls``: the backend calls that returned, one
+per planner reply plus the votes of each critique that returned.  A failed
+call, and every vote of a failed critique, are not counted.  A record has
+rounds 0..n-1, n <= k + 1, and only its last can be accepted; readers of
+records rely on this shape, and ``record_from_dict`` refuses any other.
 
 Batches execute problems independently (optionally in parallel), persist
 records as they finish, and can resume from a partially written record file.
@@ -36,7 +39,6 @@ from .pddl import DomainDef, PddlError, Plan, ProblemDef, parse_plan, print_plan
 from .prompting import (
     BudgetExceeded,
     FewShotPool,
-    PoolTooSmall,
     Transcript,
     plan_prompt_prefix,
     select_fewshots,
@@ -55,7 +57,7 @@ class StopReason(str, Enum):
 
 
 def call_count(rounds: int, self_consistency: int = 1) -> int:
-    """Backend calls for ``rounds`` executed (plan, critique) rounds."""
+    """Calls of ``rounds`` whole rounds: what ``run_problem`` counts when no call fails."""
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
     if self_consistency < 1:
@@ -237,7 +239,7 @@ def run_problem(
     plan = Plan(())  # the latest plan proposed; it stands whatever stops the run
     stop = StopReason.ITERATIONS_EXHAUSTED
     error: str | None = None
-    c = config.critic.self_consistency
+    calls = 0
 
     try:
         prefix = plan_prompt_prefix(domain, problem, shots)
@@ -245,10 +247,12 @@ def run_problem(
             role = "planner"  # the role whose call a transport error comes from
             plan_prompt = transcript.prompt(prefix)
             raw = planner.generate(plan_prompt, problem_id=pid, iteration=step)
+            calls += 1
             plan = extract_plan(raw, domain)
             plan_text = print_plan(plan)
             role = "critic"
             verdict = critic.critique(domain, problem, plan, problem_id=pid, iteration=step)
+            calls += verdict.sample_count
             iterations.append(
                 IterationEntry(
                     step=step,
@@ -275,11 +279,11 @@ def run_problem(
     return RunRecord(
         problem_id=pid,
         max_steps=config.k,
-        self_consistency=c,
+        self_consistency=config.critic.self_consistency,
         iterations=tuple(iterations),
         final_plan=print_plan(plan),
         stop_reason=stop,
-        llm_calls=call_count(len(iterations), c),
+        llm_calls=calls,
         ground_truth=verdict_to_dict(truth.verdict),
         error=error,
     )
@@ -289,8 +293,35 @@ def run_problem(
 # Record persistence
 
 
-def _fields_of(cls, data: dict) -> dict:
-    return {f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data}
+class MalformedRecord(ValueError):
+    """A records line that ``run_problem`` cannot have written."""
+
+
+# the JSON types of the fields of a record line and of its rounds
+_JSON_TYPES = {
+    "problem_id": str, "max_steps": int, "self_consistency": int, "iterations": (list, tuple),
+    "final_plan": str, "stop_reason": str, "llm_calls": int,
+    "ground_truth": (dict, type(None)), "error": (str, type(None)),
+    "step": int, "plan": str, "critic_label": str, "votes": dict,
+    "plan_prompt_chars": int, "critique_prompt_chars": int,
+}
+
+
+def _fields_of(cls, data, where: str) -> dict:
+    """The fields of ``cls`` in ``data``; refuses one that is missing (unless
+    it has a default) or not of its JSON type."""
+    if not isinstance(data, dict):
+        raise MalformedRecord(f"{where} is not a JSON object")
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name in data:
+            value = data[f.name]
+            if not isinstance(value, _JSON_TYPES[f.name]) or isinstance(value, bool):
+                raise MalformedRecord(f"{where} has {f.name!r} of type {type(value).__name__}")
+            values[f.name] = value
+        elif f.default is dataclasses.MISSING:
+            raise MalformedRecord(f"{where} has no {f.name!r}")
+    return values
 
 
 def record_to_dict(record: RunRecord) -> dict:
@@ -298,11 +329,23 @@ def record_to_dict(record: RunRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> RunRecord:
-    values = _fields_of(RunRecord, data)
+    """The record ``data`` holds; raises MalformedRecord for a field missing or
+    mistyped, an unknown stop reason, or rounds not in the loop's shape."""
+    values = _fields_of(RunRecord, data, "record")
     values["iterations"] = tuple(
-        IterationEntry(**_fields_of(IterationEntry, e)) for e in data["iterations"]
+        IterationEntry(**_fields_of(IterationEntry, entry, f"round {i}"))
+        for i, entry in enumerate(values["iterations"])
     )
-    values["stop_reason"] = StopReason(data["stop_reason"])
+    if values["stop_reason"] not in {reason.value for reason in StopReason}:
+        raise MalformedRecord(f"unknown stop_reason {values['stop_reason']!r}")
+    values["stop_reason"] = StopReason(values["stop_reason"])
+    steps = [entry.step for entry in values["iterations"]]
+    if steps != list(range(len(steps))):
+        raise MalformedRecord(f"round steps {steps} are not 0..{len(steps) - 1}")
+    if len(steps) > values["max_steps"] + 1:
+        raise MalformedRecord(f"{len(steps)} rounds for max_steps {values['max_steps']}")
+    if any(e.critic_label == CritiqueLabel.CORRECT.value for e in values["iterations"][:-1]):
+        raise MalformedRecord("a round before the last is labelled correct")
     return RunRecord(**values)
 
 
@@ -310,12 +353,19 @@ def _record_line(record: RunRecord) -> str:
     return json.dumps(record_to_dict(record), sort_keys=True) + "\n"
 
 
-def _parse_records(text: str) -> list[RunRecord]:
-    return [record_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
+def _parse_records(text: str, path: str | Path) -> list[RunRecord]:
+    records = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                records.append(record_from_dict(json.loads(line)))
+            except MalformedRecord as exc:
+                raise MalformedRecord(f"{path} line {number}: {exc}") from None
+    return records
 
 
 def read_records(path: str | Path) -> list[RunRecord]:
-    return _parse_records(Path(path).read_text())
+    return _parse_records(Path(path).read_text(), path)
 
 
 def _resume_records(path: Path) -> list[RunRecord]:
@@ -331,7 +381,7 @@ def _resume_records(path: Path) -> list[RunRecord]:
         log.warning("%s: dropping a torn last record line (%d bytes)", path, len(data) - whole)
         with path.open("r+b") as fh:
             fh.truncate(whole)
-    return _parse_records(data[:whole].decode())
+    return _parse_records(data[:whole].decode(), path)
 
 
 def write_records(path: str | Path, records: Sequence[RunRecord]) -> None:
@@ -370,29 +420,26 @@ def run_batch(
     Failures are isolated: ``run_problem`` turns a problem's failure into its
     record, which is stored like any other, and the batch continues.
     """
-    if config.shots > 0:
-        if pool is None:
-            raise ValueError("shots > 0 needs a few-shot pool")
-        # a target in the pool is never shown its own exemplar
-        available = len(pool) - any(pid in dataset.problems for pid in pool.ids)
-        if config.shots > available:
-            raise PoolTooSmall(f"asked for {config.shots} shots, pool has {available}")
+    if config.shots > 0 and pool is None:
+        raise ValueError("shots > 0 needs a few-shot pool")
 
     existing: dict[str, RunRecord] = {}
     if records_path is not None and Path(records_path).exists():
         existing = {r.problem_id: r for r in _resume_records(Path(records_path))}
 
+    todo = [e for e in dataset.entries if e.id not in existing]
+    # all shots are chosen before any backend call, so a pool too small fails first
+    shots = {e.id: select_fewshots(pool, e.id, config.shots) if config.shots else () for e in todo}
     write_lock = threading.Lock()
 
     def work(entry: ManifestEntry) -> RunRecord:
-        shots = select_fewshots(pool, entry.id, config.shots) if config.shots else ()
         record = run_problem(
             dataset.domain,
             dataset.problems[entry.id],
             config,
             planner,
             critic,
-            shots=shots,
+            shots=shots[entry.id],
             problem_id=entry.id,
         )
         if records_path is not None:
@@ -401,8 +448,6 @@ def run_batch(
                     fh.write(_record_line(record))
         return record
 
-    entries = dataset.entries
-    todo = [e for e in entries if e.id not in existing]
     goldens = {pid: print_plan(plan) for pid, plan in dataset.plans.items()}
     planner, critic = make_backends(config, goldens)
     try:
@@ -414,4 +459,4 @@ def run_batch(
     finally:
         critic.close()
     results = {record.problem_id: record for record in records}
-    return [existing.get(e.id) or results[e.id] for e in entries]
+    return [existing.get(e.id) or results[e.id] for e in dataset.entries]

@@ -1,11 +1,11 @@
 """Scoring of run records and report emission.
 
 Accuracy is the fraction of runs whose final plan validates as correct,
-reported with a 95% normal-approximation confidence interval.  The per-step
-series reads each run "as of" step t: once a plan was accepted it stands;
-otherwise the latest plan proposed by then counts.  Per-step confusion
-counts compare the critic's call (positive = plan judged correct) against
-ground truth at each round where a critique was issued.
+reported with a 95% normal-approximation confidence interval.  Each run is
+read "as of" step t in the shape the loop writes it: round t's plan while
+the run has a round t (only its last round can be accepted), then the final
+plan.  Per-step confusion counts compare round t's critic call (positive =
+plan judged correct) against ground truth.
 
 Scoring is a pure function of records plus the problems they refer to, so
 runs can be re-scored offline without touching any backend.
@@ -81,76 +81,53 @@ class Metrics:
     steps: tuple[StepMetrics, ...]
 
 
-def _plan_as_of(record: RunRecord, step: int) -> str:
-    """The plan standing at the end of step ``step`` (accepted plans stick)."""
-    if not record.iterations or step > record.iterations[-1].step:
-        # the run was over by this step; whatever it ended with stands
-        return record.final_plan
-    chosen = ""
-    for entry in record.iterations:
-        if entry.step > step:
-            break
-        chosen = entry.plan
-        if entry.critic_label == CritiqueLabel.CORRECT.value:
-            return entry.plan
-    return chosen
-
-
 def score(
     records: Sequence[RunRecord],
     domain: DomainDef,
     problems: Mapping[str, ProblemDef],
 ) -> Metrics:
-    """Recompute ground truth for every recorded plan and aggregate."""
+    """Recompute ground truth for every recorded plan and aggregate, reading
+    each record in the loop's shape (see the module docstring)."""
     if not records:
         raise ValueError("no records to score")
     for record in records:
         if record.problem_id not in problems:
             raise MissingProblem(record.problem_id)
 
-    cache: dict[tuple[str, str], bool] = {}
-
-    def is_correct(problem_id: str, plan_text: str) -> bool:
-        key = (problem_id, plan_text)
-        if key not in cache:
-            problem = problems[problem_id]
-            plan = parse_plan(plan_text, domain)
-            cache[key] = validate_plan(problem, plan, domain).is_correct
-        return cache[key]
-
     n = len(records)
-    n_final_correct = sum(1 for r in records if is_correct(r.problem_id, r.final_plan))
-    accuracy = n_final_correct / n
-
     k = max(r.max_steps for r in records)
-    steps = []
-    for step in range(k + 1):
-        n_correct = 0
-        tp = fp = tn = fn = 0
-        for record in records:
-            if is_correct(record.problem_id, _plan_as_of(record, step)):
-                n_correct += 1
-            for entry in record.iterations:
-                if entry.step != step:
-                    continue
-                truth = is_correct(record.problem_id, entry.plan)
-                said_correct = entry.critic_label == CritiqueLabel.CORRECT.value
-                if said_correct and truth:
-                    tp += 1
-                elif said_correct:
-                    fp += 1
-                elif truth:
-                    fn += 1
-                else:
-                    tn += 1
-        steps.append(StepMetrics(step, n_correct, n_correct / n, tp, fp, tn, fn))
+    n_final_correct = 0
+    n_correct = [0] * (k + 1)
+    confusion = [{"tp": 0, "fp": 0, "tn": 0, "fn": 0} for _ in range(k + 1)]
+    for record in records:
+        problem = problems[record.problem_id]
+        is_correct: dict[str, bool] = {}  # by plan text, each validated once
+        for text in [entry.plan for entry in record.iterations] + [record.final_plan]:
+            if text not in is_correct:
+                plan = parse_plan(text, domain)
+                is_correct[text] = validate_plan(problem, plan, domain).is_correct
+        n_final_correct += is_correct[record.final_plan]
+        for step, entry in enumerate(record.iterations):
+            truth = is_correct[entry.plan]
+            n_correct[step] += truth
+            if entry.critic_label == CritiqueLabel.CORRECT.value:
+                cell = "tp" if truth else "fp"
+            else:
+                cell = "fn" if truth else "tn"
+            confusion[step][cell] += 1
+        for step in range(len(record.iterations), k + 1):  # the run is over: its final plan stands
+            n_correct[step] += is_correct[record.final_plan]
 
+    accuracy = n_final_correct / n
     return Metrics(
         n=n,
         accuracy=accuracy,
         ci_half_width=wald_ci(accuracy, n),
         mean_llm_calls=sum(r.llm_calls for r in records) / n,
-        steps=tuple(steps),
+        steps=tuple(
+            StepMetrics(step, n_correct[step], n_correct[step] / n, **confusion[step])
+            for step in range(k + 1)
+        ),
     )
 
 

@@ -173,14 +173,6 @@ def validate_plan(problem: ProblemDef, plan: Plan, domain: DomainDef) -> Validat
     return ValidationResult(GoalNotReached(unsatisfied), tuple(trace))
 
 
-def final_state(problem: ProblemDef, result: ValidationResult) -> State:
-    """State after the last applied step of the trace."""
-    for step in reversed(result.trace):
-        if step.state_after is not None:
-            return step.state_after
-    return initial_state(problem)
-
-
 # ---------------------------------------------------------------------------
 # Text and record serialization
 
@@ -242,22 +234,6 @@ def verdict_to_dict(verdict: PlanVerdict) -> dict:
         "verdict": "goal_not_reached",
         "unsatisfied": [str(a) for a in verdict.unsatisfied],
     }
-
-
-def verdict_from_dict(data: dict) -> PlanVerdict:
-    kind = data["verdict"]
-    if kind == "correct":
-        return Correct()
-    if kind == "wrong_at_step":
-        return WrongAtStep(data["step"], tuple(_parse_atom_str(a) for a in data["unmet"]))
-    if kind == "goal_not_reached":
-        return GoalNotReached(tuple(_parse_atom_str(a) for a in data["unsatisfied"]))
-    raise ValueError(f"unknown verdict kind {kind!r}")
-
-
-def _parse_atom_str(text: str) -> Atom:
-    parts = text.strip()[1:-1].split()
-    return Atom(parts[0], tuple(parts[1:]))
 
 
 def validation_to_dict(result: ValidationResult) -> dict:

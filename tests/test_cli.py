@@ -612,6 +612,90 @@ class TestRunScoreReport:
         assert code == 2
 
 
+class TestRecordRefusal:
+    """A records line the loop cannot have written fails with one error line
+    that names the file and line, before any work."""
+
+    @pytest.fixture()
+    def records(self, dataset_dir, tmp_path, capsys):
+        """Three records of three rejected rounds each."""
+        path = tmp_path / "records.jsonl"
+        code = cli.main(
+            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(path),
+             "--planner", "mock", "--golden-prob", "0", "--k", "2"]
+        )
+        assert code == 0
+        capsys.readouterr()
+        return path
+
+    def _assert_refused(self, argv, path, line, capsys):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path} line {line}: " in err
+        return err
+
+    def _commands(self, dataset_dir, path, tmp_path):
+        manifest = str(dataset_dir / "manifest.jsonl")
+        return [
+            ["score", "--records", str(path), "--manifest", manifest],
+            ["report", "--records", str(path), "--manifest", manifest,
+             "--out-dir", str(tmp_path / "report")],
+            ["run", "--manifest", manifest, "--records", str(path),
+             "--planner", "mock", "--golden-prob", "0", "--k", "2"],
+        ]
+
+    @pytest.mark.parametrize(
+        "tamper,reason",
+        [
+            (lambda rounds: [rounds[0], rounds[2]], "round steps [0, 2] are not 0..1"),
+            (
+                lambda rounds: [{**rounds[0], "critic_label": "correct"}, rounds[1]],
+                "a round before the last is labelled correct",
+            ),
+        ],
+        ids=["steps-0-2", "accepted-then-another"],
+    )
+    def test_shape_refused(self, records, dataset_dir, tmp_path, capsys, tamper, reason):
+        lines = records.read_text().splitlines()
+        data = json.loads(lines[1])
+        data["iterations"] = tamper(data["iterations"])
+        lines[1] = json.dumps(data, sort_keys=True)
+        records.write_text("\n".join(lines[:2]) + "\n")  # the third problem is left to run
+        before = records.read_bytes()
+        for argv in self._commands(dataset_dir, records, tmp_path):
+            assert reason in self._assert_refused(argv, records, 2, capsys)
+        assert records.read_bytes() == before  # the resumed run made no record
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
+        "edit,reason",
+        [
+            (lambda r: {"problem_id": r["problem_id"]}, "record has no 'max_steps'"),
+            (
+                lambda r: {**r, "iterations": [
+                    {k: v for k, v in r["iterations"][0].items() if k != "plan_prompt_chars"}
+                ]},
+                "round 0 has no 'plan_prompt_chars'",
+            ),
+            (lambda r: {**r, "max_steps": "2"}, "record has 'max_steps' of type str"),
+            (lambda r: {**r, "llm_calls": True}, "record has 'llm_calls' of type bool"),
+            (lambda r: {**r, "iterations": [7]}, "round 0 is not a JSON object"),
+            (lambda r: {**r, "stop_reason": "gave-up"}, "unknown stop_reason 'gave-up'"),
+            (lambda r: [r], "record is not a JSON object"),
+            (lambda r: {**r, "max_steps": 1}, "3 rounds for max_steps 1"),
+        ],
+        ids=["only-problem-id", "round-without-field", "wrong-type", "bool-for-int",
+             "round-not-object", "unknown-stop-reason", "not-an-object", "rounds-beyond-k"],
+    )
+    def test_malformed_line_refused(self, records, dataset_dir, tmp_path, capsys, edit, reason):
+        lines = records.read_text().splitlines()
+        lines[0] = json.dumps(edit(json.loads(lines[0])))
+        records.write_text("\n".join(lines) + "\n")
+        for argv in self._commands(dataset_dir, records, tmp_path):
+            assert reason in self._assert_refused(argv, records, 1, capsys)
+
+
 class TestArgparseBehavior:
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

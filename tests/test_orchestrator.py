@@ -43,15 +43,20 @@ W = CritiqueLabel.WRONG
 
 
 class ScriptedCritic:
-    """Returns a fixed label per iteration; the last label repeats."""
+    """Returns a fixed label per iteration, voted ``samples`` times; the last
+    label repeats."""
 
-    def __init__(self, labels):
+    def __init__(self, labels, samples=1):
         self.labels = list(labels)
+        self.samples = samples
 
     def critique(self, domain, problem, plan, *, problem_id, iteration):
         label = self.labels[min(iteration, len(self.labels) - 1)]
         return CritiqueVerdict(
-            label=label, text=f"the plan is {label.value}", sample_count=1, votes={label: 1}
+            label=label,
+            text=f"the plan is {label.value}",
+            sample_count=self.samples,
+            votes={label: self.samples},
         )
 
 
@@ -94,8 +99,8 @@ class CrashingCritic(ScriptedCritic):
     """Rejects every plan of the problems in ``crash_ids`` and raises a bug
     at round ``at``; accepts every plan of any other problem."""
 
-    def __init__(self, crash_ids, at=2):
-        super().__init__([W])
+    def __init__(self, crash_ids, at=2, samples=1):
+        super().__init__([W], samples)
         self.crash_ids = set(crash_ids)
         self.at = at
 
@@ -400,18 +405,62 @@ class TestRunProblem:
             bw5_problem,
             loop_config(k=5, critic=CriticConfig(self_consistency=c)),
             ScriptedPlanner(scripts),
-            CrashingCritic(["p1"], at=2),
+            CrashingCritic(["p1"], at=2, samples=c),
             problem_id="p1",
         )
         assert record.stop_reason is StopReason.INTERNAL_ERROR
         assert [e.step for e in record.iterations] == [0, 1]
-        assert record.llm_calls == call_count(2, c)
+        assert record.llm_calls == call_count(2, c) + 1  # and round 2's planner reply
         assert record.final_plan == print_plan(third)  # the round-2 plan stands
         truth = validate_plan(bw5_problem, third, bw_domain)
         assert record.ground_truth == verdict_to_dict(truth.verdict)
         assert record.ground_truth["verdict"] == "goal_not_reached"
         assert record.error == "RuntimeError: critic bug"
         assert "run failed for p1" in caplog.text
+
+    def test_critic_failure_counts_the_planner_reply_of_its_round(
+        self, bw_domain, bw5_problem, wrong_plan
+    ):
+        class CriticDownAtRoundTwo(ScriptedCritic):
+            def critique(self, domain, problem, plan, *, problem_id, iteration):
+                if iteration == 2:
+                    raise TransportError("critic down")
+                return super().critique(domain, problem, plan, problem_id=problem_id, iteration=iteration)
+
+        c = 3
+        record = run_problem(
+            bw_domain,
+            bw5_problem,
+            loop_config(k=5, critic=CriticConfig(self_consistency=c)),
+            ScriptedPlanner({"p1": [print_plan(wrong_plan)]}),
+            CriticDownAtRoundTwo([W], samples=c),
+            problem_id="p1",
+        )
+        assert record.stop_reason is StopReason.TRANSPORT_FAILURE
+        assert len(record.iterations) == 2
+        # two whole rounds, then round 2's planner reply; the failed critique counts nothing
+        assert record.llm_calls == call_count(2, c) + 1 == 9
+
+    def test_planner_failure_counts_nothing_for_its_round(self, bw_domain, bw5_problem, wrong_plan):
+        class PlannerDownAtRoundTwo(ScriptedPlanner):
+            def generate(self, prompt, *, problem_id, iteration):
+                if iteration == 2:
+                    raise TransportError("planner down")
+                return super().generate(prompt, problem_id=problem_id, iteration=iteration)
+
+        c = 3
+        record = run_problem(
+            bw_domain,
+            bw5_problem,
+            loop_config(k=5, critic=CriticConfig(self_consistency=c)),
+            PlannerDownAtRoundTwo({"p1": [print_plan(wrong_plan)]}),
+            ScriptedCritic([W], samples=c),
+            problem_id="p1",
+        )
+        assert record.stop_reason is StopReason.TRANSPORT_FAILURE
+        assert record.error.startswith("planner:")
+        assert len(record.iterations) == 2
+        assert record.llm_calls == call_count(2, c) == 8
 
     def test_keyboard_interrupt_propagates(self, bw_domain, bw5_problem):
         class Interrupted(Planner):
@@ -593,7 +642,7 @@ class TestRunBatch:
         )
         assert records[1] == expected
         assert len(expected.iterations) == 2
-        assert expected.llm_calls == call_count(2)
+        assert expected.llm_calls == call_count(2) + 1  # and round 2's planner reply
         assert expected.final_plan == goldens[target]
         assert expected.ground_truth == {"verdict": "correct"}
         assert expected.error == "RuntimeError: critic bug"

@@ -1,21 +1,33 @@
 import json
+from collections import Counter
 
 import pytest
 
-from plancritic.orchestrator import IterationEntry, RunRecord, StopReason
+from plancritic import orchestrator
+from plancritic.critics import CriticBackend, CriticConfig, MockCritic
+from plancritic.generators import GenSpec, generate, load_dataset, write_dataset
+from plancritic.orchestrator import (
+    IterationEntry,
+    LoopConfig,
+    MockPlanner,
+    PlannerConfig,
+    RunRecord,
+    StopReason,
+    run_batch,
+)
 from plancritic.pddl import print_plan
 from plancritic.report import (
     REPORT_FORMATS,
     Metrics,
     MissingProblem,
     StepMetrics,
-    _plan_as_of,
     emit_report,
     metrics_to_dict,
     score,
     summary_line,
     wald_ci,
 )
+from plancritic.search import SearchLimits, bfs_plan
 
 
 class TestWaldCi:
@@ -119,7 +131,9 @@ def problems(bw5_problem):
 
 
 class TestPlanAsOf:
-    def test_tracks_rounds_then_sticks(self, plans):
+    """Step t reads round t's plan while the run has one, then the final plan."""
+
+    def test_tracks_rounds_then_sticks(self, plans, bw_domain, problems):
         wrong, good = plans
         record = make_record(
             "p1",
@@ -128,21 +142,24 @@ class TestPlanAsOf:
             StopReason.CRITIC_ACCEPTED,
             4,
         )
-        assert _plan_as_of(record, 0) == wrong
-        assert _plan_as_of(record, 1) == good
-        assert _plan_as_of(record, 2) == good  # beyond the run: the final plan
+        steps = score([record], bw_domain, problems).steps
+        assert steps[0].n_correct == 0
+        assert steps[1].n_correct == 1
+        assert steps[2].n_correct == 1  # beyond the run: the final plan
 
-    def test_accepted_plan_wins_at_its_step(self, plans):
+    def test_accepted_plan_wins_at_its_step(self, plans, bw_domain, problems):
         wrong, good = plans
         record = make_record(
             "p1", [(0, good, "correct")], good, StopReason.CRITIC_ACCEPTED, 2
         )
-        assert _plan_as_of(record, 0) == good
+        assert score([record], bw_domain, problems).steps[0].n_correct == 1
 
-    def test_no_iterations(self, plans):
-        wrong, _ = plans
+    def test_no_iterations(self, plans, bw_domain, problems):
+        wrong, good = plans
         record = make_record("p1", [], wrong, StopReason.TRANSPORT_FAILURE, 0)
-        assert _plan_as_of(record, 0) == wrong
+        assert score([record], bw_domain, problems).steps[0].n_correct == 0
+        good_final = make_record("p1", [], good, StopReason.TRANSPORT_FAILURE, 0)
+        assert score([good_final], bw_domain, problems).steps[0].n_correct == 1
 
 
 class TestScore:
@@ -176,6 +193,64 @@ class TestScore:
     def test_empty_records(self, bw_domain, problems):
         with pytest.raises(ValueError):
             score([], bw_domain, problems)
+
+
+class TestScoreOfALoopRun:
+    """Scores of one seeded batch, pinned at values taken before ``score``
+    read records in the loop's shape: a noisy critic, a transcript budget
+    that stops some runs, and a critic that crashes on one problem in
+    round 2."""
+
+    def test_pinned(self, monkeypatch, tmp_path):
+        spec = GenSpec.blocksworld(blocks=4, seed=8, count=24)
+        domain, generated = generate(spec)
+        plans = [bfs_plan(domain, p, SearchLimits()).plan for p in generated]
+        dataset = load_dataset(write_dataset(tmp_path, domain, generated, spec, plans))
+        crash_id = dataset.entries[0].id
+
+        class CrashingMockCritic(MockCritic):
+            def critique(self, domain, problem, plan, *, problem_id, iteration):
+                if problem_id == crash_id and iteration == 2:
+                    raise RuntimeError("critic bug")
+                return super().critique(
+                    domain, problem, plan, problem_id=problem_id, iteration=iteration
+                )
+
+        config = LoopConfig(
+            k=4,
+            shots=0,
+            transcript_budget=1750,
+            planner=PlannerConfig(golden_prob=0.3, seed=5),
+            critic=CriticConfig(
+                backend=CriticBackend.MOCK, false_positive=0.2, false_negative=0.05, seed=6
+            ),
+        )
+        monkeypatch.setattr(
+            orchestrator,
+            "make_backends",
+            lambda config, goldens: (
+                MockPlanner(goldens, config.planner.golden_prob, config.planner.seed),
+                CrashingMockCritic(config.critic),
+            ),
+        )
+        records = run_batch(dataset, config)
+        stops = Counter(r.stop_reason for r in records)
+        assert stops == {
+            StopReason.CRITIC_ACCEPTED: 18,
+            StopReason.BUDGET_EXCEEDED: 5,
+            StopReason.INTERNAL_ERROR: 1,
+        }
+
+        metrics = score(records, dataset.domain, dataset.problems)
+        assert metrics.accuracy == 10 / 24
+        rows = [(s.step, s.n_correct, s.tp, s.fp, s.tn, s.fn) for s in metrics.steps]
+        assert rows == [
+            (0, 8, 8, 3, 13, 0),
+            (1, 10, 2, 0, 11, 0),
+            (2, 10, 0, 3, 7, 0),
+            (3, 10, 0, 2, 1, 0),
+            (4, 10, 0, 0, 0, 0),
+        ]
 
 
 class TestEmission:

@@ -15,16 +15,12 @@ from plancritic.semantics import (
     PHRASE_WRONG,
     WrongAtStep,
     apply,
-    final_state,
     format_trace,
     format_verdict,
-    goal_satisfied,
     initial_state,
     is_applicable,
     precondition_checks,
     validate_plan,
-    verdict_from_dict,
-    verdict_to_dict,
 )
 
 # state reached after (unstack b5 b2) from the fixture problem: gains
@@ -118,12 +114,6 @@ class TestValidatePlan:
             Atom("on", ("b3", "b2")),
         )
 
-    def test_final_state(self, bw_domain, bw5_problem, correct_plan):
-        result = validate_plan(bw5_problem, correct_plan, bw_domain)
-        state = final_state(bw5_problem, result)
-        ok, unsatisfied = goal_satisfied(state, bw5_problem)
-        assert ok and unsatisfied == ()
-
 
 class TestFormatting:
     def test_trace_blocks(self, bw_domain, bw5_problem, wrong_plan):
@@ -142,19 +132,6 @@ class TestFormatting:
         assert format_verdict(right.verdict).endswith(PHRASE_CORRECT)
         gnr = validate_plan(bw5_problem, Plan(()), bw_domain)
         assert format_verdict(gnr.verdict).endswith(PHRASE_GOAL_NOT_REACHED)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "verdict",
-        [
-            Correct(),
-            WrongAtStep(9, (Atom("clear", ("b2",)),)),
-            GoalNotReached((Atom("on", ("b2", "b5")), Atom("on", ("b3", "b2")))),
-        ],
-    )
-    def test_verdict_round_trip(self, verdict):
-        assert verdict_from_dict(verdict_to_dict(verdict)) == verdict
 
 
 class TestFrameProperty:
