@@ -197,7 +197,7 @@ class MockCritic(Critic):
 
     def critique(self, domain, problem, plan, *, problem_id, iteration):
         true_label = _LABELS[verdict_phrase(validate_plan(problem, plan, domain).verdict)]
-        rng = random.Random(f"{self.config.seed}:{problem_id}:{iteration}")
+        rng = random.Random(f"critic:{self.config.seed}:{problem_id}:{iteration}")
         samples = []
         for _ in range(self.config.self_consistency):
             label = true_label

@@ -359,6 +359,10 @@ def _parse_records(text: str, path: str | Path) -> list[RunRecord]:
         if line.strip():
             try:
                 records.append(record_from_dict(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(
+                    f"{path} line {number}: not JSON ({exc.msg} at column {exc.colno})"
+                ) from None
             except MalformedRecord as exc:
                 raise MalformedRecord(f"{path} line {number}: {exc}") from None
     return records

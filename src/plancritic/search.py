@@ -5,20 +5,30 @@ finds (and plans it re-executes with :func:`run_plan`) are judged by logic
 that shares nothing with the ``semantics`` validator, so the two
 implementations can cross-check each other.
 
-Grounding joins each schema's static preconditions against ``:init`` while it
-binds the parameters, then keeps only the operators a delete-relaxed fixpoint
-from ``:init`` reaches (Helmert, "Concise finite-domain representations for
-PDDL planning tasks", AIJ 2009).  The search interns atoms to bit positions,
-so a state is an ``int``.
+Grounding joins each schema's static preconditions against the static atoms
+of ``:init`` while it binds the parameters, then keeps only the operators a
+delete-relaxed fixpoint from ``:init`` reaches (Helmert, "Concise
+finite-domain representations for PDDL planning tasks", AIJ 2009).  Atoms are
+interned to bit positions, so a state is an ``int`` and an operator is a
+precondition, keep and add mask.
+
+The join and the interning depend only on the domain, the sorted objects and
+the static atoms of ``:init``, so they are cached for the last such key: the
+instances of one family, solved back to back, ground once.  Per problem, only
+the masks of ``:init`` and the goal and the relaxed fixpoint remain; the
+fixpoint sweeps the cached masks until no operator adds a new bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
-from collections import defaultdict, deque
+from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .pddl import Atom, DomainDef, GroundAction, Plan, ProblemDef
 
@@ -53,8 +63,9 @@ def ground_actions(domain: DomainDef, problem: ProblemDef) -> list[GroundAction]
 
     Enumeration order is canonical: schemas in declaration order, argument
     tuples in lexicographic order over the sorted object list.  This is the
-    brute-force reference; :func:`bfs_plan` grounds by a join instead and
-    yields its operators in the same order.
+    brute-force reference; :func:`bfs_plan` grounds by a join instead, once
+    per domain, object set and static atoms, and yields its operators in the
+    same order.
     """
     objs = sorted(problem.objects)
     out: list[GroundAction] = []
@@ -99,7 +110,9 @@ def _static_predicates(domain: DomainDef) -> set[str]:
     return {p.name for p in domain.predicates} - touched
 
 
-def _join(arity: int, static_pre: list[tuple[str, tuple[int, ...]]], objs: list[str], init: set):
+def _join(
+    arity: int, static_pre: list[tuple[str, tuple[int, ...]]], objs: tuple[str, ...], init: frozenset
+):
     """Argument tuples under which every static precondition holds in ``init``.
 
     Parameters are bound in order, each over ``objs``, so tuples come out in
@@ -133,25 +146,33 @@ def _join(arity: int, static_pre: list[tuple[str, tuple[int, ...]]], objs: list[
     yield from bind(0)
 
 
-# a grounded operator: its action, then its precondition, add and delete
-# atoms as (pred, args) tuples
-_Op = tuple[GroundAction, tuple[tuple, ...], tuple[tuple, ...], tuple[tuple, ...]]
+# a search step: precondition, keep and add masks, then the action.  It is
+# applicable in ``state`` when ``state & pre == pre``, and its successor is
+# ``(state & keep) | adds``, ``keep`` being the complement of the deletes
+_Step = tuple[int, int, int, GroundAction]
 
 
-def _reachable_ops(domain: DomainDef, problem: ProblemDef) -> list[_Op]:
-    """The grounded operators that can fire in some relaxed-reachable state.
+@functools.lru_cache(maxsize=1)
+def _grounding(
+    domain: DomainDef, objs: tuple[str, ...], static_init: frozenset[tuple]
+) -> tuple[dict[tuple, int], tuple[_Step, ...]]:
+    """The atom-to-bit table and every operator whose static preconditions
+    hold in ``static_init``, as steps in canonical order.
 
-    The same operators, in the same order, as grounding every action by
-    :func:`ground_actions`, dropping operators whose static preconditions
-    fail in ``:init`` (no effect can ever make them true), and keeping only
-    operators a delete-relaxed fixpoint from ``:init`` reaches.  Every state
-    the real search reaches is a subset of the relaxed-reachable atoms, so no
-    dropped operator could ever fire.
+    This depends only on the domain, the sorted objects and the static atoms
+    of ``:init``, so the instances of one family share it; the table holds
+    every atom an operator mentions and is never written once built.
     """
     static = _static_predicates(domain)
-    init = {(atom.pred, atom.args) for atom in problem.init}
-    objs = sorted(problem.objects)
-    ops: list[_Op] = []
+    bits: dict[tuple, int] = {}
+
+    def mask(atoms: tuple) -> int:
+        m = 0
+        for atom in atoms:
+            m |= 1 << bits.setdefault(atom, len(bits))
+        return m
+
+    steps: list[_Step] = []
     for schema in domain.actions:
         index = {param: i for i, param in enumerate(schema.parameters)}
 
@@ -162,14 +183,14 @@ def _reachable_ops(domain: DomainDef, problem: ProblemDef) -> list[_Op]:
         adds = lifted(schema.add_effects)
         dels = lifted(schema.del_effects)
         static_pre = [(pred, pos) for pred, pos in pre if pred in static]
-        for args in _join(len(index), static_pre, objs, init):
-            ops.append((
+        for args in _join(len(index), static_pre, objs, static_init):
+            steps.append((
+                mask(_instantiate(pre, args)),
+                ~mask(_instantiate(dels, args)),
+                mask(_instantiate(adds, args)),
                 GroundAction(schema.name, args),
-                _instantiate(pre, args),
-                _instantiate(adds, args),
-                _instantiate(dels, args),
             ))
-    return _relaxed_reachable(ops, init)
+    return bits, tuple(steps)
 
 
 def _instantiate(atoms: list[tuple[str, tuple[int, ...]]], args: tuple[str, ...]) -> tuple:
@@ -177,27 +198,66 @@ def _instantiate(atoms: list[tuple[str, tuple[int, ...]]], args: tuple[str, ...]
     return tuple([(pred, tuple([args[i] for i in pos])) for pred, pos in atoms])
 
 
-def _relaxed_reachable(ops: list[_Op], init: set[tuple]) -> list[_Op]:
-    """The entries of ``ops`` that a delete-relaxed fixpoint from ``init``
-    fires, in their order."""
-    waiting: dict[tuple, list[int]] = defaultdict(list)
-    unmet: list[int] = []
-    for i, (_, pre, _, _) in enumerate(ops):
-        need = set(pre) - init
-        unmet.append(len(need))
-        for atom in need:
-            waiting[atom].append(i)
-    reached = set(init)
-    agenda = [i for i, count in enumerate(unmet) if count == 0]
-    while agenda:
-        for atom in ops[agenda.pop()][2]:
-            if atom not in reached:
-                reached.add(atom)
-                for j in waiting[atom]:
-                    unmet[j] -= 1
-                    if unmet[j] == 0:
-                        agenda.append(j)
-    return [op for op, count in zip(ops, unmet) if count == 0]
+class _Task(NamedTuple):
+    """One problem in bits: the shared table, the masks of ``:init`` and the
+    goal, and the steps that can fire."""
+
+    bits: Mapping[tuple, int]  # atoms outside it hold the bits above its size
+    init: int
+    goal: int
+    steps: list[_Step]
+
+
+def _reachable_ops(domain: DomainDef, problem: ProblemDef) -> _Task:
+    """The grounded operators that can fire in some relaxed-reachable state.
+
+    The same operators, in the same order, as grounding every action by
+    :func:`ground_actions`, dropping operators whose static preconditions
+    fail in ``:init`` (no effect can ever make them true), and keeping only
+    operators a delete-relaxed fixpoint from ``:init`` reaches.  Every state
+    the real search reaches is a subset of the relaxed-reachable atoms, so no
+    dropped operator could ever fire.  The grounding comes from
+    :func:`_grounding`; only the masks and the relaxed pass are per problem.
+    """
+    static = _static_predicates(domain)
+    init_atoms = [(atom.pred, atom.args) for atom in problem.init]
+    bits, steps = _grounding(
+        domain,
+        tuple(sorted(problem.objects)),
+        frozenset(atom for atom in init_atoms if atom[0] in static),
+    )
+    extra: dict[tuple, int] = {}  # init and goal atoms no operator mentions
+
+    def mask(atoms) -> int:
+        m = 0
+        for atom in atoms:
+            bit = bits.get(atom)
+            if bit is None:
+                bit = extra.setdefault(atom, len(bits) + len(extra))
+            m |= 1 << bit
+        return m
+
+    init = mask(init_atoms)
+    goal = mask((atom.pred, atom.args) for atom in problem.goal)
+    return _Task(bits, init, goal, _relaxed_reachable(steps, init))
+
+
+def _relaxed_reachable(steps: tuple[_Step, ...], init: int) -> list[_Step]:
+    """The entries of ``steps`` that a delete-relaxed fixpoint from ``init``
+    fires, in their order.
+
+    Each sweep fires every step whose precondition the atoms reached so far
+    meet; at the fixpoint a step fired exactly when its precondition is a
+    subset of the reached atoms.
+    """
+    reached = init
+    while True:
+        before = reached
+        for pre, _, adds, _ in steps:
+            if reached & pre == pre:
+                reached |= adds
+        if reached == before:
+            return [step for step in steps if reached & step[0] == step[0]]
 
 
 def bfs_plan(
@@ -209,21 +269,12 @@ def bfs_plan(
     action order (see ground_actions) is returned.  ``LIMIT_EXCEEDED`` means
     the search gave up; ``NO_PLAN`` means it was exhaustive over every
     grounding of every action, repeated arguments included, and found no plan.
+
+    The steps come from :func:`_reachable_ops`, whose grounding a call with
+    the same domain, objects and static atoms as the previous one reuses;
+    the search only tests and applies their masks.
     """
-    ops = _reachable_ops(domain, problem)
-    bits: dict[tuple, int] = {}
-
-    def mask(atoms) -> int:
-        m = 0
-        for atom in atoms:
-            m |= 1 << bits.setdefault(atom, len(bits))
-        return m
-
-    init = mask((atom.pred, atom.args) for atom in problem.init)
-    goal = mask((atom.pred, atom.args) for atom in problem.goal)
-    # (pre, keep, adds, action): applicable when state & pre == pre, and the
-    # successor is (state & keep) | adds, keep being the complement of dels
-    steps = [(mask(pre), ~mask(dels), mask(adds), action) for action, pre, adds, dels in ops]
+    _, init, goal, steps = _reachable_ops(domain, problem)
     if init & goal == goal:
         return SearchResult(SearchStatus.FOUND, Plan(()), 0)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from plancritic.generators import (
     load_manifest,
 )
 from plancritic.orchestrator import read_records
-from plancritic.pddl import parse_plan, print_domain, print_problem
+from plancritic.pddl import parse_plan, print_domain, print_plan, print_problem
+from plancritic.report import score
 
 from .conftest import BW5_PROBLEM_TEXT, CORRECT_PLAN_TEXT, WRONG_PLAN_TEXT
 from .helpers import tree_digest
@@ -285,6 +287,31 @@ class TestObfuscate:
         ).read_text()
 
 
+class TestMockNoiseStreams:
+    """``run``'s flags give the mock planner and the mock critic one
+    ``--seed``; their draws must still be independent."""
+
+    def test_false_positive_rate_on_degraded_plans(self, tmp_path):
+        data = tmp_path / "data"
+        assert cli.main(
+            ["generate", "--benchmark", "blocksworld", "--blocks", "4", "--seed", "1",
+             "--count", "60", "--out", str(data), "--solve"]
+        ) == 0
+        records = tmp_path / "records.jsonl"
+        fp = 0.2  # below golden_prob, where one shared stream never flips a degraded plan
+        assert cli.main(
+            ["run", "--manifest", str(data / "manifest.jsonl"), "--records", str(records),
+             "--planner", "mock", "--golden-prob", "0.3", "--critic", "mock",
+             "--fp", str(fp), "--k", "0", "--seed", "1"]
+        ) == 0
+        dataset = load_dataset(data / "manifest.jsonl")
+        step = score(read_records(records), dataset.domain, dataset.problems).steps[0]
+        wrong = step.fp + step.tn
+        assert wrong >= 30
+        # within three standard deviations of Binomial(wrong, fp)
+        assert abs(step.fp - wrong * fp) <= 3 * math.sqrt(wrong * fp * (1 - fp))
+
+
 class TestRunScoreReport:
     def test_run_score_report_pipeline(self, dataset_dir, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
@@ -518,7 +545,7 @@ class TestRunScoreReport:
         assert code == 0
         assert "accuracy=1.0000" in capsys.readouterr().out
 
-    def test_flags_and_config_write_the_same_records(self, dataset_dir, tmp_path, capsys):
+    def test_flags_and_config_write_the_same_records(self, dataset_dir, tmp_path):
         manifest = str(dataset_dir / "manifest.jsonl")
         pool_dir = tmp_path / "pool"
         assert cli.main(
@@ -547,7 +574,12 @@ class TestRunScoreReport:
             ["run", "--manifest", manifest, "--records", str(by_config), "--config", str(config)]
         ) == 0
         assert by_flags.read_bytes() == by_config.read_bytes()
-        assert "accuracy=1.0000" not in capsys.readouterr().out  # the noise is in play
+        # the noise is in play: the planner degrades some plans, and some
+        # critique's votes split, which the exact critic never does
+        goldens = {pid: print_plan(plan) for pid, plan in load_dataset(manifest).plans.items()}
+        rounds = [(r.problem_id, e) for r in read_records(by_flags) for e in r.iterations]
+        assert any(e.plan != goldens[pid] for pid, e in rounds)
+        assert any(len(e.votes) > 1 for _, e in rounds)
 
     def test_duplicate_ids_refused_before_any_call(self, dataset_dir, tmp_path, capsys):
         manifest = tmp_path / "manifest.jsonl"
@@ -694,6 +726,13 @@ class TestRecordRefusal:
         records.write_text("\n".join(lines) + "\n")
         for argv in self._commands(dataset_dir, records, tmp_path):
             assert reason in self._assert_refused(argv, records, 1, capsys)
+
+    def test_line_not_json_refused(self, records, dataset_dir, tmp_path, capsys):
+        lines = records.read_text().splitlines()
+        records.write_text("\n".join(lines[:2] + ["{not json"]) + "\n")
+        for argv in self._commands(dataset_dir, records, tmp_path):
+            err = self._assert_refused(argv, records, 3, capsys)
+            assert "not JSON (Expecting property name enclosed in double quotes at column 2)" in err
 
 
 class TestArgparseBehavior:

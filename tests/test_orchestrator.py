@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -13,6 +14,7 @@ from plancritic.orchestrator import (
     IterationEntry,
     LoopConfig,
     LlmPlanner,
+    MalformedRecord,
     MockPlanner,
     Planner,
     PlannerBackend,
@@ -589,7 +591,7 @@ class TestRunBatch:
         run_batch(dataset, self.config(), records_path=path)
         with path.open("a") as fh:
             fh.write("{not json\n")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(MalformedRecord, match=rf"{re.escape(str(path))} line \d+: not JSON"):
             run_batch(dataset, self.config(), records_path=path)
 
     def test_exception_is_an_internal_error(self, dataset, tmp_path, monkeypatch):

@@ -196,10 +196,10 @@ class TestScore:
 
 
 class TestScoreOfALoopRun:
-    """Scores of one seeded batch, pinned at values taken before ``score``
-    read records in the loop's shape: a noisy critic, a transcript budget
-    that stops some runs, and a critic that crashes on one problem in
-    round 2."""
+    """Scores of one seeded batch: a noisy critic, a transcript budget that
+    stops some runs, and a critic that crashes on one problem in round 2.
+    First pinned before ``score`` read records in the loop's shape; re-pinned
+    when the mock critic's draws left the planner's stream."""
 
     def test_pinned(self, monkeypatch, tmp_path):
         spec = GenSpec.blocksworld(blocks=4, seed=8, count=24)
@@ -236,8 +236,8 @@ class TestScoreOfALoopRun:
         records = run_batch(dataset, config)
         stops = Counter(r.stop_reason for r in records)
         assert stops == {
-            StopReason.CRITIC_ACCEPTED: 18,
-            StopReason.BUDGET_EXCEEDED: 5,
+            StopReason.CRITIC_ACCEPTED: 20,
+            StopReason.BUDGET_EXCEEDED: 3,
             StopReason.INTERNAL_ERROR: 1,
         }
 
@@ -245,9 +245,9 @@ class TestScoreOfALoopRun:
         assert metrics.accuracy == 10 / 24
         rows = [(s.step, s.n_correct, s.tp, s.fp, s.tn, s.fn) for s in metrics.steps]
         assert rows == [
-            (0, 8, 8, 3, 13, 0),
-            (1, 10, 2, 0, 11, 0),
-            (2, 10, 0, 3, 7, 0),
+            (0, 8, 7, 2, 14, 1),
+            (1, 10, 3, 2, 10, 0),
+            (2, 10, 0, 4, 4, 0),
             (3, 10, 0, 2, 1, 0),
             (4, 10, 0, 0, 0, 0),
         ]

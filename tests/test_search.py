@@ -13,6 +13,7 @@ from plancritic.search import (
     SearchStatus,
     _make_op,
     _reachable_ops,
+    _grounding,
     _static_predicates,
     bfs_plan,
     ground_actions,
@@ -99,16 +100,22 @@ def reference_ops(domain, problem):
 
 
 def as_keys(op):
-    """A _make_op operator in _reachable_ops's form, effects as sets."""
-    def key(atom):
-        return (atom.pred, atom.args)
+    """A _make_op operator as (action, pre, adds, dels) sets of (pred, args)."""
+    def keys(atoms):
+        return frozenset((atom.pred, atom.args) for atom in atoms)
 
-    return (
-        op.action,
-        tuple(map(key, op.pre)),
-        frozenset(map(key, op.adds)),
-        frozenset(map(key, op.dels)),
-    )
+    return (op.action, keys(op.pre), keys(op.adds), keys(op.dels))
+
+
+def decoded(task):
+    """The steps of a _reachable_ops task in as_keys's form, each mask read
+    back through the task's atom table."""
+    atom_of = {bit: atom for atom, bit in task.bits.items()}
+
+    def atoms(mask):
+        return frozenset(atom for bit, atom in atom_of.items() if mask >> bit & 1)
+
+    return [(action, atoms(pre), atoms(adds), atoms(~keep)) for pre, keep, adds, action in task.steps]
 
 
 GROUNDING_SPECS = [
@@ -123,11 +130,77 @@ class TestJoinGrounding:
     def test_equals_brute_force_reference(self, spec):
         domain, problems = generate(spec)
         for problem in problems:
-            ops = [
-                (action, pre, frozenset(adds), frozenset(dels))
-                for action, pre, adds, dels in _reachable_ops(domain, problem)
-            ]
+            ops = decoded(_reachable_ops(domain, problem))
             assert ops == [as_keys(op) for op in reference_ops(domain, problem)]
+
+
+WALK_DOMAIN = """\
+(define (domain walk)
+(:predicates (at ?x) (adj ?x ?y) (visited ?x))
+(:action move
+  :parameters (?from ?to)
+  :precondition (and (at ?from) (adj ?from ?to))
+  :effect (and (not (at ?from)) (at ?to) (visited ?to))))
+"""
+
+
+def walk_problem(domain, adj, init="", goal="(at c4)"):
+    """Cells c1..c4, start at c1; ``adj`` lists the one-way moves."""
+    edges = " ".join(f"(adj {a} {b})" for a, b in adj)
+    return parse_problem(
+        f"(define (problem walk) (:domain walk) (:objects c1 c2 c3 c4) "
+        f"(:init (at c1) {edges} {init}) (:goal (and {goal})))",
+        domain,
+    )
+
+
+LINE = [("c1", "c2"), ("c2", "c3"), ("c3", "c4")]
+
+
+class TestGroundingCache:
+    """Grounding is shared by problems with equal domain, objects and static
+    atoms; everything else about a problem stays per call."""
+
+    def test_static_atoms_are_part_of_the_key(self):
+        domain = parse_domain(WALK_DOMAIN)
+        line = walk_problem(domain, LINE)
+        shortcut = walk_problem(domain, LINE + [("c1", "c4")])
+
+        def fresh(problem):
+            _grounding.cache_clear()
+            result = bfs_plan(domain, problem)
+            return result.plan, result.expanded
+
+        alone = {"line": fresh(line), "shortcut": fresh(shortcut)}
+        assert len(alone["line"][0]) == 3 and len(alone["shortcut"][0]) == 1
+        for order in (["line", "shortcut"], ["shortcut", "line"]):
+            _grounding.cache_clear()
+            for name in order:
+                result = bfs_plan(domain, {"line": line, "shortcut": shortcut}[name])
+                assert (result.plan, result.expanded) == alone[name]
+            assert _grounding.cache_info().misses == 2
+
+    def test_atoms_no_operator_mentions_leave_the_table_alone(self):
+        domain = parse_domain(WALK_DOMAIN)
+        # no move enters c1, so no operator mentions (visited c1)
+        table = _reachable_ops(domain, walk_problem(domain, LINE)).bits
+        size = len(table)
+        misses = _grounding.cache_info().misses
+        kept = walk_problem(domain, LINE, init="(visited c1)", goal="(at c4) (visited c1)")
+        result = bfs_plan(domain, kept)
+        assert result.status is SearchStatus.FOUND and len(result.plan) == 3
+        unreachable = walk_problem(domain, LINE, goal="(at c4) (visited c1)")
+        assert bfs_plan(domain, unreachable).status is SearchStatus.NO_PLAN
+        assert _reachable_ops(domain, unreachable).bits is table
+        assert len(table) == size
+        assert _grounding.cache_info().misses == misses
+
+    def test_one_grounding_per_family(self):
+        domain, problems = generate(GenSpec.blocksworld(blocks=5, seed=1, count=20))
+        _grounding.cache_clear()
+        for problem in problems:
+            assert bfs_plan(domain, problem).status is SearchStatus.FOUND
+        assert _grounding.cache_info().misses == 1
 
 
 TOUCH_DOMAIN = """\
