@@ -10,7 +10,7 @@ exist:
   verification as its critique text.
 * ``mock``: starts from the oracle's label and flips it with configured
   false-positive / false-negative probabilities, deterministically seeded by
-  (seed, problem id, iteration).
+  (seed, problem id, iteration) on a stream apart from the mock planner's.
 """
 
 from __future__ import annotations
@@ -189,7 +189,10 @@ class MockCritic(Critic):
     A truly correct plan is reported wrong with probability
     ``false_negative``; a not-correct plan is reported correct with
     probability ``false_positive``.  The random stream depends only on
-    (seed, problem id, iteration), so reruns reproduce the same answers.
+    (seed, problem id, iteration), so reruns reproduce the same answers; its
+    key starts with ``critic:``, so a mock planner given the same seed draws
+    independent numbers (a shared draw would make a degraded plan, drawn at
+    or above ``golden_prob``, never pass at a lower ``false_positive``).
     """
 
     def __init__(self, config: CriticConfig):

@@ -209,7 +209,8 @@ class _Task(NamedTuple):
 
 
 def _reachable_ops(domain: DomainDef, problem: ProblemDef) -> _Task:
-    """The grounded operators that can fire in some relaxed-reachable state.
+    """``problem`` in bits, with the grounded operators that can fire in some
+    relaxed-reachable state as its steps.
 
     The same operators, in the same order, as grounding every action by
     :func:`ground_actions`, dropping operators whose static preconditions
