@@ -325,7 +325,12 @@ def _fields_of(cls, data, where: str) -> dict:
 
 
 def record_to_dict(record: RunRecord) -> dict:
-    return dataclasses.asdict(record)  # StopReason is a str, so it serializes as its value
+    """The fields of ``record``, its rounds as dicts; the votes and ground
+    truth dicts are the record's own, not copies (``dataclasses.asdict``
+    would deep-copy them at several times the cost)."""
+    data = dict(vars(record))  # StopReason is a str, so it serializes as its value
+    data["iterations"] = [dict(vars(entry)) for entry in record.iterations]
+    return data
 
 
 def record_from_dict(data: dict) -> RunRecord:

@@ -6,6 +6,14 @@ effects.  Plan validation simulates step by step, stops at the first
 inapplicable action, and reports one of three verdicts: the plan is correct,
 the plan is wrong at a specific step (with every unmet precondition listed),
 or the plan executes but the goal is not reached.
+
+Each ground action is bound to its schema once per domain.  A table maps it
+to its ground preconditions in schema order and its frozen delete and add
+sets.  The table belongs to the latest ``DomainDef`` object validated under
+and is keyed by that object's identity, not its value, since hashing a
+domain walks all of it.  A new domain object replaces the pair whole, so a
+thread never reads one domain's table under another domain.  A failed bind
+(unknown action, wrong arity) stores nothing and raises on every call.
 """
 
 from __future__ import annotations
@@ -13,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pddl import (
-    ActionSchema,
     ArityMismatch,
     Atom,
     DomainDef,
@@ -95,31 +102,53 @@ def initial_state(problem: ProblemDef) -> State:
     return frozenset(problem.init)
 
 
-def _bind(domain: DomainDef, action: GroundAction) -> tuple[ActionSchema, dict[str, str]]:
-    schema = domain.action(action.name)
-    if schema is None:
-        raise UnknownAction(f"unknown action {action.name!r}")
-    if len(schema.parameters) != len(action.args):
-        raise ArityMismatch(
-            f"{action.name} expects {len(schema.parameters)} argument(s), got {len(action.args)}"
+# a ground action's preconditions in schema order, its deletes and its adds
+Grounded = tuple[tuple[Atom, ...], frozenset[Atom], frozenset[Atom]]
+
+# the latest domain object validated under and the ground actions bound under it
+_grounded: tuple[DomainDef | None, dict[GroundAction, Grounded]] = (None, {})
+
+
+def _ground(domain: DomainDef, action: GroundAction) -> Grounded:
+    """``action`` bound under ``domain``, from the table when it was bound
+    before; raises UnknownAction or ArityMismatch, storing nothing."""
+    global _grounded
+    held, table = _grounded
+    if held is not domain:
+        table = {}
+        _grounded = (domain, table)
+    grounded = table.get(action)
+    if grounded is None:
+        schema = domain.action(action.name)
+        if schema is None:
+            raise UnknownAction(f"unknown action {action.name!r}")
+        if len(schema.parameters) != len(action.args):
+            raise ArityMismatch(
+                f"{action.name} expects {len(schema.parameters)} argument(s), got {len(action.args)}"
+            )
+        binding = dict(zip(schema.parameters, action.args))
+        grounded = table[action] = (
+            tuple(atom.substitute(binding) for atom in schema.precondition),
+            frozenset(atom.substitute(binding) for atom in schema.del_effects),
+            frozenset(atom.substitute(binding) for atom in schema.add_effects),
         )
-    return schema, dict(zip(schema.parameters, action.args))
+    return grounded
 
 
 def _step(
     state: State, action: GroundAction, domain: DomainDef
 ) -> tuple[tuple[tuple[Atom, bool], ...], State | None]:
-    """Bind ``action`` once: its precondition checks against ``state``, and
-    the successor state when every check holds (None otherwise)."""
-    schema, binding = _bind(domain, action)
-    checks = tuple(
-        (ground, ground in state)
-        for ground in (atom.substitute(binding) for atom in schema.precondition)
-    )
-    if not all(ok for _, ok in checks):
-        return checks, None
-    dels = {atom.substitute(binding) for atom in schema.del_effects}
-    adds = {atom.substitute(binding) for atom in schema.add_effects}
+    """The precondition checks of ``action`` against ``state``, and the
+    successor state when every check holds (None otherwise).
+
+    The ground preconditions, deletes and adds come from the table of the
+    current domain object (see the module docstring); a bind that fails is
+    not stored, so it fails again on the next call."""
+    precondition, dels, adds = _ground(domain, action)
+    checks = tuple([(atom, atom in state) for atom in precondition])
+    for _, ok in checks:
+        if not ok:
+            return checks, None
     return checks, (state - dels) | adds
 
 

@@ -1,4 +1,9 @@
-"""Plan mutation helpers used by the validator/oracle equivalence tests.
+"""Plan mutation helpers and a reference validator, used by the equivalence
+tests.
+
+The reference validator binds the schema afresh on every step, substituting
+each precondition and effect, the way the validator did before it kept a
+table of ground actions.  It shares no code with ``semantics._step``.
 
 Each mutation of a *shortest* plan is guaranteed non-correct:
 
@@ -14,8 +19,15 @@ Each mutation of a *shortest* plan is guaranteed non-correct:
 import hashlib
 import random
 
-from plancritic.pddl import DomainDef, Plan, ProblemDef
+from plancritic.pddl import ArityMismatch, DomainDef, Plan, ProblemDef, UnknownAction
 from plancritic.search import ground_actions, run_plan
+from plancritic.semantics import (
+    Correct,
+    GoalNotReached,
+    StepTrace,
+    ValidationResult,
+    WrongAtStep,
+)
 
 
 def tree_digest(root):
@@ -61,3 +73,38 @@ def mutate_replace(
         if not run_plan(domain, problem, candidate).accepted:
             return candidate
     raise AssertionError("could not find a breaking replacement")
+
+
+def reference_step(state, action, domain: DomainDef):
+    """``(checks, state after or None)`` for one step, substituting the
+    bound schema's atoms on every call."""
+    schema = domain.action(action.name)
+    if schema is None:
+        raise UnknownAction(f"unknown action {action.name!r}")
+    if len(schema.parameters) != len(action.args):
+        raise ArityMismatch(f"{action.name} expects {len(schema.parameters)} argument(s)")
+    binding = dict(zip(schema.parameters, action.args))
+    checks = tuple(
+        (ground, ground in state)
+        for ground in (atom.substitute(binding) for atom in schema.precondition)
+    )
+    if not all(ok for _, ok in checks):
+        return checks, None
+    dels = {atom.substitute(binding) for atom in schema.del_effects}
+    adds = {atom.substitute(binding) for atom in schema.add_effects}
+    return checks, (state - dels) | adds
+
+
+def reference_validate(problem: ProblemDef, plan: Plan, domain: DomainDef) -> ValidationResult:
+    """The validation result ``semantics.validate_plan`` must return."""
+    state = frozenset(problem.init)
+    trace = []
+    for index, action in enumerate(plan.steps, start=1):
+        checks, after = reference_step(state, action, domain)
+        trace.append(StepTrace(index, action, state, checks, after))
+        if after is None:
+            return ValidationResult(WrongAtStep(index, trace[-1].unmet), tuple(trace))
+        state = after
+    unsatisfied = tuple(atom for atom in problem.goal if atom not in state)
+    verdict = GoalNotReached(unsatisfied) if unsatisfied else Correct()
+    return ValidationResult(verdict, tuple(trace))

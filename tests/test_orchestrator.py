@@ -26,6 +26,7 @@ from plancritic.orchestrator import (
     extract_plan,
     make_backends,
     make_planner,
+    _record_line,
     read_records,
     record_from_dict,
     record_to_dict,
@@ -539,6 +540,30 @@ def dataset(tmp_path_factory):
     plans[2] = None  # no golden for this one: the mock planner cannot run it
     manifest = write_dataset(out, domain, problems, spec, plans)
     return load_dataset(manifest)
+
+
+class TestRecordLine:
+    def test_line_is_the_asdict_dump(self, dataset, tmp_path):
+        """A line built field by field is the line ``dataclasses.asdict`` gave."""
+        path = tmp_path / "records.jsonl"
+        config = loop_config(
+            k=1,
+            planner=PlannerConfig(golden_prob=0.3, seed=2),
+            critic=CriticConfig(backend=CriticBackend.ORACLE),
+        )
+        run_batch(dataset, config, records_path=path)
+        records = read_records(path)
+        accepted = next(r for r in records if r.stop_reason is StopReason.CRITIC_ACCEPTED)
+        exhausted = next(r for r in records if r.stop_reason is StopReason.ITERATIONS_EXHAUSTED)
+        no_truth = dataclasses.replace(
+            accepted, stop_reason=StopReason.TRANSPORT_FAILURE, ground_truth=None, error="down"
+        )
+        write_records(path, [accepted, exhausted, no_truth])
+        read_back = read_records(path)
+        assert read_back == [accepted, exhausted, no_truth]
+        lines = [json.dumps(dataclasses.asdict(r), sort_keys=True) + "\n" for r in read_back]
+        assert [_record_line(r) for r in read_back] == lines
+        assert path.read_text() == "".join(lines)
 
 
 class TestRunBatch:

@@ -1,11 +1,23 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plancritic.generators import GenSpec, generate
-from plancritic.pddl import Atom, GroundAction, Plan, parse_plan
+from plancritic.pddl import (
+    ArityMismatch,
+    Atom,
+    GroundAction,
+    Plan,
+    UnknownAction,
+    parse_domain,
+    parse_plan,
+    parse_problem,
+)
+from plancritic.search import SearchLimits, bfs_plan
 from plancritic.semantics import (
     Correct,
     GoalNotReached,
@@ -22,6 +34,8 @@ from plancritic.semantics import (
     precondition_checks,
     validate_plan,
 )
+
+from .helpers import mutate_drop, mutate_swap, reference_validate
 
 # state reached after (unstack b5 b2) from the fixture problem: gains
 # (holding b5) and (clear b2), loses (on b5 b2), (clear b5), (handempty)
@@ -196,3 +210,134 @@ class TestRenamingInvariance:
             assert type(v1) is type(v2)
             if isinstance(v1, WrongAtStep):
                 assert v1.step == v2.step
+
+
+# one seeded instance set per family the benchmark generates
+FAMILIES = {
+    "blocksworld-5": GenSpec.blocksworld(blocks=5, seed=17, count=4),
+    "logistics-easy": GenSpec.logistics_easy(seed=17, count=2),
+    "minigrid-3x3-2keys": GenSpec.minigrid(width=3, height=3, keys=2, seed=17, count=2),
+}
+
+
+def plan_variants(plan, rng):
+    """The golden plan, truncated, with one step dropped, and with two
+    adjacent steps swapped (when it is long enough for each)."""
+    variants = [plan]
+    if len(plan) >= 1:
+        variants += [Plan(plan.steps[:-1]), mutate_drop(plan, rng)]
+    if len(plan) >= 2:
+        variants.append(mutate_swap(plan, rng)[0])
+    return variants
+
+
+class TestReferenceEquivalence:
+    """The table-backed validator returns what binding every step afresh
+    returns: verdict, checks and states, step by step."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_per_step_substitution(self, family):
+        domain, problems = generate(FAMILIES[family])
+        rng = random.Random(family)
+        compared = 0
+        for problem in problems:
+            golden = bfs_plan(domain, problem, SearchLimits()).plan
+            assert golden is not None
+            for plan in plan_variants(golden, rng):
+                expected = reference_validate(problem, plan, domain)
+                assert validate_plan(problem, plan, domain) == expected
+                for step in expected.trace:
+                    state, action = step.state_before, step.action
+                    assert precondition_checks(state, action, domain) == step.checks
+                    assert is_applicable(state, action, domain) == (step.applied, step.unmet)
+                    if step.applied:
+                        assert apply(state, action, domain) == step.state_after
+                    else:
+                        with pytest.raises(InapplicableAction) as failed:
+                            apply(state, action, domain)
+                        assert failed.value.unmet == step.unmet
+                compared += 1
+        assert compared >= 2 * len(problems)
+
+
+FLIP_DOMAIN = """\
+(define (domain flip)
+(:requirements :strips)
+(:predicates (p ?x) (q ?x) (r ?x))
+(:action flip
+  :parameters (?x)
+  :precondition (p ?x)
+  :effect (and (not (p ?x)) ({added} ?x))))
+"""
+
+FLIP_PROBLEM = """\
+(define (problem flip-a) (:domain flip) (:objects a)
+(:init (p a)) (:goal (and (q a))))
+"""
+
+
+class TestDomainTable:
+    """Ground actions are kept per domain object, and a failed bind is never
+    kept."""
+
+    @pytest.fixture()
+    def domains(self):
+        # two domains whose one action shares its name but not its add effect
+        return parse_domain(FLIP_DOMAIN.format(added="q")), parse_domain(FLIP_DOMAIN.format(added="r"))
+
+    def test_each_domain_validates_under_its_own_effects(self, domains):
+        adds_q, adds_r = domains
+        problem = parse_problem(FLIP_PROBLEM, adds_q)
+        plan = Plan((GroundAction("flip", ("a",)),))
+        expected = {
+            id(adds_q): (Correct(), frozenset({Atom("q", ("a",))})),
+            id(adds_r): (GoalNotReached((Atom("q", ("a",)),)), frozenset({Atom("r", ("a",))})),
+        }
+        for domain in (adds_q, adds_r, adds_q, adds_r):
+            result = validate_plan(problem, plan, domain)
+            assert (result.verdict, result.trace[0].state_after) == expected[id(domain)]
+            assert result == reference_validate(problem, plan, domain)
+            state = initial_state(problem)
+            assert apply(state, plan.steps[0], domain) == expected[id(domain)][1]
+
+    def test_threads_on_two_domains_each_see_their_own(self, domains):
+        problem = parse_problem(FLIP_PROBLEM, domains[0])
+        plan = Plan((GroundAction("flip", ("a",)),))
+        expected = [reference_validate(problem, plan, domain) for domain in domains]
+        wrong = []
+
+        def validate(i):
+            for _ in range(300):
+                if validate_plan(problem, plan, domains[i]) != expected[i]:
+                    wrong.append(i)
+
+        # more threads than cores, switching often, so the table is swapped mid-step
+        threads = [threading.Thread(target=validate, args=(i % 2,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_failed_bind_raises_on_every_call(self, bw_domain, bw5_problem, correct_plan):
+        before = validate_plan(bw5_problem, correct_plan, bw_domain)
+        unknown = Plan((correct_plan.steps[0], GroundAction("teleport", ("b5",))))
+        short = GroundAction("unstack", ("b5",))
+        state = initial_state(bw5_problem)
+        for _ in range(3):
+            with pytest.raises(UnknownAction):
+                validate_plan(bw5_problem, unknown, bw_domain)
+            with pytest.raises(ArityMismatch):
+                validate_plan(bw5_problem, Plan((short,)), bw_domain)
+            with pytest.raises(ArityMismatch):
+                apply(state, short, bw_domain)
+            with pytest.raises(UnknownAction):
+                is_applicable(state, GroundAction("teleport", ("b5",)), bw_domain)
+        after = validate_plan(bw5_problem, correct_plan, bw_domain)
+        assert after == before == reference_validate(bw5_problem, correct_plan, bw_domain)
