@@ -608,12 +608,18 @@ def _write_files(
     (out / "domain.pddl").write_text(print_domain(domain) + "\n")
     lines = []
     for entry, problem, plan in zip(entries, problems, plans):
-        record = dataclasses.asdict(entry)
-        record.update(domain_file="domain.pddl", problem_file=entry.problem_file.name)
+        # field by field: dataclasses.asdict would deep-copy params
+        record = {
+            "id": entry.id,
+            "benchmark": entry.benchmark,
+            "seed": entry.seed,
+            "index": entry.index,
+            "params": entry.params,
+            "domain_file": "domain.pddl",
+            "problem_file": entry.problem_file.name,
+        }
         (out / entry.problem_file.name).write_text(print_problem(problem) + "\n")
-        if entry.plan_file is None:
-            del record["plan_file"]
-        else:
+        if entry.plan_file is not None:
             record["plan_file"] = entry.plan_file.name
             text = print_plan(plan)
             (out / entry.plan_file.name).write_text(text + "\n" if text else "")

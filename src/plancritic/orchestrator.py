@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 from .critics import Critic, CriticConfig, CritiqueLabel, make_critic
 from .generators import Dataset, ManifestEntry
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url
-from .pddl import DomainDef, PddlError, Plan, ProblemDef, parse_plan, print_plan
+from .pddl import _STEP, DomainDef, GroundAction, Plan, ProblemDef, print_plan
 from .prompting import (
     BudgetExceeded,
     FewShotPool,
@@ -202,16 +202,22 @@ def extract_plan(text: str, domain: DomainDef) -> Plan:
     lines are ignored.  Output that contains no action at all yields the
     empty plan.
     """
+    # reversed, so that the first of two equal names wins, as in domain.action
+    arity = {schema.name: len(schema.parameters) for schema in reversed(domain.actions)}
     steps = []
     for raw_line in text.splitlines():
-        line = _NUMBERING.sub("", raw_line.split(";", 1)[0].strip())
-        if not (line.startswith("(") and line.endswith(")")):
+        match = _STEP.fullmatch(_NUMBERING.sub("", raw_line.split(";", 1)[0].strip()))
+        if match is None:
             continue
-        try:
-            parsed = parse_plan(line, domain)
-        except PddlError:
+        name, arg_text = match.groups()
+        args = arg_text.split()
+        # the lines parse_plan refuses: a name the domain lacks, a wrong
+        # arity, a ?-variable argument
+        if arity.get(name) != len(args):
             continue
-        steps.extend(parsed.steps)
+        if "?" in arg_text and any(arg.startswith("?") for arg in args):
+            continue
+        steps.append(GroundAction(name, tuple(args)))
     return Plan(tuple(steps))
 
 
@@ -440,6 +446,7 @@ def run_batch(
     # all shots are chosen before any backend call, so a pool too small fails first
     shots = {e.id: select_fewshots(pool, e.id, config.shots) if config.shots else () for e in todo}
     write_lock = threading.Lock()
+    records_file = None
 
     def work(entry: ManifestEntry) -> RunRecord:
         record = run_problem(
@@ -451,15 +458,17 @@ def run_batch(
             shots=shots[entry.id],
             problem_id=entry.id,
         )
-        if records_path is not None:
+        if records_file is not None:
             with write_lock:
-                with Path(records_path).open("a") as fh:
-                    fh.write(_record_line(record))
+                records_file.write(_record_line(record))
+                records_file.flush()
         return record
 
     goldens = {pid: print_plan(plan) for pid, plan in dataset.plans.items()}
     planner, critic = make_backends(config, goldens)
     try:
+        if records_path is not None:
+            records_file = Path(records_path).open("a")
         if parallelism > 1 and len(todo) > 1:
             with ThreadPoolExecutor(max_workers=parallelism) as executor:
                 records = list(executor.map(work, todo))
@@ -467,5 +476,7 @@ def run_batch(
             records = [work(entry) for entry in todo]
     finally:
         critic.close()
+        if records_file is not None:
+            records_file.close()
     results = {record.problem_id: record for record in records}
     return [existing.get(e.id) or results[e.id] for e in dataset.entries]

@@ -10,6 +10,23 @@ ground positive init atoms, and a conjunctive positive goal.  Everything else
 negation outside effects) raises :class:`UnsupportedFeature`; a repeated
 section other than ``:action`` raises :class:`PddlSyntaxError`.
 
+The reader scans a text with one compiled regex, whose ``findall`` yields the
+lexemes (parentheses, symbols, and comments as empty strings).  Symbols stay
+plain strings in the tree, and a list records the lexeme numbers of itself
+and of its items.  A line and column are worked out from match offsets only
+when an error, or a test, asks for one: only ``\\n`` ends a line, and every
+other character is one column.
+
+An atom carries its hash, computed when it is built, and renders its text
+once.  Every ground atom the reader returns, and every atom the validator
+binds (``semantics._ground``), comes from one intern table here, so each
+distinct ground atom is one object and a state lookup hits on identity.  The
+table holds one entry per distinct ground atom read or bound in the process.
+That stays small because generated instances reuse their object names: the
+200 problems of a blocksworld-5 dataset and every plan validated on them
+share 41 atoms.  Atoms built directly are not interned; they are equal to,
+and hash like, the interned ones.
+
 Printing is canonical: lowercase keywords, one init/goal atom per line, init
 atoms sorted, fields otherwise in declaration order.  For any value produced
 by this package, ``parse(print(x)) == x``.
@@ -20,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import NoReturn
 
 
@@ -64,19 +82,63 @@ class UnknownAction(PddlError):
 
 @dataclass(frozen=True)
 class Atom:
-    """A predicate applied to arguments (objects or ?-variables)."""
+    """A predicate applied to arguments (objects or ?-variables).
+
+    The hash is ``hash((pred, args))``, computed when the atom is built; the
+    text is rendered on first use and kept.  Neither is pickled.
+    """
 
     pred: str
     args: tuple[str, ...] = ()
 
+    _text = None  # not a field: the rendered text, once rendered
+
+    def __init__(self, pred: str, args: tuple[str, ...] = ()):
+        # a frozen dataclass sets its fields through object.__setattr__;
+        # writing the instance dict is the same, at a fraction of the cost
+        fields = self.__dict__
+        fields["pred"] = pred
+        fields["args"] = args
+        fields["_hash"] = hash((pred, args))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.pred == other.pred and self.args == other.args
+
+    def __reduce__(self):
+        return Atom, (self.pred, self.args)
+
     def __str__(self) -> str:
-        return "(" + " ".join((self.pred,) + self.args) + ")"
+        text = self._text
+        if text is None:
+            text = self.__dict__["_text"] = "(" + " ".join((self.pred,) + self.args) + ")"
+        return text
 
     def substitute(self, binding: dict[str, str]) -> "Atom":
         return Atom(self.pred, tuple(binding.get(a, a) for a in self.args))
 
-    def sort_key(self) -> tuple:
-        return (self.pred, self.args)
+
+# the order atoms print in: by predicate, then arguments; a C-level key
+ATOM_ORDER = attrgetter("pred", "args")
+
+# every ground atom read or bound, by (pred, args); see the module docstring
+_atoms: dict[tuple[str, tuple[str, ...]], Atom] = {}
+
+
+def intern_atom(pred: str, args: tuple[str, ...] = ()) -> Atom:
+    """The one ``Atom(pred, args)`` of this process that the reader and the
+    validator share; equal to, and hashed like, any other equal atom."""
+    atom = _atoms.get((pred, args))
+    if atom is None:
+        # setdefault is atomic, so racing threads still get one object
+        atom = _atoms.setdefault((pred, args), Atom(pred, args))
+    return atom
 
 
 @dataclass(frozen=True)
@@ -155,105 +217,117 @@ class Plan:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / reader
+# Reader
 
 
-@dataclass(frozen=True)
-class _Sym:
-    text: str
-    line: int
-    col: int
+# One lexeme: a ``;`` comment, read as an empty group so that it is skipped,
+# or a parenthesis or a symbol in the group.  ``\s`` is ``str.isspace``.
+_LEXEME = re.compile(r";[^\n]*|([()]|[^\s();]+)")
 
 
-@dataclass(frozen=True)
+class _Source:
+    """A text being read, whose first line is numbered ``first_line``.
+
+    Lexemes are numbered in order, comments included.  Where one starts is
+    worked out only when asked for, from the offsets of a second scan.
+    """
+
+    __slots__ = ("text", "first_line", "_starts")
+
+    def __init__(self, text: str, first_line: int):
+        self.text = text
+        self.first_line = first_line
+        self._starts: list[int] | None = None
+
+    def position(self, index: int) -> tuple[int, int]:
+        """Line and column of lexeme ``index``.  Only ``\\n`` ends a line, and
+        every other character, whitespace included, is one column."""
+        if self._starts is None:
+            self._starts = [m.start() for m in _LEXEME.finditer(self.text)]
+        offset = self._starts[index]
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return self.first_line + self.text.count("\n", 0, line_start), offset - line_start + 1
+
+
 class _SList:
-    items: tuple
-    line: int
-    col: int
+    """A parenthesized expression: its items, each a symbol (``str``) or an
+    ``_SList``, and the numbers of its own and its items' first lexemes."""
+
+    __slots__ = ("items", "_source", "_index", "_item_indexes")
+
+    def __init__(self, items: tuple, source: _Source, index: int, item_indexes: list[int]):
+        self.items = items
+        self._source = source
+        self._index = index
+        self._item_indexes = item_indexes
+
+    def position(self) -> tuple[int, int]:
+        """Line and column of the opening parenthesis."""
+        return self._source.position(self._index)
+
+    def item_position(self, i: int) -> tuple[int, int]:
+        """Line and column where item ``i`` starts."""
+        return self._source.position(self._item_indexes[i])
 
 
-def _tokenize(text: str, line: int = 1):
-    col = 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line, col
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and not text[i].isspace() and text[i] not in "();":
-                i += 1
-                col += 1
-            yield text[start:i], line, start_col
-
-
-def _read_all(text: str, first_line: int = 1) -> list:
+def _read_all(text: str, first_line: int = 1) -> _SList:
     """Read every top-level s-expression in ``text``, whose first line is
-    numbered ``first_line``."""
-    stack: list[list] = []
-    top: list = []
-    positions: list[tuple[int, int]] = []
-    for tok, line, col in _tokenize(text, first_line):
-        if tok == "(":
-            stack.append([])
-            positions.append((line, col))
-        elif tok == ")":
+    numbered ``first_line``; they are the items of the list returned, which
+    has no position of its own."""
+    source = _Source(text, first_line)
+    stack: list[tuple[list, list[int], int]] = []
+    items: list = []
+    indexes: list[int] = []
+    start = -1
+    for index, lexeme in enumerate(_LEXEME.findall(text)):
+        if lexeme == "(":
+            stack.append((items, indexes, start))
+            items, indexes, start = [], [], index
+        elif lexeme == ")":
             if not stack:
-                raise PddlSyntaxError("unbalanced ')'", line, col)
-            items = stack.pop()
-            pline, pcol = positions.pop()
-            node = _SList(tuple(items), pline, pcol)
-            (stack[-1] if stack else top).append(node)
-        else:
-            node = _Sym(tok, line, col)
-            (stack[-1] if stack else top).append(node)
+                raise PddlSyntaxError("unbalanced ')'", *source.position(index))
+            node = _SList(tuple(items), source, start, indexes)
+            items, indexes, start = stack.pop()
+            items.append(node)
+            indexes.append(node._index)
+        elif lexeme:
+            items.append(lexeme)
+            indexes.append(index)
     if stack:
-        line, col = positions[-1]
-        raise PddlSyntaxError("unbalanced '('", line, col)
-    return top
+        raise PddlSyntaxError("unbalanced '('", *source.position(start))
+    return _SList(tuple(items), source, -1, indexes)
 
 
 def _read_one(text: str, what: str) -> _SList:
-    nodes = _read_all(text)
-    if not nodes:
+    top = _read_all(text)
+    if not top.items:
         raise PddlSyntaxError(f"empty {what}")
-    if len(nodes) > 1:
-        extra = nodes[1]
-        raise PddlSyntaxError(f"trailing content after {what}", extra.line, extra.col)
-    node = nodes[0]
+    if len(top.items) > 1:
+        raise PddlSyntaxError(f"trailing content after {what}", *top.item_position(1))
+    node = top.items[0]
     if not isinstance(node, _SList):
-        raise PddlSyntaxError(f"{what} must be a parenthesized expression", node.line, node.col)
+        raise PddlSyntaxError(f"{what} must be a parenthesized expression", *top.item_position(0))
     return node
 
 
 def _is_kw(node, word: str) -> bool:
-    return isinstance(node, _Sym) and node.text.lower() == word
+    return isinstance(node, str) and node.lower() == word
 
 
-def _sym_text(node, what: str) -> str:
-    if not isinstance(node, _Sym):
-        raise PddlSyntaxError(f"expected {what}", node.line, node.col)
-    return node.text
+def _symbol(node: _SList, i: int, what: str) -> str:
+    """Item ``i`` of ``node``, which must be a symbol."""
+    item = node.items[i]
+    if not isinstance(item, str):
+        raise PddlSyntaxError(f"expected {what}", *item.position())
+    return item
 
 
-def _check_name(name: str, node, what: str) -> str:
+def _check_name(name: str, node: _SList, i: int, what: str) -> str:
+    """``name``, item ``i`` of ``node``, if it can name a thing."""
     if name.startswith(":") or name.startswith("?"):
-        raise PddlSyntaxError(f"invalid {what} {name!r}", node.line, node.col)
+        raise PddlSyntaxError(f"invalid {what} {name!r}", *node.item_position(i))
     if name == "-":
-        raise UnsupportedFeature("types are not supported", node.line, node.col)
+        raise UnsupportedFeature("types are not supported", *node.item_position(i))
     return name
 
 
@@ -266,170 +340,179 @@ def _read_define(text: str, kind: str, keys: tuple[str, ...]) -> tuple[str, list
     root = _read_one(text, kind)
     items = root.items
     if not items or not _is_kw(items[0], "define"):
-        raise PddlSyntaxError(f"{kind} must start with (define ...)", root.line, root.col)
+        raise PddlSyntaxError(f"{kind} must start with (define ...)", *root.position())
     if len(items) < 2 or not isinstance(items[1], _SList):
-        raise PddlSyntaxError(f"missing ({kind} NAME)", root.line, root.col)
-    head = items[1].items
-    if len(head) != 2 or not _is_kw(head[0], kind):
-        raise PddlSyntaxError(f"missing ({kind} NAME)", items[1].line, items[1].col)
-    name = _check_name(_sym_text(head[1], f"{kind} name"), head[1], f"{kind} name")
+        raise PddlSyntaxError(f"missing ({kind} NAME)", *root.position())
+    head = items[1]
+    if len(head.items) != 2 or not _is_kw(head.items[0], kind):
+        raise PddlSyntaxError(f"missing ({kind} NAME)", *head.position())
+    name = _check_name(_symbol(head, 1, f"{kind} name"), head, 1, f"{kind} name")
     sections: list[tuple[str, _SList]] = []
-    for section in items[2:]:
+    for i in range(2, len(items)):
+        section = items[i]
         if not isinstance(section, _SList) or not section.items:
-            raise PddlSyntaxError(f"expected a {kind} section", section.line, section.col)
-        key = _sym_text(section.items[0], "section keyword").lower()
+            raise PddlSyntaxError(f"expected a {kind} section", *root.item_position(i))
+        key = _symbol(section, 0, "section keyword").lower()
         if key not in keys:
-            raise UnsupportedFeature(f"{kind} section {key!r}", section.line, section.col)
+            raise UnsupportedFeature(f"{kind} section {key!r}", *section.position())
         if key != ":action" and any(key == seen for seen, _ in sections):
-            raise PddlSyntaxError(f"duplicate {key} section", section.line, section.col)
+            raise PddlSyntaxError(f"duplicate {key} section", *section.position())
         sections.append((key, section))
     return name, sections
 
 
-def _parse_names(items, what: str, *, variables: bool) -> tuple[str, ...]:
-    """Read an untyped list of distinct names: ``?``-variables or object names."""
+def _parse_names(node: _SList, first: int, what: str, *, variables: bool) -> tuple[str, ...]:
+    """Read the items of ``node`` from ``first`` on as an untyped list of
+    distinct names: ``?``-variables or object names."""
     names: list[str] = []
-    for item in items:
-        name = _sym_text(item, what)
+    for i in range(first, len(node.items)):
+        name = _symbol(node, i, what)
         if not variables:
-            _check_name(name, item, what)
+            _check_name(name, node, i, what)
         elif name == "-":
-            raise UnsupportedFeature("typed parameters are not supported", item.line, item.col)
+            raise UnsupportedFeature("typed parameters are not supported", *node.item_position(i))
         elif not name.startswith("?"):
-            raise PddlSyntaxError(f"{what} {name!r} must start with '?'", item.line, item.col)
+            raise PddlSyntaxError(f"{what} {name!r} must start with '?'", *node.item_position(i))
         if name in names:
-            raise PddlSyntaxError(f"duplicate {what} {name!r}", item.line, item.col)
+            raise PddlSyntaxError(f"duplicate {what} {name!r}", *node.item_position(i))
         names.append(name)
     return tuple(names)
 
 
 # ---------------------------------------------------------------------------
 # Formulas
+#
+# A formula reader takes the expression around the formula and the formula's
+# index in it, so that an error can name where the formula starts.
 
 
 _ADL_WORDS = {"or", "imply", "exists", "forall", "when", "oneof", "either"}
+# words that _atom_name refuses as a predicate name, lowercased
+_NOT_NAMES = _ADL_WORDS | {"not", "and"}
 
 
-def _atom_name(node, what: str) -> str:
-    """The predicate name heading ``node``, an atom or a predicate declaration."""
+def _atom_name(parent: _SList, i: int, what: str) -> str:
+    """The predicate name heading item ``i`` of ``parent``, an atom or a
+    predicate declaration."""
+    node = parent.items[i]
     if not isinstance(node, _SList):
-        raise PddlSyntaxError(f"expected atom in {what}", node.line, node.col)
+        raise PddlSyntaxError(f"expected atom in {what}", *parent.item_position(i))
     if not node.items:
-        raise PddlSyntaxError(f"empty atom in {what}", node.line, node.col)
-    head = node.items[0]
-    name = _sym_text(head, f"predicate name in {what}")
+        raise PddlSyntaxError(f"empty atom in {what}", *node.position())
+    name = _symbol(node, 0, f"predicate name in {what}")
     word = name.lower()
     if word == "not":
         # STRIPS negates only in effects, which _parse_literal reads first
-        raise UnsupportedFeature(f"negation is not supported in {what}", node.line, node.col)
+        raise UnsupportedFeature(f"negation is not supported in {what}", *node.position())
     if word in _ADL_WORDS:
-        raise UnsupportedFeature(f"'{name}' is not supported", head.line, head.col)
+        raise UnsupportedFeature(f"'{name}' is not supported", *node.item_position(0))
     if word == "and":
-        raise PddlSyntaxError(f"misplaced '{name}' in {what}", head.line, head.col)
-    return _check_name(name, head, "predicate name")
+        raise PddlSyntaxError(f"misplaced '{name}' in {what}", *node.item_position(0))
+    return _check_name(name, node, 0, "predicate name")
 
 
-def _parse_atom(node, what: str, predicates: dict[str, Predicate], objects=None) -> Atom:
+def _parse_atom(parent: _SList, i: int, what: str, predicates: dict[str, Predicate], objects=None) -> Atom:
     """Read an atom over a declared predicate, with the declared arity.
 
-    Given ``objects``, the atom is ground and each argument must be one of
-    them; otherwise it is a schema atom and each argument a ``?``-variable.
+    Given ``objects``, the atom is ground, each argument must be one of them,
+    and the atom comes from the intern table; otherwise it is a schema atom
+    and each argument a ``?``-variable.
     """
-    name = _atom_name(node, what)
-    head = node.items[0]
+    name = _atom_name(parent, i, what)
+    node = parent.items[i]
     decl = predicates.get(name)
     if decl is None:
-        raise UnknownPredicate(f"undeclared predicate {name!r} in {what}", head.line, head.col)
-    args = []
-    for item in node.items[1:]:
-        arg = _sym_text(item, f"argument in {what}")
+        raise UnknownPredicate(f"undeclared predicate {name!r} in {what}", *node.item_position(0))
+    for j in range(1, len(node.items)):
+        arg = _symbol(node, j, f"argument in {what}")
         if arg == "-":
-            raise UnsupportedFeature("types are not supported", item.line, item.col)
+            raise UnsupportedFeature("types are not supported", *node.item_position(j))
         if arg.startswith("?"):
             if objects is not None:
-                raise PddlSyntaxError(f"variable {arg!r} in ground atom", item.line, item.col)
+                raise PddlSyntaxError(f"variable {arg!r} in ground atom", *node.item_position(j))
         elif objects is None:
             # schema atoms must be fully lifted; bare constants would need a
             # :constants section, which the subset does not include
-            raise UnsupportedFeature(f"constant {arg!r} in action definition", item.line, item.col)
+            raise UnsupportedFeature(f"constant {arg!r} in action definition", *node.item_position(j))
         elif arg not in objects:
-            raise UnknownObject(f"undeclared object {arg!r} in {what}", item.line, item.col)
-        args.append(arg)
+            raise UnknownObject(f"undeclared object {arg!r} in {what}", *node.item_position(j))
+    args = node.items[1:]
     if decl.arity != len(args):
         raise ArityMismatch(
             f"{name} expects {decl.arity} argument(s), got {len(args)} in {what}",
-            node.line,
-            node.col,
+            *node.position(),
         )
-    return Atom(name, tuple(args))
+    return Atom(name, args) if objects is None else intern_atom(name, args)
 
 
-def _parse_literal(node, what: str, predicates: dict[str, Predicate]) -> Literal:
+def _parse_literal(parent: _SList, i: int, what: str, predicates: dict[str, Predicate]) -> Literal:
+    node = parent.items[i]
     if isinstance(node, _SList) and node.items and _is_kw(node.items[0], "not"):
         if len(node.items) != 2:
-            raise PddlSyntaxError("'not' takes exactly one atom", node.line, node.col)
-        return Literal(_parse_atom(node.items[1], what, predicates), positive=False)
-    return Literal(_parse_atom(node, what, predicates), positive=True)
+            raise PddlSyntaxError("'not' takes exactly one atom", *node.position())
+        return Literal(_parse_atom(node, 1, what, predicates), positive=False)
+    return Literal(_parse_atom(parent, i, what, predicates), positive=True)
 
 
-def _parse_conjunction(node, what: str, parse_item) -> tuple:
+def _parse_conjunction(parent: _SList, i: int, what: str, parse_item) -> tuple:
     """Parse ``(and item...)``, a bare item, or ``(and)`` for none."""
+    node = parent.items[i]
     if not isinstance(node, _SList):
-        raise PddlSyntaxError(f"expected {what}", node.line, node.col)
-    items = node.items[1:] if node.items and _is_kw(node.items[0], "and") else (node,)
-    return tuple(parse_item(item, what) for item in items)
+        raise PddlSyntaxError(f"expected {what}", *parent.item_position(i))
+    if node.items and _is_kw(node.items[0], "and"):
+        return tuple(parse_item(node, j, what) for j in range(1, len(node.items)))
+    return (parse_item(parent, i, what),)
 
 
 # ---------------------------------------------------------------------------
 # Domain parsing
 
 
-def _parse_action(node, predicates: dict[str, Predicate]) -> ActionSchema:
+def _parse_action(node: _SList, predicates: dict[str, Predicate]) -> ActionSchema:
     items = node.items
     if len(items) < 2:
-        raise PddlSyntaxError("incomplete action definition", node.line, node.col)
-    name = _check_name(_sym_text(items[1], "action name"), items[1], "action name")
+        raise PddlSyntaxError("incomplete action definition", *node.position())
+    name = _check_name(_symbol(node, 1, "action name"), node, 1, "action name")
     params: tuple[str, ...] = ()
     precond: tuple[Atom, ...] = ()
     effects: tuple[Literal, ...] = ()
     seen: set[str] = set()
     i = 2
     while i < len(items):
-        key_node = items[i]
-        key = _sym_text(key_node, "action section keyword").lower()
+        key = _symbol(node, i, "action section keyword").lower()
         if key in seen:
-            raise PddlSyntaxError(f"duplicate {key} in action {name}", key_node.line, key_node.col)
+            raise PddlSyntaxError(f"duplicate {key} in action {name}", *node.item_position(i))
         seen.add(key)
         if i + 1 >= len(items):
-            raise PddlSyntaxError(f"missing value for {key}", key_node.line, key_node.col)
-        value = items[i + 1]
+            raise PddlSyntaxError(f"missing value for {key}", *node.item_position(i))
         if key == ":parameters":
+            value = items[i + 1]
             if not isinstance(value, _SList):
-                raise PddlSyntaxError(f"expected parameter list for {name}", value.line, value.col)
-            params = _parse_names(value.items, "parameter", variables=True)
+                raise PddlSyntaxError(f"expected parameter list for {name}", *node.item_position(i + 1))
+            params = _parse_names(value, 0, "parameter", variables=True)
         elif key == ":precondition":
             precond = _parse_conjunction(
-                value, f"precondition of {name}", partial(_parse_atom, predicates=predicates)
+                node, i + 1, f"precondition of {name}", partial(_parse_atom, predicates=predicates)
             )
         elif key == ":effect":
             effects = _parse_conjunction(
-                value, f"effect of {name}", partial(_parse_literal, predicates=predicates)
+                node, i + 1, f"effect of {name}", partial(_parse_literal, predicates=predicates)
             )
         else:
-            raise UnsupportedFeature(f"action section {key!r}", key_node.line, key_node.col)
+            raise UnsupportedFeature(f"action section {key!r}", *node.item_position(i))
         i += 2
 
     param_set = set(params)
     for atom in precond + tuple(lit.atom for lit in effects):
         for arg in atom.args:
             if arg not in param_set:
-                raise PddlSyntaxError(f"unbound variable {arg!r} in action {name}", node.line, node.col)
+                raise PddlSyntaxError(f"unbound variable {arg!r} in action {name}", *node.position())
     adds = {lit.atom for lit in effects if lit.positive}
     dels = {lit.atom for lit in effects if not lit.positive}
     conflict = adds & dels
     if conflict:
         raise PddlSyntaxError(
-            f"effect of {name} both adds and deletes {next(iter(conflict))}", node.line, node.col
+            f"effect of {name} both adds and deletes {next(iter(conflict))}", *node.position()
         )
     return ActionSchema(name, params, precond, effects)
 
@@ -439,27 +522,26 @@ def parse_domain(text: str) -> DomainDef:
     name, sections = _read_define(text, "domain", (":requirements", ":predicates", ":action"))
     # declarations first, so every schema atom is checked where it is read
     predicates: dict[str, Predicate] = {}
-    for decl in next((s.items[1:] for key, s in sections if key == ":predicates"), ()):
+    decls = next((s for key, s in sections if key == ":predicates"), None)
+    for i in range(1, len(decls.items)) if decls is not None else ():
         pred = Predicate(
-            _atom_name(decl, ":predicates"),
-            _parse_names(decl.items[1:], "parameter", variables=True),
+            _atom_name(decls, i, ":predicates"),
+            _parse_names(decls.items[i], 1, "parameter", variables=True),
         )
         if pred.name in predicates:
-            raise PddlSyntaxError(f"duplicate predicate {pred.name!r}", decl.line, decl.col)
+            raise PddlSyntaxError(f"duplicate predicate {pred.name!r}", *decls.item_position(i))
         predicates[pred.name] = pred
     actions: list[ActionSchema] = []
     for key, section in sections:
         if key == ":requirements":
-            for item in section.items[1:]:
-                req = _sym_text(item, "requirement")
+            for i in range(1, len(section.items)):
+                req = _symbol(section, i, "requirement")
                 if req.lower() != ":strips":
-                    raise UnsupportedFeature(
-                        f"requirement {req} is not supported", section.line, section.col
-                    )
+                    raise UnsupportedFeature(f"requirement {req} is not supported", *section.position())
         elif key == ":action":
             schema = _parse_action(section, predicates)
             if any(a.name == schema.name for a in actions):
-                raise PddlSyntaxError(f"duplicate action {schema.name!r}", section.line, section.col)
+                raise PddlSyntaxError(f"duplicate action {schema.name!r}", *section.position())
             actions.append(schema)
     # :strips is the only requirement accepted, and the implicit one
     return DomainDef(name, (":strips",), tuple(predicates.values()), tuple(actions))
@@ -479,29 +561,45 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
         raise PddlSyntaxError("problem is missing a (:domain ...) section")
     node = section[":domain"]
     if len(node.items) != 2:
-        raise PddlSyntaxError("(:domain NAME) takes one name", node.line, node.col)
-    name_node = node.items[1]
-    domain_name = _sym_text(name_node, "domain name")
+        raise PddlSyntaxError("(:domain NAME) takes one name", *node.position())
+    domain_name = _symbol(node, 1, "domain name")
     if domain_name != domain.name:
         raise PddlSyntaxError(
             f"problem references domain {domain_name!r}, expected {domain.name!r}",
-            name_node.line,
-            name_node.col,
+            *node.item_position(1),
         )
     if ":goal" not in section:
         raise PddlSyntaxError("problem is missing a (:goal ...) section")
-    node = section[":goal"]
-    if len(node.items) != 2:
-        raise PddlSyntaxError("(:goal ...) takes one formula", node.line, node.col)
+    goal_node = section[":goal"]
+    if len(goal_node.items) != 2:
+        raise PddlSyntaxError("(:goal ...) takes one formula", *goal_node.position())
 
-    def body(key: str) -> tuple:
-        return section[key].items[1:] if key in section else ()
-
-    objects = _parse_names(body(":objects"), "object name", variables=False)
+    objects: tuple[str, ...] = ()
+    if ":objects" in section:
+        objects = _parse_names(section[":objects"], 1, "object name", variables=False)
+    object_set = set(objects)
     predicates = {p.name: p for p in domain.predicates}
-    parse = partial(_parse_atom, predicates=predicates, objects=set(objects))
-    init = [parse(item, ":init") for item in body(":init")]
-    goal = _parse_conjunction(node.items[1], ":goal", parse)
+    # the declared names that _atom_name accepts: all of them, unless the
+    # domain was built in code rather than read
+    arities = {
+        pred: p.arity
+        for pred, p in predicates.items()
+        if pred.lower() not in _NOT_NAMES and pred[:1] not in (":", "?") and pred != "-"
+    }
+
+    def parse(parent: _SList, i: int, what: str) -> Atom:
+        # an atom of declared objects over an accepted predicate, with its arity,
+        # passes every check of _parse_atom, which reads any other to its error
+        node = parent.items[i]
+        if node.__class__ is _SList and node.items:
+            args = node.items[1:]
+            if arities.get(node.items[0]) == len(args) and object_set.issuperset(args):
+                return intern_atom(node.items[0], args)
+        return _parse_atom(parent, i, what, predicates, object_set)
+
+    init_node = section.get(":init")
+    init = [parse(init_node, i, ":init") for i in range(1, len(init_node.items))] if init_node else []
+    goal = _parse_conjunction(goal_node, 1, ":goal", parse)
     return ProblemDef(name, domain_name, objects, frozenset(init), goal)
 
 
@@ -526,15 +624,15 @@ def _refuse_plan_line(code: str, lineno: int, column: int) -> NoReturn:
     ``code`` is the raw line without its comment and ``column`` the column of
     its first non-blank character.
     """
-    nodes = _read_all(code, lineno)
-    if len(nodes) != 1 or not isinstance(nodes[0], _SList):
+    top = _read_all(code, lineno)
+    if len(top.items) != 1 or not isinstance(top.items[0], _SList):
         raise PddlSyntaxError("expected one (action args...) per line", lineno, column)
-    node = nodes[0]
+    node = top.items[0]
     if not node.items:
-        raise PddlSyntaxError("empty action", lineno, node.col)
-    _sym_text(node.items[0], "action name")
-    for item in node.items[1:]:
-        _check_plan_arg(_sym_text(item, "action argument"), item.line, item.col)
+        raise PddlSyntaxError("empty action", *node.position())
+    _symbol(node, 0, "action name")
+    for i in range(1, len(node.items)):
+        _check_plan_arg(_symbol(node, i, "action argument"), *node.item_position(i))
     raise AssertionError(f"_STEP refused a well-formed plan line: {code!r}")
 
 
@@ -621,7 +719,7 @@ def print_problem(problem: ProblemDef) -> str:
         "(:objects " + " ".join(problem.objects) + ")" if problem.objects else "(:objects)",
         "(:init",
     ]
-    lines.extend(str(atom) for atom in sorted(problem.init, key=Atom.sort_key))
+    lines.extend(map(str, sorted(problem.init, key=ATOM_ORDER)))
     lines.append(")")
     if problem.goal:
         lines.append("(:goal (and")

@@ -13,7 +13,16 @@ sets.  The table belongs to the latest ``DomainDef`` object validated under
 and is keyed by that object's identity, not its value, since hashing a
 domain walks all of it.  A new domain object replaces the pair whole, so a
 thread never reads one domain's table under another domain.  A failed bind
-(unknown action, wrong arity) stores nothing and raises on every call.
+(unknown action, wrong arity) stores nothing and raises on every call.  The
+table is keyed by the action's ``(name, args)`` tuple, which hashes and
+compares in C.
+
+The bound atoms come from the intern table of ``pddl``, the one the reader
+takes a problem's ``:init`` and goal atoms from.  So a precondition and the
+equal atom of a state read from text are one object: ``atom in state`` and
+``state - dels`` match on identity and run no Python ``__eq__``, and the
+atom's hash is the one it carries.  An atom built in code, as the generators
+do, is a different object; it still matches, through ``Atom.__eq__``.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pddl import (
+    ATOM_ORDER,
     ArityMismatch,
     Atom,
     DomainDef,
@@ -29,6 +39,7 @@ from .pddl import (
     Plan,
     ProblemDef,
     UnknownAction,
+    intern_atom,
 )
 
 State = frozenset[Atom]
@@ -105,19 +116,22 @@ def initial_state(problem: ProblemDef) -> State:
 # a ground action's preconditions in schema order, its deletes and its adds
 Grounded = tuple[tuple[Atom, ...], frozenset[Atom], frozenset[Atom]]
 
-# the latest domain object validated under and the ground actions bound under it
-_grounded: tuple[DomainDef | None, dict[GroundAction, Grounded]] = (None, {})
+# the latest domain object validated under and the ground actions bound under
+# it, by (name, args)
+_grounded: tuple[DomainDef | None, dict[tuple[str, tuple[str, ...]], Grounded]] = (None, {})
 
 
 def _ground(domain: DomainDef, action: GroundAction) -> Grounded:
     """``action`` bound under ``domain``, from the table when it was bound
-    before; raises UnknownAction or ArityMismatch, storing nothing."""
+    before; raises UnknownAction or ArityMismatch, storing nothing.  Each
+    atom comes from the reader's intern table."""
     global _grounded
     held, table = _grounded
     if held is not domain:
         table = {}
         _grounded = (domain, table)
-    grounded = table.get(action)
+    key = (action.name, action.args)
+    grounded = table.get(key)
     if grounded is None:
         schema = domain.action(action.name)
         if schema is None:
@@ -127,10 +141,14 @@ def _ground(domain: DomainDef, action: GroundAction) -> Grounded:
                 f"{action.name} expects {len(schema.parameters)} argument(s), got {len(action.args)}"
             )
         binding = dict(zip(schema.parameters, action.args))
-        grounded = table[action] = (
-            tuple(atom.substitute(binding) for atom in schema.precondition),
-            frozenset(atom.substitute(binding) for atom in schema.del_effects),
-            frozenset(atom.substitute(binding) for atom in schema.add_effects),
+
+        def bind(atom: Atom) -> Atom:
+            return intern_atom(atom.pred, tuple([binding.get(a, a) for a in atom.args]))
+
+        grounded = table[key] = (
+            tuple(map(bind, schema.precondition)),
+            frozenset(map(bind, schema.del_effects)),
+            frozenset(map(bind, schema.add_effects)),
         )
     return grounded
 
@@ -215,7 +233,7 @@ def verdict_phrase(verdict: PlanVerdict) -> str:
 
 
 def format_state(state: State) -> str:
-    return "\n".join(str(atom) for atom in sorted(state, key=Atom.sort_key))
+    return "\n".join(map(str, sorted(state, key=ATOM_ORDER)))
 
 
 def format_trace(result: ValidationResult) -> str:

@@ -1,9 +1,13 @@
-"""Plan mutation helpers and a reference validator, used by the equivalence
-tests.
+"""Plan mutation helpers and reference versions of the reader, the validator
+and the plan extractor, used by the equivalence tests.
 
-The reference validator binds the schema afresh on every step, substituting
-each precondition and effect, the way the validator did before it kept a
-table of ground actions.  It shares no code with ``semantics._step``.
+The reference reader walks the text one character at a time, the way the
+PDDL reader did before it scanned with one regex.  The reference validator
+binds the schema afresh on every step, substituting each precondition and
+effect, the way the validator did before it kept a table of ground actions;
+it shares no code with ``semantics._step``.  The reference extractor runs
+``parse_plan`` on every reply line, as ``extract_plan`` did before it read
+each line with one match.
 
 Each mutation of a *shortest* plan is guaranteed non-correct:
 
@@ -18,8 +22,19 @@ Each mutation of a *shortest* plan is guaranteed non-correct:
 
 import hashlib
 import random
+from dataclasses import dataclass
 
-from plancritic.pddl import ArityMismatch, DomainDef, Plan, ProblemDef, UnknownAction
+from plancritic.orchestrator import _NUMBERING
+from plancritic.pddl import (
+    ArityMismatch,
+    DomainDef,
+    PddlError,
+    PddlSyntaxError,
+    Plan,
+    ProblemDef,
+    UnknownAction,
+    parse_plan,
+)
 from plancritic.search import ground_actions, run_plan
 from plancritic.semantics import (
     Correct,
@@ -108,3 +123,84 @@ def reference_validate(problem: ProblemDef, plan: Plan, domain: DomainDef) -> Va
     unsatisfied = tuple(atom for atom in problem.goal if atom not in state)
     verdict = GoalNotReached(unsatisfied) if unsatisfied else Correct()
     return ValidationResult(verdict, tuple(trace))
+
+
+@dataclass(frozen=True)
+class RefSym:
+    text: str
+    line: int
+    col: int
+
+
+@dataclass(frozen=True)
+class RefList:
+    items: tuple
+    line: int
+    col: int
+
+
+def _reference_lexemes(text: str, line: int):
+    col = 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            yield ch, line, col
+            col += 1
+            i += 1
+        else:
+            start = i
+            start_col = col
+            while i < n and not text[i].isspace() and text[i] not in "();":
+                i += 1
+                col += 1
+            yield text[start:i], line, start_col
+
+
+def reference_read(text: str, first_line: int = 1) -> list:
+    """Every top-level s-expression in ``text``, as ``RefSym`` and ``RefList``
+    nodes; raises the reader's ``PddlSyntaxError`` for unbalanced input."""
+    stack: list[list] = []
+    top: list = []
+    positions: list[tuple[int, int]] = []
+    for tok, line, col in _reference_lexemes(text, first_line):
+        if tok == "(":
+            stack.append([])
+            positions.append((line, col))
+        elif tok == ")":
+            if not stack:
+                raise PddlSyntaxError("unbalanced ')'", line, col)
+            items = stack.pop()
+            pline, pcol = positions.pop()
+            (stack[-1] if stack else top).append(RefList(tuple(items), pline, pcol))
+        else:
+            (stack[-1] if stack else top).append(RefSym(tok, line, col))
+    if stack:
+        line, col = positions[-1]
+        raise PddlSyntaxError("unbalanced '('", line, col)
+    return top
+
+
+def reference_extract_plan(text: str, domain: DomainDef) -> Plan:
+    """The plan ``orchestrator.extract_plan`` must return."""
+    steps = []
+    for raw_line in text.splitlines():
+        line = _NUMBERING.sub("", raw_line.split(";", 1)[0].strip())
+        if not (line.startswith("(") and line.endswith(")")):
+            continue
+        try:
+            parsed = parse_plan(line, domain)
+        except PddlError:
+            continue
+        steps.extend(parsed.steps)
+    return Plan(tuple(steps))

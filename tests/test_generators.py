@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +289,24 @@ class TestDatasetFiles:
         entries = load_manifest(manifest)
         assert all(e.plan_file is None for e in entries)
         assert load_entry(entries[0])[2] is None
+
+    @pytest.mark.parametrize("with_plans", [True, False])
+    def test_manifest_line_holds_every_entry_field(self, tmp_path, with_plans):
+        spec = GenSpec.blocksworld(blocks=3, seed=5, count=3)
+        domain, problems = generate(spec)
+        plans = [bfs_plan(domain, p).plan for p in problems] if with_plans else None
+        manifest = write_dataset(tmp_path / "ds", domain, problems, spec, plans)
+        expected = []
+        for entry in load_manifest(manifest):
+            # every field of the entry, with its files named relative to the manifest
+            record = dataclasses.asdict(entry)
+            record.update(domain_file="domain.pddl", problem_file=entry.problem_file.name)
+            if entry.plan_file is None:
+                del record["plan_file"]
+            else:
+                record["plan_file"] = entry.plan_file.name
+            expected.append(json.dumps(record, sort_keys=True) + "\n")
+        assert manifest.read_text() == "".join(expected)
 
     def test_byte_stable(self, tmp_path):
         spec = GenSpec.blocksworld(blocks=4, seed=99, count=2)

@@ -39,6 +39,7 @@ from plancritic.prompting import Exemplar, PoolTooSmall, Transcript, build_plan_
 from plancritic.search import SearchLimits, bfs_plan
 from plancritic.semantics import validate_plan, verdict_to_dict
 
+from .helpers import reference_extract_plan
 from .test_critics import FakeEndpoint, chat_body
 
 C = CritiqueLabel.CORRECT
@@ -177,6 +178,44 @@ class TestExtractPlan:
         text = "(pick-up b1) ; grab it\n(stack b1 b2)\n; (put-down b3)\n2. (pick-up b3);x"
         plan = extract_plan(text, bw_domain)
         assert print_plan(plan) == "(pick-up b1)\n(stack b1 b2)\n(pick-up b3)"
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            (
+                "1. (pick-up b3)\n2) (put-down b3)\n10.\t(pick-up b1)",
+                "(pick-up b3)\n(put-down b3)\n(pick-up b1)",
+            ),
+            (
+                "- (pick-up b3)\n* (stack b3 b1)\n-(pick-up b2)\n*  ( put-down  b2 )",
+                "(pick-up b3)\n(stack b3 b1)\n(put-down b2)",
+            ),
+            (
+                "(pick-up b1) ; grab\n; (put-down b3)\n  ;\n(stack b1 b2);x\n3. ;(pick-up b4)",
+                "(pick-up b1)\n(stack b1 b2)",
+            ),
+            (
+                "(pick-up ?x)\n(stack ?a b2)\n(stack a?b b2)\n(?x b1)\n(pick-up b?)",
+                "(stack a?b b2)\n(pick-up b?)",
+            ),
+            ("(teleport b3)\n(fly)\n(Pick-up b3)\n(pick-up b3)", "(pick-up b3)"),
+            ("(pick-up)\n(pick-up b1 b2)\n(stack b1)\n(stack b1 b2 b3)\n(handempty)", ""),
+            (
+                "((pick-up b1))\n(pick-up (b1))\n(pick-up b1) (put-down b1)\n(pick-up b1))\n"
+                "(pick-up b1",
+                "",
+            ),
+            (
+                "\n\n   \n\t\n(pick-up b1)\n\r\n\u2028(put-down b1)\x0b(pick-up b2)\n",
+                "(pick-up b1)\n(put-down b1)\n(pick-up b2)",
+            ),
+            ("Plan:\n1.(unstack b5 b2)\n2. pick-up b3\nThe plan is correct.\n()\n( )", "(unstack b5 b2)"),
+        ],
+    )
+    def test_same_plan_as_per_line_parse(self, bw_domain, text, expected):
+        plan = extract_plan(text, bw_domain)
+        assert plan == reference_extract_plan(text, bw_domain)
+        assert print_plan(plan) == expected
 
 
 class TestPlanners:
@@ -595,6 +634,23 @@ class TestRunBatch:
         assert second[0].error == "cached-sentinel"
         assert second[1:] == first[1:]
         assert len(read_records(path)) == len(dataset.entries)  # nothing re-appended
+
+    def test_records_file_opened_once_per_batch(self, dataset, tmp_path, monkeypatch):
+        path = tmp_path / "records.jsonl"
+        opened = []
+        open_path = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            if self == path:
+                opened.append(args)
+            return open_path(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        records = run_batch(dataset, self.config(), records_path=path, parallelism=2)
+        assert opened == [("a",)]
+        monkeypatch.undo()
+        stored = read_records(path)  # in the order the runs finished
+        assert sorted(stored, key=lambda r: r.problem_id) == records
 
     def test_parallelism_equivalent(self, dataset):
         serial = run_batch(dataset, self.config())

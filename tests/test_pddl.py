@@ -1,9 +1,16 @@
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plancritic
 from plancritic.domains import (
     blocksworld_domain,
     logistics_domain,
@@ -30,7 +37,10 @@ from plancritic.pddl import (
     print_plan,
     print_problem,
 )
+from plancritic.pddl import _read_all, _SList, intern_atom
+
 from .conftest import BW5_PROBLEM_TEXT
+from .helpers import RefSym, reference_read
 
 TINY_DOMAIN = """\
 (define (domain tiny)
@@ -480,3 +490,114 @@ class TestRoundTrip:
         assert parse_domain(print_domain(domain)) == domain
         for problem in problems:
             assert parse_problem(print_problem(problem), domain) == problem
+
+
+def _reference_tree(nodes: list) -> list:
+    return [
+        ("sym", node.text, node.line, node.col)
+        if isinstance(node, RefSym)
+        else ("list", _reference_tree(node.items), node.line, node.col)
+        for node in nodes
+    ]
+
+
+def _tree(node: _SList) -> list:
+    out = []
+    for i, item in enumerate(node.items):
+        line, col = node.item_position(i)
+        if isinstance(item, str):
+            out.append(("sym", item, line, col))
+        else:
+            assert item.position() == (line, col)
+            out.append(("list", _tree(item), line, col))
+    return out
+
+
+def _read_outcome(read, text: str, first_line: int):
+    try:
+        return read(text, first_line)
+    except PddlError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+# symbols, parentheses, comments, and the whitespace a reader can get wrong:
+# \r\n is two characters, and \x0b, \x1c,   and \xa0 are whitespace to
+# str.isspace without ending a line
+_READER_PIECES = [
+    "(", ")", "a", "?x", ":init", "-", "b1", "AND", "é", "; note", ";(", ";)",
+    " ", "\t", "\n", "\r\n", "\x0b", "\x1c", " ", "\xa0",
+]
+
+
+class TestReader:
+    """The regex-scan reader gives the tree, positions and errors of the
+    character-by-character reader it replaced (``helpers.reference_read``)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(_READER_PIECES), max_size=40).map("".join),
+            st.text(st.sampled_from("()ab?;- \t\n\r\x0b\x1c \xa0"), max_size=60),
+        ),
+        st.integers(min_value=1, max_value=9),
+    )
+    def test_same_tree_or_error_as_reference(self, text, first_line):
+        expected = _read_outcome(lambda t, n: _reference_tree(reference_read(t, n)), text, first_line)
+        assert _read_outcome(lambda t, n: _tree(_read_all(t, n)), text, first_line) == expected
+
+    def test_columns_count_every_character_of_a_line(self):
+        text = "(a\r\n\t(b\x1c c) d ; (x\n)"
+        assert _tree(_read_all(text)) == [
+            ("list", [("sym", "a", 1, 2), ("list", [("sym", "b", 2, 3), ("sym", "c", 2, 6)], 2, 2),
+                      ("sym", "d", 2, 9)], 1, 1),
+        ]
+
+    def test_problem_errors_keep_their_positions(self, bw_domain):
+        text = BW5_PROBLEM_TEXT.replace("(clear b3)", "(clear\tb9)")
+        with pytest.raises(UnknownObject, match=r"'b9' in :init \(line 11, column 8\)$"):
+            parse_problem(text, bw_domain)
+
+
+class TestAtom:
+    def test_value_semantics_are_the_dataclass_ones(self):
+        atom = Atom("on", ("b1", "b2"))
+        assert [(f.name, f.default) for f in dataclasses.fields(Atom)] == [
+            ("pred", dataclasses.MISSING), ("args", ()),
+        ]
+        assert repr(atom) == "Atom(pred='on', args=('b1', 'b2'))"
+        assert hash(atom) == hash(("on", ("b1", "b2")))
+        assert atom == Atom("on", ("b1", "b2")) and atom != Atom("on", ("b2", "b1"))
+        assert atom != GroundAction("on", ("b1", "b2")) and atom != ("on", ("b1", "b2"))
+        assert str(atom) == "(on b1 b2)" and str(Atom("handempty")) == "(handempty)"
+        assert dataclasses.replace(atom, args=("b3",)) == Atom("on", ("b3",))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            atom.pred = "clear"
+
+    def test_parsed_atoms_are_interned(self, bw_domain):
+        first = parse_problem(BW5_PROBLEM_TEXT, bw_domain)
+        second = parse_problem(BW5_PROBLEM_TEXT, bw_domain)
+        on = intern_atom("on", ("b1", "b4"))
+        assert on in first.init
+        assert {id(a) for a in first.init} == {id(a) for a in second.init}
+        assert first.goal[2] is on and Atom("on", ("b1", "b4")) is not on
+
+    def test_pickle_carries_no_hash_to_another_process(self):
+        atoms = [Atom("on", ("b1", "b2")), intern_atom("clear", ("b1",)), Atom("handempty")]
+        data = pickle.dumps(atoms)
+        assert pickle.loads(data) == atoms
+        # the child hashes strings under another seed, so a carried hash would miss
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = (
+            "import pickle, sys\n"
+            "from plancritic.pddl import Atom, intern_atom\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "built = {Atom('on', ('b1', 'b2')), intern_atom('clear', ('b1',)), Atom('handempty')}\n"
+            "assert all(atom in built for atom in loaded), loaded\n"
+            "assert all(hash(atom) == hash((atom.pred, atom.args)) for atom in loaded)\n"
+        )
+        src = str(Path(plancritic.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", code], input=data, check=True, capture_output=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        )

@@ -1,9 +1,12 @@
+import ast
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plancritic
 from plancritic import cli
 from plancritic.generators import GenSpec, generate
 from plancritic.pddl import GroundAction, Plan, parse_domain, parse_plan, parse_problem
@@ -352,3 +355,43 @@ class TestIndependentExecutor:
         assert outcome.failed_step is None
         assert not outcome.goal_satisfied
         assert not outcome.accepted
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The dotted names of the modules a plancritic module imports, and of
+    each name it imports from them, with relative imports resolved."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "plancritic" + ("." + base if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .semantics import apply",
+        "from . import semantics",
+        "from . import pddl, semantics as sem",
+        "import plancritic.semantics",
+        "from plancritic import semantics",
+        "from plancritic.semantics import validate_plan",
+        "def f():\n    from .semantics import apply",
+    ],
+)
+def test_import_finder_sees_every_form(source):
+    assert "plancritic.semantics" in _imported_modules(source)
+
+
+@pytest.mark.parametrize("module,other", [("search", "semantics"), ("semantics", "search")])
+def test_search_and_semantics_stay_independent(module, other):
+    """Acceptance criterion 1 checks the validator against search.run_plan, so
+    neither may use the other's code."""
+    source = (Path(plancritic.__file__).parent / f"{module}.py").read_text()
+    assert f"plancritic.{other}" not in _imported_modules(source)

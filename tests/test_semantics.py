@@ -15,9 +15,12 @@ from plancritic.pddl import (
     UnknownAction,
     parse_domain,
     parse_plan,
+    intern_atom,
     parse_problem,
+    print_problem,
 )
-from plancritic.search import SearchLimits, bfs_plan
+from plancritic import semantics
+from plancritic.search import SearchLimits, bfs_plan, ground_actions
 from plancritic.semantics import (
     Correct,
     GoalNotReached,
@@ -341,3 +344,48 @@ class TestDomainTable:
                 is_applicable(state, GroundAction("teleport", ("b5",)), bw_domain)
         after = validate_plan(bw5_problem, correct_plan, bw_domain)
         assert after == before == reference_validate(bw5_problem, correct_plan, bw_domain)
+
+
+class TestInternedAtoms:
+    """The reader and ``_ground`` share one intern table, so a validated step
+    finds its atoms in the state by identity."""
+
+    @pytest.fixture(scope="class")
+    def parsed(self, bw_domain):
+        _, problems = generate(GenSpec.blocksworld(5, seed=23, count=200))
+        return [parse_problem(print_problem(p), bw_domain) for p in problems]
+
+    def test_parsed_bound_and_built_atoms_agree(self, bw_domain, bw5_problem):
+        parsed = next(a for a in bw5_problem.init if a.pred == "clear" and a.args == ("b3",))
+        precondition, _, _ = semantics._ground(bw_domain, GroundAction("pick-up", ("b3",)))
+        bound = next(a for a in precondition if a.pred == "clear")
+        built = Atom("clear", ("b3",))
+        assert parsed == bound == built
+        assert hash(parsed) == hash(bound) == hash(built) == hash(("clear", ("b3",)))
+        assert parsed is bound and built is not parsed
+
+    def test_one_object_per_distinct_atom(self, bw_domain, parsed):
+        seen: dict[Atom, Atom] = {}
+        for problem in parsed:
+            for atom in (*problem.init, *problem.goal):
+                assert seen.setdefault(atom, atom) is atom
+        bound = 0
+        for action in ground_actions(bw_domain, parsed[0]):
+            precondition, dels, adds = semantics._ground(bw_domain, action)
+            for atom in (*precondition, *dels, *adds):
+                assert seen.get(atom, intern_atom(atom.pred, atom.args)) is atom
+                bound += atom in seen
+        # clear, ontable and on over five blocks, and handempty
+        assert len(seen) == 5 + 5 + 20 + 1
+        assert bound > 0
+
+    def test_validation_calls_no_atom_eq(self, bw_domain, parsed, monkeypatch):
+        plans = [(p, bfs_plan(bw_domain, p).plan) for p in parsed[:40]]
+        expected = [reference_validate(p, plan, bw_domain) for p, plan in plans]
+        calls = []
+        eq = Atom.__eq__
+        monkeypatch.setattr(Atom, "__eq__", lambda self, other: calls.append(1) or eq(self, other))
+        results = [validate_plan(p, plan, bw_domain) for p, plan in plans]
+        assert calls == []
+        monkeypatch.undo()
+        assert results == expected
