@@ -208,9 +208,21 @@ def _config_from_dict(raw: dict) -> LoopConfig:
         raise UsageError(f"bad run configuration: {exc}") from exc
 
 
+# the run flags and their defaults; the parser sets one only when it is given
+_RUN_FLAGS = {
+    "critic": "oracle", "planner": "mock-golden", "k": LoopConfig.k, "shots": 0, "pool": None,
+    "pool_seed": 0, "budget": LoopConfig.transcript_budget,
+    "self_consistency": CriticConfig.self_consistency, "golden_prob": PlannerConfig.golden_prob,
+    "fp": CriticConfig.false_positive, "fn": CriticConfig.false_negative, "seed": 0,
+}
+
+
 def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
     """Returns (config, pool manifest path, pool seed)."""
     if args.config:
+        given = ["--" + dest.replace("_", "-") for dest in _RUN_FLAGS if dest in vars(args)]
+        if given:
+            raise UsageError(f"--config takes no run flags, got {', '.join(given)}")
         raw = json.loads(_read_text(args.config))
         if not isinstance(raw, dict):
             raise UsageError(f"{args.config}: a run configuration is a JSON object")
@@ -218,6 +230,7 @@ def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
         pool_seed = raw.get("pool_seed", 0)
         return _config_from_dict(raw), pool_manifest, pool_seed
 
+    args = argparse.Namespace(**{**_RUN_FLAGS, **vars(args)})
     for role in ("planner", "critic"):
         if getattr(args, role) == "llm":
             raise UsageError(f"llm {role} runs need --config with endpoint settings")
@@ -281,8 +294,7 @@ def _score_records(args) -> report.Metrics:
 
 
 def _cmd_score(args) -> int:
-    metrics = _score_records(args)
-    text = json.dumps(report.metrics_to_dict(metrics), indent=2, sort_keys=True)
+    text = report.metrics_json(_score_records(args))
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -357,24 +369,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the iterative critique loop over a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--records", required=True, help="JSONL output; reused to resume")
-    p.add_argument("--config", help="JSON run configuration")
-    p.add_argument("--critic", choices=["oracle", "mock", "llm"], default="oracle")
-    p.add_argument("--planner", choices=["mock-golden", "mock", "llm"], default="mock-golden")
-    p.add_argument("--k", type=int, default=LoopConfig.k)
-    p.add_argument("--shots", type=int, default=0)
-    p.add_argument("--pool", help="manifest of solved problems for few-shot examples")
-    p.add_argument("--pool-seed", type=int, default=0, dest="pool_seed")
-    p.add_argument("--budget", type=int, default=LoopConfig.transcript_budget)
-    p.add_argument(
-        "--self-consistency", type=int, default=CriticConfig.self_consistency,
-        dest="self_consistency",
-    )
-    p.add_argument(
-        "--golden-prob", type=float, default=PlannerConfig.golden_prob, dest="golden_prob"
-    )
-    p.add_argument("--fp", type=float, default=CriticConfig.false_positive)
-    p.add_argument("--fn", type=float, default=CriticConfig.false_negative)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", help="JSON run configuration, in place of the run flags")
+    flags = p.add_argument_group("run flags, not with --config", argument_default=argparse.SUPPRESS)
+    flags.add_argument("--critic", choices=["oracle", "mock", "llm"])
+    flags.add_argument("--planner", choices=["mock-golden", "mock", "llm"])
+    flags.add_argument("--k", type=int)
+    flags.add_argument("--shots", type=int)
+    flags.add_argument("--pool", help="manifest of solved problems for few-shot examples")
+    flags.add_argument("--pool-seed", type=int, dest="pool_seed")
+    flags.add_argument("--budget", type=int)
+    flags.add_argument("--self-consistency", type=int, dest="self_consistency")
+    flags.add_argument("--golden-prob", type=float, dest="golden_prob")
+    flags.add_argument("--fp", type=float)
+    flags.add_argument("--fn", type=float)
+    flags.add_argument("--seed", type=int)
     p.add_argument("--parallelism", type=int, default=1)
     p.set_defaults(func=_cmd_run)
 

@@ -630,15 +630,24 @@ def _write_files(
 
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
+    """The entries of a manifest; DatasetError names a malformed line."""
     path = Path(path)
     base = path.parent
     entries = []
     with path.open() as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            raw = json.loads(line)
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(
+                    f"{path} line {number}: not JSON ({exc.msg} at column {exc.colno})"
+                ) from None
+            for key in ("id", "domain_file", "problem_file"):
+                if not isinstance(raw, dict) or not isinstance(raw.get(key), str):
+                    raise DatasetError(f"{path} line {number}: no {key!r} string")
             entries.append(
                 ManifestEntry(
                     id=raw["id"],
@@ -666,8 +675,8 @@ def load_entry(entry: ManifestEntry) -> tuple[DomainDef, ProblemDef, Plan | None
 
 
 class DatasetError(ValueError):
-    """A manifest that cannot be loaded as one dataset (empty, mixing domains,
-    or listing an id twice)."""
+    """A manifest that cannot be loaded as one dataset (a malformed line,
+    empty, mixing domains, or listing an id twice)."""
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 from .critics import Critic, CriticConfig, CritiqueLabel, make_critic
 from .generators import Dataset, ManifestEntry
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url
-from .pddl import _STEP, DomainDef, GroundAction, Plan, ProblemDef, print_plan
+from .pddl import DomainDef, Plan, ProblemDef, print_plan, read_step
 from .prompting import (
     BudgetExceeded,
     FewShotPool,
@@ -195,29 +195,14 @@ _NUMBERING = re.compile(r"^(\d+[.)]\s*|[-*]\s+)")
 
 
 def extract_plan(text: str, domain: DomainDef) -> Plan:
-    """Pull a plan out of raw model output.
-
-    Keeps, in order, every line that parses as a ground action of the domain
-    (after stripping list numbering, bullets and a ``;`` comment); all other
-    lines are ignored.  Output that contains no action at all yields the
-    empty plan.
-    """
-    # reversed, so that the first of two equal names wins, as in domain.action
-    arity = {schema.name: len(schema.parameters) for schema in reversed(domain.actions)}
+    """Pull a plan out of raw model output: without its ``;`` comment, blanks
+    and list numbering or bullet, a line is kept exactly when ``parse_plan``
+    accepts it alone.  Output with no such line yields the empty plan."""
     steps = []
     for raw_line in text.splitlines():
-        match = _STEP.fullmatch(_NUMBERING.sub("", raw_line.split(";", 1)[0].strip()))
-        if match is None:
-            continue
-        name, arg_text = match.groups()
-        args = arg_text.split()
-        # the lines parse_plan refuses: a name the domain lacks, a wrong
-        # arity, a ?-variable argument
-        if arity.get(name) != len(args):
-            continue
-        if "?" in arg_text and any(arg.startswith("?") for arg in args):
-            continue
-        steps.append(GroundAction(name, tuple(args)))
+        step = read_step(_NUMBERING.sub("", raw_line.split(";", 1)[0].strip()), domain)
+        if step is not None:
+            steps.append(step)
     return Plan(tuple(steps))
 
 

@@ -17,6 +17,9 @@ and of its items.  A line and column are worked out from match offsets only
 when an error, or a test, asks for one: only ``\\n`` ends a line, and every
 other character is one column.
 
+``read_step`` reads one plan line, for ``parse_plan`` and
+``orchestrator.extract_plan`` alike.
+
 An atom carries its hash, computed when it is built, and renders its text
 once.  Every ground atom the reader returns, and every atom the validator
 binds (``semantics._ground``), comes from one intern table here, so each
@@ -610,30 +613,44 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
 # One ground action: the name and the arguments, as one string.  The token
 # and whitespace classes are disjoint, so a match runs in linear time.
 _STEP = re.compile(r"\(\s*([^\s();]+)((?:\s+[^\s();]+)*)\s*\)")
-_TOKEN = re.compile(r"[^\s();]+")
 
 
-def _check_plan_arg(arg: str, line: int, column: int) -> None:
-    if arg.startswith("?"):
-        raise PddlSyntaxError(f"variable {arg!r} in ground action", line, column)
+def read_step(line: str, domain: DomainDef) -> GroundAction | None:
+    """The ground action on ``line``, a plan line stripped of its comment and
+    blanks, or ``None`` if ``parse_plan`` refuses the line."""
+    match = _STEP.fullmatch(line)
+    if match is None:
+        return None
+    name, arg_text = match.groups()
+    args = arg_text.split()
+    schema = domain.action(name)
+    if schema is None or len(schema.parameters) != len(args):
+        return None
+    if "?" in arg_text and any(arg.startswith("?") for arg in args):
+        return None
+    return GroundAction(name, tuple(args))
 
 
-def _refuse_plan_line(code: str, lineno: int, column: int) -> NoReturn:
-    """Raise the s-expression reader's error for a plan line ``_STEP`` refuses.
-
-    ``code`` is the raw line without its comment and ``column`` the column of
-    its first non-blank character.
-    """
+def _refuse_plan_line(code: str, lineno: int, domain: DomainDef) -> NoReturn:
+    """Raise the error for the plan line ``code``, cut at its comment, that ``read_step`` refuses."""
     top = _read_all(code, lineno)
     if len(top.items) != 1 or not isinstance(top.items[0], _SList):
-        raise PddlSyntaxError("expected one (action args...) per line", lineno, column)
+        raise PddlSyntaxError("expected one (action args...) per line", *top.item_position(0))
     node = top.items[0]
     if not node.items:
         raise PddlSyntaxError("empty action", *node.position())
-    _symbol(node, 0, "action name")
+    name = _symbol(node, 0, "action name")
     for i in range(1, len(node.items)):
-        _check_plan_arg(_symbol(node, i, "action argument"), *node.item_position(i))
-    raise AssertionError(f"_STEP refused a well-formed plan line: {code!r}")
+        arg = _symbol(node, i, "action argument")
+        if arg.startswith("?"):
+            raise PddlSyntaxError(f"variable {arg!r} in ground action", *node.item_position(i))
+    schema = domain.action(name)
+    if schema is None:
+        raise UnknownAction(f"unknown action {name!r}", *node.position())
+    expected, got = len(schema.parameters), len(node.items) - 1
+    if expected != got:
+        raise ArityMismatch(f"{name} expects {expected} argument(s), got {got}", *node.position())
+    raise AssertionError(f"read_step refused a well-formed plan line: {code!r}")
 
 
 def parse_plan(text: str, domain: DomainDef) -> Plan:
@@ -649,27 +666,10 @@ def parse_plan(text: str, domain: DomainDef) -> Plan:
         line = code.strip()
         if not line:
             continue
-        # columns count from the raw line: ``line`` starts after the indent
-        indent = len(code) - len(code.lstrip())
-        match = _STEP.fullmatch(line)
-        if match is None:
-            _refuse_plan_line(code, lineno, indent + 1)
-        name, arg_text = match.groups()
-        args = arg_text.split()
-        if "?" in arg_text:
-            for token in _TOKEN.finditer(arg_text):
-                column = indent + match.start(2) + token.start() + 1
-                _check_plan_arg(token.group(), lineno, column)
-        schema = domain.action(name)
-        if schema is None:
-            raise UnknownAction(f"unknown action {name!r}", lineno, indent + 1)
-        if len(schema.parameters) != len(args):
-            raise ArityMismatch(
-                f"{name} expects {len(schema.parameters)} argument(s), got {len(args)}",
-                lineno,
-                indent + 1,
-            )
-        steps.append(GroundAction(name, tuple(args)))
+        step = read_step(line, domain)
+        if step is None:
+            _refuse_plan_line(code, lineno, domain)
+        steps.append(step)
     return Plan(tuple(steps))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Mapping, Sequence
@@ -157,29 +157,21 @@ def select_fewshots(pool: FewShotPool, problem_id: str, n: int) -> tuple[Exempla
 # Transcripts
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
-    plan_text: str
-    critique_text: str
-
-
-@dataclass
 class Transcript:
-    """Ordered record of rejected attempts, with a character budget."""
+    """Ordered record of rejected attempts, each rendered once, as it is
+    appended, with a character budget; ``len`` counts the attempts."""
 
-    char_budget: int | None = None
-    entries: list[TranscriptEntry] = field(default_factory=list)
+    def __init__(self, char_budget: int | None = None):
+        self.char_budget = char_budget
+        self._text = ""
+        self._turns = 0
 
     def append(self, plan_text: str, critique_text: str) -> None:
-        self.entries.append(TranscriptEntry(plan_text, critique_text))
+        self._text += f"The clean plan:\n{plan_text}\n{critique_text}\n\n{REPAIR_REQUEST}\n"
+        self._turns += 1
 
     def render(self) -> str:
-        parts = []
-        for entry in self.entries:
-            parts.append(
-                f"The clean plan:\n{entry.plan_text}\n{entry.critique_text}\n\n{REPAIR_REQUEST}\n"
-            )
-        return "".join(parts)
+        return self._text
 
     def prompt(self, prefix: str) -> str:
         """``prefix`` followed by the transcript; raises BudgetExceeded when
@@ -190,7 +182,7 @@ class Transcript:
         return text
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._turns
 
 
 # ---------------------------------------------------------------------------

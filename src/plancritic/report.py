@@ -155,6 +155,11 @@ def metrics_to_dict(metrics: Metrics) -> dict:
     }
 
 
+def metrics_json(metrics: Metrics) -> str:
+    """The JSON text of ``metrics``, as ``score`` prints it and ``report`` writes it."""
+    return json.dumps(metrics_to_dict(metrics), indent=2, sort_keys=True)
+
+
 def _steps_csv(metrics: Metrics) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -216,6 +221,6 @@ def emit_report(metrics: Metrics, fmt: str, out_dir: str | Path) -> list[Path]:
         written.extend([steps, summary])
     else:
         path = out / "metrics.json"
-        path.write_text(json.dumps(metrics_to_dict(metrics), indent=2, sort_keys=True) + "\n")
+        path.write_text(metrics_json(metrics) + "\n")
         written.append(path)
     return written

@@ -5,9 +5,11 @@ The reference reader walks the text one character at a time, the way the
 PDDL reader did before it scanned with one regex.  The reference validator
 binds the schema afresh on every step, substituting each precondition and
 effect, the way the validator did before it kept a table of ground actions;
-it shares no code with ``semantics._step``.  The reference extractor runs
-``parse_plan`` on every reply line, as ``extract_plan`` did before it read
-each line with one match.
+it shares no code with ``semantics._step``.  The reference plan parser is
+``parse_plan`` as it was before it shared ``read_step`` with the extractor,
+reading a refused line with the reference reader.  The reference extractor
+runs it on every reply line, as ``extract_plan`` did before it read each line
+with one match.
 
 Each mutation of a *shortest* plan is guaranteed non-correct:
 
@@ -22,18 +24,19 @@ Each mutation of a *shortest* plan is guaranteed non-correct:
 
 import hashlib
 import random
+import re
 from dataclasses import dataclass
 
 from plancritic.orchestrator import _NUMBERING
 from plancritic.pddl import (
     ArityMismatch,
     DomainDef,
+    GroundAction,
     PddlError,
     PddlSyntaxError,
     Plan,
     ProblemDef,
     UnknownAction,
-    parse_plan,
 )
 from plancritic.search import ground_actions, run_plan
 from plancritic.semantics import (
@@ -191,6 +194,59 @@ def reference_read(text: str, first_line: int = 1) -> list:
     return top
 
 
+_REF_STEP = re.compile(r"\(\s*([^\s();]+)((?:\s+[^\s();]+)*)\s*\)")
+_REF_TOKEN = re.compile(r"[^\s();]+")
+
+
+def _reference_refuse_plan_line(code: str, lineno: int, column: int):
+    """Raise the error for a line ``_REF_STEP`` refuses, read with
+    ``reference_read``; ``column`` is that of its first non-blank character."""
+    top = reference_read(code, lineno)
+    if len(top) != 1 or not isinstance(top[0], RefList):
+        raise PddlSyntaxError("expected one (action args...) per line", lineno, column)
+    node = top[0]
+    if not node.items:
+        raise PddlSyntaxError("empty action", node.line, node.col)
+    for i, item in enumerate(node.items):
+        if isinstance(item, RefList):
+            what = "action argument" if i else "action name"
+            raise PddlSyntaxError(f"expected {what}", item.line, item.col)
+        if i and item.text.startswith("?"):
+            raise PddlSyntaxError(f"variable {item.text!r} in ground action", item.line, item.col)
+    raise AssertionError(f"refused a well-formed plan line: {code!r}")
+
+
+def reference_parse_plan(text: str, domain: DomainDef) -> Plan:
+    """The plan, or the error, ``pddl.parse_plan`` must give."""
+    steps = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split(";", 1)[0]
+        line = code.strip()
+        if not line:
+            continue
+        indent = len(code) - len(code.lstrip())
+        match = _REF_STEP.fullmatch(line)
+        if match is None:
+            _reference_refuse_plan_line(code, lineno, indent + 1)
+        name, arg_text = match.groups()
+        for token in _REF_TOKEN.finditer(arg_text):
+            if token.group().startswith("?"):
+                column = indent + match.start(2) + token.start() + 1
+                raise PddlSyntaxError(f"variable {token.group()!r} in ground action", lineno, column)
+        args = tuple(arg_text.split())
+        schema = domain.action(name)
+        if schema is None:
+            raise UnknownAction(f"unknown action {name!r}", lineno, indent + 1)
+        if len(schema.parameters) != len(args):
+            raise ArityMismatch(
+                f"{name} expects {len(schema.parameters)} argument(s), got {len(args)}",
+                lineno,
+                indent + 1,
+            )
+        steps.append(GroundAction(name, args))
+    return Plan(tuple(steps))
+
+
 def reference_extract_plan(text: str, domain: DomainDef) -> Plan:
     """The plan ``orchestrator.extract_plan`` must return."""
     steps = []
@@ -199,7 +255,7 @@ def reference_extract_plan(text: str, domain: DomainDef) -> Plan:
         if not (line.startswith("(") and line.endswith(")")):
             continue
         try:
-            parsed = parse_plan(line, domain)
+            parsed = reference_parse_plan(line, domain)
         except PddlError:
             continue
         steps.extend(parsed.steps)

@@ -615,6 +615,22 @@ class TestRunScoreReport:
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
 
+    def test_run_flags_refused_with_config(self, dataset_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 1, "shots": 0}))
+        records = tmp_path / "r.jsonl"
+        run = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records),
+               "--config", str(config)]
+        assert cli.main(run + ["--k", "5", "--critic", "mock", "--fp", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --config takes no run flags, got --critic, --k, --fp\n"
+        assert not records.exists()
+        for flag, value in [("--seed", "0"), ("--pool-seed", "0"), ("--golden-prob", "1")]:
+            assert cli.main(run + [flag, value]) == 2, flag  # a default value is refused too
+            assert flag in capsys.readouterr().err
+        assert cli.main(run + ["--parallelism", "2"]) == 0
+        assert [len(r.iterations) for r in read_records(records)] == [1, 1, 1]
+
     def test_resume_after_torn_last_line(self, dataset_dir, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
         run = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
@@ -733,6 +749,44 @@ class TestRecordRefusal:
         for argv in self._commands(dataset_dir, records, tmp_path):
             err = self._assert_refused(argv, records, 3, capsys)
             assert "not JSON (Expecting property name enclosed in double quotes at column 2)" in err
+
+
+class TestManifestRefusal:
+    """A malformed manifest line fails with one error line that names the
+    manifest and the line."""
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ("{}", "no 'id' string"),
+            ('{"id": "p", "domain_file": "domain.pddl"}', "no 'problem_file' string"),
+            ('{"id": "p", "domain_file": 3, "problem_file": "p.pddl"}', "no 'domain_file' string"),
+            ('["id"]', "no 'id' string"),
+            ("not json", "not JSON (Expecting value at column 1)"),
+        ],
+        ids=["empty-object", "no-problem-file", "number-for-path", "not-an-object", "not-json"],
+    )
+    def test_malformed_line_refused(self, dataset_dir, tmp_path, capsys, line, reason):
+        manifest = tmp_path / "manifest.jsonl"
+        first = (dataset_dir / "manifest.jsonl").read_text().splitlines()[0]
+        raw = json.loads(first)
+        for key in ("domain_file", "problem_file", "plan_file"):
+            raw[key] = str(dataset_dir / raw[key])
+        manifest.write_text(json.dumps(raw) + "\n\n" + line + "\n")
+        records = tmp_path / "records.jsonl"
+        records.write_text("")
+        commands = [
+            ["run", "--manifest", str(manifest), "--records", str(records)],
+            ["score", "--records", str(records), "--manifest", str(manifest)],
+            ["report", "--records", str(records), "--manifest", str(manifest),
+             "--out-dir", str(tmp_path / "report")],
+            ["obfuscate", "--manifest", str(manifest), "--out", str(tmp_path / "obf")],
+        ]
+        for argv in commands:
+            assert cli.main(argv) == 2, argv[0]
+            assert capsys.readouterr().err == f"error: {manifest} line 3: {reason}\n"
+        assert records.read_text() == ""
+        assert not (tmp_path / "report").exists() and not (tmp_path / "obf").exists()
 
 
 class TestArgparseBehavior:

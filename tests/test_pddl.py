@@ -40,7 +40,7 @@ from plancritic.pddl import (
 from plancritic.pddl import _read_all, _SList, intern_atom
 
 from .conftest import BW5_PROBLEM_TEXT
-from .helpers import RefSym, reference_read
+from .helpers import RefSym, reference_extract_plan, reference_parse_plan, reference_read
 
 TINY_DOMAIN = """\
 (define (domain tiny)
@@ -370,6 +370,37 @@ class TestParsePlan:
         assert str(err.value).endswith(f"(line {line}, column {column})")
 
 
+# plan lines as a model writes them: numbering and bullets, names the domain
+# lacks or spells in another case, wrong arities, ?-variables, stray
+# parentheses, ; comments and odd blanks; lines end in \n or \r\n
+_STEP_TEXT = st.one_of(
+    st.sampled_from(["(pick-up b1)", "( put-down\tb2 )", "(stack b1\xa0b2)", "(unstack b2 b1)"]),
+    st.builds(
+        "({}{})".format,
+        st.sampled_from(["pick-up", "stack", "unstack", "fly", "Pick-up", "?x", ""]),
+        st.lists(
+            st.sampled_from([" b1", "\tb2", " ?x", " a?b", " (b1)", " (", " )"]), max_size=3
+        ).map("".join),
+    ),
+)
+_PLAN_LINE = st.one_of(
+    st.builds(
+        "{}{}{}".format,
+        # repeated choices are drawn more often, so that many lines parse
+        st.sampled_from(["", "", "", "  ", "\t", "1. ", "2) ", "10.\t", "- ", "* ", "-("]),
+        _STEP_TEXT,
+        st.sampled_from(["", "", "", " ", "\t", " ; done", ";(x", ")", " (b1)", " 2. (pick-up b1)"]),
+    ),
+    st.lists(
+        st.sampled_from(["1. ", "- ", "(", ")", "stack", "b1", "?x", " ", "\t", "; c", "\x0b"]),
+        max_size=12,
+    ).map("".join),
+)
+_PLAN_TEXT = st.lists(
+    st.tuples(_PLAN_LINE, st.sampled_from(["\n", "\r\n"])), max_size=6
+).map(lambda lines: "".join(line + end for line, end in lines))
+
+
 class TestPlanLineReader:
     """``parse_plan`` reads a line with one pattern match; these tables hold
     what the general s-expression reader gave for the same lines."""
@@ -442,6 +473,15 @@ class TestPlanLineReader:
         assert type(err.value) is error
         assert str(err.value) == message
 
+    @settings(max_examples=500, deadline=None)
+    @given(_PLAN_TEXT)
+    def test_same_outcome_as_reference(self, bw_domain, text):
+        # the whole text, and each line alone, which is what extract_plan keeps
+        for part in [text, *text.splitlines()]:
+            expected = _outcome(reference_parse_plan, part, bw_domain)
+            assert _outcome(parse_plan, part, bw_domain) == expected
+        assert extract_plan(text, bw_domain) == reference_extract_plan(text, bw_domain)
+
     @pytest.mark.parametrize(
         "text",
         ["(pick-up " + "a " * 100_000, "(" * 200_000, "(pick-up a" + " ?b" * 66_666 + " (c"],
@@ -513,9 +553,11 @@ def _tree(node: _SList) -> list:
     return out
 
 
-def _read_outcome(read, text: str, first_line: int):
+def _outcome(read, text: str, arg):
+    """``read(text, arg)``, or the type, message, line and column of the
+    ``PddlError`` it raises."""
     try:
-        return read(text, first_line)
+        return read(text, arg)
     except PddlError as exc:
         return type(exc), str(exc), exc.line, exc.column
 
@@ -542,8 +584,8 @@ class TestReader:
         st.integers(min_value=1, max_value=9),
     )
     def test_same_tree_or_error_as_reference(self, text, first_line):
-        expected = _read_outcome(lambda t, n: _reference_tree(reference_read(t, n)), text, first_line)
-        assert _read_outcome(lambda t, n: _tree(_read_all(t, n)), text, first_line) == expected
+        expected = _outcome(lambda t, n: _reference_tree(reference_read(t, n)), text, first_line)
+        assert _outcome(lambda t, n: _tree(_read_all(t, n)), text, first_line) == expected
 
     def test_columns_count_every_character_of_a_line(self):
         text = "(a\r\n\t(b\x1c c) d ; (x\n)"

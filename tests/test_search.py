@@ -395,3 +395,17 @@ def test_search_and_semantics_stay_independent(module, other):
     neither may use the other's code."""
     source = (Path(plancritic.__file__).parent / f"{module}.py").read_text()
     assert f"plancritic.{other}" not in _imported_modules(source)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(plancritic.__file__).parent.glob("*.py")), ids=lambda path: path.stem
+)
+def test_no_module_imports_a_private_name(path):
+    """A plancritic name with a leading underscore is private to its module:
+    another module that needs it needs a public name instead."""
+    private = [
+        name
+        for name in _imported_modules(path.read_text())
+        if name.startswith("plancritic.") and any(p.startswith("_") for p in name.split(".")[1:])
+    ]
+    assert private == []
