@@ -36,7 +36,14 @@ from .generators import (
     obfuscate_dataset,
 )
 from .llm import TransportError
-from .orchestrator import LoopConfig, MalformedRecord, PlannerConfig, read_records, run_batch
+from .orchestrator import (
+    LoopConfig,
+    MalformedRecord,
+    PlannerBackend,
+    PlannerConfig,
+    read_records,
+    run_batch,
+)
 from .pddl import (
     DomainDef,
     PddlError,
@@ -262,7 +269,8 @@ def _build_pool(path: str, seed: int, domain: DomainDef):
 
 def _cmd_run(args) -> int:
     config, pool_path, pool_seed = _config_from_args(args)
-    dataset = load_dataset(args.manifest)
+    # golden plans are read only for the mock planner, which replays them
+    dataset = load_dataset(args.manifest, with_plans=config.planner.backend is PlannerBackend.MOCK)
     pool = None
     if config.shots > 0 and pool_path:
         pool = _build_pool(pool_path, pool_seed, dataset.domain)
@@ -273,13 +281,10 @@ def _cmd_run(args) -> int:
         records_path=args.records,
         pool=pool,
     )
-    metrics = report.score(records, dataset.domain, dataset.problems)
     stops = Counter(record.stop_reason.value for record in records)
     stop_text = ", ".join(f"{k}={v}" for k, v in sorted(stops.items()))
-    print(
-        f"n={metrics.n} accuracy={metrics.accuracy:.4f} "
-        f"({report.summary_line(metrics)}) stops: {stop_text}"
-    )
+    line = report.accuracy_line(records, dataset.domain, dataset.problems)
+    print(f"{line} stops: {stop_text}")
     return EXIT_OK
 
 
@@ -289,7 +294,7 @@ def _cmd_run(args) -> int:
 
 def _score_records(args) -> report.Metrics:
     records = read_records(args.records)
-    dataset = load_dataset(args.manifest)
+    dataset = load_dataset(args.manifest, with_plans=False)  # scoring reads no golden plan
     return report.score(records, dataset.domain, dataset.problems)
 
 

@@ -5,29 +5,38 @@ matching the assessment phrases a critique prompt asks for.  Three backends
 exist:
 
 * ``llm``: renders its configured critique prompt and samples an
-  OpenAI-compatible endpoint on it, once per self-consistency vote.
+  OpenAI-compatible endpoint on it, once per self-consistency vote.  It
+  renders the domain text once per domain.
 * ``oracle``: asks the ground-truth validator and writes a step-by-step
   verification as its critique text.
 * ``mock``: starts from the oracle's label and flips it with configured
   false-positive / false-negative probabilities, deterministically seeded by
   (seed, problem id, iteration) on a stream apart from the mock planner's.
+
+The oracle and mock critics take the refinement loop's ``ValidationResult``
+of the plan as ``result`` and then validate nothing themselves (see
+``takes_result``); called without one, they validate the plan.  The oracle
+writes its critique text once per distinct result: the loop holds one
+result per distinct plan of a problem, so a repeated plan is written up once.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 from .llm import ChatClient, EndpointConfig, split_base_url
-from .pddl import DomainDef, Plan, ProblemDef
+from .pddl import DomainDef, Plan, ProblemDef, print_domain
 from .prompting import TemplateId, build_critique_prompt, check_critique_template
 from .semantics import (
     PHRASE_CORRECT,
     PHRASE_GOAL_NOT_REACHED,
     PHRASE_WRONG,
+    ValidationResult,
     format_trace,
     format_verdict,
     validate_plan,
@@ -164,23 +173,38 @@ class Critic:
         """Release what the critic holds; only the llm critic holds anything."""
 
 
-def _oracle_sample(domain: DomainDef, problem: ProblemDef, plan: Plan) -> tuple[CritiqueLabel, str]:
-    result = validate_plan(problem, plan, domain)
+def takes_result(critic: Critic) -> bool:
+    """Whether ``critic.critique`` takes the loop's validation of the plan as
+    ``result``: the oracle and mock critics do, and a critic whose
+    ``critique`` has no such parameter is called without it.  (It reads the
+    method's code object: ``inspect.signature`` costs more than a round.)"""
+    code = critic.critique.__code__
+    return "result" in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+
+
+def _oracle_sample(result: ValidationResult) -> tuple[CritiqueLabel, str]:
     trace = format_trace(result)
     text = (trace + "\n\n" if trace else "") + format_verdict(result.verdict)
     return _LABELS[verdict_phrase(result.verdict)], text
 
 
 class OracleCritic(Critic):
-    """Always answers with the ground-truth verdict."""
+    """Always answers with the ground-truth verdict, written up as a
+    step-by-step verification once per distinct validation result."""
 
     def __init__(self, config: CriticConfig | None = None):
         self.config = config or CriticConfig(backend=CriticBackend.ORACLE)
+        # the sample of each result judged, kept while the result is alive
+        # (the loop keeps a problem's results until the problem's run ends)
+        self._samples: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration):
-        sample = _oracle_sample(domain, problem, plan)
-        samples = [sample] * self.config.self_consistency
-        return CritiqueVerdict.from_samples(samples)
+    def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
+        if result is None:
+            result = validate_plan(problem, plan, domain)
+        sample = self._samples.get(result)
+        if sample is None:
+            sample = self._samples[result] = _oracle_sample(result)
+        return CritiqueVerdict.from_samples([sample] * self.config.self_consistency)
 
 
 class MockCritic(Critic):
@@ -198,8 +222,10 @@ class MockCritic(Critic):
     def __init__(self, config: CriticConfig):
         self.config = config
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration):
-        true_label = _LABELS[verdict_phrase(validate_plan(problem, plan, domain).verdict)]
+    def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
+        if result is None:
+            result = validate_plan(problem, plan, domain)
+        true_label = _LABELS[verdict_phrase(result.verdict)]
         rng = random.Random(f"critic:{self.config.seed}:{problem_id}:{iteration}")
         samples = []
         for _ in range(self.config.self_consistency):
@@ -219,6 +245,7 @@ class LlmCritic(Critic):
     def __init__(self, config: CriticConfig, client: ChatClient | None = None):
         self.config = config
         self.client = client or ChatClient(config.endpoint)
+        self._domain_text: tuple[DomainDef, str] | None = None  # the last domain and its text
         # one vote pool for the critic's life, so that a vote thread keeps its
         # client session, and with it its connection, across critiques
         self._pool = None
@@ -226,8 +253,16 @@ class LlmCritic(Critic):
             self._pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
 
     def critique(self, domain, problem, plan, *, problem_id, iteration):
+        held = self._domain_text
+        if held is None or held[0] is not domain:
+            held = self._domain_text = (domain, print_domain(domain))
         prompt = build_critique_prompt(
-            self.config.template, domain, problem, plan, exemplars=self.config.exemplars or None
+            self.config.template,
+            domain,
+            problem,
+            plan,
+            exemplars=self.config.exemplars or None,
+            domain_text=held[1],
         )
         temperature = self.config.effective_temperature
 

@@ -629,8 +629,34 @@ def _write_files(
     return manifest
 
 
+# the fields a manifest line must have, as strings, and the JSON type of each
+# field it may have (a plan_file of null or "" is no plan file)
+_MANIFEST_REQUIRED = ("id", "domain_file", "problem_file")
+_MANIFEST_OPTIONAL = {
+    "benchmark": (str, "a string"),
+    "seed": (int, "an integer"),
+    "index": (int, "an integer"),
+    "params": (dict, "an object"),
+    "plan_file": ((str, type(None)), "a string or null"),
+}
+
+
+def _check_manifest_line(raw, where: str) -> None:
+    """Raise DatasetError unless ``raw`` is an object with every required
+    field, and every field ``ManifestEntry`` reads is of its JSON type."""
+    for key in _MANIFEST_REQUIRED:
+        if not isinstance(raw, dict) or not isinstance(raw.get(key), str):
+            raise DatasetError(f"{where}: no {key!r} string")
+    for key, (kind, name) in _MANIFEST_OPTIONAL.items():
+        value = raw.get(key)
+        if key in raw and (not isinstance(value, kind) or isinstance(value, bool)):
+            raise DatasetError(f"{where}: {key!r} is not {name}")
+
+
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
-    """The entries of a manifest; DatasetError names a malformed line."""
+    """The entries of a manifest; DatasetError names a malformed line: one
+    that is not JSON, lacks a required field, or has a field not of its JSON
+    type."""
     path = Path(path)
     base = path.parent
     entries = []
@@ -645,9 +671,7 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
                 raise DatasetError(
                     f"{path} line {number}: not JSON ({exc.msg} at column {exc.colno})"
                 ) from None
-            for key in ("id", "domain_file", "problem_file"):
-                if not isinstance(raw, dict) or not isinstance(raw.get(key), str):
-                    raise DatasetError(f"{path} line {number}: no {key!r} string")
+            _check_manifest_line(raw, f"{path} line {number}")
             entries.append(
                 ManifestEntry(
                     id=raw["id"],
@@ -663,10 +687,13 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
-def _load_instance(entry: ManifestEntry, domain: DomainDef) -> tuple[ProblemDef, Plan | None]:
+def _load_instance(
+    entry: ManifestEntry, domain: DomainDef, with_plan: bool = True
+) -> tuple[ProblemDef, Plan | None]:
     problem = parse_problem(entry.problem_file.read_text(), domain)
-    plan = None if entry.plan_file is None else parse_plan(entry.plan_file.read_text(), domain)
-    return problem, plan
+    if entry.plan_file is None or not with_plan:
+        return problem, None
+    return problem, parse_plan(entry.plan_file.read_text(), domain)
 
 
 def load_entry(entry: ManifestEntry) -> tuple[DomainDef, ProblemDef, Plan | None]:
@@ -690,10 +717,11 @@ class Dataset:
     plans: Mapping[str, Plan]
 
 
-def load_dataset(manifest: str | Path) -> Dataset:
+def load_dataset(manifest: str | Path, with_plans: bool = True) -> Dataset:
     """Load a manifest, parsing each distinct domain file once; raises
     DatasetError when it is empty, its entries resolve to different domains,
-    or it lists an id twice."""
+    or it lists an id twice.  With ``with_plans`` false no plan file is read
+    and the dataset's ``plans`` is empty, for callers that use no golden plan."""
     entries = tuple(load_manifest(manifest))
     if not entries:
         raise DatasetError(f"empty manifest: {manifest}")
@@ -705,7 +733,7 @@ def load_dataset(manifest: str | Path) -> Dataset:
     for entry in entries:
         if entry.id in problems:
             raise DatasetError(f"manifest lists id {entry.id} twice: {manifest}")
-        problems[entry.id], plan = _load_instance(entry, domain)
+        problems[entry.id], plan = _load_instance(entry, domain, with_plans)
         if plan is not None:
             plans[entry.id] = plan
     return Dataset(entries, domain, problems, plans)

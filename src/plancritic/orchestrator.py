@@ -14,6 +14,13 @@ call, and every vote of a failed critique, are not counted.  A record has
 rounds 0..n-1, n <= k + 1, and only its last can be accepted; readers of
 records rely on this shape, and ``record_from_dict`` refuses any other.
 
+A planner often proposes a plan again after it was rejected.  So each run
+keeps, for the life of its problem, the plans proposed so far by reply text
+and by steps: each distinct reply is extracted once, and each distinct plan
+is printed and validated once.  Critics that take the loop's validation (the
+oracle and mock critics) are handed it, and the record's ground truth reads
+it too.
+
 Batches execute problems independently (optionally in parallel), persist
 records as they finish, and can resume from a partially written record file.
 """
@@ -32,10 +39,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .critics import Critic, CriticConfig, CritiqueLabel, make_critic
+from .critics import Critic, CriticConfig, CritiqueLabel, make_critic, takes_result
 from .generators import Dataset, ManifestEntry
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url
-from .pddl import DomainDef, Plan, ProblemDef, print_plan, read_step
+from .pddl import DomainDef, Plan, ProblemDef, print_domain, print_plan, read_step
 from .prompting import (
     BudgetExceeded,
     FewShotPool,
@@ -43,7 +50,7 @@ from .prompting import (
     plan_prompt_prefix,
     select_fewshots,
 )
-from .semantics import validate_plan, verdict_to_dict
+from .semantics import ValidationResult, validate_plan, verdict_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -206,6 +213,23 @@ def extract_plan(text: str, domain: DomainDef) -> Plan:
     return Plan(tuple(steps))
 
 
+class _Proposal:
+    """One distinct plan of a problem: printed once, validated once when its
+    validation is first asked for."""
+
+    __slots__ = ("plan", "text", "result")
+
+    def __init__(self, plan: Plan):
+        self.plan = plan
+        self.text = print_plan(plan)
+        self.result: ValidationResult | None = None
+
+    def validation(self, problem: ProblemDef, domain: DomainDef) -> ValidationResult:
+        if self.result is None:
+            self.result = validate_plan(problem, self.plan, domain)
+        return self.result
+
+
 def run_problem(
     domain: DomainDef,
     problem: ProblemDef,
@@ -214,6 +238,7 @@ def run_problem(
     critic: Critic,
     shots: Sequence = (),
     problem_id: str | None = None,
+    domain_text: str | None = None,
 ) -> RunRecord:
     """Run the full refinement loop for one problem.
 
@@ -221,33 +246,48 @@ def run_problem(
     the loop itself becomes the record's stop reason and ``error``, and the
     record keeps the rounds that ran and the latest plan proposed.  The plan
     prompt's fixed prefix (template, domain, shots, target) is rendered once
-    per problem; each round appends only the transcript, so every round's
-    prompt equals ``build_plan_prompt(domain, problem, shots, transcript)``.
+    per problem, from ``domain_text`` when the caller rendered the domain
+    once for many problems; each round appends only the transcript, so every
+    round's prompt equals ``build_plan_prompt(domain, problem, shots,
+    transcript)``.  A reply or plan seen before in this run is not extracted,
+    printed or validated again (see the module docstring).
     """
     pid = problem_id or problem.name
     transcript = Transcript(char_budget=config.transcript_budget)
     iterations: list[IterationEntry] = []
-    plan = Plan(())  # the latest plan proposed; it stands whatever stops the run
+    by_reply: dict[str, _Proposal] = {}
+    by_steps: dict[tuple, _Proposal] = {}
+    pass_result = takes_result(critic)
+    latest = _Proposal(Plan(()))  # the latest plan proposed; it stands whatever stops the run
     stop = StopReason.ITERATIONS_EXHAUSTED
     error: str | None = None
     calls = 0
 
     try:
-        prefix = plan_prompt_prefix(domain, problem, shots)
+        prefix = plan_prompt_prefix(domain, problem, shots, domain_text)
         for step in range(config.k + 1):
             role = "planner"  # the role whose call a transport error comes from
             plan_prompt = transcript.prompt(prefix)
             raw = planner.generate(plan_prompt, problem_id=pid, iteration=step)
             calls += 1
-            plan = extract_plan(raw, domain)
-            plan_text = print_plan(plan)
+            proposal = by_reply.get(raw)
+            if proposal is None:
+                plan = extract_plan(raw, domain)
+                proposal = by_steps.get(plan.steps)
+                if proposal is None:
+                    proposal = by_steps[plan.steps] = _Proposal(plan)
+                by_reply[raw] = proposal
+            latest = proposal
             role = "critic"
-            verdict = critic.critique(domain, problem, plan, problem_id=pid, iteration=step)
+            extra = {"result": latest.validation(problem, domain)} if pass_result else {}
+            verdict = critic.critique(
+                domain, problem, latest.plan, problem_id=pid, iteration=step, **extra
+            )
             calls += verdict.sample_count
             iterations.append(
                 IterationEntry(
                     step=step,
-                    plan=plan_text,
+                    plan=latest.text,
                     critic_label=verdict.label.value,
                     votes={label.value: n for label, n in verdict.votes.items()},
                     plan_prompt_chars=len(plan_prompt),
@@ -257,7 +297,7 @@ def run_problem(
             if verdict.label is CritiqueLabel.CORRECT:
                 stop = StopReason.CRITIC_ACCEPTED
                 break
-            transcript.append(plan_text, verdict.text)
+            transcript.append(latest.text, verdict.text)
     except BudgetExceeded as exc:
         stop, error = StopReason.BUDGET_EXCEEDED, str(exc)
     except (TransportError, MalformedResponse) as exc:
@@ -266,16 +306,15 @@ def run_problem(
         log.exception("run failed for %s", pid)
         stop, error = StopReason.INTERNAL_ERROR, f"{type(exc).__name__}: {exc}"
 
-    truth = validate_plan(problem, plan, domain)
     return RunRecord(
         problem_id=pid,
         max_steps=config.k,
         self_consistency=config.critic.self_consistency,
         iterations=tuple(iterations),
-        final_plan=print_plan(plan),
+        final_plan=latest.text,
         stop_reason=stop,
         llm_calls=calls,
-        ground_truth=verdict_to_dict(truth.verdict),
+        ground_truth=verdict_to_dict(latest.validation(problem, domain).verdict),
         error=error,
     )
 
@@ -418,7 +457,8 @@ def run_batch(
     their stored records reused; new records are appended as runs finish.  A
     torn last line, left by a crash mid-write, is dropped with a warning.
     Failures are isolated: ``run_problem`` turns a problem's failure into its
-    record, which is stored like any other, and the batch continues.
+    record, which is stored like any other, and the batch continues.  No
+    target is shown an exemplar of its own id or of its ``problem_key``.
     """
     if config.shots > 0 and pool is None:
         raise ValueError("shots > 0 needs a few-shot pool")
@@ -429,7 +469,11 @@ def run_batch(
 
     todo = [e for e in dataset.entries if e.id not in existing]
     # all shots are chosen before any backend call, so a pool too small fails first
-    shots = {e.id: select_fewshots(pool, e.id, config.shots) if config.shots else () for e in todo}
+    shots = {
+        e.id: select_fewshots(pool, e.id, config.shots, dataset.problems[e.id]) if config.shots else ()
+        for e in todo
+    }
+    domain_text = print_domain(dataset.domain)  # once per batch, for every plan prompt
     write_lock = threading.Lock()
     records_file = None
 
@@ -442,6 +486,7 @@ def run_batch(
             critic,
             shots=shots[entry.id],
             problem_id=entry.id,
+            domain_text=domain_text,
         )
         if records_file is not None:
             with write_lock:

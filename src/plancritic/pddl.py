@@ -18,7 +18,8 @@ when an error, or a test, asks for one: only ``\\n`` ends a line, and every
 other character is one column.
 
 ``read_step`` reads one plan line, for ``parse_plan`` and
-``orchestrator.extract_plan`` alike.
+``orchestrator.extract_plan`` alike.  ``problem_key`` is what a problem asks,
+apart from its names, so two problems posing one task share it.
 
 An atom carries its hash, computed when it is built, and renders its text
 once.  Every ground atom the reader returns, and every atom the validator
@@ -200,6 +201,12 @@ class ProblemDef:
     objects: tuple[str, ...]
     init: frozenset[Atom]
     goal: tuple[Atom, ...]
+
+
+def problem_key(problem: ProblemDef) -> tuple:
+    """What a problem asks, apart from its names: its sorted objects, its
+    ``:init`` and its ``:goal``.  Two problems with equal keys are one task."""
+    return tuple(sorted(problem.objects)), problem.init, frozenset(problem.goal)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 Planning prompts show the domain, worked (problem, plan) example blocks, and
 the target problem.  When earlier attempts were rejected, the transcript of
 (plan, critique, repair request) turns is appended so the model revises its
-own output.  The part before the transcript is the same in every round of a
-problem, so the refinement loop renders it once per problem with
-``plan_prompt_prefix`` and each round appends only the transcript, through
-``Transcript.prompt``.  Critique prompts come in five fixed variants that
-differ in how much guidance they give the judge.
+own output.  Each fixed text is rendered once where it stays fixed: an
+exemplar's shot block when ``build_pool`` builds the pool (it is kept on the
+exemplar), the domain text once per batch (``run_batch`` passes it in as
+``domain_text``), and the part before the transcript, with
+``plan_prompt_prefix``, once per problem; each round then appends only the
+transcript, through ``Transcript.prompt``.  Critique prompts come in five
+fixed variants that differ in how much guidance they give the judge.
 
 All rendering is deterministic: the same inputs always produce the same
 bytes, so prompts can be frozen as golden files.
@@ -18,12 +20,12 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .pddl import DomainDef, Plan, ProblemDef, print_domain, print_plan, print_problem
+from .pddl import DomainDef, Plan, ProblemDef, print_domain, print_plan, print_problem, problem_key
 from .semantics import validate_plan
 
 
@@ -104,12 +106,25 @@ class Exemplar:
     problem: ProblemDef
     plan: Plan
 
+    @functools.cached_property
+    def block(self) -> str:
+        """The exemplar's shot block, rendered on first use and kept."""
+        return _SHOT_BLOCK.format(problem=print_problem(self.problem), plan=print_plan(self.plan))
+
 
 @dataclass(frozen=True)
 class FewShotPool:
     exemplars: tuple[Exemplar, ...]
     seed: int
     ids: tuple[str, ...]  # one id per exemplar: a target is never shown its own
+    # exemplar indices by problem_key: nor is it shown a twin under another id
+    by_key: dict[tuple, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_key: dict[tuple, list[int]] = {}
+        for i, exemplar in enumerate(self.exemplars):
+            by_key.setdefault(problem_key(exemplar.problem), []).append(i)
+        object.__setattr__(self, "by_key", by_key)
 
     def __len__(self) -> int:
         return len(self.exemplars)
@@ -118,7 +133,8 @@ class FewShotPool:
 def build_pool(
     domain: DomainDef, exemplars: Sequence[Exemplar], seed: int, ids: Sequence[str]
 ) -> FewShotPool:
-    """Build a pool, checking every exemplar's plan actually solves its problem.
+    """Build a pool, checking every exemplar's plan actually solves its problem
+    and rendering its shot block once, for every prompt that shows it.
 
     ``ids`` names each exemplar, in order, with a distinct id; a target whose
     id is in the pool is never shown that exemplar.
@@ -131,23 +147,28 @@ def build_pool(
     for ex in exemplars:
         if not validate_plan(ex.problem, ex.plan, domain).is_correct:
             raise ValueError(f"exemplar plan for {ex.problem.name!r} does not validate")
+        ex.block  # rendered here, once, and kept on the exemplar
     return FewShotPool(tuple(exemplars), seed, tuple(ids))
 
 
-def select_fewshots(pool: FewShotPool, problem_id: str, n: int) -> tuple[Exemplar, ...]:
+def select_fewshots(
+    pool: FewShotPool, problem_id: str, n: int, problem: ProblemDef | None = None
+) -> tuple[Exemplar, ...]:
     """Deterministic selection of ``n`` exemplars for one problem.
 
     The full pool is permuted by a stream keyed on (pool seed, problem id),
-    the exemplar whose id is ``problem_id`` is skipped, and the first ``n``
-    remaining entries are taken, so a smaller selection is always a prefix of
-    a larger one.
+    the exemplar whose id is ``problem_id`` is skipped, and so is every
+    exemplar whose ``problem_key`` is that of ``problem`` (the same task under
+    another id), and the first ``n`` remaining entries are taken, so a smaller
+    selection is always a prefix of a larger one.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     rng = random.Random(f"{pool.seed}:{problem_id}")
     order = list(range(len(pool.exemplars)))
     rng.shuffle(order)
-    order = [i for i in order if pool.ids[i] != problem_id]
+    twins = () if problem is None else pool.by_key.get(problem_key(problem), ())
+    order = [i for i in order if pool.ids[i] != problem_id and i not in twins]
     if n > len(order):
         raise PoolTooSmall(f"asked for {n} exemplars, pool has {len(order)} for {problem_id}")
     return tuple(pool.exemplars[i] for i in order[:n])
@@ -190,21 +211,24 @@ class Transcript:
 
 
 def render_shot(exemplar: Exemplar) -> str:
-    return _SHOT_BLOCK.format(
-        problem=print_problem(exemplar.problem), plan=print_plan(exemplar.plan)
-    )
+    return exemplar.block
 
 
 def plan_prompt_prefix(
-    domain: DomainDef, problem: ProblemDef, shots: Sequence[Exemplar] = ()
+    domain: DomainDef,
+    problem: ProblemDef,
+    shots: Sequence[Exemplar] = (),
+    domain_text: str | None = None,
 ) -> str:
     """The planning prompt before any transcript: template, domain, shots and
-    target problem, which stay fixed across the rounds of one problem."""
+    target problem, which stay fixed across the rounds of one problem.
+    ``domain_text``, when given, is ``print_domain(domain)`` rendered once for
+    many problems."""
     return render_template(
         load_template(TemplateId.PLAN_FEWSHOT),
         {
-            "domain_pddl": print_domain(domain),
-            "few_shots": "".join(render_shot(s) for s in shots),
+            "domain_pddl": print_domain(domain) if domain_text is None else domain_text,
+            "few_shots": "".join(s.block for s in shots),
             "instance": print_problem(problem),
         },
     )
@@ -244,15 +268,17 @@ def build_critique_prompt(
     problem: ProblemDef,
     plan: Plan,
     exemplars: Sequence[str] | None = None,
+    domain_text: str | None = None,
 ) -> str:
     """Assemble one of the five critique prompts.
 
     ``exemplars`` are pre-rendered verification walkthrough texts; see
-    check_critique_template for which templates take them.
+    check_critique_template for which templates take them.  ``domain_text``,
+    when given, is ``print_domain(domain)`` rendered once for many prompts.
     """
     check_critique_template(template_id, exemplars)
     values = {
-        "domain_pddl": print_domain(domain),
+        "domain_pddl": print_domain(domain) if domain_text is None else domain_text,
         "instance": print_problem(problem),
         "plan": print_plan(plan),
     }

@@ -8,7 +8,9 @@ plan.  Per-step confusion counts compare round t's critic call (positive =
 plan judged correct) against ground truth.
 
 Scoring is a pure function of records plus the problems they refer to, so
-runs can be re-scored offline without touching any backend.
+runs can be re-scored offline without touching any backend.  A batch that has
+just run reads its accuracy from its records' ground truth instead, with
+``accuracy_line``, which ``run`` prints.
 """
 
 from __future__ import annotations
@@ -131,13 +133,40 @@ def score(
     )
 
 
+def accuracy_line(
+    records: Sequence[RunRecord], domain: DomainDef, problems: Mapping[str, ProblemDef]
+) -> str:
+    """``n=<n> accuracy=<accuracy> (<summary_line>)``, with the figures
+    ``score`` computes for ``records``, read from each record's ground truth
+    (the loop's verdict on its final plan).  Only a record without ground
+    truth has its final plan parsed and validated."""
+    n_correct = 0
+    for record in records:
+        if record.ground_truth is not None:
+            n_correct += record.ground_truth.get("verdict") == "correct"
+            continue
+        if record.problem_id not in problems:
+            raise MissingProblem(record.problem_id)
+        plan = parse_plan(record.final_plan, domain)
+        n_correct += validate_plan(problems[record.problem_id], plan, domain).is_correct
+    n = len(records)
+    if not n:
+        raise ValueError("no records to score")
+    accuracy = n_correct / n
+    return f"n={n} accuracy={accuracy:.4f} ({_summary(accuracy, wald_ci(accuracy, n))})"
+
+
 # ---------------------------------------------------------------------------
 # Emission
 
 
+def _summary(accuracy: float, ci_half_width: float) -> str:
+    return f"{accuracy * 100:.1f}±{ci_half_width * 100:.1f}"
+
+
 def summary_line(metrics: Metrics) -> str:
     """Percent accuracy with its interval, e.g. ``85.5±2.8``."""
-    return f"{metrics.accuracy * 100:.1f}±{metrics.ci_half_width * 100:.1f}"
+    return _summary(metrics.accuracy, metrics.ci_half_width)
 
 
 def _rounded(obj, names) -> dict:

@@ -788,6 +788,85 @@ class TestManifestRefusal:
         assert records.read_text() == ""
         assert not (tmp_path / "report").exists() and not (tmp_path / "obf").exists()
 
+    @pytest.mark.parametrize(
+        "key,value,reason",
+        [
+            ("id", 5, "no 'id' string"),
+            ("domain_file", None, "no 'domain_file' string"),
+            ("problem_file", ["p.pddl"], "no 'problem_file' string"),
+            ("plan_file", 5, "'plan_file' is not a string or null"),
+            ("params", 5, "'params' is not an object"),
+            ("benchmark", 5, "'benchmark' is not a string"),
+            ("seed", "1", "'seed' is not an integer"),
+            ("index", True, "'index' is not an integer"),
+        ],
+        ids=["id", "domain-file", "problem-file", "plan-file", "params", "benchmark", "seed",
+             "index-bool"],
+    )
+    def test_field_of_wrong_type_refused(self, dataset_dir, tmp_path, capsys, key, value, reason):
+        """Every field a manifest entry reads is checked against its JSON
+        type; at one time ``"plan_file": 5`` ended ``run`` in a TypeError and
+        ``"params": 5`` ended ``obfuscate`` in one."""
+        manifest = tmp_path / "manifest.jsonl"
+        lines = []
+        for line in (dataset_dir / "manifest.jsonl").read_text().splitlines():
+            raw = json.loads(line)
+            for field in ("domain_file", "problem_file", "plan_file"):
+                raw[field] = str(dataset_dir / raw[field])
+            lines.append(raw)
+        lines[1][key] = value
+        manifest.write_text("".join(json.dumps(raw) + "\n" for raw in lines))
+        records = tmp_path / "records.jsonl"
+        commands = [
+            ["run", "--manifest", str(manifest), "--records", str(records)],
+            ["score", "--records", str(records), "--manifest", str(manifest)],
+            ["report", "--records", str(records), "--manifest", str(manifest),
+             "--out-dir", str(tmp_path / "report")],
+            ["obfuscate", "--manifest", str(manifest), "--out", str(tmp_path / "obf")],
+        ]
+        for argv in commands:
+            records.write_text("")
+            assert cli.main(argv) == 2, argv[0]
+            assert capsys.readouterr().err == f"error: {manifest} line 2: {reason}\n", argv[0]
+        assert records.read_text() == ""
+        assert not (tmp_path / "report").exists() and not (tmp_path / "obf").exists()
+
+    def test_plan_file_null_or_empty_is_no_plan(self, dataset_dir, tmp_path):
+        raws = [json.loads(line) for line in (dataset_dir / "manifest.jsonl").read_text().splitlines()]
+        for raw in raws:
+            for field in ("domain_file", "problem_file", "plan_file"):
+                raw[field] = str(dataset_dir / raw[field])
+        raws[0]["plan_file"], raws[1]["plan_file"] = None, ""
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(json.dumps(raw) + "\n" for raw in raws))
+        assert list(load_dataset(manifest).plans) == [raw["id"] for raw in raws[2:]]
+
+
+class TestGoldenPlansReadOnlyWhereUsed:
+    """``score`` and ``report`` read no plan file, and ``run`` reads them only
+    for the mock planner."""
+
+    def test_score_and_report_read_no_plan_file(self, dataset_dir, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        argv = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        manifest = str(dataset_dir / "manifest.jsonl")
+        assert cli.main(["score", "--records", str(records), "--manifest", manifest]) == 0
+        scored = capsys.readouterr().out
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for path in dataset_dir.iterdir():
+            text = "not a plan\n" if path.suffix == ".plan" else path.read_text()
+            (copy / path.name).write_text(text)
+        manifest = str(copy / "manifest.jsonl")
+        assert cli.main(["score", "--records", str(records), "--manifest", manifest]) == 0
+        assert capsys.readouterr().out == scored
+        assert cli.main(["report", "--records", str(records), "--manifest", manifest,
+                         "--out-dir", str(tmp_path / "report")]) == 0
+        # the mock planner replays the golden plans, so its run reads them
+        assert cli.main(["run", "--manifest", manifest, "--records", str(tmp_path / "r2.jsonl")]) == 1
+
 
 class TestArgparseBehavior:
     def test_no_subcommand_exits_2(self):

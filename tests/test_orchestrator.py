@@ -7,8 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from plancritic import cli, critics, orchestrator, prompting
 from plancritic.critics import CriticBackend, CriticConfig, CritiqueLabel, CritiqueVerdict, OracleCritic
-from plancritic.generators import GenSpec, generate, load_dataset, write_dataset
+from plancritic.generators import (
+    Dataset,
+    GenSpec,
+    ManifestEntry,
+    generate,
+    load_dataset,
+    write_dataset,
+)
 from plancritic.llm import TransportError
 from plancritic.orchestrator import (
     IterationEntry,
@@ -34,8 +42,17 @@ from plancritic.orchestrator import (
     run_problem,
     write_records,
 )
-from plancritic.pddl import Plan, print_plan
-from plancritic.prompting import Exemplar, PoolTooSmall, Transcript, build_plan_prompt, build_pool
+from plancritic.pddl import Plan, parse_plan, print_plan, problem_key
+from plancritic.prompting import (
+    Exemplar,
+    PoolTooSmall,
+    Transcript,
+    build_plan_prompt,
+    build_pool,
+    render_shot,
+    select_fewshots,
+)
+from plancritic.report import score, summary_line
 from plancritic.search import SearchLimits, bfs_plan
 from plancritic.semantics import validate_plan, verdict_to_dict
 
@@ -741,12 +758,15 @@ class TestRunBatch:
             run_batch(dataset, self.config(shots=2))
 
     def test_pool_counted_without_the_target(self, dataset):
-        ids = list(dataset.plans)  # four entries of the run itself
+        # four entries of the run itself; 0001 and 0003 pose one task (their
+        # objects are listed in another order), so each is also the other's twin
+        ids = list(dataset.plans)
+        assert problem_key(dataset.problems[ids[1]]) == problem_key(dataset.problems[ids[2]])
         exemplars = [Exemplar(dataset.problems[pid], dataset.plans[pid]) for pid in ids]
         pool = build_pool(dataset.domain, exemplars, seed=0, ids=ids)
         with pytest.raises(PoolTooSmall):
-            run_batch(dataset, self.config(shots=4), pool=pool)
-        records = run_batch(dataset, self.config(shots=3), pool=pool)
+            run_batch(dataset, self.config(shots=3), pool=pool)
+        records = run_batch(dataset, self.config(shots=2), pool=pool)
         solved = [r for r in records if r.problem_id in dataset.plans]
         assert all(r.stop_reason is StopReason.CRITIC_ACCEPTED for r in solved)
 
@@ -839,3 +859,142 @@ class TestSharedEndpoint:
         lines = debug_log.read_text().splitlines()
         assert len(lines) == sum(r.llm_calls for r in records) == len(endpoint.requests) == 50
         assert all(json.loads(line)["response"] == "the plan is wrong" for line in lines)
+
+
+class TestExemplarTwins:
+    def test_twin_under_another_id_is_never_shown(self, monkeypatch):
+        """Problem 96 of a blocksworld-5 dataset at seed 1 is problem 3 of a
+        pool at seed 3, under another id; with 64 shots at pool seed 0 the id
+        rule alone draws it into the target's own prompt."""
+        domain, targets = generate(GenSpec.blocksworld(blocks=5, seed=1, count=97))
+        target = targets[96]
+        _, problems = generate(GenSpec.blocksworld(blocks=5, seed=3, count=100))
+        exemplars = [Exemplar(p, bfs_plan(domain, p, SearchLimits()).plan) for p in problems]
+        pool = build_pool(domain, exemplars, seed=0, ids=[f"blocksworld-3-{i:04d}" for i in range(100)])
+        twin = exemplars[3]
+        assert problem_key(twin.problem) == problem_key(target)
+        pid = "blocksworld-1-0096"
+        assert twin in select_fewshots(pool, pid, 64)  # the id rule alone
+        assert twin not in select_fewshots(pool, pid, 64, target)
+        assert len(select_fewshots(pool, pid, 99, target)) == 99  # the pool counts one short
+        with pytest.raises(PoolTooSmall):
+            select_fewshots(pool, pid, 100, target)
+
+        entry = ManifestEntry(pid, "blocksworld", 1, 96, {"blocks": 5}, Path("d.pddl"), Path("p.pddl"))
+        planner = RecordingPlanner("")
+        monkeypatch.setattr(orchestrator, "make_backends", lambda config, goldens: (planner, OracleCritic()))
+        run_batch(Dataset((entry,), domain, {pid: target}, {}), loop_config(k=0, shots=64), pool=pool)
+        (prompt,) = planner.prompts
+        assert prompt.count("Example of a problem and its solution") == 64
+        assert render_shot(twin) not in prompt
+
+
+@pytest.fixture(scope="module")
+def refine_inputs(tmp_path_factory):
+    """Manifests of 30 solved blocksworld-5 problems and of a 20-problem pool,
+    at the seeds the refine-mock benchmark uses."""
+    out = tmp_path_factory.mktemp("refine")
+
+    def solved(name, seed, count):
+        spec = GenSpec.blocksworld(blocks=5, seed=seed, count=count)
+        domain, problems = generate(spec)
+        plans = [bfs_plan(domain, p, SearchLimits()).plan for p in problems]
+        return write_dataset(out / name, domain, problems, spec, plans)
+
+    return solved("ds", 1, 30), solved("pool", 100_001, 20)
+
+
+def _pool_of(dataset):
+    exemplars = [Exemplar(dataset.problems[e.id], dataset.plans[e.id]) for e in dataset.entries]
+    return build_pool(dataset.domain, exemplars, seed=0, ids=[e.id for e in dataset.entries])
+
+
+class TestFixedWorkDoneOnce:
+    """Exact counts on a batch shaped like the refine-mock benchmark: mock
+    planner p=0.3, oracle critic, k=10, 4 shots, a 20-problem pool."""
+
+    def test_counts_and_prompts(self, refine_inputs, monkeypatch):
+        ds_manifest, pool_manifest = refine_inputs
+        dataset = load_dataset(ds_manifest)
+        calls = {name: [] for name in ("validate", "trace", "problem", "domain")}
+
+        def count(module, name, log):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: log.append(args) or real(*args))
+
+        count(orchestrator, "validate_plan", calls["validate"])
+        count(critics, "validate_plan", calls["validate"])
+        count(critics, "format_trace", calls["trace"])
+        count(prompting, "print_problem", calls["problem"])
+        count(prompting, "print_domain", calls["domain"])
+        count(orchestrator, "print_domain", calls["domain"])
+        prompts = {}
+        generate_reply = MockPlanner.generate
+
+        def recording(self, prompt, *, problem_id, iteration):
+            prompts[problem_id, iteration] = prompt
+            return generate_reply(self, prompt, problem_id=problem_id, iteration=iteration)
+
+        monkeypatch.setattr(MockPlanner, "generate", recording)
+        pool = _pool_of(load_dataset(pool_manifest))
+        config = LoopConfig(
+            k=10, shots=4, planner=PlannerConfig(golden_prob=0.3, seed=1000),
+            critic=CriticConfig(backend=CriticBackend.ORACLE),
+        )
+        records = run_batch(dataset, config, pool=pool)
+        monkeypatch.undo()
+
+        rounds = sum(len(r.iterations) for r in records)
+        distinct = sum(len({entry.plan for entry in r.iterations}) for r in records)
+        assert all(r.final_plan == r.iterations[-1].plan for r in records)
+        assert rounds > distinct  # plans were proposed again
+        # one validation and one write-up per distinct plan of each problem
+        assert len(calls["validate"]) == distinct
+        assert len({(id(problem), plan.steps) for problem, plan, _ in calls["validate"]}) == distinct
+        assert len(calls["trace"]) == distinct
+        # one shot block per pool exemplar, one instance text per target, one domain text
+        assert len(calls["problem"]) == len(pool) + len(records)
+        assert len(calls["domain"]) == 1
+
+        for record in records:
+            problem = dataset.problems[record.problem_id]
+            selected = select_fewshots(pool, record.problem_id, 4, problem)
+            shots = tuple(Exemplar(s.problem, s.plan) for s in selected)  # blocks not yet rendered
+            transcript = Transcript(char_budget=config.transcript_budget)
+            oracle = OracleCritic()
+            for entry in record.iterations:
+                expected = build_plan_prompt(dataset.domain, problem, shots, transcript)
+                assert prompts[record.problem_id, entry.step] == expected
+                plan = parse_plan(entry.plan, dataset.domain)
+                verdict = oracle.critique(
+                    dataset.domain, problem, plan, problem_id=record.problem_id, iteration=entry.step
+                )
+                transcript.append(entry.plan, verdict.text)
+        assert len(prompts) == rounds
+
+    @pytest.mark.parametrize("critic", [["--critic", "oracle"], ["--critic", "mock", "--fp", "0.2"]])
+    def test_run_line_is_the_score_line(self, refine_inputs, tmp_path, capsys, critic):
+        """``run`` prints the accuracy that ``score`` computes, for fresh and
+        for resumed records, though it reads the records' ground truth."""
+        ds_manifest, pool_manifest = refine_inputs
+        dataset = load_dataset(ds_manifest)
+        path = tmp_path / "records.jsonl"
+        argv = ["run", "--manifest", str(ds_manifest), "--records", str(path), "--planner", "mock",
+                "--golden-prob", "0.3", "--k", "3", "--shots", "4", "--pool", str(pool_manifest),
+                "--seed", "5", *critic]
+
+        def printed_and_scored():
+            assert cli.main(argv) == 0
+            metrics = score(read_records(path), dataset.domain, dataset.problems)
+            line = f"n={metrics.n} accuracy={metrics.accuracy:.4f} ({summary_line(metrics)}) stops: "
+            return capsys.readouterr().out, line
+
+        out, line = printed_and_scored()
+        assert out.startswith(line)
+        assert 0 < score(read_records(path), dataset.domain, dataset.problems).accuracy < 1
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:12]))  # a batch stopped after 12 records
+        out, line = printed_and_scored()
+        assert out.startswith(line)
+        out, line = printed_and_scored()  # every record stored
+        assert out.startswith(line)

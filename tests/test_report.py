@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from collections import Counter
 
 import pytest
 
-from plancritic import orchestrator
+from plancritic import orchestrator, report
 from plancritic.critics import CriticBackend, CriticConfig, MockCritic
 from plancritic.generators import GenSpec, generate, load_dataset, write_dataset
 from plancritic.orchestrator import (
@@ -15,12 +16,14 @@ from plancritic.orchestrator import (
     StopReason,
     run_batch,
 )
-from plancritic.pddl import print_plan
+from plancritic.pddl import parse_plan, print_plan
+from plancritic.semantics import validate_plan, verdict_to_dict
 from plancritic.report import (
     REPORT_FORMATS,
     Metrics,
     MissingProblem,
     StepMetrics,
+    accuracy_line,
     emit_report,
     metrics_to_dict,
     score,
@@ -193,6 +196,38 @@ class TestScore:
     def test_empty_records(self, bw_domain, problems):
         with pytest.raises(ValueError):
             score([], bw_domain, problems)
+        with pytest.raises(ValueError):
+            accuracy_line([], bw_domain, problems)
+
+
+class TestAccuracyLine:
+    """``run``'s line has the figures ``score`` computes, whether they are
+    read from the records' ground truth or, where a record has none, from
+    its final plan."""
+
+    def expected(self, records, domain, problems):
+        metrics = score(records, domain, problems)
+        return f"n={metrics.n} accuracy={metrics.accuracy:.4f} ({summary_line(metrics)})"
+
+    def test_without_ground_truth(self, records, bw_domain, problems):
+        assert accuracy_line(records, bw_domain, problems) == self.expected(records, bw_domain, problems)
+        assert accuracy_line(records, bw_domain, problems) == "n=4 accuracy=0.5000 (50.0±49.0)"
+
+    def test_reads_ground_truth(self, records, bw_domain, problems, monkeypatch):
+        with_truth = [
+            dataclasses.replace(r, ground_truth=verdict_to_dict(validate_plan(
+                problems[r.problem_id], parse_plan(r.final_plan, bw_domain), bw_domain).verdict))
+            for r in records
+        ]
+        line = accuracy_line(with_truth[:3], bw_domain, problems)
+        assert line == self.expected(with_truth[:3], bw_domain, problems)
+        monkeypatch.setattr(report, "parse_plan", None)  # never called
+        assert accuracy_line(with_truth[:3], bw_domain, problems) == line
+
+    def test_missing_problem(self, records, bw_domain, problems):
+        del problems["p4"]
+        with pytest.raises(MissingProblem):
+            accuracy_line(records, bw_domain, problems)
 
 
 class TestScoreOfALoopRun:
