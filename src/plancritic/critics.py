@@ -22,6 +22,7 @@ result per distinct plan of a problem, so a repeated plan is written up once.
 
 from __future__ import annotations
 
+import inspect
 import random
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -156,7 +157,9 @@ class CriticConfig(EndpointConfig):
 
 
 class Critic:
-    """Interface: judge one plan in the context of one problem."""
+    """Interface: judge one plan in the context of one problem.  A critic
+    whose ``critique`` also takes ``result`` is handed the loop's validation
+    of the plan (see ``takes_result``)."""
 
     def critique(
         self,
@@ -176,9 +179,10 @@ class Critic:
 def takes_result(critic: Critic) -> bool:
     """Whether ``critic.critique`` takes the loop's validation of the plan as
     ``result``: the oracle and mock critics do, and a critic whose
-    ``critique`` has no such parameter is called without it.  (It reads the
-    method's code object: ``inspect.signature`` costs more than a round.)"""
-    code = critic.critique.__code__
+    ``critique`` has no such parameter is called without it.  A wrapper made
+    with ``functools.wraps`` is looked through.  (It reads the code object:
+    ``inspect.signature`` costs more than a round.)"""
+    code = inspect.unwrap(critic.critique).__code__
     return "result" in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -8,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from plancritic import cli, critics, orchestrator, prompting
-from plancritic.critics import CriticBackend, CriticConfig, CritiqueLabel, CritiqueVerdict, OracleCritic
+from plancritic.critics import (
+    CriticBackend,
+    CriticConfig,
+    CritiqueLabel,
+    CritiqueVerdict,
+    OracleCritic,
+    takes_result,
+)
 from plancritic.generators import (
     Dataset,
     GenSpec,
@@ -971,6 +979,48 @@ class TestFixedWorkDoneOnce:
                 )
                 transcript.append(entry.plan, verdict.text)
         assert len(prompts) == rounds
+
+    def test_critic_behind_a_wrapper_is_handed_the_result(
+        self, bw_domain, bw5_problem, wrong_plan, monkeypatch
+    ):
+        """A ``functools.wraps`` wrapper on ``critique``, as a tracer installs
+        one, still gets the loop's validation; an override without ``result``
+        validates on its own."""
+        real = OracleCritic.critique
+
+        @functools.wraps(real)
+        def traced(self, *args, **kwargs):
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(OracleCritic, "critique", traced)
+        assert takes_result(OracleCritic()) and not takes_result(RecordingCritic())
+        validated = []
+        real_validate = critics.validate_plan
+        monkeypatch.setattr(
+            critics, "validate_plan", lambda *args: validated.append(args) or real_validate(*args)
+        )
+        planner = ScriptedPlanner({"p1": [print_plan(wrong_plan)]})
+        record = run_problem(bw_domain, bw5_problem, loop_config(k=3), planner, OracleCritic(), problem_id="p1")
+        assert len(record.iterations) == 4 and validated == []
+        run_problem(bw_domain, bw5_problem, loop_config(k=3), planner, RecordingCritic(), problem_id="p1")
+        assert len(validated) == 4
+
+    def test_threads_share_the_oracle_and_match_serial(self, refine_inputs):
+        """The oracle critic's write-ups are shared by the batch's worker
+        threads: more threads than cores, switching often, give the records
+        of a serial run."""
+        ds_manifest, pool_manifest = refine_inputs
+        dataset = load_dataset(ds_manifest)
+        pool = _pool_of(load_dataset(pool_manifest))
+        config = LoopConfig(k=10, shots=4, planner=PlannerConfig(golden_prob=0.3, seed=7))
+        serial = run_batch(dataset, config, pool=pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_batch(dataset, config, pool=pool, parallelism=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial
 
     @pytest.mark.parametrize("critic", [["--critic", "oracle"], ["--critic", "mock", "--fp", "0.2"]])
     def test_run_line_is_the_score_line(self, refine_inputs, tmp_path, capsys, critic):

@@ -196,8 +196,6 @@ class TestScore:
     def test_empty_records(self, bw_domain, problems):
         with pytest.raises(ValueError):
             score([], bw_domain, problems)
-        with pytest.raises(ValueError):
-            accuracy_line([], bw_domain, problems)
 
 
 class TestAccuracyLine:
@@ -228,6 +226,10 @@ class TestAccuracyLine:
         del problems["p4"]
         with pytest.raises(MissingProblem):
             accuracy_line(records, bw_domain, problems)
+
+    def test_empty_records(self, bw_domain, problems):
+        with pytest.raises(ValueError):
+            accuracy_line([], bw_domain, problems)
 
 
 class TestScoreOfALoopRun:
