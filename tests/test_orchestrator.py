@@ -980,6 +980,16 @@ class TestFixedWorkDoneOnce:
                 transcript.append(entry.plan, verdict.text)
         assert len(prompts) == rounds
 
+    def test_replies_of_one_plan_are_validated_once(self, bw_domain, bw5_problem, wrong_plan, monkeypatch):
+        validated = []
+        real = orchestrator.validate_plan
+        monkeypatch.setattr(orchestrator, "validate_plan", lambda *args: validated.append(args) or real(*args))
+        text = print_plan(wrong_plan)
+        numbered = "\n".join(f"{i}. {line}" for i, line in enumerate(text.splitlines(), start=1))
+        planner = ScriptedPlanner({"p1": [text, numbered, text + "\nDone."]})
+        record = run_problem(bw_domain, bw5_problem, loop_config(k=3), planner, OracleCritic(), problem_id="p1")
+        assert len(record.iterations) == 4 and len(validated) == 1
+
     def test_critic_behind_a_wrapper_is_handed_the_result(
         self, bw_domain, bw5_problem, wrong_plan, monkeypatch
     ):
