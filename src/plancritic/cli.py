@@ -151,6 +151,12 @@ def _cmd_solve(args) -> int:
     domain = parse_domain(_read_text(args.domain))
     problem = parse_problem(_read_text(args.problem), domain)
     result = bfs_plan(domain, problem, _limits_from_args(args))
+    if args.stats:
+        print(
+            f"expanded={result.expanded} generated={result.generated} "
+            f"operators={result.operators}",
+            file=sys.stderr,
+        )
     if result.status is SearchStatus.FOUND:
         text = print_plan(result.plan)
         if args.out:
@@ -361,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--problem", required=True)
     p.add_argument("--out")
+    p.add_argument("--stats", action="store_true", help="print search counts on stderr")
     _add_limit_flags(p)
     p.set_defaults(func=_cmd_solve)
 

@@ -6,17 +6,20 @@ that shares nothing with the ``semantics`` validator, so the two
 implementations can cross-check each other.
 
 Grounding joins each schema's static preconditions against the static atoms
-of ``:init`` while it binds the parameters, then keeps only the operators a
-delete-relaxed fixpoint from ``:init`` reaches (Helmert, "Concise
-finite-domain representations for PDDL planning tasks", AIJ 2009).  Atoms are
-interned to bit positions, so a state is an ``int`` and an operator is a
-precondition, keep and add mask.
+of ``:init`` while it binds the parameters.  Atoms are interned to bit
+positions, so a state is an ``int`` and an operator is a precondition, keep
+and add mask.  The operators are then indexed on their preconditions, as in
+Fast Downward's successor generator (Helmert, "The Fast Downward Planning
+System", JAIR 2006): for each byte of the atom bits that holds a precondition
+bit, a 256-entry table maps the byte's value in a state to the bitset of
+operators whose precondition bits in that byte it holds.  ANDing one entry
+per table gives the operators applicable in a state, and their set bits, low
+to high, are the canonical operator order.
 
-The join and the interning depend only on the domain, the sorted objects and
-the static atoms of ``:init``, so they are cached for the last such key: the
-instances of one family, solved back to back, ground once.  Per problem, only
-the masks of ``:init`` and the goal and the relaxed fixpoint remain; the
-fixpoint sweeps the cached masks until no operator adds a new bit.
+The join, the interning and the tables depend only on the domain, the sorted
+objects and the static atoms of ``:init``, so they are cached for the last
+such key: the instances of one family, solved back to back, ground once.  Per
+problem, only the masks of ``:init`` and the goal remain.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import itertools
 import logging
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -56,6 +59,9 @@ class SearchResult:
     status: SearchStatus
     plan: Plan | None
     expanded: int
+    # telemetry, outside equality: states first reached, and grounded steps
+    generated: int = field(compare=False)
+    operators: int = field(compare=False)
 
 
 def ground_actions(domain: DomainDef, problem: ProblemDef) -> list[GroundAction]:
@@ -151,13 +157,19 @@ def _join(
 # ``(state & keep) | adds``, ``keep`` being the complement of the deletes
 _Step = tuple[int, int, int, GroundAction]
 
+# one byte of the atom bits as ``(shift, table)``: ``table[state >> shift &
+# 255]`` is the bitset of the steps whose precondition bits in that byte all
+# hold in ``state``
+_Table = tuple[int, tuple[int, ...]]
+
 
 @functools.lru_cache(maxsize=1)
 def _grounding(
     domain: DomainDef, objs: tuple[str, ...], static_init: frozenset[tuple]
-) -> tuple[dict[tuple, int], tuple[_Step, ...]]:
-    """The atom-to-bit table and every operator whose static preconditions
-    hold in ``static_init``, as steps in canonical order.
+) -> tuple[dict[tuple, int], tuple[_Step, ...], tuple[_Table, ...]]:
+    """The atom-to-bit table, every operator whose static preconditions hold
+    in ``static_init`` as steps in canonical order, and the byte tables that
+    index those steps on their preconditions.
 
     This depends only on the domain, the sorted objects and the static atoms
     of ``:init``, so the instances of one family share it; the table holds
@@ -190,7 +202,34 @@ def _grounding(
                 mask(_instantiate(adds, args)),
                 GroundAction(schema.name, args),
             ))
-    return bits, tuple(steps)
+    return bits, tuple(steps), _byte_tables(steps)
+
+
+def _byte_tables(steps: list[_Step]) -> tuple[_Table, ...]:
+    """One table for each byte of the atom bits that holds a precondition bit
+    of some step (after Helmert's successor generator, JAIR 2006).
+
+    One downward pass over ``v`` fills a table: with ``k`` the lowest clear
+    bit of ``v``, the steps that apply at ``v`` are those that apply at
+    ``v | 1 << k`` and do not need bit ``k``.
+    """
+    need: dict[int, int] = {}  # atom bit -> the steps it is a precondition of
+    for i, (pre, _, _, _) in enumerate(steps):
+        while pre:
+            low = pre & -pre
+            pre ^= low
+            bit = low.bit_length() - 1
+            need[bit] = need.get(bit, 0) | 1 << i
+    every = (1 << len(steps)) - 1
+    tables: list[_Table] = []
+    for shift in sorted({bit & ~7 for bit in need}):
+        allow = [every & ~need.get(shift + k, 0) for k in range(8)]
+        table = [every] * 256
+        for v in range(254, -1, -1):
+            k = (~v & (v + 1)).bit_length() - 1
+            table[v] = table[v | 1 << k] & allow[k]
+        tables.append((shift, tuple(table)))
+    return tuple(tables)
 
 
 def _instantiate(atoms: list[tuple[str, tuple[int, ...]]], args: tuple[str, ...]) -> tuple:
@@ -199,30 +238,28 @@ def _instantiate(atoms: list[tuple[str, tuple[int, ...]]], args: tuple[str, ...]
 
 
 class _Task(NamedTuple):
-    """One problem in bits: the shared table, the masks of ``:init`` and the
-    goal, and the steps that can fire."""
+    """One problem in bits: the shared grounding, then the masks of ``:init``
+    and the goal."""
 
     bits: Mapping[tuple, int]  # atoms outside it hold the bits above its size
+    steps: tuple[_Step, ...]
+    tables: tuple[_Table, ...]
     init: int
     goal: int
-    steps: list[_Step]
 
 
 def _reachable_ops(domain: DomainDef, problem: ProblemDef) -> _Task:
-    """``problem`` in bits, with the grounded operators that can fire in some
-    relaxed-reachable state as its steps.
+    """``problem`` in bits, over the operators whose static preconditions
+    hold in its ``:init``.
 
-    The same operators, in the same order, as grounding every action by
-    :func:`ground_actions`, dropping operators whose static preconditions
-    fail in ``:init`` (no effect can ever make them true), and keeping only
-    operators a delete-relaxed fixpoint from ``:init`` reaches.  Every state
-    the real search reaches is a subset of the relaxed-reachable atoms, so no
-    dropped operator could ever fire.  The grounding comes from
-    :func:`_grounding`; only the masks and the relaxed pass are per problem.
+    The steps are the operators :func:`ground_actions` yields, in the same
+    order, less those whose static preconditions fail in ``:init`` (no effect
+    can ever make them true).  The grounding comes from :func:`_grounding`;
+    only the masks of ``:init`` and the goal are per problem.
     """
     static = _static_predicates(domain)
     init_atoms = [(atom.pred, atom.args) for atom in problem.init]
-    bits, steps = _grounding(
+    bits, steps, tables = _grounding(
         domain,
         tuple(sorted(problem.objects)),
         frozenset(atom for atom in init_atoms if atom[0] in static),
@@ -240,25 +277,15 @@ def _reachable_ops(domain: DomainDef, problem: ProblemDef) -> _Task:
 
     init = mask(init_atoms)
     goal = mask((atom.pred, atom.args) for atom in problem.goal)
-    return _Task(bits, init, goal, _relaxed_reachable(steps, init))
+    return _Task(bits, steps, tables, init, goal)
 
 
-def _relaxed_reachable(steps: tuple[_Step, ...], init: int) -> list[_Step]:
-    """The entries of ``steps`` that a delete-relaxed fixpoint from ``init``
-    fires, in their order.
-
-    Each sweep fires every step whose precondition the atoms reached so far
-    meet; at the fixpoint a step fired exactly when its precondition is a
-    subset of the reached atoms.
-    """
-    reached = init
-    while True:
-        before = reached
-        for pre, _, adds, _ in steps:
-            if reached & pre == pre:
-                reached |= adds
-        if reached == before:
-            return [step for step in steps if reached & step[0] == step[0]]
+def _applicable(tables: tuple[_Table, ...], every: int, state: int) -> int:
+    """The bitset of the steps applicable in ``state``: bit ``i`` is set when
+    step ``i`` is.  ``every`` is the bitset of all steps."""
+    for shift, table in tables:
+        every &= table[state >> shift & 255]
+    return every
 
 
 def bfs_plan(
@@ -272,15 +299,18 @@ def bfs_plan(
     grounding of every action, repeated arguments included, and found no plan.
 
     The steps come from :func:`_reachable_ops`, whose grounding a call with
-    the same domain, objects and static atoms as the previous one reuses;
-    the search only tests and applies their masks.
+    the same domain, objects and static atoms as the previous one reuses.
+    Each expanded state looks its applicable steps up in the byte tables and
+    applies them from the lowest index up, which is the canonical order.
     """
-    _, init, goal, steps = _reachable_ops(domain, problem)
+    _, steps, tables, init, goal = _reachable_ops(domain, problem)
+    operators = len(steps)
     if init & goal == goal:
-        return SearchResult(SearchStatus.FOUND, Plan(()), 0)
+        return SearchResult(SearchStatus.FOUND, Plan(()), 0, 0, operators)
 
-    visited = {init}
-    parent: dict[int, tuple[int, GroundAction]] = {}
+    every = (1 << operators) - 1
+    # the visited set, and each state's predecessor and the step between
+    parent: dict[int, tuple[int, GroundAction] | None] = {init: None}
     queue: deque[tuple[int, int]] = deque([(init, 0)])
     expanded = 0
     truncated = False
@@ -289,29 +319,34 @@ def bfs_plan(
         expanded += 1
         if expanded > limits.max_expanded:
             log.debug("expansion limit hit after %d states", expanded - 1)
-            return SearchResult(SearchStatus.LIMIT_EXCEEDED, None, expanded - 1)
+            return SearchResult(
+                SearchStatus.LIMIT_EXCEEDED, None, expanded - 1, len(parent) - 1, operators
+            )
         if depth >= limits.max_plan_length:
             truncated = True
             continue
-        for pre, keep, adds, action in steps:
-            if state & pre == pre:
-                succ = (state & keep) | adds
-                if succ in visited:
-                    continue
-                visited.add(succ)
-                parent[succ] = (state, action)
-                if succ & goal == goal:
-                    plan: list[GroundAction] = []
-                    node = succ
-                    while node != init:
-                        node, action = parent[node]
-                        plan.append(action)
-                    plan.reverse()
-                    return SearchResult(SearchStatus.FOUND, Plan(tuple(plan)), expanded)
-                queue.append((succ, depth + 1))
-    if truncated:
-        return SearchResult(SearchStatus.LIMIT_EXCEEDED, None, expanded)
-    return SearchResult(SearchStatus.NO_PLAN, None, expanded)
+        ops = _applicable(tables, every, state)
+        while ops:
+            low = ops & -ops
+            ops ^= low
+            _, keep, adds, action = steps[low.bit_length() - 1]
+            succ = (state & keep) | adds
+            if succ in parent:
+                continue
+            parent[succ] = (state, action)
+            if succ & goal == goal:
+                plan: list[GroundAction] = []
+                node = succ
+                while node != init:
+                    node, action = parent[node]
+                    plan.append(action)
+                plan.reverse()
+                return SearchResult(
+                    SearchStatus.FOUND, Plan(tuple(plan)), expanded, len(parent) - 1, operators
+                )
+            queue.append((succ, depth + 1))
+    status = SearchStatus.LIMIT_EXCEEDED if truncated else SearchStatus.NO_PLAN
+    return SearchResult(status, None, expanded, len(parent) - 1, operators)
 
 
 @dataclass(frozen=True)

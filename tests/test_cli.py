@@ -215,6 +215,30 @@ class TestSolve:
         assert "limits exceeded" in capsys.readouterr().err
 
 
+    # ground operators: 5 + 5 + 25 + 25 for five blocks, 2 + 2 + 4 + 4 for two
+    @pytest.mark.parametrize(
+        "problem,extra,code,operators",
+        [
+            ("problem", [], 0, "60"),
+            ("unsolvable", [], 1, "12"),
+            ("problem", ["--max-expanded", "1"], 1, "60"),
+        ],
+    )
+    def test_stats_on_stderr(self, fixture_files, capsys, problem, extra, code, operators):
+        argv = ["solve", "--domain", str(fixture_files["domain"]),
+                "--problem", str(fixture_files[problem]), *extra]
+        assert cli.main(argv) == code
+        plain = capsys.readouterr()
+        assert cli.main([*argv, "--stats"]) == code
+        stats = capsys.readouterr()
+        assert stats.out == plain.out
+        line, rest = stats.err.split("\n", 1)
+        assert rest == plain.err
+        counts = dict(field.split("=") for field in line.split())
+        assert list(counts) == ["expanded", "generated", "operators"]
+        assert all(value.isdigit() for value in counts.values())
+        assert counts["operators"] == operators
+
     def test_bad_search_limit_exits_2(self, fixture_files, capsys):
         code = cli.main(
             ["solve", "--domain", str(fixture_files["domain"]),

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plancritic
-from plancritic import cli
+from plancritic import cli, search
 from plancritic.generators import GenSpec, generate
 from plancritic.pddl import GroundAction, Plan, parse_domain, parse_plan, parse_problem
 from plancritic.search import (
     ExecutionOutcome,
     SearchLimits,
+    SearchResult,
     SearchStatus,
+    _applicable,
     _make_op,
     _reachable_ops,
     _grounding,
@@ -84,12 +86,17 @@ class TestGrounding:
 
 
 def reference_ops(domain, problem):
-    """Brute-force grounding: every argument tuple, the static-in-init filter,
-    then a naive delete-relaxed fixpoint from init."""
+    """Brute-force grounding: every argument tuple, then the static-in-init
+    filter."""
     static = _static_predicates(domain)
     ops = [_make_op(domain, action) for action in ground_actions(domain, problem)]
-    ops = [op for op in ops if all(a in problem.init for a in op.pre if a.pred in static)]
-    reached = set(problem.init)
+    return [op for op in ops if all(a in problem.init for a in op.pre if a.pred in static)]
+
+
+def relaxed_reachable(ops, init):
+    """The indexes of the ``ops`` that a naive delete-relaxed fixpoint from
+    ``init`` fires."""
+    reached = set(init)
     fired: set[int] = set()
     changed = True
     while changed:
@@ -99,7 +106,7 @@ def reference_ops(domain, problem):
                 fired.add(i)
                 reached |= op.adds
                 changed = True
-    return [op for i, op in enumerate(ops) if i in fired]
+    return fired
 
 
 def as_keys(op):
@@ -128,6 +135,33 @@ GROUNDING_SPECS = [
 ]
 
 
+def scanned(steps, state):
+    """The indexes of the steps applicable in ``state``, by testing each."""
+    return [i for i, (pre, _, _, _) in enumerate(steps) if state & pre == pre]
+
+
+def looked_up(task, state):
+    """The indexes of the steps the byte tables find applicable in ``state``,
+    lowest first, the order bfs_plan applies them in."""
+    ops = _applicable(task.tables, (1 << len(task.steps)) - 1, state)
+    return [i for i in range(ops.bit_length()) if ops >> i & 1]
+
+
+def expanded_states(monkeypatch, domain, problem):
+    """Every state bfs_plan looks up applicable steps for, in order."""
+    states = []
+    lookup = search._applicable
+
+    def record(tables, every, state):
+        states.append(state)
+        return lookup(tables, every, state)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_applicable", record)
+        assert bfs_plan(domain, problem).status is SearchStatus.FOUND
+    return states
+
+
 class TestJoinGrounding:
     @pytest.mark.parametrize("spec", GROUNDING_SPECS, ids=lambda s: s.benchmark.value)
     def test_equals_brute_force_reference(self, spec):
@@ -135,6 +169,87 @@ class TestJoinGrounding:
         for problem in problems:
             ops = decoded(_reachable_ops(domain, problem))
             assert ops == [as_keys(op) for op in reference_ops(domain, problem)]
+
+    # blocksworld is left out: the relaxed pass drops none of its steps
+    @pytest.mark.parametrize("spec", GROUNDING_SPECS[:2], ids=lambda s: s.benchmark.value)
+    def test_relaxed_unreachable_steps_never_apply(self, spec, monkeypatch):
+        # the search keeps the steps a delete-relaxed pass from :init drops;
+        # none of them may apply in a state the search expands
+        domain, problems = generate(spec)
+        for problem in problems:
+            task = _reachable_ops(domain, problem)
+            fired = relaxed_reachable(reference_ops(domain, problem), problem.init)
+            dropped = [step for i, step in enumerate(task.steps) if i not in fired]
+            assert dropped
+            for state in expanded_states(monkeypatch, domain, problem):
+                assert not [step for step in dropped if state & step[0] == step[0]]
+
+
+class TestByteTables:
+    """The byte-table lookup finds the steps a scan of every step finds, in
+    the same order."""
+
+    @pytest.mark.parametrize("spec", GROUNDING_SPECS, ids=lambda s: s.benchmark.value)
+    def test_lookup_equals_scan_on_expanded_states(self, spec, monkeypatch):
+        domain, problems = generate(spec)
+        for problem in problems:
+            task = _reachable_ops(domain, problem)
+            states = expanded_states(monkeypatch, domain, problem)
+            assert states
+            for state in states:
+                assert looked_up(task, state) == scanned(task.steps, state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(objects=st.integers(min_value=4, max_value=6), state=st.integers(0, (1 << 80) - 1))
+    def test_lookup_equals_scan_on_random_states(self, objects, state):
+        domain = parse_domain(PAINT_DOMAIN)
+        task = _reachable_ops(domain, paint_problem(domain, objects))
+        # paint has an empty precondition; its n * n mark atoms come first
+        # and no step needs them, so the low two bytes hold no precondition
+        # bit; flag atoms are in :init and the goal only, above the table
+        assert [step for step in task.steps if step[0] == 0]
+        assert task.tables[0][0] >= 16
+        assert (task.init | task.goal) >> len(task.bits)
+        state &= (1 << len(task.bits) + 8) - 1
+        assert looked_up(task, state) == scanned(task.steps, state)
+
+    def test_no_tables_without_preconditions(self):
+        domain = parse_domain(PAINT_DOMAIN)
+        problem = parse_problem(
+            "(define (problem bare) (:domain paint) (:objects c1 c2) (:init) "
+            "(:goal (and (mark c2 c1))))",
+            domain,
+        )
+        task = _reachable_ops(domain, problem)
+        assert task.tables == ()
+        assert looked_up(task, 0) == scanned(task.steps, 0) == [0, 1, 2, 3]
+        result = bfs_plan(domain, problem)
+        assert result.plan == Plan((GroundAction("paint", ("c2", "c1")),))
+
+
+PAINT_DOMAIN = """\
+(define (domain paint)
+(:predicates (at ?x) (link ?x ?y) (mark ?x ?y) (lit) (flag ?x))
+(:action paint
+  :parameters (?x ?y)
+  :precondition (and)
+  :effect (mark ?x ?y))
+(:action go
+  :parameters (?x ?y)
+  :precondition (and (at ?x) (link ?x ?y) (lit))
+  :effect (and (not (at ?x)) (at ?y))))
+"""
+
+
+def paint_problem(domain, n):
+    """Cells c1..cn in a ring, at c1 with the light on."""
+    cells = [f"c{i}" for i in range(1, n + 1)]
+    links = " ".join(f"(link {a} {b})" for a, b in zip(cells, cells[1:] + cells[:1]))
+    return parse_problem(
+        f"(define (problem ring) (:domain paint) (:objects {' '.join(cells)}) "
+        f"(:init (at c1) (lit) (flag c1) {links}) (:goal (and (at c3) (flag c2))))",
+        domain,
+    )
 
 
 WALK_DOMAIN = """\
@@ -247,11 +362,15 @@ class TestSoundNoPlan:
 
 
 # (expanded, plan length) of each instance, as the earlier search with
-# frozenset states found them; a change to the operator order or to the goal
-# test moves these numbers
+# frozenset states found them (blocksworld-5: as the search that tested every
+# operator in each state found them); a change to the operator order or to
+# the goal test moves these numbers
 SEARCH_PINS = [
     (GenSpec.blocksworld(blocks=4, seed=7, count=8), [
         (7, 4), (16, 4), (4, 2), (63, 10), (109, 10), (56, 8), (18, 4), (8, 4),
+    ]),
+    (GenSpec.blocksworld(blocks=5, seed=7, count=8), [
+        (47, 6), (2, 2), (18, 4), (2, 2), (66, 6), (241, 8), (227, 8), (3, 2),
     ]),
     (GenSpec.logistics_easy(seed=7, count=4), [(349, 16), (134, 9), (259, 11), (195, 10)]),
     (GenSpec.minigrid(3, 3, 2, seed=7, count=8), [
@@ -261,7 +380,9 @@ SEARCH_PINS = [
 
 
 @pytest.mark.parametrize(
-    "spec,pins", SEARCH_PINS, ids=["blocksworld-4", "logistics-easy", "minigrid-3x3-2keys"]
+    "spec,pins",
+    SEARCH_PINS,
+    ids=["blocksworld-4", "blocksworld-5", "logistics-easy", "minigrid-3x3-2keys"],
 )
 def test_expansions_and_plan_lengths_pinned(spec, pins):
     domain, problems = generate(spec)
@@ -304,6 +425,20 @@ class TestBfs:
         )
         result = bfs_plan(bw_domain, problem, SearchLimits(100_000, 30))
         assert result.status is SearchStatus.NO_PLAN
+
+    def test_counts_stay_out_of_equality(self, bw_domain):
+        # two blocks reach 5 states; 2 + 2 + 4 + 4 ground operators
+        problem = parse_problem(
+            "(define (problem p) (:domain blocksworld-4ops) (:objects a b) "
+            "(:init (ontable a) (ontable b) (clear a) (clear b) (handempty)) "
+            "(:goal (and (on a b) (on b a))))",
+            bw_domain,
+        )
+        result = bfs_plan(bw_domain, problem)
+        assert (result.expanded, result.generated, result.operators) == (5, 4, 12)
+        assert result == SearchResult(SearchStatus.NO_PLAN, None, 5, 0, 0)
+        found = bfs_plan(bw_domain, parse_problem(THREE_BLOCKS, bw_domain))
+        assert found.operators == 24 and found.generated >= found.expanded
 
     def test_limit_exceeded(self, bw_domain):
         problem = parse_problem(THREE_BLOCKS, bw_domain)
