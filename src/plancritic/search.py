@@ -172,8 +172,8 @@ def _grounding(
     index those steps on their preconditions.
 
     This depends only on the domain, the sorted objects and the static atoms
-    of ``:init``, so the instances of one family share it; the table holds
-    every atom an operator mentions and is never written once built.
+    of ``:init``, so the instances of one family share it; the atom table
+    holds every atom an operator mentions and is never written once built.
     """
     static = _static_predicates(domain)
     bits: dict[tuple, int] = {}
@@ -255,7 +255,8 @@ def _reachable_ops(domain: DomainDef, problem: ProblemDef) -> _Task:
     The steps are the operators :func:`ground_actions` yields, in the same
     order, less those whose static preconditions fail in ``:init`` (no effect
     can ever make them true).  The grounding comes from :func:`_grounding`;
-    only the masks of ``:init`` and the goal are per problem.
+    only the masks of ``:init`` and the goal are per problem.  The benchmark
+    traces grounding under this function's name.
     """
     static = _static_predicates(domain)
     init_atoms = [(atom.pred, atom.args) for atom in problem.init]

@@ -185,6 +185,31 @@ class TestJoinGrounding:
                 assert not [step for step in dropped if state & step[0] == step[0]]
 
 
+PAINT_DOMAIN = """\
+(define (domain paint)
+(:predicates (at ?x) (link ?x ?y) (mark ?x ?y) (lit) (flag ?x))
+(:action paint
+  :parameters (?x ?y)
+  :precondition (and)
+  :effect (mark ?x ?y))
+(:action go
+  :parameters (?x ?y)
+  :precondition (and (at ?x) (link ?x ?y) (lit))
+  :effect (and (not (at ?x)) (at ?y))))
+"""
+
+
+def paint_problem(domain, n):
+    """Cells c1..cn in a ring, at c1 with the light on."""
+    cells = [f"c{i}" for i in range(1, n + 1)]
+    links = " ".join(f"(link {a} {b})" for a, b in zip(cells, cells[1:] + cells[:1]))
+    return parse_problem(
+        f"(define (problem ring) (:domain paint) (:objects {' '.join(cells)}) "
+        f"(:init (at c1) (lit) (flag c1) {links}) (:goal (and (at c3) (flag c2))))",
+        domain,
+    )
+
+
 class TestByteTables:
     """The byte-table lookup finds the steps a scan of every step finds, in
     the same order."""
@@ -225,31 +250,6 @@ class TestByteTables:
         assert looked_up(task, 0) == scanned(task.steps, 0) == [0, 1, 2, 3]
         result = bfs_plan(domain, problem)
         assert result.plan == Plan((GroundAction("paint", ("c2", "c1")),))
-
-
-PAINT_DOMAIN = """\
-(define (domain paint)
-(:predicates (at ?x) (link ?x ?y) (mark ?x ?y) (lit) (flag ?x))
-(:action paint
-  :parameters (?x ?y)
-  :precondition (and)
-  :effect (mark ?x ?y))
-(:action go
-  :parameters (?x ?y)
-  :precondition (and (at ?x) (link ?x ?y) (lit))
-  :effect (and (not (at ?x)) (at ?y))))
-"""
-
-
-def paint_problem(domain, n):
-    """Cells c1..cn in a ring, at c1 with the light on."""
-    cells = [f"c{i}" for i in range(1, n + 1)]
-    links = " ".join(f"(link {a} {b})" for a, b in zip(cells, cells[1:] + cells[:1]))
-    return parse_problem(
-        f"(define (problem ring) (:domain paint) (:objects {' '.join(cells)}) "
-        f"(:init (at c1) (lit) (flag c1) {links}) (:goal (and (at c3) (flag c2))))",
-        domain,
-    )
 
 
 WALK_DOMAIN = """\
