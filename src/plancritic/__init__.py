@@ -1,74 +1,51 @@
-"""Plan generation, validation, and iterative critique for STRIPS planning."""
+"""Plan generation, validation, and iterative critique for STRIPS planning.
 
-from .critics import CriticBackend, CriticConfig, CritiqueLabel, extract_verdict
-from .generators import Benchmark, GenSpec, generate, obfuscate
-from .orchestrator import LoopConfig, PlannerConfig, RunRecord, run_batch, run_problem
-from .pddl import (
-    ActionSchema,
-    Atom,
-    DomainDef,
-    GroundAction,
-    Plan,
-    PddlError,
-    ProblemDef,
-    parse_domain,
-    parse_plan,
-    parse_problem,
-    print_domain,
-    print_plan,
-    print_problem,
-)
-from .report import Metrics, score, summary_line, wald_ci
-from .search import SearchLimits, SearchStatus, bfs_plan, run_plan
-from .semantics import (
-    Correct,
-    GoalNotReached,
-    ValidationResult,
-    WrongAtStep,
-    validate_plan,
-)
+The public names below are read from their submodules on first access
+(PEP 562), so that importing one submodule, such as ``plancritic.cli`` for a
+``generate`` run, does not import the refinement loop and its HTTP client.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionSchema",
-    "Atom",
-    "Benchmark",
-    "Correct",
-    "CriticBackend",
-    "CriticConfig",
-    "CritiqueLabel",
-    "DomainDef",
-    "GenSpec",
-    "GoalNotReached",
-    "GroundAction",
-    "LoopConfig",
-    "Metrics",
-    "PddlError",
-    "Plan",
-    "PlannerConfig",
-    "ProblemDef",
-    "RunRecord",
-    "SearchLimits",
-    "SearchStatus",
-    "ValidationResult",
-    "WrongAtStep",
-    "__version__",
-    "bfs_plan",
-    "extract_verdict",
-    "generate",
-    "obfuscate",
-    "parse_domain",
-    "parse_plan",
-    "parse_problem",
-    "print_domain",
-    "print_plan",
-    "print_problem",
-    "run_batch",
-    "run_plan",
-    "run_problem",
-    "score",
-    "summary_line",
-    "validate_plan",
-    "wald_ci",
-]
+# the submodule each public name comes from
+_SOURCES = {
+    "critics": ("CriticBackend", "CriticConfig", "CritiqueLabel", "extract_verdict"),
+    "generators": ("Benchmark", "GenSpec", "generate", "obfuscate"),
+    "orchestrator": ("LoopConfig", "PlannerConfig", "RunRecord", "run_batch", "run_problem"),
+    "pddl": (
+        "ActionSchema",
+        "Atom",
+        "DomainDef",
+        "GroundAction",
+        "Plan",
+        "PddlError",
+        "ProblemDef",
+        "parse_domain",
+        "parse_plan",
+        "parse_problem",
+        "print_domain",
+        "print_plan",
+        "print_problem",
+    ),
+    "report": ("Metrics", "score", "summary_line", "wald_ci"),
+    "search": ("SearchLimits", "SearchStatus", "bfs_plan", "run_plan"),
+    "semantics": ("Correct", "GoalNotReached", "ValidationResult", "WrongAtStep", "validate_plan"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(["__version__", *_MODULE_OF])
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups find it without calling here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -18,9 +18,9 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import generators, report
-from .critics import CriticConfig
+from . import generators
 from .generators import (
     SIZE_FIELDS,
     Benchmark,
@@ -35,15 +35,6 @@ from .generators import (
     nonspecific_map,
     obfuscate_dataset,
 )
-from .llm import TransportError
-from .orchestrator import (
-    LoopConfig,
-    MalformedRecord,
-    PlannerBackend,
-    PlannerConfig,
-    read_records,
-    run_batch,
-)
 from .pddl import (
     DomainDef,
     PddlError,
@@ -52,7 +43,6 @@ from .pddl import (
     parse_problem,
     print_plan,
 )
-from .prompting import Exemplar, MissingPlaceholderValue, PoolTooSmall, build_pool
 from .search import SearchLimits, SearchStatus, bfs_plan
 from .semantics import (
     format_trace,
@@ -60,6 +50,13 @@ from .semantics import (
     validate_plan,
     validation_to_dict,
 )
+
+# the loop's modules (orchestrator, critics, llm, prompting, report) are
+# imported by the commands that use them, so that generate, validate, solve
+# and obfuscate start without them
+if TYPE_CHECKING:
+    from .orchestrator import LoopConfig
+    from .report import Metrics
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -208,6 +205,10 @@ def _cmd_obfuscate(args) -> int:
 
 
 def _config_from_dict(raw: dict) -> LoopConfig:
+    from .critics import CriticConfig
+    from .orchestrator import LoopConfig, PlannerConfig
+    from .prompting import MissingPlaceholderValue
+
     raw = dict(raw)
     planner_raw = raw.pop("planner", {})
     critic_raw = raw.pop("critic", {})
@@ -221,19 +222,24 @@ def _config_from_dict(raw: dict) -> LoopConfig:
         raise UsageError(f"bad run configuration: {exc}") from exc
 
 
-# the run flags and their defaults; the parser sets one only when it is given
-_RUN_FLAGS = {
-    "critic": "oracle", "planner": "mock-golden", "k": LoopConfig.k, "shots": 0, "pool": None,
-    "pool_seed": 0, "budget": LoopConfig.transcript_budget,
-    "self_consistency": CriticConfig.self_consistency, "golden_prob": PlannerConfig.golden_prob,
-    "fp": CriticConfig.false_positive, "fn": CriticConfig.false_negative, "seed": 0,
-}
+def _run_flags() -> dict:
+    """The run flags and their defaults; the parser sets one only when it is given."""
+    from .critics import CriticConfig
+    from .orchestrator import LoopConfig, PlannerConfig
+
+    return {
+        "critic": "oracle", "planner": "mock-golden", "k": LoopConfig.k, "shots": 0, "pool": None,
+        "pool_seed": 0, "budget": LoopConfig.transcript_budget,
+        "self_consistency": CriticConfig.self_consistency, "golden_prob": PlannerConfig.golden_prob,
+        "fp": CriticConfig.false_positive, "fn": CriticConfig.false_negative, "seed": 0,
+    }
 
 
 def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
     """Returns (config, pool manifest path, pool seed)."""
+    flags = _run_flags()
     if args.config:
-        given = ["--" + dest.replace("_", "-") for dest in _RUN_FLAGS if dest in vars(args)]
+        given = ["--" + dest.replace("_", "-") for dest in flags if dest in vars(args)]
         if given:
             raise UsageError(f"--config takes no run flags, got {', '.join(given)}")
         raw = json.loads(_read_text(args.config))
@@ -243,7 +249,7 @@ def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
         pool_seed = raw.get("pool_seed", 0)
         return _config_from_dict(raw), pool_manifest, pool_seed
 
-    args = argparse.Namespace(**{**_RUN_FLAGS, **vars(args)})
+    args = argparse.Namespace(**{**flags, **vars(args)})
     for role in ("planner", "critic"):
         if getattr(args, role) == "llm":
             raise UsageError(f"llm {role} runs need --config with endpoint settings")
@@ -260,6 +266,8 @@ def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
 
 def _build_pool(path: str, seed: int, domain: DomainDef):
     """The few-shot pool of a run on ``domain``; refuses one of another domain."""
+    from .prompting import Exemplar, build_pool
+
     dataset = load_dataset(path)
     if dataset.domain != domain:
         raise DatasetError(
@@ -274,6 +282,9 @@ def _build_pool(path: str, seed: int, domain: DomainDef):
 
 
 def _cmd_run(args) -> int:
+    from . import report
+    from .orchestrator import PlannerBackend, run_batch
+
     config, pool_path, pool_seed = _config_from_args(args)
     # golden plans are read only for the mock planner, which replays them
     dataset = load_dataset(args.manifest, with_plans=config.planner.backend is PlannerBackend.MOCK)
@@ -297,14 +308,23 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # score / report
 
+# report.REPORT_FORMATS, restated so that building the parser imports no loop
+# module; a test holds the two equal
+_REPORT_FORMATS = ("table-text", "csv", "structured")
 
-def _score_records(args) -> report.Metrics:
+
+def _score_records(args) -> Metrics:
+    from . import report
+    from .orchestrator import read_records
+
     records = read_records(args.records)
     dataset = load_dataset(args.manifest, with_plans=False)  # scoring reads no golden plan
     return report.score(records, dataset.domain, dataset.problems)
 
 
 def _cmd_score(args) -> int:
+    from . import report
+
     text = report.metrics_json(_score_records(args))
     print(text)
     if args.out:
@@ -313,6 +333,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import report
+
     metrics = _score_records(args)
     written = report.emit_report(metrics, args.format, args.out_dir)
     for path in written:
@@ -407,36 +429,49 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit a report from run records")
     p.add_argument("--records", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--format", choices=list(report.REPORT_FORMATS), default="table-text")
+    p.add_argument("--format", choices=_REPORT_FORMATS, default="table-text")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_report)
 
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (
+# the commands that import the loop's modules
+_LOOP_COMMANDS = ("run", "score", "report")
+
+
+def _errors(command: str) -> tuple[tuple, tuple]:
+    """The errors ``command`` reports as (usage errors, failures).  The loop's
+    own errors are imported only for the commands that import the loop."""
+    usage = (
         UsageError,
         DatasetError,
         InvalidSpec,
         FileNotFoundError,
         IsADirectoryError,
         json.JSONDecodeError,
-        MalformedRecord,
-    ) as exc:
+    )
+    failures = (PddlError, ValueError)  # ValueError takes in prompting.PoolTooSmall
+    if command in _LOOP_COMMANDS:
+        from .llm import TransportError
+        from .orchestrator import MalformedRecord
+        from .report import MissingProblem
+
+        usage += (MalformedRecord,)  # a ValueError, so it is tried first
+        failures += (TransportError, MissingProblem)
+    return usage, failures
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    usage, failures = _errors(args.command)
+    try:
+        return args.func(args)
+    except usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        PddlError,
-        PoolTooSmall,
-        TransportError,
-        report.MissingProblem,
-        ValueError,
-    ) as exc:
+    except failures as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -182,10 +182,28 @@ class ActionSchema:
 
 @dataclass(frozen=True)
 class DomainDef:
+    """A parsed domain.
+
+    The hash is the dataclass one, ``hash((name, requirements, predicates,
+    actions))``, computed once when the domain is built: the search caches
+    its grounding by domain, and each lookup would otherwise hash every
+    action schema again.  Equality stays field by field.  The hash is not
+    pickled.
+    """
+
     name: str
     requirements: tuple[str, ...]
     predicates: tuple[Predicate, ...]
     actions: tuple[ActionSchema, ...]
+
+    def __post_init__(self):
+        self.__dict__["_hash"] = hash((self.name, self.requirements, self.predicates, self.actions))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return DomainDef, (self.name, self.requirements, self.predicates, self.actions)
 
     def action(self, name: str) -> ActionSchema | None:
         for a in self.actions:

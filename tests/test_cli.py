@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from plancritic import cli
+import plancritic
+from plancritic import cli, orchestrator, report
 from plancritic.domains import blocksworld_domain
 from plancritic.generators import (
     DECEPTIVE_ACTIONS,
@@ -15,6 +17,7 @@ from plancritic.generators import (
     load_dataset,
     load_manifest,
 )
+from plancritic.llm import TransportError
 from plancritic.orchestrator import read_records
 from plancritic.pddl import parse_plan, print_domain, print_plan, print_problem
 from plancritic.report import score
@@ -683,6 +686,29 @@ class TestRunScoreReport:
         )
         assert code == 2
 
+    def test_score_record_of_a_problem_not_in_the_manifest(self, dataset_dir, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        manifest = str(dataset_dir / "manifest.jsonl")
+        assert cli.main(["run", "--manifest", manifest, "--records", str(records)]) == 0
+        lines = records.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "problem_id": "no-such-problem"})
+        records.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["score", "--records", str(records), "--manifest", manifest]) == 1
+        assert capsys.readouterr().err == "error: 'no-such-problem'\n"
+
+    def test_transport_error_from_run_exits_1(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        def down(*args, **kwargs):
+            raise TransportError("endpoint down")
+
+        monkeypatch.setattr(orchestrator, "run_batch", down)
+        code = cli.main(
+            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+             "--records", str(tmp_path / "records.jsonl")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: endpoint down\n"
+
 
 class TestRecordRefusal:
     """A records line the loop cannot have written fails with one error line
@@ -956,18 +982,59 @@ class TestMixedDomains:
             assert "mixes domains" in capsys.readouterr().err
 
 
-def test_cli_imports_no_third_party_module():
-    # only what the import adds: a site hook may load a package at start-up
+def test_cli_imports_no_third_party_module(tmp_path):
+    """Neither the import nor a ``generate --solve`` run loads a third-party
+    module, or any module of the refinement loop and its HTTP client."""
+    # only what the program adds: a site hook may load a package at start-up
     code = (
-        "import sys; before = set(sys.modules); import plancritic.cli; "
-        "print(' '.join({m.partition('.')[0] for m in set(sys.modules) - before}))"
+        "import sys; before = set(sys.modules); import plancritic.cli\n"
+        "code = plancritic.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(*sorted(set(sys.modules) - before)); sys.exit(code)"
     )
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    )
-    loaded = set(result.stdout.split())
-    assert "plancritic" in loaded
-    assert not loaded & {"requests", "urllib3", "certifi", "charset_normalizer", "idna"}
+    generate = ["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
+                "--count", "2", "--out", "ds", "--solve"]
+    for argv in ([], generate):
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": path},
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        )
+        loaded = set(result.stdout.splitlines()[-1].split())
+        packages = {m.partition(".")[0] for m in loaded}
+        assert "plancritic.cli" in loaded
+        assert not packages & {"requests", "urllib3", "certifi", "charset_normalizer", "idna"}
+        assert not loaded & {
+            "plancritic.orchestrator", "plancritic.critics", "plancritic.llm",
+            "plancritic.prompting", "plancritic.report",
+            "http.client", "ssl", "concurrent.futures",
+        }, argv
+    assert (tmp_path / "ds" / "blocksworld-1-0001.plan").is_file()
+
+
+def test_report_formats_are_the_reports():
+    assert cli._REPORT_FORMATS == report.REPORT_FORMATS
+
+
+class TestPackageNames:
+    """``plancritic`` reads its public names from their submodules on first
+    access."""
+
+    def test_every_name_is_the_submodules(self):
+        for name in plancritic.__all__:
+            value = getattr(plancritic, name)
+            if name != "__version__":
+                assert value is getattr(importlib.import_module(value.__module__), name), name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from plancritic import *", namespace)
+        assert set(plancritic.__all__) <= set(namespace)
+        assert namespace["score"] is report.score
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            getattr(plancritic, "no_such_name")
+
+    def test_dir_lists_all(self):
+        assert set(plancritic.__all__) <= set(dir(plancritic))

@@ -643,3 +643,28 @@ class TestAtom:
             [sys.executable, "-c", code], input=data, check=True, capture_output=True,
             env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
         )
+
+
+class TestDomainDef:
+    def test_equal_domains_parsed_twice_hash_equal(self):
+        text = print_domain(blocksworld_domain())
+        first, second = parse_domain(text), parse_domain(text)
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert hash(first) == hash((first.name, first.requirements, first.predicates, first.actions))
+        assert first != dataclasses.replace(first, name="other")
+
+    def test_hash_is_computed_once_per_domain(self):
+        class CountedActions(tuple):
+            hashes = 0
+
+            def __hash__(self):
+                CountedActions.hashes += 1
+                return super().__hash__()
+
+        bw = blocksworld_domain()
+        domain = dataclasses.replace(bw, actions=CountedActions(bw.actions))
+        assert {hash(domain) for _ in range(3)} == {hash(bw)}
+        assert CountedActions.hashes == 1
+        # a pickle carries the fields alone; the loaded domain hashes them anew
+        data = pickle.dumps(bw)
+        assert b"_hash" not in data and pickle.loads(data) == bw
