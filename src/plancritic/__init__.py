@@ -1,8 +1,9 @@
 """Plan generation, validation, and iterative critique for STRIPS planning.
 
-The public names below are read from their submodules on first access
-(PEP 562), so that importing one submodule, such as ``plancritic.cli`` for a
-``generate`` run, does not import the refinement loop and its HTTP client.
+The public names below, and the submodules themselves, are read on first
+access (PEP 562), so that importing one submodule, such as ``plancritic.cli``
+for a ``generate`` run, does not import the refinement loop and its HTTP
+client.
 """
 
 import importlib
@@ -34,11 +35,14 @@ _SOURCES = {
     "semantics": ("Correct", "GoalNotReached", "ValidationResult", "WrongAtStep", "validate_plan"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+_SUBMODULES = {*_SOURCES, "cli", "domains", "llm", "prompting", "report_formats"}
 
 __all__ = sorted(["__version__", *_MODULE_OF])
 
 
 def __getattr__(name: str):
+    if name in _SUBMODULES:  # importing it binds it here
+        return importlib.import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

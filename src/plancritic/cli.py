@@ -43,6 +43,7 @@ from .pddl import (
     parse_problem,
     print_plan,
 )
+from .report_formats import REPORT_FORMATS
 from .search import SearchLimits, SearchStatus, bfs_plan
 from .semantics import (
     format_trace,
@@ -308,11 +309,6 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # score / report
 
-# report.REPORT_FORMATS, restated so that building the parser imports no loop
-# module; a test holds the two equal
-_REPORT_FORMATS = ("table-text", "csv", "structured")
-
-
 def _score_records(args) -> Metrics:
     from . import report
     from .orchestrator import read_records
@@ -429,49 +425,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit a report from run records")
     p.add_argument("--records", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--format", choices=_REPORT_FORMATS, default="table-text")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="table-text")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_report)
 
     return parser
 
 
-# the commands that import the loop's modules
-_LOOP_COMMANDS = ("run", "score", "report")
+def _loaded(module: str, name: str) -> tuple:
+    """``(plancritic.<module>.<name>,)`` once a command has imported the
+    module, else ``()``.  An except clause is evaluated only when an error
+    reaches it, and an error of a loop module can only come from a command
+    that imported it."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return (getattr(loaded, name),) if loaded else ()
 
 
-def _errors(command: str) -> tuple[tuple, tuple]:
-    """The errors ``command`` reports as (usage errors, failures).  The loop's
-    own errors are imported only for the commands that import the loop."""
-    usage = (
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (
         UsageError,
         DatasetError,
         InvalidSpec,
         FileNotFoundError,
         IsADirectoryError,
         json.JSONDecodeError,
-    )
-    failures = (PddlError, ValueError)  # ValueError takes in prompting.PoolTooSmall
-    if command in _LOOP_COMMANDS:
-        from .llm import TransportError
-        from .orchestrator import MalformedRecord
-        from .report import MissingProblem
-
-        usage += (MalformedRecord,)  # a ValueError, so it is tried first
-        failures += (TransportError, MissingProblem)
-    return usage, failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    usage, failures = _errors(args.command)
-    try:
-        return args.func(args)
-    except usage as exc:
+        *_loaded("orchestrator", "MalformedRecord"),  # a ValueError, so it is tried first
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except failures as exc:
+    except (
+        PddlError,
+        ValueError,  # takes in prompting.PoolTooSmall
+        *_loaded("llm", "TransportError"),
+        *_loaded("report", "MissingProblem"),
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -39,6 +39,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
+# the scorer loads with the loop: ``run`` scores the batch it ran, and code
+# that wraps the loop's functions, such as the benchmark's tracer, finds every
+# module of the loop loaded once this one is
+from . import report  # noqa: F401
 from .critics import Critic, CriticConfig, CritiqueLabel, make_critic, takes_result
 from .generators import Dataset, ManifestEntry
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url

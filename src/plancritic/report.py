@@ -21,12 +21,15 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .critics import CritiqueLabel
-from .orchestrator import RunRecord
 from .pddl import DomainDef, ProblemDef, parse_plan
+from .report_formats import REPORT_FORMATS
 from .semantics import validate_plan
+
+if TYPE_CHECKING:  # the loop imports this module
+    from .orchestrator import RunRecord
 
 Z_95 = 1.96
 
@@ -226,9 +229,6 @@ def _table_text(metrics: Metrics) -> str:
             f"{s.step:>4}  {s.n_correct:>7}  {s.accuracy:>8.3f}  {s.tp:>5}  {s.fp:>5}  {s.tn:>5}  {s.fn:>5}  {precision:>9}  {recall:>9}"
         )
     return "\n".join(lines) + "\n"
-
-
-REPORT_FORMATS = ("table-text", "csv", "structured")
 
 
 def emit_report(metrics: Metrics, fmt: str, out_dir: str | Path) -> list[Path]:

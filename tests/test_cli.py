@@ -1012,10 +1012,6 @@ def test_cli_imports_no_third_party_module(tmp_path):
     assert (tmp_path / "ds" / "blocksworld-1-0001.plan").is_file()
 
 
-def test_report_formats_are_the_reports():
-    assert cli._REPORT_FORMATS == report.REPORT_FORMATS
-
-
 class TestPackageNames:
     """``plancritic`` reads its public names from their submodules on first
     access."""
@@ -1031,6 +1027,18 @@ class TestPackageNames:
         exec("from plancritic import *", namespace)
         assert set(plancritic.__all__) <= set(namespace)
         assert namespace["score"] is report.score
+
+    def test_submodules_resolve(self):
+        code = (
+            "import sys, plancritic\n"
+            "assert 'plancritic.report' not in sys.modules\n"
+            "assert plancritic.report is sys.modules['plancritic.report']\n"
+            "assert plancritic.search.bfs_plan is plancritic.bfs_plan\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": path})
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
