@@ -5,24 +5,23 @@ matching the assessment phrases a critique prompt asks for.  Three backends
 exist:
 
 * ``llm``: renders its configured critique prompt and samples an
-  OpenAI-compatible endpoint on it, once per self-consistency vote.  It
-  renders the domain text once per domain.
+  OpenAI-compatible endpoint on it, once per self-consistency vote.
 * ``oracle``: asks the ground-truth validator and writes a step-by-step
   verification as its critique text.
 * ``mock``: starts from the oracle's label and flips it with configured
   false-positive / false-negative probabilities, deterministically seeded by
   (seed, problem id, iteration) on a stream apart from the mock planner's.
 
-The oracle and mock critics take the refinement loop's ``ValidationResult``
-of the plan as ``result`` and then validate nothing themselves (see
-``takes_result``); called without one, they validate the plan.  The oracle
-writes its critique text once per distinct result: the loop holds one
-result per distinct plan of a problem, so a repeated plan is written up once.
+The refinement loop hands every critic its ``ValidationResult`` of the plan
+as ``result``.  The oracle and mock critics judge from it and validate
+nothing themselves; called without one, they validate the plan.  The llm
+critic ignores it.  The oracle writes its critique text once per distinct
+result: the loop holds one result per distinct plan of a problem, so a
+repeated plan is written up once.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +30,7 @@ from enum import Enum
 from typing import Sequence
 
 from .llm import ChatClient, EndpointConfig, split_base_url
-from .pddl import DomainDef, Plan, ProblemDef, print_domain
+from .pddl import DomainDef, Plan, ProblemDef
 from .prompting import TemplateId, build_critique_prompt, check_critique_template
 from .semantics import (
     PHRASE_CORRECT,
@@ -157,9 +156,8 @@ class CriticConfig(EndpointConfig):
 
 
 class Critic:
-    """Interface: judge one plan in the context of one problem.  A critic
-    whose ``critique`` also takes ``result`` is handed the loop's validation
-    of the plan (see ``takes_result``)."""
+    """Interface: judge one plan in the context of one problem.  ``result``
+    is the plan's validation; the refinement loop always passes it."""
 
     def critique(
         self,
@@ -169,21 +167,12 @@ class Critic:
         *,
         problem_id: str,
         iteration: int,
+        result: ValidationResult | None = None,
     ) -> CritiqueVerdict:
         raise NotImplementedError
 
     def close(self) -> None:
         """Release what the critic holds; only the llm critic holds anything."""
-
-
-def takes_result(critic: Critic) -> bool:
-    """Whether ``critic.critique`` takes the loop's validation of the plan as
-    ``result``: the oracle and mock critics do, and a critic whose
-    ``critique`` has no such parameter is called without it.  A wrapper made
-    with ``functools.wraps`` is looked through.  (It reads the code object:
-    ``inspect.signature`` costs more than a round.)"""
-    code = inspect.unwrap(critic.critique).__code__
-    return "result" in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
 
 
 def _oracle_sample(result: ValidationResult) -> tuple[CritiqueLabel, str]:
@@ -249,24 +238,15 @@ class LlmCritic(Critic):
     def __init__(self, config: CriticConfig, client: ChatClient | None = None):
         self.config = config
         self.client = client or ChatClient(config.endpoint)
-        self._domain_text: tuple[DomainDef, str] | None = None  # the last domain and its text
         # one vote pool for the critic's life, so that a vote thread keeps its
         # client session, and with it its connection, across critiques
         self._pool = None
         if config.self_consistency > 1 and config.max_concurrency > 1:
             self._pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration):
-        held = self._domain_text
-        if held is None or held[0] is not domain:
-            held = self._domain_text = (domain, print_domain(domain))
+    def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         prompt = build_critique_prompt(
-            self.config.template,
-            domain,
-            problem,
-            plan,
-            exemplars=self.config.exemplars or None,
-            domain_text=held[1],
+            self.config.template, domain, problem, plan, exemplars=self.config.exemplars or None
         )
         temperature = self.config.effective_temperature
 

@@ -462,17 +462,6 @@ def identity_map(domain: DomainDef) -> ObfuscationMap:
     )
 
 
-def inverse_map(mapping: ObfuscationMap) -> ObfuscationMap:
-    return ObfuscationMap(
-        mode=mapping.mode,
-        predicates={v: k for k, v in mapping.predicates.items()},
-        actions={v: k for k, v in mapping.actions.items()},
-        objects={v: k for k, v in mapping.objects.items()},
-        domain_names={v: k for k, v in mapping.domain_names.items()},
-        problem_names={v: k for k, v in mapping.problem_names.items()},
-    )
-
-
 def _check_map(domain: DomainDef, mapping: ObfuscationMap) -> None:
     missing = [p.name for p in domain.predicates if p.name not in mapping.predicates]
     missing += [a.name for a in domain.actions if a.name not in mapping.actions]

@@ -17,8 +17,8 @@ records rely on this shape, and ``record_from_dict`` refuses any other.
 A planner often proposes a plan again after it was rejected.  So each run
 keeps, for the life of its problem, the plans proposed so far by reply text
 and by steps: each distinct reply is extracted once, and each distinct plan
-is printed and validated once.  Critics that take the loop's validation (the
-oracle and mock critics) are handed it, and the record's ground truth reads
+is printed and validated once.  Every critic is handed that validation (the
+oracle and mock critics judge from it), and the record's ground truth reads
 it too.
 
 Batches execute problems independently (optionally in parallel), persist
@@ -43,10 +43,10 @@ from typing import Mapping, Sequence
 # that wraps the loop's functions, such as the benchmark's tracer, finds every
 # module of the loop loaded once this one is
 from . import report  # noqa: F401
-from .critics import Critic, CriticConfig, CritiqueLabel, make_critic, takes_result
+from .critics import Critic, CriticConfig, CritiqueLabel, make_critic
 from .generators import Dataset, ManifestEntry
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url
-from .pddl import DomainDef, Plan, ProblemDef, print_domain, print_plan, read_step
+from .pddl import DomainDef, Plan, ProblemDef, print_plan, read_step
 from .prompting import (
     BudgetExceeded,
     FewShotPool,
@@ -242,7 +242,6 @@ def run_problem(
     critic: Critic,
     shots: Sequence = (),
     problem_id: str | None = None,
-    domain_text: str | None = None,
 ) -> RunRecord:
     """Run the full refinement loop for one problem.
 
@@ -250,25 +249,24 @@ def run_problem(
     the loop itself becomes the record's stop reason and ``error``, and the
     record keeps the rounds that ran and the latest plan proposed.  The plan
     prompt's fixed prefix (template, domain, shots, target) is rendered once
-    per problem, from ``domain_text`` when the caller rendered the domain
-    once for many problems; each round appends only the transcript, so every
-    round's prompt equals ``build_plan_prompt(domain, problem, shots,
-    transcript)``.  A reply or plan seen before in this run is not extracted,
-    printed or validated again (see the module docstring).
+    per problem; each round appends only the transcript, so every round's
+    prompt equals ``build_plan_prompt(domain, problem, shots, transcript)``.
+    Each round's critic is passed the plan's validation as ``result``.  A
+    reply or plan seen before in this run is not extracted, printed or
+    validated again (see the module docstring).
     """
     pid = problem_id or problem.name
     transcript = Transcript(char_budget=config.transcript_budget)
     iterations: list[IterationEntry] = []
     by_reply: dict[str, _Proposal] = {}
     by_steps: dict[tuple, _Proposal] = {}
-    pass_result = takes_result(critic)
     latest = _Proposal(Plan(()))  # the latest plan proposed; it stands whatever stops the run
     stop = StopReason.ITERATIONS_EXHAUSTED
     error: str | None = None
     calls = 0
 
     try:
-        prefix = plan_prompt_prefix(domain, problem, shots, domain_text)
+        prefix = plan_prompt_prefix(domain, problem, shots)
         for step in range(config.k + 1):
             role = "planner"  # the role whose call a transport error comes from
             plan_prompt = transcript.prompt(prefix)
@@ -283,9 +281,9 @@ def run_problem(
                 by_reply[raw] = proposal
             latest = proposal
             role = "critic"
-            extra = {"result": latest.validation(problem, domain)} if pass_result else {}
+            result = latest.validation(problem, domain)
             verdict = critic.critique(
-                domain, problem, latest.plan, problem_id=pid, iteration=step, **extra
+                domain, problem, latest.plan, problem_id=pid, iteration=step, result=result
             )
             calls += verdict.sample_count
             iterations.append(
@@ -427,11 +425,6 @@ def _resume_records(path: Path) -> list[RunRecord]:
     return _parse_records(data[:whole].decode(), path)
 
 
-def write_records(path: str | Path, records: Sequence[RunRecord]) -> None:
-    with Path(path).open("w") as fh:
-        fh.writelines(_record_line(record) for record in records)
-
-
 # ---------------------------------------------------------------------------
 # Batch runner
 
@@ -477,7 +470,6 @@ def run_batch(
         e.id: select_fewshots(pool, e.id, config.shots, dataset.problems[e.id]) if config.shots else ()
         for e in todo
     }
-    domain_text = print_domain(dataset.domain)  # once per batch, for every plan prompt
     write_lock = threading.Lock()
     records_file = None
 
@@ -490,7 +482,6 @@ def run_batch(
             critic,
             shots=shots[entry.id],
             problem_id=entry.id,
-            domain_text=domain_text,
         )
         if records_file is not None:
             with write_lock:

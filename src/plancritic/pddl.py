@@ -187,7 +187,9 @@ class DomainDef:
     The hash is the dataclass one, ``hash((name, requirements, predicates,
     actions))``, computed once when the domain is built: the search caches
     its grounding by domain, and each lookup would otherwise hash every
-    action schema again.  Equality stays field by field.  The hash is not
+    action schema again.  ``print_domain`` keeps the text on the domain the
+    first time it prints it, so every prompt that shows the domain reuses
+    it.  Equality stays field by field.  Neither the hash nor the text is
     pickled.
     """
 
@@ -195,6 +197,8 @@ class DomainDef:
     requirements: tuple[str, ...]
     predicates: tuple[Predicate, ...]
     actions: tuple[ActionSchema, ...]
+
+    _text = None  # not a field: the printed text, once printed
 
     def __post_init__(self):
         self.__dict__["_hash"] = hash((self.name, self.requirements, self.predicates, self.actions))
@@ -711,6 +715,11 @@ def _format_conjunction(parts: tuple) -> str:
 
 
 def print_domain(domain: DomainDef) -> str:
+    """The domain's text, printed on the first call and kept on ``domain``.
+    Threads that print a new domain at once may each render it; they keep
+    equal texts."""
+    if domain._text is not None:
+        return domain._text
     lines = [f"(define (domain {domain.name})", "(:requirements " + " ".join(domain.requirements) + ")"]
     if domain.predicates:
         decls = [
@@ -734,7 +743,8 @@ def print_domain(domain: DomainDef) -> str:
                 ]
             )
         )
-    return "\n\n".join(blocks) + ")"
+    text = domain.__dict__["_text"] = "\n\n".join(blocks) + ")"
+    return text
 
 
 def print_problem(problem: ProblemDef) -> str:

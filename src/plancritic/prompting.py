@@ -5,8 +5,8 @@ the target problem.  When earlier attempts were rejected, the transcript of
 (plan, critique, repair request) turns is appended so the model revises its
 own output.  Each fixed text is rendered once where it stays fixed: an
 exemplar's shot block when ``build_pool`` builds the pool (it is kept on the
-exemplar), the domain text once per batch (``run_batch`` passes it in as
-``domain_text``), and the part before the transcript, with
+exemplar), the domain text once per domain object (``print_domain`` keeps it
+on the domain), and the part before the transcript, with
 ``plan_prompt_prefix``, once per problem; each round then appends only the
 transcript, through ``Transcript.prompt``.  Critique prompts come in five
 fixed variants that differ in how much guidance they give the judge.
@@ -210,24 +210,15 @@ class Transcript:
 # Prompt builders
 
 
-def render_shot(exemplar: Exemplar) -> str:
-    return exemplar.block
-
-
 def plan_prompt_prefix(
-    domain: DomainDef,
-    problem: ProblemDef,
-    shots: Sequence[Exemplar] = (),
-    domain_text: str | None = None,
+    domain: DomainDef, problem: ProblemDef, shots: Sequence[Exemplar] = ()
 ) -> str:
     """The planning prompt before any transcript: template, domain, shots and
-    target problem, which stay fixed across the rounds of one problem.
-    ``domain_text``, when given, is ``print_domain(domain)`` rendered once for
-    many problems."""
+    target problem, which stay fixed across the rounds of one problem."""
     return render_template(
         load_template(TemplateId.PLAN_FEWSHOT),
         {
-            "domain_pddl": print_domain(domain) if domain_text is None else domain_text,
+            "domain_pddl": print_domain(domain),
             "few_shots": "".join(s.block for s in shots),
             "instance": print_problem(problem),
         },
@@ -268,17 +259,15 @@ def build_critique_prompt(
     problem: ProblemDef,
     plan: Plan,
     exemplars: Sequence[str] | None = None,
-    domain_text: str | None = None,
 ) -> str:
     """Assemble one of the five critique prompts.
 
     ``exemplars`` are pre-rendered verification walkthrough texts; see
-    check_critique_template for which templates take them.  ``domain_text``,
-    when given, is ``print_domain(domain)`` rendered once for many prompts.
+    check_critique_template for which templates take them.
     """
     check_critique_template(template_id, exemplars)
     values = {
-        "domain_pddl": print_domain(domain) if domain_text is None else domain_text,
+        "domain_pddl": print_domain(domain),
         "instance": print_problem(problem),
         "plan": print_plan(plan),
     }

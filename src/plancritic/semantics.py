@@ -10,9 +10,11 @@ or the plan executes but the goal is not reached.
 Each ground action is bound to its schema once per domain.  A table maps it
 to its ground preconditions in schema order and its frozen delete and add
 sets.  The table belongs to the latest ``DomainDef`` object validated under
-and is keyed by that object's identity, not its value, since hashing a
-domain walks all of it.  A new domain object replaces the pair whole, so a
-thread never reads one domain's table under another domain.  A failed bind
+and is keyed by that object's identity, not its value: a domain carries its
+hash, but comparing two equal domain objects walks both, and
+``load_dataset`` parses a fresh ``DomainDef`` for each batch.  A new domain
+object replaces the pair whole, so a thread never reads one domain's table
+under another domain.  A failed bind
 (unknown action, wrong arity) stores nothing and raises on every call.  The
 table is keyed by the action's ``(name, args)`` tuple, which hashes and
 compares in C.
@@ -168,22 +170,6 @@ def _step(
         if not ok:
             return checks, None
     return checks, (state - dels) | adds
-
-
-def precondition_checks(
-    state: State, action: GroundAction, domain: DomainDef
-) -> tuple[tuple[Atom, bool], ...]:
-    """Evaluate each ground precondition of ``action`` against ``state``."""
-    return _step(state, action, domain)[0]
-
-
-def is_applicable(
-    state: State, action: GroundAction, domain: DomainDef
-) -> tuple[bool, tuple[Atom, ...]]:
-    """Return ``(ok, unmet)`` where ``unmet`` lists every failing precondition."""
-    checks = precondition_checks(state, action, domain)
-    unmet = tuple(atom for atom, ok in checks if not ok)
-    return not unmet, unmet
 
 
 def apply(state: State, action: GroundAction, domain: DomainDef) -> State:

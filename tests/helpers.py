@@ -1,5 +1,7 @@
-"""Plan mutation helpers and reference versions of the reader, the validator
-and the plan extractor, used by the equivalence tests.
+"""Plan mutation helpers, reference versions of the reader, the validator
+and the plan extractor, used by the equivalence tests, and the helpers that
+only tests call (a map's inverse, one step's precondition checks, a records
+file written whole).
 
 The reference reader walks the text one character at a time, the way the
 PDDL reader did before it scanned with one regex.  The reference validator
@@ -26,8 +28,10 @@ import hashlib
 import random
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
-from plancritic.orchestrator import _NUMBERING
+from plancritic.generators import ObfuscationMap
+from plancritic.orchestrator import _NUMBERING, _record_line
 from plancritic.pddl import (
     ArityMismatch,
     DomainDef,
@@ -45,6 +49,7 @@ from plancritic.semantics import (
     StepTrace,
     ValidationResult,
     WrongAtStep,
+    _step,
 )
 
 
@@ -56,6 +61,36 @@ def tree_digest(root):
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def inverse_map(mapping: ObfuscationMap) -> ObfuscationMap:
+    return ObfuscationMap(
+        mode=mapping.mode,
+        predicates={v: k for k, v in mapping.predicates.items()},
+        actions={v: k for k, v in mapping.actions.items()},
+        objects={v: k for k, v in mapping.objects.items()},
+        domain_names={v: k for k, v in mapping.domain_names.items()},
+        problem_names={v: k for k, v in mapping.problem_names.items()},
+    )
+
+
+def precondition_checks(state, action: GroundAction, domain: DomainDef) -> tuple:
+    """Each ground precondition of ``action`` and whether ``state`` holds it,
+    as the validator checks them."""
+    return _step(state, action, domain)[0]
+
+
+def is_applicable(state, action: GroundAction, domain: DomainDef) -> tuple:
+    """Return ``(ok, unmet)`` where ``unmet`` lists every failing precondition."""
+    checks = precondition_checks(state, action, domain)
+    unmet = tuple(atom for atom, ok in checks if not ok)
+    return not unmet, unmet
+
+
+def write_records(path, records) -> None:
+    """Write ``records`` as a records file, one line each as the loop writes them."""
+    with Path(path).open("w") as fh:
+        fh.writelines(_record_line(record) for record in records)
 
 
 def mutate_drop(plan: Plan, rng: random.Random) -> Plan:

@@ -194,7 +194,7 @@ class _ScriptedCritic:
     def __init__(self, accept_at_round):
         self.accept_at = accept_at_round  # 1-based
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration, prompt=None):
+    def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         label = C if iteration + 1 >= self.accept_at else W
         return CritiqueVerdict(
             label=label, text=f"the plan is {label.value}", sample_count=1, votes={label: 1}

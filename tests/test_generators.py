@@ -20,7 +20,6 @@ from plancritic.generators import (
     deceptive_map,
     generate,
     identity_map,
-    inverse_map,
     load_dataset,
     load_entry,
     load_manifest,
@@ -33,7 +32,7 @@ from plancritic.pddl import Atom, print_domain, print_plan, print_problem
 from plancritic.search import SearchLimits, SearchStatus, bfs_plan
 from plancritic.semantics import WrongAtStep, validate_plan
 
-from .helpers import tree_digest
+from .helpers import inverse_map, tree_digest
 
 
 class TestGenSpec:

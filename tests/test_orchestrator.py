@@ -8,14 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from plancritic import cli, critics, orchestrator, prompting
+from plancritic import cli, critics, orchestrator, pddl, prompting
 from plancritic.critics import (
     CriticBackend,
     CriticConfig,
     CritiqueLabel,
     CritiqueVerdict,
     OracleCritic,
-    takes_result,
 )
 from plancritic.generators import (
     Dataset,
@@ -48,7 +47,6 @@ from plancritic.orchestrator import (
     record_to_dict,
     run_batch,
     run_problem,
-    write_records,
 )
 from plancritic.pddl import Plan, parse_plan, print_plan, problem_key
 from plancritic.prompting import (
@@ -57,14 +55,13 @@ from plancritic.prompting import (
     Transcript,
     build_plan_prompt,
     build_pool,
-    render_shot,
     select_fewshots,
 )
 from plancritic.report import score, summary_line
 from plancritic.search import SearchLimits, bfs_plan
 from plancritic.semantics import validate_plan, verdict_to_dict
 
-from .helpers import reference_extract_plan
+from .helpers import reference_extract_plan, write_records
 from .test_critics import FakeEndpoint, chat_body
 
 C = CritiqueLabel.CORRECT
@@ -79,7 +76,7 @@ class ScriptedCritic:
         self.labels = list(labels)
         self.samples = samples
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration):
+    def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         label = self.labels[min(iteration, len(self.labels) - 1)]
         return CritiqueVerdict(
             label=label,
@@ -108,8 +105,10 @@ class RecordingCritic(OracleCritic):
         super().__init__()
         self.texts = []
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration):
-        verdict = super().critique(domain, problem, plan, problem_id=problem_id, iteration=iteration)
+    def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
+        verdict = super().critique(
+            domain, problem, plan, problem_id=problem_id, iteration=iteration, result=result
+        )
         self.texts.append(verdict.text)
         return verdict
 
@@ -120,7 +119,7 @@ class FailingPlanner:
 
 
 class FailingCritic:
-    def critique(self, domain, problem, plan, *, problem_id, iteration):
+    def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         raise TransportError("critic down")
 
 
@@ -133,7 +132,7 @@ class CrashingCritic(ScriptedCritic):
         self.crash_ids = set(crash_ids)
         self.at = at
 
-    def critique(self, domain, problem, plan, *, problem_id, iteration):
+    def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         if problem_id not in self.crash_ids:
             return CritiqueVerdict(label=C, text="the plan is correct", sample_count=1, votes={C: 1})
         if iteration == self.at:
@@ -489,7 +488,7 @@ class TestRunProblem:
         self, bw_domain, bw5_problem, wrong_plan
     ):
         class CriticDownAtRoundTwo(ScriptedCritic):
-            def critique(self, domain, problem, plan, *, problem_id, iteration):
+            def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
                 if iteration == 2:
                     raise TransportError("critic down")
                 return super().critique(domain, problem, plan, problem_id=problem_id, iteration=iteration)
@@ -868,6 +867,24 @@ class TestSharedEndpoint:
         assert len(lines) == sum(r.llm_calls for r in records) == len(endpoint.requests) == 50
         assert all(json.loads(line)["response"] == "the plan is wrong" for line in lines)
 
+    def test_domain_is_rendered_once_for_plan_and_critique_prompts(
+        self, dataset, endpoint, monkeypatch
+    ):
+        """One render of the domain serves every plan prompt and every
+        critique prompt of a batch."""
+        domain = dataclasses.replace(dataset.domain)  # a domain object not yet printed
+        two = dataclasses.replace(dataset, domain=domain, entries=dataset.entries[:2])
+        formatted = []
+        real = pddl._format_conjunction
+        monkeypatch.setattr(pddl, "_format_conjunction", lambda parts: formatted.append(parts) or real(parts))
+        records = run_batch(two, self.config(endpoint))
+        monkeypatch.undo()
+        # a render formats each action's precondition and effect
+        assert len(formatted) == 2 * len(domain.actions)
+        prompts = [request["payload"]["messages"][0]["content"] for request in endpoint.requests]
+        assert len(prompts) == sum(r.llm_calls for r in records) == 20
+        assert all(pddl.print_domain(domain) in prompt for prompt in prompts)
+
 
 class TestExemplarTwins:
     def test_twin_under_another_id_is_never_shown(self, monkeypatch):
@@ -894,7 +911,7 @@ class TestExemplarTwins:
         run_batch(Dataset((entry,), domain, {pid: target}, {}), loop_config(k=0, shots=64), pool=pool)
         (prompt,) = planner.prompts
         assert prompt.count("Example of a problem and its solution") == 64
-        assert render_shot(twin) not in prompt
+        assert twin.block not in prompt
 
 
 @pytest.fixture(scope="module")
@@ -924,7 +941,7 @@ class TestFixedWorkDoneOnce:
     def test_counts_and_prompts(self, refine_inputs, monkeypatch):
         ds_manifest, pool_manifest = refine_inputs
         dataset = load_dataset(ds_manifest)
-        calls = {name: [] for name in ("validate", "trace", "problem", "domain")}
+        calls = {name: [] for name in ("validate", "trace", "problem", "conjunction")}
 
         def count(module, name, log):
             real = getattr(module, name)
@@ -934,8 +951,7 @@ class TestFixedWorkDoneOnce:
         count(critics, "validate_plan", calls["validate"])
         count(critics, "format_trace", calls["trace"])
         count(prompting, "print_problem", calls["problem"])
-        count(prompting, "print_domain", calls["domain"])
-        count(orchestrator, "print_domain", calls["domain"])
+        count(pddl, "_format_conjunction", calls["conjunction"])  # inside the domain printer
         prompts = {}
         generate_reply = MockPlanner.generate
 
@@ -960,9 +976,10 @@ class TestFixedWorkDoneOnce:
         assert len(calls["validate"]) == distinct
         assert len({(id(problem), plan.steps) for problem, plan, _ in calls["validate"]}) == distinct
         assert len(calls["trace"]) == distinct
-        # one shot block per pool exemplar, one instance text per target, one domain text
+        # one shot block per pool exemplar, one instance text per target, and
+        # one domain text: a render formats each action's precondition and effect
         assert len(calls["problem"]) == len(pool) + len(records)
-        assert len(calls["domain"]) == 1
+        assert len(calls["conjunction"]) == 2 * len(dataset.domain.actions)
 
         for record in records:
             problem = dataset.problems[record.problem_id]
@@ -993,9 +1010,20 @@ class TestFixedWorkDoneOnce:
     def test_critic_behind_a_wrapper_is_handed_the_result(
         self, bw_domain, bw5_problem, wrong_plan, monkeypatch
     ):
-        """A ``functools.wraps`` wrapper on ``critique``, as a tracer installs
-        one, still gets the loop's validation; an override without ``result``
-        validates on its own."""
+        """The oracle, the oracle behind a ``functools.wraps`` wrapper (as a
+        tracer installs one) and a subclass that overrides ``critique`` all
+        judge from the loop's validation and validate nothing themselves."""
+        validated = []
+        real_validate = critics.validate_plan
+        monkeypatch.setattr(
+            critics, "validate_plan", lambda *args: validated.append(args) or real_validate(*args)
+        )
+        planner = ScriptedPlanner({"p1": [print_plan(wrong_plan)]})
+
+        def run(critic):
+            return run_problem(bw_domain, bw5_problem, loop_config(k=3), planner, critic, problem_id="p1")
+
+        plain = run(OracleCritic())
         real = OracleCritic.critique
 
         @functools.wraps(real)
@@ -1003,31 +1031,28 @@ class TestFixedWorkDoneOnce:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(OracleCritic, "critique", traced)
-        assert takes_result(OracleCritic()) and not takes_result(RecordingCritic())
-        validated = []
-        real_validate = critics.validate_plan
-        monkeypatch.setattr(
-            critics, "validate_plan", lambda *args: validated.append(args) or real_validate(*args)
-        )
-        planner = ScriptedPlanner({"p1": [print_plan(wrong_plan)]})
-        record = run_problem(bw_domain, bw5_problem, loop_config(k=3), planner, OracleCritic(), problem_id="p1")
-        assert len(record.iterations) == 4 and validated == []
-        run_problem(bw_domain, bw5_problem, loop_config(k=3), planner, RecordingCritic(), problem_id="p1")
-        assert len(validated) == 4
+        recording = RecordingCritic()  # its override calls the wrapped oracle
+        assert run(OracleCritic()) == plain == run(recording)
+        assert len(plain.iterations) == 4 and len(recording.texts) == 4
+        assert validated == []
+        # called directly, without a result, the oracle validates the plan itself
+        OracleCritic().critique(bw_domain, bw5_problem, wrong_plan, problem_id="p1", iteration=0)
+        assert len(validated) == 1
 
     def test_threads_share_the_oracle_and_match_serial(self, refine_inputs):
-        """The oracle critic's write-ups are shared by the batch's worker
-        threads: more threads than cores, switching often, give the records
-        of a serial run."""
+        """The oracle critic's write-ups, and the text of a domain not yet
+        printed, are shared by the batch's worker threads: more threads than
+        cores, switching often, give the records of a serial run."""
         ds_manifest, pool_manifest = refine_inputs
         dataset = load_dataset(ds_manifest)
         pool = _pool_of(load_dataset(pool_manifest))
         config = LoopConfig(k=10, shots=4, planner=PlannerConfig(golden_prob=0.3, seed=7))
         serial = run_batch(dataset, config, pool=pool)
+        unprinted = dataclasses.replace(dataset, domain=dataclasses.replace(dataset.domain))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            parallel = run_batch(dataset, config, pool=pool, parallelism=6)
+            parallel = run_batch(unprinted, config, pool=pool, parallelism=6)
         finally:
             sys.setswitchinterval(interval)
         assert parallel == serial

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plancritic
+from plancritic import pddl
 from plancritic.domains import (
     blocksworld_domain,
     logistics_domain,
@@ -668,3 +669,22 @@ class TestDomainDef:
         # a pickle carries the fields alone; the loaded domain hashes them anew
         data = pickle.dumps(bw)
         assert b"_hash" not in data and pickle.loads(data) == bw
+
+    def test_text_is_printed_once_and_changes_nothing_else(self, monkeypatch):
+        domain = parse_domain(print_domain(blocksworld_domain()))
+        twin = dataclasses.replace(domain)
+        before = hash(domain)
+        formatted = []
+        real = pddl._format_conjunction
+        monkeypatch.setattr(pddl, "_format_conjunction", lambda parts: formatted.append(parts) or real(parts))
+        text = print_domain(domain)
+        assert print_domain(domain) is text
+        assert len(formatted) == 2 * len(domain.actions)  # one render
+        monkeypatch.undo()
+        assert domain == twin and twin == domain and hash(domain) == before == hash(twin)
+        # a pickle carries the fields alone; the loaded domain prints its own text
+        data = pickle.dumps(domain)
+        assert b"_text" not in data and data == pickle.dumps(twin)
+        loaded = pickle.loads(data)
+        assert loaded == domain and hash(loaded) == before and loaded._text is None
+        assert print_domain(loaded) == text

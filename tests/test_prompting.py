@@ -21,7 +21,6 @@ from plancritic.prompting import (
     build_pool,
     load_template,
     plan_prompt_prefix,
-    render_shot,
     render_template,
     select_fewshots,
 )
@@ -94,7 +93,7 @@ class TestPlanPromptStructure:
         assert prompt.endswith("Your plan as plain text without formatting:\n")
 
     def test_shot_block_layout(self, shot_problem, shot_plan):
-        block = render_shot(Exemplar(shot_problem, shot_plan))
+        block = Exemplar(shot_problem, shot_plan).block
         assert block.startswith("Example of a problem and its solution (plan):\n(define")
         assert "\n\nThe plan without formatting:\n(unstack b2 b1)" in block
         assert block.endswith("(stack b3 b5)\n\n\n")

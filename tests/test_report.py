@@ -246,11 +246,11 @@ class TestScoreOfALoopRun:
         crash_id = dataset.entries[0].id
 
         class CrashingMockCritic(MockCritic):
-            def critique(self, domain, problem, plan, *, problem_id, iteration):
+            def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
                 if problem_id == crash_id and iteration == 2:
                     raise RuntimeError("critic bug")
                 return super().critique(
-                    domain, problem, plan, problem_id=problem_id, iteration=iteration
+                    domain, problem, plan, problem_id=problem_id, iteration=iteration, result=result
                 )
 
         config = LoopConfig(

@@ -24,7 +24,9 @@ from plancritic.search import (
     ground_actions,
     run_plan,
 )
-from plancritic.semantics import apply, goal_satisfied, initial_state, is_applicable, validate_plan
+from plancritic.semantics import apply, goal_satisfied, initial_state, validate_plan
+
+from .helpers import is_applicable
 
 THREE_BLOCKS = """\
 (define (problem three)

@@ -33,12 +33,16 @@ from plancritic.semantics import (
     format_trace,
     format_verdict,
     initial_state,
-    is_applicable,
-    precondition_checks,
     validate_plan,
 )
 
-from .helpers import mutate_drop, mutate_swap, reference_validate
+from .helpers import (
+    is_applicable,
+    mutate_drop,
+    mutate_swap,
+    precondition_checks,
+    reference_validate,
+)
 
 # state reached after (unstack b5 b2) from the fixture problem: gains
 # (holding b5) and (clear b2), loses (on b5 b2), (clear b5), (handempty)
