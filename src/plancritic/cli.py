@@ -36,7 +36,6 @@ from .generators import (
     obfuscate_dataset,
 )
 from .pddl import (
-    DomainDef,
     PddlError,
     parse_domain,
     parse_plan,
@@ -75,6 +74,15 @@ def _read_text(path: str) -> str:
     return p.read_text()
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise UsageError(
+            f"{path}: not JSON ({exc.msg} at line {exc.lineno}, column {exc.colno})"
+        ) from exc
+
+
 def _build(cls, data: dict, what: str):
     """``cls(**data)``, refusing keys that are not fields of ``cls``."""
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
@@ -89,7 +97,9 @@ def _build(cls, data: dict, what: str):
 
 def _spec_from_args(args) -> GenSpec:
     benchmark = Benchmark(args.benchmark)
-    if benchmark is Benchmark.LOGISTICS and args.preset:
+    if args.preset:
+        if benchmark is not Benchmark.LOGISTICS:
+            raise UsageError(f"--preset is for the logistics benchmark, not {benchmark.value}")
         preset = GenSpec.logistics_easy if args.preset == "easy" else GenSpec.logistics_hard
         return preset(args.seed, args.count)
     sizes = {name: getattr(args, name) for name in SIZE_FIELDS[benchmark]}
@@ -175,7 +185,7 @@ def _cmd_solve(args) -> int:
 
 
 def _map_from_file(path: str) -> ObfuscationMap:
-    raw = json.loads(_read_text(path))
+    raw = _read_json(path)
     try:
         return _build(ObfuscationMap, {"mode": ObfuscationMode.IDENTITY, **raw}, "map")
     except (UsageError, TypeError, ValueError) as exc:
@@ -205,7 +215,9 @@ def _cmd_obfuscate(args) -> int:
 # run
 
 
-def _config_from_dict(raw: dict) -> LoopConfig:
+def _config_from_dict(raw: dict) -> tuple[LoopConfig, str | None, int]:
+    """(config, pool manifest path, pool seed) of a run configuration, from
+    ``--config`` or the run flags; a bad value raises UsageError."""
     from .critics import CriticConfig
     from .orchestrator import LoopConfig, PlannerConfig
     from .prompting import MissingPlaceholderValue
@@ -213,14 +225,23 @@ def _config_from_dict(raw: dict) -> LoopConfig:
     raw = dict(raw)
     planner_raw = raw.pop("planner", {})
     critic_raw = raw.pop("critic", {})
-    raw.pop("pool_manifest", None)
-    raw.pop("pool_seed", None)
+    pool_manifest = raw.pop("pool_manifest", None)
+    pool_seed = raw.pop("pool_seed", 0)
     try:
         planner = _build(PlannerConfig, planner_raw, "planner")
         critic = _build(CriticConfig, critic_raw, "critic")
-        return _build(LoopConfig, {**raw, "planner": planner, "critic": critic}, "run")
+        config = _build(LoopConfig, {**raw, "planner": planner, "critic": critic}, "run")
+        if pool_manifest is not None and not isinstance(pool_manifest, str):
+            raise TypeError(f"pool_manifest must be a string or null, got {pool_manifest!r}")
+        if type(pool_seed) is not int:  # a bool is not a seed
+            raise TypeError(f"pool_seed must be an integer, got {pool_seed!r}")
+        if config.shots > 0 and not pool_manifest:
+            raise ValueError(
+                "shots > 0 needs a few-shot pool (--pool, or pool_manifest in --config)"
+            )
     except (TypeError, ValueError, MissingPlaceholderValue) as exc:
         raise UsageError(f"bad run configuration: {exc}") from exc
+    return config, pool_manifest, pool_seed
 
 
 def _run_flags() -> dict:
@@ -237,18 +258,16 @@ def _run_flags() -> dict:
 
 
 def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
-    """Returns (config, pool manifest path, pool seed)."""
+    """``_config_from_dict`` of the ``--config`` file or of the run flags."""
     flags = _run_flags()
     if args.config:
         given = ["--" + dest.replace("_", "-") for dest in flags if dest in vars(args)]
         if given:
             raise UsageError(f"--config takes no run flags, got {', '.join(given)}")
-        raw = json.loads(_read_text(args.config))
+        raw = _read_json(args.config)
         if not isinstance(raw, dict):
             raise UsageError(f"{args.config}: a run configuration is a JSON object")
-        pool_manifest = raw.get("pool_manifest")
-        pool_seed = raw.get("pool_seed", 0)
-        return _config_from_dict(raw), pool_manifest, pool_seed
+        return _config_from_dict(raw)
 
     args = argparse.Namespace(**{**flags, **vars(args)})
     for role in ("planner", "critic"):
@@ -261,37 +280,28 @@ def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
     if args.critic == "mock":
         critic.update(false_positive=args.fp, false_negative=args.fn, seed=args.seed)
     raw = {"k": args.k, "shots": args.shots, "transcript_budget": args.budget,
-           "planner": planner, "critic": critic}
-    return _config_from_dict(raw), args.pool, args.pool_seed
-
-
-def _build_pool(path: str, seed: int, domain: DomainDef):
-    """The few-shot pool of a run on ``domain``; refuses one of another domain."""
-    from .prompting import Exemplar, build_pool
-
-    dataset = load_dataset(path)
-    if dataset.domain != domain:
-        raise DatasetError(
-            f"pool {path} is for domain {dataset.domain.name}, the run is for {domain.name}"
-        )
-    exemplars = []
-    for entry in dataset.entries:
-        if entry.id not in dataset.plans:
-            raise UsageError(f"pool entry {entry.id} has no plan file")
-        exemplars.append(Exemplar(dataset.problems[entry.id], dataset.plans[entry.id]))
-    return build_pool(dataset.domain, exemplars, seed, [entry.id for entry in dataset.entries])
+           "planner": planner, "critic": critic, "pool_manifest": args.pool,
+           "pool_seed": args.pool_seed}
+    return _config_from_dict(raw)
 
 
 def _cmd_run(args) -> int:
     from . import report
     from .orchestrator import PlannerBackend, run_batch
+    from .prompting import build_pool
 
     config, pool_path, pool_seed = _config_from_args(args)
     # golden plans are read only for the mock planner, which replays them
     dataset = load_dataset(args.manifest, with_plans=config.planner.backend is PlannerBackend.MOCK)
     pool = None
-    if config.shots > 0 and pool_path:
-        pool = _build_pool(pool_path, pool_seed, dataset.domain)
+    if config.shots > 0:
+        pool_dataset = load_dataset(pool_path)
+        if pool_dataset.domain != dataset.domain:
+            raise DatasetError(
+                f"pool {pool_path} is for domain {pool_dataset.domain.name}, "
+                f"the run is for {dataset.domain.name}"
+            )
+        pool = build_pool(pool_dataset, pool_seed)
     records = run_batch(
         dataset,
         config,
@@ -452,7 +462,6 @@ def main(argv: list[str] | None = None) -> int:
         InvalidSpec,
         FileNotFoundError,
         IsADirectoryError,
-        json.JSONDecodeError,
         *_loaded("orchestrator", "MalformedRecord"),  # a ValueError, so it is tried first
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from enum import Enum
 from importlib import resources
 from typing import Mapping, Sequence
 
+from .generators import Dataset, DatasetError
 from .pddl import DomainDef, Plan, ProblemDef, print_domain, print_plan, print_problem, problem_key
 from .semantics import validate_plan
 
@@ -130,29 +131,26 @@ class FewShotPool:
         return len(self.exemplars)
 
 
-def build_pool(
-    domain: DomainDef, exemplars: Sequence[Exemplar], seed: int, ids: Sequence[str]
-) -> FewShotPool:
-    """Build a pool, checking every exemplar's plan actually solves its problem
-    and rendering its shot block once, for every prompt that shows it.
-
-    ``ids`` names each exemplar, in order, with a distinct id; a target whose
-    id is in the pool is never shown that exemplar.
-    """
-    if len(ids) != len(exemplars) or len(set(ids)) != len(ids):
-        raise ValueError(
-            f"{len(exemplars)} exemplars need one distinct id each, "
-            f"got {len(ids)} ids, {len(set(ids))} distinct"
-        )
-    for ex in exemplars:
-        if not validate_plan(ex.problem, ex.plan, domain).is_correct:
+def build_pool(dataset: Dataset, seed: int) -> FewShotPool:
+    """The few-shot pool of a loaded manifest: one exemplar per entry, in
+    manifest order, named by the entry's id, so a target whose id is in the
+    pool is never shown that exemplar.  Raises DatasetError for an entry with
+    no plan file and ValueError for a plan that does not solve its problem;
+    renders each shot block once, for every prompt that shows it."""
+    exemplars = []
+    for entry in dataset.entries:
+        if entry.id not in dataset.plans:
+            raise DatasetError(f"pool entry {entry.id} has no plan file")
+        ex = Exemplar(dataset.problems[entry.id], dataset.plans[entry.id])
+        if not validate_plan(ex.problem, ex.plan, dataset.domain).is_correct:
             raise ValueError(f"exemplar plan for {ex.problem.name!r} does not validate")
         ex.block  # rendered here, once, and kept on the exemplar
-    return FewShotPool(tuple(exemplars), seed, tuple(ids))
+        exemplars.append(ex)
+    return FewShotPool(tuple(exemplars), seed, tuple(entry.id for entry in dataset.entries))
 
 
 def select_fewshots(
-    pool: FewShotPool, problem_id: str, n: int, problem: ProblemDef | None = None
+    pool: FewShotPool, problem_id: str, n: int, problem: ProblemDef
 ) -> tuple[Exemplar, ...]:
     """Deterministic selection of ``n`` exemplars for one problem.
 
@@ -167,7 +165,7 @@ def select_fewshots(
     rng = random.Random(f"{pool.seed}:{problem_id}")
     order = list(range(len(pool.exemplars)))
     rng.shuffle(order)
-    twins = () if problem is None else pool.by_key.get(problem_key(problem), ())
+    twins = pool.by_key.get(problem_key(problem), ())
     order = [i for i in order if pool.ids[i] != problem_id and i not in twins]
     if n > len(order):
         raise PoolTooSmall(f"asked for {n} exemplars, pool has {len(order)} for {problem_id}")

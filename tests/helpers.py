@@ -1,7 +1,7 @@
 """Plan mutation helpers, reference versions of the reader, the validator
 and the plan extractor, used by the equivalence tests, and the helpers that
 only tests call (a map's inverse, one step's precondition checks, a records
-file written whole).
+file written whole, a dataset held in memory).
 
 The reference reader walks the text one character at a time, the way the
 PDDL reader did before it scanned with one regex.  The reference validator
@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from plancritic.generators import ObfuscationMap
+from plancritic.generators import Dataset, ManifestEntry, ObfuscationMap
 from plancritic.orchestrator import _NUMBERING, _record_line
 from plancritic.pddl import (
     ArityMismatch,
@@ -91,6 +91,16 @@ def write_records(path, records) -> None:
     """Write ``records`` as a records file, one line each as the loop writes them."""
     with Path(path).open("w") as fh:
         fh.writelines(_record_line(record) for record in records)
+
+
+def dataset_of(domain: DomainDef, problems: dict, plans: dict) -> Dataset:
+    """A ``Dataset`` of ``problems`` and ``plans`` by id, in ``problems``'
+    order, as ``load_dataset`` would return it; no file is written."""
+    entries = tuple(
+        ManifestEntry(pid, "", 0, i, {}, Path("domain.pddl"), Path(f"{pid}.pddl"))
+        for i, pid in enumerate(problems)
+    )
+    return Dataset(entries, domain, dict(problems), dict(plans))
 
 
 def mutate_drop(plan: Plan, rng: random.Random) -> Plan:
@@ -295,3 +305,4 @@ def reference_extract_plan(text: str, domain: DomainDef) -> Plan:
             continue
         steps.extend(parsed.steps)
     return Plan(tuple(steps))
+

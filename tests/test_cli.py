@@ -123,6 +123,16 @@ class TestGenerate:
         assert code == 0
         assert len(load_manifest(tmp_path / "manifest.jsonl")) == 1
 
+    def test_preset_of_another_benchmark_refused(self, tmp_path, capsys):
+        code = cli.main(
+            ["generate", "--benchmark", "blocksworld", "--blocks", "3", "--preset", "hard",
+             "--seed", "3", "--count", "1", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --preset is for the logistics benchmark, not blocksworld\n"
+        assert not (tmp_path / "manifest.jsonl").exists()
+
 
 class TestValidate:
     def test_correct_plan(self, fixture_files, capsys):
@@ -301,6 +311,18 @@ class TestObfuscate:
         assert err.count("error:") == 1 and "map file" in err
         if "renames" in raw:
             assert "unknown map option(s): renames" in err
+
+    def test_map_file_not_json_named(self, dataset_dir, tmp_path, capsys):
+        mapping = tmp_path / "map.json"
+        mapping.write_text("{predicates: {}}")
+        code = cli.main(["obfuscate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                         "--out", str(tmp_path / "obf"), "--map", str(mapping)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {mapping}: not JSON (Expecting property name enclosed in double quotes "
+            "at line 1, column 2)\n"
+        )
+        assert not (tmp_path / "obf").exists()
 
     def test_identity_mode(self, dataset_dir, tmp_path):
         out = tmp_path / "same"
@@ -631,6 +653,60 @@ class TestRunScoreReport:
         assert f"id {raw['id']} twice" in capsys.readouterr().err
         assert endpoint.requests == []
         assert not records.exists()
+
+    def test_shots_without_pool_exit_2_from_flags_and_config(self, dataset_dir, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 1, "shots": 2, "pool_seed": 3}))
+        run = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records)]
+        for args in (["--shots", "2"], ["--config", str(config)]):
+            assert cli.main(run + args) == 2, args
+            assert capsys.readouterr().err == (
+                "error: bad run configuration: shots > 0 needs a few-shot pool "
+                "(--pool, or pool_manifest in --config)\n"
+            )
+            assert not records.exists()
+
+    @pytest.mark.parametrize(
+        "pool",
+        [{"pool_manifest": 5}, {"pool_manifest": ["pool.jsonl"]}, {"pool_seed": True},
+         {"pool_seed": [1]}, {"pool_seed": "1"}, {"pool_seed": 1.0}, {"pool_seed": None}],
+        ids=["manifest-int", "manifest-list", "seed-bool", "seed-list", "seed-str", "seed-float",
+             "seed-null"],
+    )
+    def test_pool_setting_of_wrong_type_refused(self, dataset_dir, tmp_path, capsys, pool):
+        manifest = str(dataset_dir / "manifest.jsonl")
+        records = tmp_path / "r.jsonl"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 1, "shots": 1, "pool_manifest": manifest, **pool}))
+        code = cli.main(["run", "--manifest", manifest, "--records", str(records),
+                         "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad run configuration: {next(iter(pool))} must be")
+        assert err.count("\n") == 1
+        assert not records.exists()
+
+    def test_config_not_json_named(self, dataset_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"k": 1,\n "shots": 0,}')
+        records = tmp_path / "r.jsonl"
+        code = cli.main(["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                         "--records", str(records), "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: not JSON (Expecting property name enclosed in double quotes "
+            "at line 2, column 13)\n"
+        )
+        assert not records.exists()
+
+    def test_readme_config_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        start = readme.index("```json\n", readme.index("To use a real model")) + len("```json\n")
+        raw = json.loads(readme[start:readme.index("```", start)])
+        config, pool_manifest, pool_seed = cli._config_from_dict(raw)
+        assert config.shots == raw["shots"] > 0
+        assert (pool_manifest, pool_seed) == (raw["pool_manifest"], raw["pool_seed"])
 
     def test_config_not_an_object(self, dataset_dir, tmp_path, capsys):
         config = tmp_path / "config.json"

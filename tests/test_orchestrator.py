@@ -61,7 +61,7 @@ from plancritic.report import score, summary_line
 from plancritic.search import SearchLimits, bfs_plan
 from plancritic.semantics import validate_plan, verdict_to_dict
 
-from .helpers import reference_extract_plan, write_records
+from .helpers import dataset_of, reference_extract_plan, write_records
 from .test_critics import FakeEndpoint, chat_body
 
 C = CritiqueLabel.CORRECT
@@ -769,8 +769,8 @@ class TestRunBatch:
         # objects are listed in another order), so each is also the other's twin
         ids = list(dataset.plans)
         assert problem_key(dataset.problems[ids[1]]) == problem_key(dataset.problems[ids[2]])
-        exemplars = [Exemplar(dataset.problems[pid], dataset.plans[pid]) for pid in ids]
-        pool = build_pool(dataset.domain, exemplars, seed=0, ids=ids)
+        problems = {pid: dataset.problems[pid] for pid in ids}
+        pool = build_pool(dataset_of(dataset.domain, problems, dataset.plans), 0)
         with pytest.raises(PoolTooSmall):
             run_batch(dataset, self.config(shots=3), pool=pool)
         records = run_batch(dataset, self.config(shots=2), pool=pool)
@@ -894,12 +894,13 @@ class TestExemplarTwins:
         domain, targets = generate(GenSpec.blocksworld(blocks=5, seed=1, count=97))
         target = targets[96]
         _, problems = generate(GenSpec.blocksworld(blocks=5, seed=3, count=100))
-        exemplars = [Exemplar(p, bfs_plan(domain, p, SearchLimits()).plan) for p in problems]
-        pool = build_pool(domain, exemplars, seed=0, ids=[f"blocksworld-3-{i:04d}" for i in range(100)])
-        twin = exemplars[3]
+        ids = [f"blocksworld-3-{i:04d}" for i in range(100)]
+        plans = [bfs_plan(domain, p, SearchLimits()).plan for p in problems]
+        pool = build_pool(dataset_of(domain, dict(zip(ids, problems)), dict(zip(ids, plans))), 0)
+        twin = pool.exemplars[3]
         assert problem_key(twin.problem) == problem_key(target)
         pid = "blocksworld-1-0096"
-        assert twin in select_fewshots(pool, pid, 64)  # the id rule alone
+        assert twin in select_fewshots(pool, pid, 64, targets[0])  # the seeded order draws it
         assert twin not in select_fewshots(pool, pid, 64, target)
         assert len(select_fewshots(pool, pid, 99, target)) == 99  # the pool counts one short
         with pytest.raises(PoolTooSmall):
@@ -929,11 +930,6 @@ def refine_inputs(tmp_path_factory):
     return solved("ds", 1, 30), solved("pool", 100_001, 20)
 
 
-def _pool_of(dataset):
-    exemplars = [Exemplar(dataset.problems[e.id], dataset.plans[e.id]) for e in dataset.entries]
-    return build_pool(dataset.domain, exemplars, seed=0, ids=[e.id for e in dataset.entries])
-
-
 class TestFixedWorkDoneOnce:
     """Exact counts on a batch shaped like the refine-mock benchmark: mock
     planner p=0.3, oracle critic, k=10, 4 shots, a 20-problem pool."""
@@ -960,7 +956,7 @@ class TestFixedWorkDoneOnce:
             return generate_reply(self, prompt, problem_id=problem_id, iteration=iteration)
 
         monkeypatch.setattr(MockPlanner, "generate", recording)
-        pool = _pool_of(load_dataset(pool_manifest))
+        pool = build_pool(load_dataset(pool_manifest), 0)
         config = LoopConfig(
             k=10, shots=4, planner=PlannerConfig(golden_prob=0.3, seed=1000),
             critic=CriticConfig(backend=CriticBackend.ORACLE),
@@ -1045,7 +1041,7 @@ class TestFixedWorkDoneOnce:
         cores, switching often, give the records of a serial run."""
         ds_manifest, pool_manifest = refine_inputs
         dataset = load_dataset(ds_manifest)
-        pool = _pool_of(load_dataset(pool_manifest))
+        pool = build_pool(load_dataset(pool_manifest), 0)
         config = LoopConfig(k=10, shots=4, planner=PlannerConfig(golden_prob=0.3, seed=7))
         serial = run_batch(dataset, config, pool=pool)
         unprinted = dataclasses.replace(dataset, domain=dataclasses.replace(dataset.domain))

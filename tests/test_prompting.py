@@ -1,11 +1,10 @@
-import dataclasses
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plancritic.generators import GenSpec, generate
+from plancritic.generators import DatasetError, GenSpec, generate
 from plancritic.pddl import Plan, print_plan
 from plancritic.prompting import (
     BudgetExceeded,
@@ -26,6 +25,8 @@ from plancritic.prompting import (
 )
 from plancritic.search import SearchLimits, bfs_plan
 from plancritic.semantics import format_trace, format_verdict, validate_plan
+
+from .helpers import dataset_of
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -176,52 +177,52 @@ class TestCritiquePromptRules:
 @pytest.fixture(scope="module")
 def pool():
     domain, problems = generate(GenSpec.blocksworld(blocks=4, seed=77, count=6))
-    exemplars = [
-        Exemplar(p, bfs_plan(domain, p, SearchLimits(200_000, 60)).plan)
-        for p in problems
-    ]
-    return build_pool(domain, exemplars, seed=13, ids=[f"p{i}" for i in range(len(exemplars))])
+    plans = [bfs_plan(domain, p, SearchLimits(200_000, 60)).plan for p in problems]
+    ids = [f"p{i}" for i in range(len(problems))]
+    return build_pool(dataset_of(domain, dict(zip(ids, problems)), dict(zip(ids, plans))), seed=13)
 
 
 class TestFewShotSelection:
+    """Each target is ``bw5_problem``, a task that no exemplar of the pool
+    poses, under various ids."""
 
-    def test_deterministic(self, pool):
-        assert select_fewshots(pool, "target-1", 3) == select_fewshots(pool, "target-1", 3)
+    def test_deterministic(self, pool, bw5_problem):
+        first = select_fewshots(pool, "target-1", 3, bw5_problem)
+        assert first == select_fewshots(pool, "target-1", 3, bw5_problem)
 
-    def test_problem_keyed(self, pool):
-        assert select_fewshots(pool, "target-1", 6) != select_fewshots(pool, "target-2", 6)
+    def test_problem_keyed(self, pool, bw5_problem):
+        first = select_fewshots(pool, "target-1", 6, bw5_problem)
+        assert first != select_fewshots(pool, "target-2", 6, bw5_problem)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(min_value=0, max_value=6), m=st.integers(min_value=0, max_value=6))
-    def test_prefix_property(self, pool, n, m):
+    def test_prefix_property(self, pool, bw5_problem, n, m):
         small, large = sorted((n, m))
-        assert select_fewshots(pool, "t", large)[:small] == select_fewshots(pool, "t", small)
+        larger = select_fewshots(pool, "t", large, bw5_problem)
+        assert larger[:small] == select_fewshots(pool, "t", small, bw5_problem)
 
-    def test_pool_too_small(self, pool):
+    def test_pool_too_small(self, pool, bw5_problem):
         with pytest.raises(PoolTooSmall):
-            select_fewshots(pool, "t", 7)
+            select_fewshots(pool, "t", 7, bw5_problem)
 
-    def test_target_is_never_its_own_exemplar(self, pool):
-        named = dataclasses.replace(pool, ids=tuple(f"p{i}" for i in range(len(pool))))
-
+    def test_target_is_never_its_own_exemplar(self, pool, bw5_problem):
         def picked(target, n):
-            return [pool.exemplars.index(e) for e in select_fewshots(named, target, n)]
+            return [pool.exemplars.index(e) for e in select_fewshots(pool, target, n, bw5_problem)]
 
-        # a target outside the pool gets the selection an id-less pool gives it
+        # a target outside the pool may be shown every exemplar
         assert picked("target-1", 6) == [4, 0, 1, 5, 2, 3]
         # the same seeded order, with the target's own exemplar (first here) skipped
         assert picked("p1", 5) == [0, 3, 2, 5, 4]
         with pytest.raises(PoolTooSmall):
-            select_fewshots(named, "p1", 6)
+            select_fewshots(pool, "p1", 6, bw5_problem)
 
-    def test_zero_shots(self, pool):
-        assert select_fewshots(pool, "t", 0) == ()
-
-    @pytest.mark.parametrize("ids", [(), ("only",), ("a", "b", "a"), ("a", "b", "c", "d")])
-    def test_pool_needs_one_distinct_id_per_exemplar(self, bw_domain, pool, ids):
-        with pytest.raises(ValueError, match="distinct id"):
-            build_pool(bw_domain, pool.exemplars[:3], seed=0, ids=ids)
+    def test_zero_shots(self, pool, bw5_problem):
+        assert select_fewshots(pool, "t", 0, bw5_problem) == ()
 
     def test_pool_rejects_invalid_exemplar(self, bw_domain, bw5_problem):
-        with pytest.raises(ValueError):
-            build_pool(bw_domain, [Exemplar(bw5_problem, Plan(()))], seed=0, ids=["p"])
+        with pytest.raises(ValueError, match="does not validate"):
+            build_pool(dataset_of(bw_domain, {"p": bw5_problem}, {"p": Plan(())}), seed=0)
+
+    def test_pool_entry_without_a_plan_refused(self, bw_domain, bw5_problem):
+        with pytest.raises(DatasetError, match="pool entry p has no plan file"):
+            build_pool(dataset_of(bw_domain, {"p": bw5_problem}, {}), seed=0)
