@@ -16,7 +16,11 @@ import argparse
 import dataclasses
 import json
 import sys
+import types
+import typing
 from collections import Counter
+from collections.abc import Mapping
+from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -83,11 +87,43 @@ def _read_json(path: str):
         ) from exc
 
 
+def _fits(value, hint) -> bool:
+    """Whether a value read from JSON or a flag is of the declared type
+    ``hint``: a bool is no number, an int is a float, an enum takes its
+    string value and a tuple a JSON array."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, list) and all(_fits(item, args[0]) for item in value)
+    if origin is Mapping:
+        return isinstance(value, dict) and all(
+            _fits(key, args[0]) and _fits(item, args[1]) for key, item in value.items()
+        )
+    if hint is int:
+        return type(value) is int
+    if hint is float:
+        return type(value) in (int, float)
+    return isinstance(value, str if issubclass(hint, Enum) else hint)
+
+
+def _check_type(name: str, value, hint) -> None:
+    if not _fits(value, hint):
+        type_name = str(hint) if typing.get_origin(hint) else hint.__name__
+        raise TypeError(f"{name} must be {type_name}, got {value!r}")
+
+
 def _build(cls, data: dict, what: str):
-    """``cls(**data)``, refusing keys that are not fields of ``cls``."""
+    """``cls(**data)``, refusing keys that are not fields of ``cls`` and,
+    with TypeError, a value that is not of its field's declared type."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{what} options must be a JSON object, got {data!r}")
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise UsageError(f"unknown {what} option(s): {', '.join(sorted(unknown))}")
+    hints = typing.get_type_hints(cls)
+    for name, value in data.items():
+        _check_type(name, value, hints[name])
     return cls(**data)
 
 
@@ -97,24 +133,40 @@ def _build(cls, data: dict, what: str):
 
 def _spec_from_args(args) -> GenSpec:
     benchmark = Benchmark(args.benchmark)
+    sizes = {
+        name: getattr(args, name)
+        for names in SIZE_FIELDS.values()
+        for name in names
+        if getattr(args, name) is not None
+    }
     if args.preset:
         if benchmark is not Benchmark.LOGISTICS:
             raise UsageError(f"--preset is for the logistics benchmark, not {benchmark.value}")
+        if sizes:
+            given = ", ".join(sizes)
+            raise UsageError(f"--preset sets every logistics size, so it takes no {given}")
         preset = GenSpec.logistics_easy if args.preset == "easy" else GenSpec.logistics_hard
         return preset(args.seed, args.count)
-    sizes = {name: getattr(args, name) for name in SIZE_FIELDS[benchmark]}
     return GenSpec(benchmark, args.seed, args.count, **sizes)
 
 
+LIMIT_FIELDS = ("max_expanded", "max_plan_length")
+
+
 def _limits_from_args(args) -> SearchLimits:
+    """The search limits given; the parser sets a limit flag only when it is
+    given, so ``SearchLimits`` holds the defaults."""
+    given = {name: vars(args)[name] for name in LIMIT_FIELDS if name in vars(args)}
     try:
-        return SearchLimits(args.max_expanded, args.max_length)
+        return SearchLimits(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _cmd_generate(args) -> int:
     spec = _spec_from_args(args)
+    if not args.solve and set(LIMIT_FIELDS) & set(vars(args)):
+        raise UsageError("--max-expanded and --max-length are for --solve")
     limits = _limits_from_args(args)
     domain, problems = generators.generate(spec)
     plans = None
@@ -225,16 +277,15 @@ def _config_from_dict(raw: dict) -> tuple[LoopConfig, str | None, int]:
     raw = dict(raw)
     planner_raw = raw.pop("planner", {})
     critic_raw = raw.pop("critic", {})
+    # the pool settings are no field of a config class: this is their one reader
     pool_manifest = raw.pop("pool_manifest", None)
     pool_seed = raw.pop("pool_seed", 0)
     try:
         planner = _build(PlannerConfig, planner_raw, "planner")
         critic = _build(CriticConfig, critic_raw, "critic")
         config = _build(LoopConfig, {**raw, "planner": planner, "critic": critic}, "run")
-        if pool_manifest is not None and not isinstance(pool_manifest, str):
-            raise TypeError(f"pool_manifest must be a string or null, got {pool_manifest!r}")
-        if type(pool_seed) is not int:  # a bool is not a seed
-            raise TypeError(f"pool_seed must be an integer, got {pool_seed!r}")
+        _check_type("pool_manifest", pool_manifest, str | None)
+        _check_type("pool_seed", pool_seed, int)
         if config.shots > 0 and not pool_manifest:
             raise ValueError(
                 "shots > 0 needs a few-shot pool (--pool, or pool_manifest in --config)"
@@ -244,44 +295,48 @@ def _config_from_dict(raw: dict) -> tuple[LoopConfig, str | None, int]:
     return config, pool_manifest, pool_seed
 
 
-def _run_flags() -> dict:
-    """The run flags and their defaults; the parser sets one only when it is given."""
-    from .critics import CriticConfig
-    from .orchestrator import LoopConfig, PlannerConfig
-
-    return {
-        "critic": "oracle", "planner": "mock-golden", "k": LoopConfig.k, "shots": 0, "pool": None,
-        "pool_seed": 0, "budget": LoopConfig.transcript_budget,
-        "self_consistency": CriticConfig.self_consistency, "golden_prob": PlannerConfig.golden_prob,
-        "fp": CriticConfig.false_positive, "fn": CriticConfig.false_negative, "seed": 0,
-    }
+# each run flag, its parser settings and the --config keys it sets: a flag
+# is a sparse spelling of --config, so the config classes hold every default
+RUN_FLAGS = {
+    "--critic": ({"choices": ["oracle", "mock", "llm"]}, "critic.backend"),
+    "--planner": ({"choices": ["mock-golden", "mock", "llm"]}, "planner.backend"),
+    "--k": ({"type": int}, "k"),
+    "--shots": ({"type": int}, "shots"),
+    "--pool": ({"help": "manifest of solved problems for few-shot examples"}, "pool_manifest"),
+    "--pool-seed": ({"type": int}, "pool_seed"),
+    "--budget": ({"type": int}, "transcript_budget"),
+    "--self-consistency": ({"type": int}, "critic.self_consistency"),
+    "--golden-prob": ({"type": float}, "planner.golden_prob"),
+    "--fp": ({"type": float}, "critic.false_positive"),
+    "--fn": ({"type": float}, "critic.false_negative"),
+    "--seed": ({"type": int}, "planner.seed critic.seed"),
+}
 
 
 def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
-    """``_config_from_dict`` of the ``--config`` file or of the run flags."""
-    flags = _run_flags()
+    """``_config_from_dict`` of the ``--config`` file, or of the run flags
+    given: the parser sets a run flag, under its name, only when it is given."""
+    flags = {flag: vars(args)[flag[2:]] for flag in RUN_FLAGS if flag[2:] in vars(args)}
     if args.config:
-        given = ["--" + dest.replace("_", "-") for dest in flags if dest in vars(args)]
-        if given:
-            raise UsageError(f"--config takes no run flags, got {', '.join(given)}")
+        if flags:
+            raise UsageError(f"--config takes no run flags, got {', '.join(flags)}")
         raw = _read_json(args.config)
         if not isinstance(raw, dict):
             raise UsageError(f"{args.config}: a run configuration is a JSON object")
         return _config_from_dict(raw)
 
-    args = argparse.Namespace(**{**flags, **vars(args)})
     for role in ("planner", "critic"):
-        if getattr(args, role) == "llm":
+        if flags.get("--" + role) == "llm":
             raise UsageError(f"llm {role} runs need --config with endpoint settings")
-    # only the fields the chosen backends read
-    golden_prob = 1.0 if args.planner == "mock-golden" else args.golden_prob
-    planner = {"backend": "mock", "golden_prob": golden_prob, "seed": args.seed}
-    critic = {"backend": args.critic, "self_consistency": args.self_consistency}
-    if args.critic == "mock":
-        critic.update(false_positive=args.fp, false_negative=args.fn, seed=args.seed)
-    raw = {"k": args.k, "shots": args.shots, "transcript_budget": args.budget,
-           "planner": planner, "critic": critic, "pool_manifest": args.pool,
-           "pool_seed": args.pool_seed}
+    if flags.get("--planner") == "mock-golden":  # the mock planner that always replays
+        if "--golden-prob" in flags:
+            raise UsageError("--golden-prob is for --planner mock, not mock-golden")
+        flags["--planner"] = "mock"
+    raw: dict = {}
+    for flag, value in flags.items():
+        for key in RUN_FLAGS[flag][1].split():
+            section, _, name = key.rpartition(".")
+            (raw.setdefault(section, {}) if section else raw)[name] = value
     return _config_from_dict(raw)
 
 
@@ -353,8 +408,8 @@ def _cmd_report(args) -> int:
 
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-expanded", type=int, default=SearchLimits.max_expanded)
-    p.add_argument("--max-length", type=int, default=SearchLimits.max_plan_length)
+    p.add_argument("--max-expanded", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-length", type=int, dest="max_plan_length", default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--airplanes", type=int)
     p.add_argument("--width", type=int, dest="grid_width")
     p.add_argument("--height", type=int, dest="grid_height")
-    p.add_argument("--keys", type=int, default=0)
+    p.add_argument("--keys", type=int)
     p.add_argument("--solve", action="store_true", help="also write shortest plans")
     _add_limit_flags(p)
     p.set_defaults(func=_cmd_generate)
@@ -411,18 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True, help="JSONL output; reused to resume")
     p.add_argument("--config", help="JSON run configuration, in place of the run flags")
     flags = p.add_argument_group("run flags, not with --config", argument_default=argparse.SUPPRESS)
-    flags.add_argument("--critic", choices=["oracle", "mock", "llm"])
-    flags.add_argument("--planner", choices=["mock-golden", "mock", "llm"])
-    flags.add_argument("--k", type=int)
-    flags.add_argument("--shots", type=int)
-    flags.add_argument("--pool", help="manifest of solved problems for few-shot examples")
-    flags.add_argument("--pool-seed", type=int, dest="pool_seed")
-    flags.add_argument("--budget", type=int)
-    flags.add_argument("--self-consistency", type=int, dest="self_consistency")
-    flags.add_argument("--golden-prob", type=float, dest="golden_prob")
-    flags.add_argument("--fp", type=float)
-    flags.add_argument("--fn", type=float)
-    flags.add_argument("--seed", type=int)
+    for flag, (settings, _) in RUN_FLAGS.items():
+        flags.add_argument(flag, dest=flag[2:], **settings)
     p.add_argument("--parallelism", type=int, default=1)
     p.set_defaults(func=_cmd_run)
 

@@ -84,13 +84,24 @@ class GenSpec:
     # minigrid
     grid_width: int | None = None
     grid_height: int | None = None
-    keys: int | None = None
+    keys: int | None = None  # 0 for minigrid when not given
 
     def __post_init__(self):
         object.__setattr__(self, "benchmark", Benchmark(self.benchmark))
         if self.count < 0:
             raise InvalidSpec("count must be non-negative")
         b = self.benchmark
+        foreign = [
+            name
+            for other, names in SIZE_FIELDS.items()
+            if other is not b
+            for name in names
+            if getattr(self, name) is not None
+        ]
+        if foreign:
+            raise InvalidSpec(f"{b.value} takes no {', '.join(foreign)}")
+        if b is Benchmark.MINIGRID and self.keys is None:
+            object.__setattr__(self, "keys", 0)
         if b is Benchmark.BLOCKSWORLD:
             if self.blocks is None or not 2 <= self.blocks <= 20:
                 raise InvalidSpec("blocksworld needs a block count in [2, 20]")
@@ -108,8 +119,8 @@ class GenSpec:
             if self.packages > 0 and self.cities * self.places_per_city < 2:
                 raise InvalidSpec("deliveries need at least two places")
         elif b is Benchmark.MINIGRID:
-            if any(getattr(self, name) is None for name in SIZE_FIELDS[b]):
-                raise InvalidSpec("minigrid needs grid_width, grid_height, and keys")
+            if self.grid_width is None or self.grid_height is None:
+                raise InvalidSpec("minigrid needs grid_width and grid_height")
             if self.grid_width < 1 or self.grid_height < 1 or self.keys < 0:
                 raise InvalidSpec("minigrid sizes must be positive (keys may be zero)")
 

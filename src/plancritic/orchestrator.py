@@ -167,7 +167,7 @@ def make_planner(
 @dataclass(frozen=True)
 class LoopConfig:
     k: int = 10  # critique-and-retry budget after the baseline attempt
-    shots: int = 16
+    shots: int = 0  # few-shot exemplars per plan prompt; above 0 needs a pool
     transcript_budget: int | None = 400_000  # characters; None disables the cap
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     critic: CriticConfig = field(default_factory=CriticConfig)
@@ -177,6 +177,8 @@ class LoopConfig:
             raise ValueError("k must be non-negative")
         if self.shots < 0:
             raise ValueError("shots must be non-negative")
+        if self.transcript_budget is not None and self.transcript_budget < 1:
+            raise ValueError("transcript_budget must be positive, or None for no cap")
 
 
 @dataclass(frozen=True)

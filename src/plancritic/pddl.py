@@ -124,9 +124,6 @@ class Atom:
             text = self.__dict__["_text"] = "(" + " ".join((self.pred,) + self.args) + ")"
         return text
 
-    def substitute(self, binding: dict[str, str]) -> "Atom":
-        return Atom(self.pred, tuple(binding.get(a, a) for a in self.args))
-
 
 # the order atoms print in: by predicate, then arguments; a C-level key
 ATOM_ORDER = attrgetter("pred", "args")

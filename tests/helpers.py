@@ -1,7 +1,8 @@
 """Plan mutation helpers, reference versions of the reader, the validator
 and the plan extractor, used by the equivalence tests, and the helpers that
 only tests call (a map's inverse, one step's precondition checks, a records
-file written whole, a dataset held in memory).
+file written whole, a dataset held in memory, an atom's substitution, and
+the mystery domain that the deceptive renaming must give).
 
 The reference reader walks the text one character at a time, the way the
 PDDL reader did before it scanned with one regex.  The reference validator
@@ -24,6 +25,7 @@ Each mutation of a *shortest* plan is guaranteed non-correct:
   are filtered through the independent executor until one breaks the plan.
 """
 
+import functools
 import hashlib
 import random
 import re
@@ -34,6 +36,7 @@ from plancritic.generators import Dataset, ManifestEntry, ObfuscationMap
 from plancritic.orchestrator import _NUMBERING, _record_line
 from plancritic.pddl import (
     ArityMismatch,
+    Atom,
     DomainDef,
     GroundAction,
     PddlError,
@@ -41,6 +44,7 @@ from plancritic.pddl import (
     Plan,
     ProblemDef,
     UnknownAction,
+    parse_domain,
 )
 from plancritic.search import ground_actions, run_plan
 from plancritic.semantics import (
@@ -51,6 +55,53 @@ from plancritic.semantics import (
     WrongAtStep,
     _step,
 )
+
+
+# the blocksworld domain under the deceptive renaming (criterion 3's reference)
+MYSTERY_DOMAIN = """\
+(define (domain mystery-4ops)
+(:requirements :strips)
+(:predicates (province ?x)
+             (planet ?x)
+             (harmony)
+             (pain ?x)
+             (craves ?x ?y))
+
+(:action attack
+  :parameters (?ob)
+  :precondition (and (province ?ob) (planet ?ob) (harmony))
+  :effect (and (pain ?ob) (not (province ?ob)) (not (planet ?ob))
+               (not (harmony))))
+
+(:action succumb
+  :parameters (?ob)
+  :precondition (pain ?ob)
+  :effect (and (province ?ob) (harmony) (planet ?ob)
+               (not (pain ?ob))))
+
+(:action overcome
+  :parameters (?ob ?underob)
+  :precondition (and (province ?underob) (pain ?ob))
+  :effect (and (harmony) (province ?ob) (craves ?ob ?underob)
+               (not (province ?underob)) (not (pain ?ob))))
+
+(:action feast
+  :parameters (?ob ?underob)
+  :precondition (and (craves ?ob ?underob) (province ?ob) (harmony))
+  :effect (and (pain ?ob) (province ?underob)
+               (not (craves ?ob ?underob))
+               (not (province ?ob)) (not (harmony)))))
+"""
+
+
+@functools.cache
+def mystery_domain() -> DomainDef:
+    return parse_domain(MYSTERY_DOMAIN)
+
+
+def substitute(atom: Atom, binding: dict[str, str]) -> Atom:
+    """``atom`` with each argument bound in ``binding`` replaced."""
+    return Atom(atom.pred, tuple(binding.get(a, a) for a in atom.args))
 
 
 def tree_digest(root):
@@ -149,12 +200,12 @@ def reference_step(state, action, domain: DomainDef):
     binding = dict(zip(schema.parameters, action.args))
     checks = tuple(
         (ground, ground in state)
-        for ground in (atom.substitute(binding) for atom in schema.precondition)
+        for ground in (substitute(atom, binding) for atom in schema.precondition)
     )
     if not all(ok for _, ok in checks):
         return checks, None
-    dels = {atom.substitute(binding) for atom in schema.del_effects}
-    adds = {atom.substitute(binding) for atom in schema.add_effects}
+    dels = {substitute(atom, binding) for atom in schema.del_effects}
+    adds = {substitute(atom, binding) for atom in schema.add_effects}
     return checks, (state - dels) | adds
 
 

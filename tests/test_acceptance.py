@@ -22,7 +22,6 @@ from plancritic.critics import (
     OracleCritic,
     self_consistency,
 )
-from plancritic.domains import mystery_domain
 from plancritic.generators import GenSpec, deceptive_map, generate, obfuscate
 from plancritic.orchestrator import (
     LoopConfig,
@@ -47,7 +46,7 @@ from plancritic.semantics import (
     validate_plan,
 )
 
-from .helpers import mutate_drop, mutate_replace, mutate_swap, tree_digest
+from .helpers import mutate_drop, mutate_replace, mutate_swap, mystery_domain, tree_digest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -217,7 +216,7 @@ def test_criterion_04_call_accounting_is_exact(bw_domain, bw5_problem, correct_p
         record = run_problem(
             bw_domain,
             bw5_problem,
-            LoopConfig(k=9, shots=0, critic=critic_config),
+            LoopConfig(k=9, critic=critic_config),
             MockPlanner({"p": golden}),
             MockCritic(critic_config),
             problem_id="p",
@@ -230,7 +229,7 @@ def test_criterion_04_call_accounting_is_exact(bw_domain, bw5_problem, correct_p
         record = run_problem(
             bw_domain,
             bw5_problem,
-            LoopConfig(k=9, shots=0),
+            LoopConfig(k=9),
             MockPlanner({"p": golden}),
             _ScriptedCritic(j),
             problem_id="p",
@@ -276,7 +275,7 @@ def test_criterion_06_repair_loop_converges():
         f"c6-{i}": print_plan(bfs_plan(domain, p, SearchLimits()).plan)
         for i, p in enumerate(problems)
     }
-    config = LoopConfig(k=10, shots=0, planner=PlannerConfig(golden_prob=0.3, seed=99))
+    config = LoopConfig(k=10, planner=PlannerConfig(golden_prob=0.3, seed=99))
     planner = MockPlanner(goldens, golden_prob=0.3, seed=99)
     critic = OracleCritic()
 
@@ -306,7 +305,7 @@ def test_criterion_07_noisy_critic_hits_configured_rates():
         backend=CriticBackend.MOCK, false_positive=0.2, false_negative=0.05, seed=31
     )
     config = LoopConfig(
-        k=2, shots=0, planner=PlannerConfig(golden_prob=0.5, seed=13), critic=critic_config
+        k=2, planner=PlannerConfig(golden_prob=0.5, seed=13), critic=critic_config
     )
     planner = MockPlanner(goldens, golden_prob=0.5, seed=13)
     critic = MockCritic(critic_config)

@@ -99,13 +99,25 @@ class TestGenerate:
         [["--benchmark", "blocksworld", "--blocks", "50"],
          ["--benchmark", "minigrid", "--width", "0", "--height", "2"],
          ["--benchmark", "minigrid", "--width", "2"],
-         ["--benchmark", "logistics", "--cities", "1"]],
+         ["--benchmark", "logistics", "--cities", "1"],
+         # a size flag of another benchmark, or one given with --preset
+         ["--benchmark", "blocksworld", "--blocks", "3", "--cities", "5"],
+         ["--benchmark", "minigrid", "--width", "3", "--height", "3", "--blocks", "3"],
+         ["--benchmark", "logistics", "--preset", "easy", "--packages", "9"]],
     )
     def test_bad_size_exits_2(self, tmp_path, capsys, sizes):
         code = cli.main(["generate", *sizes, "--seed", "1", "--count", "1", "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.count("error:") == 1
         assert not (tmp_path / "manifest.jsonl").exists()
+
+    def test_minigrid_keys_default_to_zero(self, tmp_path):
+        args = ["generate", "--benchmark", "minigrid", "--width", "3", "--height", "3",
+                "--seed", "5", "--count", "2"]
+        assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert cli.main(args + ["--keys", "0", "--out", str(tmp_path / "b")]) == 0
+        assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+        assert load_manifest(tmp_path / "a" / "manifest.jsonl")[0].params["keys"] == 0
 
     def test_bad_search_limit_exits_2(self, tmp_path, capsys):
         code = cli.main(
@@ -114,6 +126,15 @@ class TestGenerate:
         )
         assert code == 2
         assert "search limits" in capsys.readouterr().err
+
+    def test_search_limit_without_solve_refused(self, tmp_path, capsys):
+        code = cli.main(
+            ["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
+             "--count", "1", "--out", str(tmp_path), "--max-expanded", "5"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --max-expanded and --max-length are for --solve\n"
+        assert not (tmp_path / "manifest.jsonl").exists()
 
     def test_logistics_preset(self, tmp_path):
         code = cli.main(
@@ -299,7 +320,9 @@ class TestObfuscate:
         "raw",
         [{"predicates": {}, "actions": {}, "renames": {}},
          {"mode": "cryptic", "predicates": {}, "actions": {}},
-         {"actions": {}}],
+         {"actions": {}},
+         {"predicates": {"clear": 5}, "actions": {}},
+         {"predicates": {}, "actions": ["pick-up"]}],
     )
     def test_bad_map_file_exits_2(self, dataset_dir, tmp_path, capsys, raw):
         mapping = tmp_path / "map.json"
@@ -568,9 +591,15 @@ class TestRunScoreReport:
         "flags,config",
         [(["--k", "-1"], {"k": -1}),
          (["--critic", "mock", "--fp", "2"], {"critic": {"backend": "mock", "false_positive": 2}}),
+         (["--critic", "oracle", "--fp", "2"],
+          {"critic": {"backend": "oracle", "false_positive": 2}}),
+         (["--fn", "-0.5"], {"critic": {"false_negative": -0.5}}),
          (["--self-consistency", "0"], {"critic": {"self_consistency": 0}}),
          (["--planner", "mock", "--golden-prob", "1.5"], {"planner": {"golden_prob": 1.5}}),
-         (["--shots", "-2"], {"shots": -2})],
+         (["--golden-prob", "7"], {"planner": {"golden_prob": 7}}),
+         (["--shots", "-2"], {"shots": -2}),
+         (["--budget", "-5"], {"transcript_budget": -5}),
+         (["--budget", "0"], {"transcript_budget": 0})],
     )
     def test_bad_value_exits_2_from_flags_and_config(
         self, dataset_dir, tmp_path, capsys, flags, config
@@ -579,20 +608,64 @@ class TestRunScoreReport:
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps(config))
         run = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records)]
+        errors = []
         for args in (flags, ["--config", str(config_file)]):
             assert cli.main(run + args) == 2, args
-            err = capsys.readouterr().err
-            assert err.startswith("error: bad run configuration") and err.count("\n") == 1
+            errors.append(capsys.readouterr().err)
+            assert errors[-1].startswith("error: bad run configuration")
+            assert errors[-1].count("\n") == 1
             assert not records.exists()
+        assert errors[0] == errors[1]
 
     def test_fields_of_other_backends_are_ignored(self, dataset_dir, tmp_path, capsys):
-        code = cli.main(
-            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
-             "--records", str(tmp_path / "r.jsonl"), "--critic", "oracle", "--fp", "2",
-             "--planner", "mock-golden", "--golden-prob", "7"]
-        )
-        assert code == 0
+        """A flag sets its key whatever the backend, as the key does in
+        --config; the oracle critic reads no noise rate or seed, and a bad
+        one is refused all the same (test_bad_value_exits_2_from_flags_and_config)."""
+        manifest = str(dataset_dir / "manifest.jsonl")
+        records = tmp_path / "r.jsonl"
+        flags = ["--critic", "oracle", "--fp", "0.9", "--fn", "0.9", "--seed", "3"]
+        assert cli.main(["run", "--manifest", manifest, "--records", str(records), *flags]) == 0
         assert "accuracy=1.0000" in capsys.readouterr().out
+        assert all(r.stop_reason.value == "critic-accepted" for r in read_records(records))
+        config = cli._config_from_args(cli.build_parser().parse_args(
+            ["run", "--manifest", manifest, "--records", str(records), *flags]))[0]
+        assert (config.critic.false_positive, config.critic.false_negative) == (0.9, 0.9)
+        assert config.critic.seed == config.planner.seed == 3
+
+    def test_mock_golden_takes_no_golden_prob(self, dataset_dir, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        code = cli.main(
+            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records),
+             "--planner", "mock-golden", "--golden-prob", "0.3"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --golden-prob is for --planner mock, not mock-golden\n"
+        )
+        assert not records.exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"shots": 0, "transcript_budget": "abc"}, {"k": 2.5}, {"k": True}, {"k": "2"},
+         {"critic": {"self_consistency": 2.5}}, {"critic": {"false_positive": "0.1"}},
+         {"critic": {"exemplars": "text"}}, {"planner": {"seed": None}},
+         {"planner": {"base_url": 5}}, {"planner": "mock"}],
+        ids=["budget-str", "k-float", "k-bool", "k-str", "sc-float", "fp-str", "exemplars-str",
+             "seed-null", "url-int", "planner-str"],
+    )
+    def test_mistyped_config_value_refused(self, tmp_path, capsys, config):
+        """Refused when the configuration is read, before the manifest,
+        which here does not exist."""
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        records = tmp_path / "r.jsonl"
+        code = cli.main(["run", "--manifest", str(tmp_path / "none.jsonl"),
+                         "--records", str(records), "--config", str(config_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad run configuration: ") and err.count("\n") == 1
+        assert " must be " in err
+        assert not records.exists()
 
     def test_flags_and_config_write_the_same_records(self, dataset_dir, tmp_path):
         manifest = str(dataset_dir / "manifest.jsonl")
@@ -784,6 +857,67 @@ class TestRunScoreReport:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: endpoint down\n"
+
+
+# each run flag with a value other than its default, and the --config it
+# spells; the one planner that runs from flags alone is the default, mock
+FLAG_AND_CONFIG = {
+    "--critic": ("mock", {"critic": {"backend": "mock"}}),
+    "--planner": ("mock", {"planner": {"backend": "mock"}}),
+    "--k": ("3", {"k": 3}),
+    "--shots": ("2", {"shots": 2}),  # refused alone, the same way in both forms
+    "--pool": ("pool.jsonl", {"pool_manifest": "pool.jsonl"}),
+    "--pool-seed": ("5", {"pool_seed": 5}),
+    "--budget": ("1000", {"transcript_budget": 1000}),
+    "--self-consistency": ("3", {"critic": {"self_consistency": 3}}),
+    "--golden-prob": ("0.25", {"planner": {"golden_prob": 0.25}}),
+    "--fp": ("0.1", {"critic": {"false_positive": 0.1}}),
+    "--fn": ("0.2", {"critic": {"false_negative": 0.2}}),
+    "--seed": ("7", {"planner": {"seed": 7}, "critic": {"seed": 7}}),
+}
+
+
+class TestRunFlagsSpellConfig:
+    """A run flag is a sparse spelling of its --config key: a flag not given
+    sets nothing, so the config classes hold every default."""
+
+    @staticmethod
+    def built(tmp_path, args=None, config=None):
+        """What ``run`` builds, (config, pool manifest, pool seed), from the
+        run flags ``args`` or from ``config`` as a --config file; a usage
+        error's text when it refuses them."""
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            args = ["--config", str(path)]
+        parsed = cli.build_parser().parse_args(
+            ["run", "--manifest", "m.jsonl", "--records", "r.jsonl", *args]
+        )
+        try:
+            return cli._config_from_args(parsed)
+        except cli.UsageError as exc:
+            return str(exc)
+
+    def test_no_run_flags_is_the_empty_config(self, tmp_path):
+        built = self.built(tmp_path, [])
+        assert built == self.built(tmp_path, config={})
+        assert built == (orchestrator.LoopConfig(), None, 0)
+        assert built[0].shots == 0
+
+    def test_every_flag_has_a_case(self):
+        assert list(FLAG_AND_CONFIG) == list(cli.RUN_FLAGS)
+
+    @pytest.mark.parametrize("flag", list(FLAG_AND_CONFIG))
+    def test_flag_builds_its_config(self, tmp_path, flag):
+        value, config = FLAG_AND_CONFIG[flag]
+        by_flag = self.built(tmp_path, [flag, value])
+        assert by_flag == self.built(tmp_path, config=config)
+        assert (by_flag == self.built(tmp_path, [])) is (flag == "--planner")
+
+    def test_mock_golden_is_the_default_planner(self, tmp_path):
+        built = self.built(tmp_path, ["--planner", "mock-golden"])
+        assert built == self.built(tmp_path, config={"planner": {"backend": "mock"}})
+        assert built == self.built(tmp_path, [])
 
 
 class TestRecordRefusal:

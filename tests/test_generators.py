@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plancritic.domains import blocksworld_domain, mystery_domain
+from plancritic.domains import blocksworld_domain
 from plancritic.generators import (
     DECEPTIVE_ACTIONS,
     DECEPTIVE_PREDICATES,
@@ -32,7 +32,7 @@ from plancritic.pddl import Atom, print_domain, print_plan, print_problem
 from plancritic.search import SearchLimits, SearchStatus, bfs_plan
 from plancritic.semantics import WrongAtStep, validate_plan
 
-from .helpers import inverse_map, tree_digest
+from .helpers import inverse_map, mystery_domain, tree_digest
 
 
 class TestGenSpec:
@@ -63,6 +63,23 @@ class TestGenSpec:
             GenSpec.minigrid(width=0, height=2, keys=0, seed=0, count=1)
         with pytest.raises(InvalidSpec):
             GenSpec.minigrid(width=2, height=2, keys=-1, seed=0, count=1)
+
+    def test_minigrid_keys_default_to_zero(self):
+        spec = GenSpec(Benchmark.MINIGRID, 0, 1, grid_width=3, grid_height=3)
+        assert spec == GenSpec.minigrid(width=3, height=3, keys=0, seed=0, count=1)
+        assert spec.params() == {"grid_width": 3, "grid_height": 3, "keys": 0}
+
+    @pytest.mark.parametrize(
+        "family,sizes",
+        [(Benchmark.BLOCKSWORLD, {"blocks": 3, "cities": 2}),
+         (Benchmark.BLOCKSWORLD, {"blocks": 3, "keys": 0}),
+         (Benchmark.MINIGRID, {"grid_width": 3, "grid_height": 3, "blocks": 3}),
+         (Benchmark.LOGISTICS, {"cities": 1, "places_per_city": 2, "packages": 1, "trucks": 1,
+                                "airplanes": 0, "grid_width": 2})],
+    )
+    def test_size_of_another_benchmark_refused(self, family, sizes):
+        with pytest.raises(InvalidSpec, match=f"{family.value} takes no"):
+            GenSpec(family, 0, 1, **sizes)
 
     def test_presets(self):
         easy = GenSpec.logistics_easy(seed=0, count=1)

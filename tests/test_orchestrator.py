@@ -160,11 +160,6 @@ STORED_LINE = (
 )
 
 
-def loop_config(**kwargs):
-    kwargs.setdefault("shots", 0)
-    return LoopConfig(**kwargs)
-
-
 class TestCallCount:
     @pytest.mark.parametrize(
         "rounds,n,expected",
@@ -299,7 +294,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(k=10),
+            LoopConfig(k=10),
             MockPlanner({"p1": golden}),
             OracleCritic(),
             problem_id="p1",
@@ -316,7 +311,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(k=10),
+            LoopConfig(k=10),
             ScriptedPlanner(scripts),
             OracleCritic(),
             problem_id="p1",
@@ -334,7 +329,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(k=10),
+            LoopConfig(k=10),
             MockPlanner({"p1": golden}),
             ScriptedCritic([W] * (j - 1) + [C]),
             problem_id="p1",
@@ -347,7 +342,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(k=2),
+            LoopConfig(k=2),
             ScriptedPlanner({"p1": [wrong]}),
             OracleCritic(),
             problem_id="p1",
@@ -363,13 +358,13 @@ class TestRunProblem:
         wrong = print_plan(wrong_plan)
         planner = ScriptedPlanner({"p1": [wrong]})
         probe = run_problem(
-            bw_domain, bw5_problem, loop_config(k=1), planner, OracleCritic(), problem_id="p1"
+            bw_domain, bw5_problem, LoopConfig(k=1), planner, OracleCritic(), problem_id="p1"
         )
         first_len = probe.iterations[0].plan_prompt_chars
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(k=5, transcript_budget=first_len),
+            LoopConfig(k=5, transcript_budget=first_len),
             planner,
             OracleCritic(),
             problem_id="p1",
@@ -386,10 +381,10 @@ class TestRunProblem:
         planner = RecordingPlanner(print_plan(wrong_plan))
         critic = RecordingCritic()
         record = run_problem(
-            bw_domain, bw5_problem, loop_config(k=3), planner, critic, shots=shots, problem_id="p1"
+            bw_domain, bw5_problem, LoopConfig(k=3), planner, critic, shots=shots, problem_id="p1"
         )
         assert len(record.iterations) == len(planner.prompts) == 4
-        transcript = Transcript(char_budget=loop_config().transcript_budget)
+        transcript = Transcript(char_budget=LoopConfig().transcript_budget)
         for entry, prompt, critique in zip(record.iterations, planner.prompts, critic.texts):
             assert prompt == build_plan_prompt(bw_domain, bw5_problem, shots, transcript)
             assert entry.plan_prompt_chars == len(prompt)
@@ -397,7 +392,7 @@ class TestRunProblem:
 
     def _round_prompt_lengths(self, bw_domain, bw5_problem, wrong_plan):
         planner = RecordingPlanner(print_plan(wrong_plan))
-        run_problem(bw_domain, bw5_problem, loop_config(k=1), planner, OracleCritic(), problem_id="p1")
+        run_problem(bw_domain, bw5_problem, LoopConfig(k=1), planner, OracleCritic(), problem_id="p1")
         return [len(p) for p in planner.prompts]
 
     def test_budget_between_prefix_and_round_one(self, bw_domain, bw5_problem, wrong_plan):
@@ -406,7 +401,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(k=3, transcript_budget=budget),
+            LoopConfig(k=3, transcript_budget=budget),
             ScriptedPlanner({"p1": [print_plan(wrong_plan)]}),
             OracleCritic(),
             problem_id="p1",
@@ -421,7 +416,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(k=3, transcript_budget=prefix_len - 1),
+            LoopConfig(k=3, transcript_budget=prefix_len - 1),
             planner,
             OracleCritic(),
             problem_id="p1",
@@ -435,7 +430,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(),
+            LoopConfig(),
             FailingPlanner(),
             OracleCritic(),
             problem_id="p1",
@@ -451,7 +446,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(),
+            LoopConfig(),
             ScriptedPlanner({"p1": [wrong]}),
             FailingCritic(),
             problem_id="p1",
@@ -469,7 +464,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(k=5, critic=CriticConfig(self_consistency=c)),
+            LoopConfig(k=5, critic=CriticConfig(self_consistency=c)),
             ScriptedPlanner(scripts),
             CrashingCritic(["p1"], at=2, samples=c),
             problem_id="p1",
@@ -497,7 +492,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(k=5, critic=CriticConfig(self_consistency=c)),
+            LoopConfig(k=5, critic=CriticConfig(self_consistency=c)),
             ScriptedPlanner({"p1": [print_plan(wrong_plan)]}),
             CriticDownAtRoundTwo([W], samples=c),
             problem_id="p1",
@@ -518,7 +513,7 @@ class TestRunProblem:
         record = run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(k=5, critic=CriticConfig(self_consistency=c)),
+            LoopConfig(k=5, critic=CriticConfig(self_consistency=c)),
             PlannerDownAtRoundTwo({"p1": [print_plan(wrong_plan)]}),
             ScriptedCritic([W], samples=c),
             problem_id="p1",
@@ -535,7 +530,7 @@ class TestRunProblem:
 
         with pytest.raises(KeyboardInterrupt):
             run_problem(
-                bw_domain, bw5_problem, loop_config(), Interrupted(), OracleCritic(), problem_id="p1"
+                bw_domain, bw5_problem, LoopConfig(), Interrupted(), OracleCritic(), problem_id="p1"
             )
 
     def test_config_validation(self):
@@ -543,6 +538,11 @@ class TestRunProblem:
             LoopConfig(k=-1)
         with pytest.raises(ValueError):
             LoopConfig(shots=-2)
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="transcript_budget"):
+                LoopConfig(transcript_budget=budget)
+        assert LoopConfig(transcript_budget=None).transcript_budget is None
+        assert LoopConfig().shots == 0  # the one value that runs without a pool
 
 
 class TestRecordPersistence:
@@ -552,7 +552,7 @@ class TestRecordPersistence:
         return run_problem(
             bw_domain,
             bw5_problem,
-            loop_config(),
+            LoopConfig(),
             ScriptedPlanner(scripts),
             OracleCritic(),
             problem_id="p1",
@@ -587,7 +587,7 @@ class TestRecordPersistence:
         scripts = {"p1": [wrong[:60], wrong]}
         assert records == [
             run_problem(
-                bw_domain, bw5_problem, loop_config(k=1), ScriptedPlanner(scripts), OracleCritic(),
+                bw_domain, bw5_problem, LoopConfig(k=1), ScriptedPlanner(scripts), OracleCritic(),
                 problem_id="p1",
             )
         ]
@@ -609,7 +609,7 @@ class TestRecordLine:
     def test_line_is_the_asdict_dump(self, dataset, tmp_path):
         """A line built field by field is the line ``dataclasses.asdict`` gave."""
         path = tmp_path / "records.jsonl"
-        config = loop_config(
+        config = LoopConfig(
             k=1,
             planner=PlannerConfig(golden_prob=0.3, seed=2),
             critic=CriticConfig(backend=CriticBackend.ORACLE),
@@ -631,7 +631,7 @@ class TestRecordLine:
 
 class TestRunBatch:
     def config(self, **kwargs):
-        return loop_config(
+        return LoopConfig(
             planner=PlannerConfig(golden_prob=1.0),
             critic=CriticConfig(backend=CriticBackend.ORACLE),
             **kwargs,
@@ -804,7 +804,7 @@ class TestIterationEntry:
 class TestMakeBackends:
     def config(self, **critic):
         endpoint = {"base_url": "http://127.0.0.1:9/v1", "model": "m", "requests_per_second": 5.0}
-        return loop_config(
+        return LoopConfig(
             planner=PlannerConfig(backend=PlannerBackend.LLM, **endpoint),
             critic=CriticConfig(backend=CriticBackend.LLM, **{**endpoint, **critic}),
         )
@@ -838,7 +838,7 @@ class TestSharedEndpoint:
 
     def config(self, endpoint, **shared):
         settings = {"base_url": endpoint.url, "model": "fake", **shared}
-        return loop_config(
+        return LoopConfig(
             k=4,
             planner=PlannerConfig(backend=PlannerBackend.LLM, **settings),
             critic=CriticConfig(backend=CriticBackend.LLM, max_concurrency=1, **settings),
@@ -909,7 +909,7 @@ class TestExemplarTwins:
         entry = ManifestEntry(pid, "blocksworld", 1, 96, {"blocks": 5}, Path("d.pddl"), Path("p.pddl"))
         planner = RecordingPlanner("")
         monkeypatch.setattr(orchestrator, "make_backends", lambda config, goldens: (planner, OracleCritic()))
-        run_batch(Dataset((entry,), domain, {pid: target}, {}), loop_config(k=0, shots=64), pool=pool)
+        run_batch(Dataset((entry,), domain, {pid: target}, {}), LoopConfig(k=0, shots=64), pool=pool)
         (prompt,) = planner.prompts
         assert prompt.count("Example of a problem and its solution") == 64
         assert twin.block not in prompt
@@ -1000,7 +1000,7 @@ class TestFixedWorkDoneOnce:
         text = print_plan(wrong_plan)
         numbered = "\n".join(f"{i}. {line}" for i, line in enumerate(text.splitlines(), start=1))
         planner = ScriptedPlanner({"p1": [text, numbered, text + "\nDone."]})
-        record = run_problem(bw_domain, bw5_problem, loop_config(k=3), planner, OracleCritic(), problem_id="p1")
+        record = run_problem(bw_domain, bw5_problem, LoopConfig(k=3), planner, OracleCritic(), problem_id="p1")
         assert len(record.iterations) == 4 and len(validated) == 1
 
     def test_critic_behind_a_wrapper_is_handed_the_result(
@@ -1017,7 +1017,7 @@ class TestFixedWorkDoneOnce:
         planner = ScriptedPlanner({"p1": [print_plan(wrong_plan)]})
 
         def run(critic):
-            return run_problem(bw_domain, bw5_problem, loop_config(k=3), planner, critic, problem_id="p1")
+            return run_problem(bw_domain, bw5_problem, LoopConfig(k=3), planner, critic, problem_id="p1")
 
         plain = run(OracleCritic())
         real = OracleCritic.critique

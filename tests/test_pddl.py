@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 
 import plancritic
 from plancritic import pddl
-from plancritic.domains import (
-    blocksworld_domain,
-    logistics_domain,
-    minigrid_domain,
-    mystery_domain,
-)
+from plancritic.domains import blocksworld_domain, logistics_domain, minigrid_domain
 from plancritic.generators import Benchmark, GenSpec, generate
 from plancritic.orchestrator import extract_plan
 from plancritic.pddl import (
@@ -41,7 +36,13 @@ from plancritic.pddl import (
 from plancritic.pddl import _read_all, _SList, intern_atom
 
 from .conftest import BW5_PROBLEM_TEXT
-from .helpers import RefSym, reference_extract_plan, reference_parse_plan, reference_read
+from .helpers import (
+    RefSym,
+    mystery_domain,
+    reference_extract_plan,
+    reference_parse_plan,
+    reference_read,
+)
 
 TINY_DOMAIN = """\
 (define (domain tiny)

@@ -255,7 +255,6 @@ class TestScoreOfALoopRun:
 
         config = LoopConfig(
             k=4,
-            shots=0,
             transcript_budget=1750,
             planner=PlannerConfig(golden_prob=0.3, seed=5),
             critic=CriticConfig(

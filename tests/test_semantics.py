@@ -42,6 +42,7 @@ from .helpers import (
     mutate_swap,
     precondition_checks,
     reference_validate,
+    substitute,
 )
 
 # state reached after (unstack b5 b2) from the fixture problem: gains
@@ -175,8 +176,8 @@ class TestFrameProperty:
             after = apply(state, action, domain)
             schema = domain.action(action.name)
             binding = dict(zip(schema.parameters, action.args))
-            adds = {a.substitute(binding) for a in schema.add_effects}
-            dels = {a.substitute(binding) for a in schema.del_effects}
+            adds = {substitute(a, binding) for a in schema.add_effects}
+            dels = {substitute(a, binding) for a in schema.del_effects}
             assert after - state <= adds
             assert state - after <= dels
             assert after == (state - dels) | adds
@@ -202,8 +203,8 @@ class TestRenamingInvariance:
             name=problem.name,
             domain_name=problem.domain_name,
             objects=tuple(rename[o] for o in problem.objects),
-            init=frozenset(a.substitute(rename) for a in problem.init),
-            goal=tuple(a.substitute(rename) for a in problem.goal),
+            init=frozenset(substitute(a, rename) for a in problem.init),
+            goal=tuple(substitute(a, rename) for a in problem.goal),
         )
         for candidate in (plan, broken):
             renamed_plan = Plan(
