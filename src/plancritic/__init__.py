@@ -35,7 +35,7 @@ _SOURCES = {
     "semantics": ("Correct", "GoalNotReached", "ValidationResult", "WrongAtStep", "validate_plan"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
-_SUBMODULES = {*_SOURCES, "cli", "domains", "llm", "prompting", "report_formats"}
+_SUBMODULES = {*_SOURCES, "cli", "domains", "jsonform", "llm", "prompting", "report_formats"}
 
 __all__ = sorted(["__version__", *_MODULE_OF])
 

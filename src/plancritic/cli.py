@@ -16,11 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
-import types
-import typing
 from collections import Counter
-from collections.abc import Mapping
-from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -28,8 +24,10 @@ from . import generators
 from .generators import (
     SIZE_FIELDS,
     Benchmark,
+    CollidingMap,
     DatasetError,
     GenSpec,
+    IncompleteMap,
     InvalidSpec,
     ObfuscationMap,
     ObfuscationMode,
@@ -39,6 +37,7 @@ from .generators import (
     nonspecific_map,
     obfuscate_dataset,
 )
+from .jsonform import FormError, from_json
 from .pddl import (
     PddlError,
     parse_domain,
@@ -85,46 +84,6 @@ def _read_json(path: str):
         raise UsageError(
             f"{path}: not JSON ({exc.msg} at line {exc.lineno}, column {exc.colno})"
         ) from exc
-
-
-def _fits(value, hint) -> bool:
-    """Whether a value read from JSON or a flag is of the declared type
-    ``hint``: a bool is no number, an int is a float, an enum takes its
-    string value and a tuple a JSON array."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_fits(value, arg) for arg in args)
-    if origin is tuple:
-        return isinstance(value, list) and all(_fits(item, args[0]) for item in value)
-    if origin is Mapping:
-        return isinstance(value, dict) and all(
-            _fits(key, args[0]) and _fits(item, args[1]) for key, item in value.items()
-        )
-    if hint is int:
-        return type(value) is int
-    if hint is float:
-        return type(value) in (int, float)
-    return isinstance(value, str if issubclass(hint, Enum) else hint)
-
-
-def _check_type(name: str, value, hint) -> None:
-    if not _fits(value, hint):
-        type_name = str(hint) if typing.get_origin(hint) else hint.__name__
-        raise TypeError(f"{name} must be {type_name}, got {value!r}")
-
-
-def _build(cls, data: dict, what: str):
-    """``cls(**data)``, refusing keys that are not fields of ``cls`` and,
-    with TypeError, a value that is not of its field's declared type."""
-    if not isinstance(data, dict):
-        raise TypeError(f"{what} options must be a JSON object, got {data!r}")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise UsageError(f"unknown {what} option(s): {', '.join(sorted(unknown))}")
-    hints = typing.get_type_hints(cls)
-    for name, value in data.items():
-        _check_type(name, value, hints[name])
-    return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +195,26 @@ def _cmd_solve(args) -> int:
 # obfuscate
 
 
-def _map_from_file(path: str) -> ObfuscationMap:
-    raw = _read_json(path)
-    try:
-        return _build(ObfuscationMap, {"mode": ObfuscationMode.IDENTITY, **raw}, "map")
-    except (UsageError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad map file {path}: {exc}") from exc
-
-
 def _cmd_obfuscate(args) -> int:
     dataset = load_dataset(args.manifest)
-    if args.map:
-        mapping = _map_from_file(args.map)
-    elif args.mode == "deceptive":
-        renames = {
-            p.name: "MY-" + p.name[3:] if p.name.startswith("BW-") else p.name
-            for p in dataset.problems.values()
-        }
-        mapping = deceptive_map(problem_names=renames)
-    elif args.mode == "nonspecific":
-        mapping = nonspecific_map(dataset.domain)
-    else:
-        mapping = identity_map(dataset.domain)
-    manifest = obfuscate_dataset(dataset, mapping, args.out)
+    try:
+        if args.map:
+            mapping = from_json(ObfuscationMap, _read_json(args.map))
+        elif args.mode == "deceptive":
+            renames = {
+                p.name: "MY-" + p.name[3:] if p.name.startswith("BW-") else p.name
+                for p in dataset.problems.values()
+            }
+            mapping = deceptive_map(problem_names=renames)
+        elif args.mode == "nonspecific":
+            mapping = nonspecific_map(dataset.domain)
+        else:
+            mapping = identity_map(dataset.domain)
+        manifest = obfuscate_dataset(dataset, mapping, args.out)
+    except (FormError, IncompleteMap, CollidingMap) as exc:  # raised before any file is written
+        if args.map:
+            raise UsageError(f"bad map file {args.map}: {exc}") from exc
+        raise UsageError(f"--mode {args.mode} does not fit this dataset: {exc}") from exc
     print(f"wrote obfuscated dataset to {manifest.parent}")
     return EXIT_OK
 
@@ -267,32 +223,42 @@ def _cmd_obfuscate(args) -> int:
 # run
 
 
-def _config_from_dict(raw: dict) -> tuple[LoopConfig, str | None, int]:
+@dataclasses.dataclass(frozen=True)
+class PoolSettings:
+    """A run's few-shot pool, read beside ``LoopConfig``, whose field it is not."""
+
+    pool_manifest: str | None = None
+    pool_seed: int = 0
+
+
+def _config_from_dict(raw, source: str = "run flags") -> tuple[LoopConfig, str | None, int]:
     """(config, pool manifest path, pool seed) of a run configuration, from
-    ``--config`` or the run flags; a bad value raises UsageError."""
-    from .critics import CriticConfig
-    from .orchestrator import LoopConfig, PlannerConfig
+    the ``--config`` file ``source`` or the run flags; raises UsageError."""
+    from .orchestrator import LoopConfig
     from .prompting import MissingPlaceholderValue
 
-    raw = dict(raw)
-    planner_raw = raw.pop("planner", {})
-    critic_raw = raw.pop("critic", {})
-    # the pool settings are no field of a config class: this is their one reader
-    pool_manifest = raw.pop("pool_manifest", None)
-    pool_seed = raw.pop("pool_seed", 0)
+    pool_raw = {}
+    if isinstance(raw, dict):  # else the reader refuses it
+        pool_raw = {f.name: raw[f.name] for f in dataclasses.fields(PoolSettings) if f.name in raw}
+        raw = {key: value for key, value in raw.items() if key not in pool_raw}
     try:
-        planner = _build(PlannerConfig, planner_raw, "planner")
-        critic = _build(CriticConfig, critic_raw, "critic")
-        config = _build(LoopConfig, {**raw, "planner": planner, "critic": critic}, "run")
-        _check_type("pool_manifest", pool_manifest, str | None)
-        _check_type("pool_seed", pool_seed, int)
-        if config.shots > 0 and not pool_manifest:
-            raise ValueError(
-                "shots > 0 needs a few-shot pool (--pool, or pool_manifest in --config)"
-            )
-    except (TypeError, ValueError, MissingPlaceholderValue) as exc:
+        config = from_json(LoopConfig, raw)
+        pool = from_json(PoolSettings, pool_raw)
+    except FormError as exc:
+        raise UsageError(f"bad run configuration: {source}: {exc}") from None
+    except (ValueError, MissingPlaceholderValue) as exc:
         raise UsageError(f"bad run configuration: {exc}") from exc
-    return config, pool_manifest, pool_seed
+    if pool_raw and config.shots == 0:  # a pool that no prompt would draw from
+        raise UsageError(
+            "bad run configuration: a few-shot pool needs shots > 0 "
+            "(--shots, or shots in --config)"
+        )
+    if config.shots > 0 and not pool.pool_manifest:
+        raise UsageError(
+            "bad run configuration: shots > 0 needs a few-shot pool "
+            "(--pool, or pool_manifest in --config)"
+        )
+    return config, pool.pool_manifest, pool.pool_seed
 
 
 # each run flag, its parser settings and the --config keys it sets: a flag
@@ -320,10 +286,7 @@ def _config_from_args(args) -> tuple[LoopConfig, str | None, int]:
     if args.config:
         if flags:
             raise UsageError(f"--config takes no run flags, got {', '.join(flags)}")
-        raw = _read_json(args.config)
-        if not isinstance(raw, dict):
-            raise UsageError(f"{args.config}: a run configuration is a JSON object")
-        return _config_from_dict(raw)
+        return _config_from_dict(_read_json(args.config), args.config)
 
     for role in ("planner", "critic"):
         if flags.get("--" + role) == "llm":

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Mapping
 
 from . import domains
+from .jsonform import FormError, from_json
 from .pddl import (
     Atom,
     DomainDef,
@@ -417,16 +418,16 @@ class ObfuscationMap:
     problem names are renamed through the corresponding tables when present.
     """
 
-    mode: ObfuscationMode
     predicates: Mapping[str, str]
     actions: Mapping[str, str]
     objects: Mapping[str, str] = field(default_factory=dict)
     domain_names: Mapping[str, str] = field(default_factory=dict)
     problem_names: Mapping[str, str] = field(default_factory=dict)
+    mode: ObfuscationMode = ObfuscationMode.IDENTITY  # names the renaming in the manifest
 
     def __post_init__(self):
         object.__setattr__(self, "mode", ObfuscationMode(self.mode))
-        for table in dataclasses.fields(self)[1:]:
+        for table in dataclasses.fields(self)[:-1]:
             object.__setattr__(self, table.name, dict(getattr(self, table.name)))
 
 
@@ -566,12 +567,12 @@ def obfuscate(
 @dataclass(frozen=True)
 class ManifestEntry:
     id: str
-    benchmark: str
-    seed: int
-    index: int
-    params: dict
     domain_file: Path
     problem_file: Path
+    benchmark: str = ""
+    seed: int = 0
+    index: int = 0
+    params: dict = field(default_factory=dict)
     plan_file: Path | None = None
 
 
@@ -590,9 +591,11 @@ def write_dataset(
     bench = spec.benchmark.value
     for index in range(len(problems)):
         stem = f"{bench}-{spec.seed}-{index:04d}"
-        plan_file = None if plans[index] is None else Path(f"{stem}.plan")
-        files = (Path("domain.pddl"), Path(f"{stem}.pddl"), plan_file)
-        entries.append(ManifestEntry(stem, bench, spec.seed, index, spec.params(), *files))
+        entries.append(ManifestEntry(
+            id=stem, domain_file=Path("domain.pddl"), problem_file=Path(f"{stem}.pddl"),
+            benchmark=bench, seed=spec.seed, index=index, params=spec.params(),
+            plan_file=None if plans[index] is None else Path(f"{stem}.plan"),
+        ))
     return _write_files(out_dir, domain, entries, problems, plans)
 
 
@@ -608,18 +611,12 @@ def _write_files(
     (out / "domain.pddl").write_text(print_domain(domain) + "\n")
     lines = []
     for entry, problem, plan in zip(entries, problems, plans):
-        # field by field: dataclasses.asdict would deep-copy params
-        record = {
-            "id": entry.id,
-            "benchmark": entry.benchmark,
-            "seed": entry.seed,
-            "index": entry.index,
-            "params": entry.params,
-            "domain_file": "domain.pddl",
-            "problem_file": entry.problem_file.name,
-        }
+        # vars, not dataclasses.asdict, which would deep-copy params
+        record = dict(vars(entry), domain_file="domain.pddl", problem_file=entry.problem_file.name)
         (out / entry.problem_file.name).write_text(print_problem(problem) + "\n")
-        if entry.plan_file is not None:
+        if entry.plan_file is None:
+            del record["plan_file"]
+        else:
             record["plan_file"] = entry.plan_file.name
             text = print_plan(plan)
             (out / entry.plan_file.name).write_text(text + "\n" if text else "")
@@ -629,61 +626,24 @@ def _write_files(
     return manifest
 
 
-# the fields a manifest line must have, as strings, and the JSON type of each
-# field it may have (a plan_file of null or "" is no plan file)
-_MANIFEST_REQUIRED = ("id", "domain_file", "problem_file")
-_MANIFEST_OPTIONAL = {
-    "benchmark": (str, "a string"),
-    "seed": (int, "an integer"),
-    "index": (int, "an integer"),
-    "params": (dict, "an object"),
-    "plan_file": ((str, type(None)), "a string or null"),
-}
-
-
-def _check_manifest_line(raw, where: str) -> None:
-    """Raise DatasetError unless ``raw`` is an object with every required
-    field, and every field ``ManifestEntry`` reads is of its JSON type."""
-    for key in _MANIFEST_REQUIRED:
-        if not isinstance(raw, dict) or not isinstance(raw.get(key), str):
-            raise DatasetError(f"{where}: no {key!r} string")
-    for key, (kind, name) in _MANIFEST_OPTIONAL.items():
-        value = raw.get(key)
-        if key in raw and (not isinstance(value, kind) or isinstance(value, bool)):
-            raise DatasetError(f"{where}: {key!r} is not {name}")
-
-
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
-    """The entries of a manifest; DatasetError names a malformed line: one
-    that is not JSON, lacks a required field, or has a field not of its JSON
-    type."""
+    """The entries of a manifest, their files relative to its directory;
+    DatasetError names a line that is not JSON or not a ``ManifestEntry``."""
     path = Path(path)
     base = path.parent
     entries = []
     with path.open() as fh:
         for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                raw = json.loads(line)
+                entries.append(from_json(ManifestEntry, json.loads(line), base))
             except json.JSONDecodeError as exc:
                 raise DatasetError(
                     f"{path} line {number}: not JSON ({exc.msg} at column {exc.colno})"
                 ) from None
-            _check_manifest_line(raw, f"{path} line {number}")
-            entries.append(
-                ManifestEntry(
-                    id=raw["id"],
-                    benchmark=raw.get("benchmark", ""),
-                    seed=raw.get("seed", 0),
-                    index=raw.get("index", 0),
-                    params=raw.get("params", {}),
-                    domain_file=base / raw["domain_file"],
-                    problem_file=base / raw["problem_file"],
-                    plan_file=base / raw["plan_file"] if raw.get("plan_file") else None,
-                )
-            )
+            except FormError as exc:
+                raise DatasetError(f"{path} line {number}: {exc}") from None
     return entries
 
 

@@ -1,0 +1,117 @@
+"""Reading a dataclass from JSON by its own type hints, with one rule for
+every object the program loads (a run configuration, a map file, a manifest
+line, a record line): a field with no default must be present, a key that
+names no field is refused, and a value must be of its field's JSON type (a
+bool is no number; an enum or a ``Path`` is a string).  A reader is built
+once per type; a refused value's path is put into words only when shown."""
+
+import dataclasses
+import functools
+import json
+import types
+import typing
+from collections.abc import Mapping
+from enum import Enum
+from pathlib import Path
+
+_WORDS = {int: "an integer", float: "a number", str: "a string", Path: "a string",
+          bool: "true or false", tuple: "an array"}
+
+
+class FormError(ValueError):
+    """A JSON value not of its field's form; ``path`` leads to it by key and index."""
+
+    path: tuple = ()
+
+    def __str__(self):
+        where = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in self.path)
+        where = where.removeprefix(".")
+        return f"'{where}' {self.args[0]}" if where else f"the value {self.args[0]}"
+
+
+def from_json(cls, data, base: Path = Path()):
+    """``data``, a value loaded from JSON, read as the dataclass ``cls``; a
+    ``Path`` field is read relative to ``base``.  Raises FormError."""
+    return _reader(cls)(data, base)
+
+
+def _refused(words: str, value) -> FormError:
+    shown = json.dumps(value, default=str)
+    return FormError(f"must be {words}, got {shown if len(shown) <= 60 else shown[:57] + '...'}")
+
+
+@functools.cache
+def _reader(hint, nullable: bool = False):
+    """A function ``(value, base)`` that returns ``value`` read as ``hint``,
+    or None for null when ``nullable``.  The reader of an array, a mapping or
+    a dataclass reads each item, and puts a refused item's index or key in
+    front of the error's path."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None, the one union the program declares
+        (some,) = [arg for arg in args if arg is not type(None)]
+        return _reader(some, nullable=True)
+    words = _WORDS.get(origin or hint, "an object")
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        words = "one of " + ", ".join(json.dumps(member.value) for member in hint)
+    words += " or null" * nullable
+    if origin in (tuple, dict, Mapping) or dataclasses.is_dataclass(hint):
+        if origin is None:  # a dataclass
+            fields = [f for f in dataclasses.fields(hint) if f.init]
+            hints = typing.get_type_hints(hint)
+            by_key = {f.name: _reader(hints[f.name]) for f in fields}
+            leaves = {name: getattr(r, "leaf", ((), None)) for name, r in by_key.items()}
+            required = dict.fromkeys(  # in field order
+                f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING
+            )
+        else:
+            read_item = _reader(args[0] if origin is tuple else args[1])
+
+        def read(value, base):
+            if type(value) is not (list if origin is tuple else dict):
+                if value is None and nullable:
+                    return None
+                raise _refused(words, value)
+            key, items = None, {}
+            try:
+                if origin is None:
+                    if value.keys() != by_key.keys():  # a field is absent, or a key unknown
+                        if not value.keys() >= required.keys():
+                            key = next(name for name in required if name not in value)
+                            raise FormError("is missing")
+                        if not by_key.keys() >= value.keys():
+                            key = next(key for key in value if key not in by_key)
+                            raise FormError("is an unknown key")
+                    for key, item in value.items():
+                        kinds, convert = leaves[key]
+                        if type(item) in kinds:  # a leaf's value, read here without a call
+                            items[key] = item if convert is None else convert(base, item)
+                        else:
+                            items[key] = by_key[key](item, base)
+                    return hint(**items)
+                for key, item in enumerate(value) if origin is tuple else value.items():
+                    items[key] = read_item(item, base)
+            except FormError as exc:
+                exc.path = (key, *exc.path)
+                raise
+            return tuple(items.values()) if origin is tuple else items
+    else:
+        convert = None  # a value of the hint's own JSON type is kept as it is
+        if hint is Path:  # base / value; "" is null for a path that may be null
+            convert = (lambda base, v: base / v if v else None) if nullable else Path.__truediv__
+        elif issubclass(hint, Enum):
+            convert = lambda base, value: hint(value)  # noqa: E731
+        kinds = (str,) if convert else (int, float) if hint is float else (hint,)
+
+        def read(value, base):
+            if type(value) in kinds:
+                try:
+                    return value if convert is None else convert(base, value)
+                except ValueError:  # no member of the enum
+                    pass
+            elif value is None and nullable:
+                return None
+            raise _refused(words, value)
+
+        if not issubclass(hint, Enum):  # an enum's reader checks that a value names a member
+            read.leaf = (kinds, convert)  # what a container needs to read a value without a call
+    return read

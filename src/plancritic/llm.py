@@ -165,7 +165,12 @@ class ChatClient:
                 text = data.decode("utf-8", "replace")
                 last_error = TransportError(f"HTTP {status}: {text[:200]}")
                 break
-            text = self._extract(data)
+            try:
+                text = self._extract(data)
+            except MalformedResponse as exc:
+                body_start = data[:200].decode("utf-8", "replace")
+                self._debug(payload, error=f"{exc}; body starts: {body_start}")
+                raise
             self._debug(payload, response_text=text)
             return text
         self._debug(payload, error=str(last_error))

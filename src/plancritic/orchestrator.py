@@ -27,7 +27,6 @@ records as they finish, and can resume from a partially written record file.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import random
@@ -45,6 +44,7 @@ from typing import Mapping, Sequence
 from . import report  # noqa: F401
 from .critics import Critic, CriticConfig, CritiqueLabel, make_critic
 from .generators import Dataset, ManifestEntry
+from .jsonform import FormError, from_json
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url
 from .pddl import DomainDef, Plan, ProblemDef, print_plan, read_step
 from .prompting import (
@@ -331,33 +331,6 @@ class MalformedRecord(ValueError):
     """A records line that ``run_problem`` cannot have written."""
 
 
-# the JSON types of the fields of a record line and of its rounds
-_JSON_TYPES = {
-    "problem_id": str, "max_steps": int, "self_consistency": int, "iterations": (list, tuple),
-    "final_plan": str, "stop_reason": str, "llm_calls": int,
-    "ground_truth": (dict, type(None)), "error": (str, type(None)),
-    "step": int, "plan": str, "critic_label": str, "votes": dict,
-    "plan_prompt_chars": int, "critique_prompt_chars": int,
-}
-
-
-def _fields_of(cls, data, where: str) -> dict:
-    """The fields of ``cls`` in ``data``; refuses one that is missing (unless
-    it has a default) or not of its JSON type."""
-    if not isinstance(data, dict):
-        raise MalformedRecord(f"{where} is not a JSON object")
-    values = {}
-    for f in dataclasses.fields(cls):
-        if f.name in data:
-            value = data[f.name]
-            if not isinstance(value, _JSON_TYPES[f.name]) or isinstance(value, bool):
-                raise MalformedRecord(f"{where} has {f.name!r} of type {type(value).__name__}")
-            values[f.name] = value
-        elif f.default is dataclasses.MISSING:
-            raise MalformedRecord(f"{where} has no {f.name!r}")
-    return values
-
-
 def record_to_dict(record: RunRecord) -> dict:
     """The fields of ``record``, its rounds as dicts; the votes and ground
     truth dicts are the record's own, not copies (``dataclasses.asdict``
@@ -368,24 +341,17 @@ def record_to_dict(record: RunRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> RunRecord:
-    """The record ``data`` holds; raises MalformedRecord for a field missing or
-    mistyped, an unknown stop reason, or rounds not in the loop's shape."""
-    values = _fields_of(RunRecord, data, "record")
-    values["iterations"] = tuple(
-        IterationEntry(**_fields_of(IterationEntry, entry, f"round {i}"))
-        for i, entry in enumerate(values["iterations"])
-    )
-    if values["stop_reason"] not in {reason.value for reason in StopReason}:
-        raise MalformedRecord(f"unknown stop_reason {values['stop_reason']!r}")
-    values["stop_reason"] = StopReason(values["stop_reason"])
-    steps = [entry.step for entry in values["iterations"]]
+    """The record ``data`` holds; raises FormError for data not of the form
+    ``RunRecord`` declares, and MalformedRecord for rounds not in the loop's shape."""
+    record = from_json(RunRecord, data)
+    steps = [entry.step for entry in record.iterations]
     if steps != list(range(len(steps))):
         raise MalformedRecord(f"round steps {steps} are not 0..{len(steps) - 1}")
-    if len(steps) > values["max_steps"] + 1:
-        raise MalformedRecord(f"{len(steps)} rounds for max_steps {values['max_steps']}")
-    if any(e.critic_label == CritiqueLabel.CORRECT.value for e in values["iterations"][:-1]):
+    if len(steps) > record.max_steps + 1:
+        raise MalformedRecord(f"{len(steps)} rounds for max_steps {record.max_steps}")
+    if any(e.critic_label == CritiqueLabel.CORRECT.value for e in record.iterations[:-1]):
         raise MalformedRecord("a round before the last is labelled correct")
-    return RunRecord(**values)
+    return record
 
 
 def _record_line(record: RunRecord) -> str:
@@ -402,7 +368,7 @@ def _parse_records(text: str, path: str | Path) -> list[RunRecord]:
                 raise MalformedRecord(
                     f"{path} line {number}: not JSON ({exc.msg} at column {exc.colno})"
                 ) from None
-            except MalformedRecord as exc:
+            except (FormError, MalformedRecord) as exc:
                 raise MalformedRecord(f"{path} line {number}: {exc}") from None
     return records
 

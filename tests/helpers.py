@@ -148,7 +148,9 @@ def dataset_of(domain: DomainDef, problems: dict, plans: dict) -> Dataset:
     """A ``Dataset`` of ``problems`` and ``plans`` by id, in ``problems``'
     order, as ``load_dataset`` would return it; no file is written."""
     entries = tuple(
-        ManifestEntry(pid, "", 0, i, {}, Path("domain.pddl"), Path(f"{pid}.pddl"))
+        ManifestEntry(
+            id=pid, domain_file=Path("domain.pddl"), problem_file=Path(f"{pid}.pddl"), index=i
+        )
         for i, pid in enumerate(problems)
     )
     return Dataset(entries, domain, dict(problems), dict(plans))

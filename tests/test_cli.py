@@ -333,7 +333,7 @@ class TestObfuscate:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "map file" in err
         if "renames" in raw:
-            assert "unknown map option(s): renames" in err
+            assert f"bad map file {mapping}: 'renames' is an unknown key" in err
 
     def test_map_file_not_json_named(self, dataset_dir, tmp_path, capsys):
         mapping = tmp_path / "map.json"
@@ -345,6 +345,36 @@ class TestObfuscate:
             f"error: {mapping}: not JSON (Expecting property name enclosed in double quotes "
             "at line 1, column 2)\n"
         )
+        assert not (tmp_path / "obf").exists()
+
+    @pytest.mark.parametrize(
+        "tables,reason",
+        [({"predicates": {"clear": "province"}, "actions": DECEPTIVE_ACTIONS},
+          "map is missing renames for: "),
+         ({"predicates": {**DECEPTIVE_PREDICATES, "on": "planet"}, "actions": DECEPTIVE_ACTIONS},
+          "predicate renames collide")],
+        ids=["incomplete", "colliding"],
+    )
+    def test_map_file_that_does_not_fit_exits_2(self, dataset_dir, tmp_path, capsys, tables,
+                                                 reason):
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps(tables))
+        code = cli.main(["obfuscate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                         "--out", str(tmp_path / "obf"), "--map", str(mapping)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad map file {mapping}: {reason}") and err.count("\n") == 1
+        assert not (tmp_path / "obf").exists()
+
+    def test_deceptive_mode_on_logistics_exits_2(self, logistics_dir, tmp_path, capsys):
+        """The deceptive wordlist renames blocksworld only."""
+        code = cli.main(["obfuscate", "--manifest", str(logistics_dir / "manifest.jsonl"),
+                         "--out", str(tmp_path / "obf"), "--mode", "deceptive"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: --mode deceptive does not fit this dataset: map is missing renames for: "
+        ) and err.count("\n") == 1
         assert not (tmp_path / "obf").exists()
 
     def test_identity_mode(self, dataset_dir, tmp_path):
@@ -741,6 +771,31 @@ class TestRunScoreReport:
             assert not records.exists()
 
     @pytest.mark.parametrize(
+        "flags,config",
+        [(["--pool", "/nonexistent/pool.jsonl", "--pool-seed", "4"],
+          {"pool_manifest": "/nonexistent/pool.jsonl", "pool_seed": 4}),
+         (["--pool-seed", "0"], {"pool_seed": 0}),
+         (["--shots", "0", "--pool", "pool.jsonl"], {"shots": 0, "pool_manifest": "pool.jsonl"})],
+        ids=["pool-and-seed", "seed-alone", "zero-shots-given"],
+    )
+    def test_pool_without_shots_exit_2_from_flags_and_config(
+        self, dataset_dir, tmp_path, capsys, flags, config
+    ):
+        """A pool that no prompt would draw from is refused in both forms, not
+        run zero-shot."""
+        records = tmp_path / "r.jsonl"
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        run = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records)]
+        for args in (flags, ["--config", str(config_file)]):
+            assert cli.main(run + args) == 2, args
+            assert capsys.readouterr().err == (
+                "error: bad run configuration: a few-shot pool needs shots > 0 "
+                "(--shots, or shots in --config)\n"
+            )
+            assert not records.exists()
+
+    @pytest.mark.parametrize(
         "pool",
         [{"pool_manifest": 5}, {"pool_manifest": ["pool.jsonl"]}, {"pool_seed": True},
          {"pool_seed": [1]}, {"pool_seed": "1"}, {"pool_seed": 1.0}, {"pool_seed": None}],
@@ -756,7 +811,8 @@ class TestRunScoreReport:
                          "--config", str(config)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bad run configuration: {next(iter(pool))} must be")
+        key = next(iter(pool))
+        assert err.startswith(f"error: bad run configuration: {config}: '{key}' must be")
         assert err.count("\n") == 1
         assert not records.exists()
 
@@ -789,7 +845,9 @@ class TestRunScoreReport:
              "--records", str(tmp_path / "r.jsonl"), "--config", str(config)]
         )
         assert code == 2
-        assert "JSON object" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f'error: bad run configuration: {config}: the value must be an object, got [["k", 1]]\n'
+        )
 
     def test_run_flags_refused_with_config(self, dataset_dir, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -866,8 +924,8 @@ FLAG_AND_CONFIG = {
     "--planner": ("mock", {"planner": {"backend": "mock"}}),
     "--k": ("3", {"k": 3}),
     "--shots": ("2", {"shots": 2}),  # refused alone, the same way in both forms
-    "--pool": ("pool.jsonl", {"pool_manifest": "pool.jsonl"}),
-    "--pool-seed": ("5", {"pool_seed": 5}),
+    "--pool": ("pool.jsonl", {"pool_manifest": "pool.jsonl"}),  # likewise refused alone
+    "--pool-seed": ("5", {"pool_seed": 5}),  # likewise refused alone
     "--budget": ("1000", {"transcript_budget": 1000}),
     "--self-consistency": ("3", {"critic": {"self_consistency": 3}}),
     "--golden-prob": ("0.25", {"planner": {"golden_prob": 0.25}}),
@@ -979,18 +1037,23 @@ class TestRecordRefusal:
     @pytest.mark.parametrize(
         "edit,reason",
         [
-            (lambda r: {"problem_id": r["problem_id"]}, "record has no 'max_steps'"),
+            (lambda r: {"problem_id": r["problem_id"]}, "'max_steps' is missing"),
             (
                 lambda r: {**r, "iterations": [
                     {k: v for k, v in r["iterations"][0].items() if k != "plan_prompt_chars"}
                 ]},
-                "round 0 has no 'plan_prompt_chars'",
+                "'iterations[0].plan_prompt_chars' is missing",
             ),
-            (lambda r: {**r, "max_steps": "2"}, "record has 'max_steps' of type str"),
-            (lambda r: {**r, "llm_calls": True}, "record has 'llm_calls' of type bool"),
-            (lambda r: {**r, "iterations": [7]}, "round 0 is not a JSON object"),
-            (lambda r: {**r, "stop_reason": "gave-up"}, "unknown stop_reason 'gave-up'"),
-            (lambda r: [r], "record is not a JSON object"),
+            (lambda r: {**r, "max_steps": "2"}, "'max_steps' must be an integer, got \"2\""),
+            (lambda r: {**r, "llm_calls": True}, "'llm_calls' must be an integer, got true"),
+            (lambda r: {**r, "iterations": [7]}, "'iterations[0]' must be an object, got 7"),
+            (
+                lambda r: {**r, "stop_reason": "gave-up"},
+                "'stop_reason' must be one of \"critic-accepted\", \"budget-exceeded\", "
+                "\"iterations-exhausted\", \"transport-failure\", \"internal-error\", "
+                "got \"gave-up\"",
+            ),
+            (lambda r: [r], "the value must be an object, got [{"),
             (lambda r: {**r, "max_steps": 1}, "3 rounds for max_steps 1"),
         ],
         ids=["only-problem-id", "round-without-field", "wrong-type", "bool-for-int",
@@ -1011,6 +1074,89 @@ class TestRecordRefusal:
             assert "not JSON (Expecting property name enclosed in double quotes at column 2)" in err
 
 
+def _drop(key):
+    return lambda raw: {k: v for k, v in raw.items() if k != key}
+
+
+def _set(key, value):
+    return lambda raw: {**raw, key: value}
+
+
+class TestOneReadingRule:
+    """Every JSON object the program loads is read by one rule: an unknown
+    key, a missing required field, ``true`` for an integer and ``null`` for a
+    string that takes no null each exit 2 with one error line that names the
+    file, the line of a manifest or records file, and the field.  A run
+    configuration has no required field (every setting has a default), and a
+    map file has no integer field, so those two pairs have no case."""
+
+    CASES = {
+        ("config", "unknown-key"): (_set("note", 1), "'note' is an unknown key"),
+        ("config", "true-for-int"): (_set("k", True), "'k' must be an integer, got true"),
+        ("config", "null-for-str"): (
+            _set("critic", {"model": None}), "'critic.model' must be a string, got null"
+        ),
+        ("map", "unknown-key"): (_set("note", 1), "'note' is an unknown key"),
+        ("map", "missing"): (_drop("actions"), "'actions' is missing"),
+        ("map", "null-for-str"): (
+            _set("predicates", {"clear": None}), "'predicates.clear' must be a string, got null"
+        ),
+        ("manifest", "unknown-key"): (_set("note", 1), "'note' is an unknown key"),
+        ("manifest", "missing"): (_drop("problem_file"), "'problem_file' is missing"),
+        ("manifest", "true-for-int"): (_set("seed", True), "'seed' must be an integer, got true"),
+        ("manifest", "null-for-str"): (_set("id", None), "'id' must be a string, got null"),
+        ("record", "unknown-key"): (_set("note", 1), "'note' is an unknown key"),
+        ("record", "missing"): (_drop("final_plan"), "'final_plan' is missing"),
+        ("record", "true-for-int"): (
+            lambda raw: {**raw, "iterations": [{**raw["iterations"][0], "step": True}]},
+            "'iterations[0].step' must be an integer, got true",
+        ),
+        ("record", "null-for-str"): (
+            _set("problem_id", None), "'problem_id' must be a string, got null"
+        ),
+    }
+
+    @pytest.mark.parametrize("reader,fault", list(CASES), ids=["-".join(c) for c in CASES])
+    def test_fault_refused(self, dataset_dir, tmp_path, capsys, reader, fault):
+        edit, reason = self.CASES[reader, fault]
+        records = tmp_path / "records.jsonl"
+        records.write_text("")
+        if reader == "config":
+            path, where = tmp_path / "config.json", "bad run configuration: {}: "
+            path.write_text(json.dumps(edit({"k": 1})))
+            argv = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                    "--records", str(records), "--config", str(path)]
+        elif reader == "map":
+            path, where = tmp_path / "map.json", "bad map file {}: "
+            tables = {"predicates": DECEPTIVE_PREDICATES, "actions": DECEPTIVE_ACTIONS}
+            path.write_text(json.dumps(edit(tables)))
+            argv = ["obfuscate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                    "--out", str(tmp_path / "obf"), "--map", str(path)]
+        elif reader == "manifest":
+            path, where = tmp_path / "manifest.jsonl", "{} line 2: "
+            lines = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+            raws = [json.loads(line) for line in lines]
+            for raw in raws:
+                for key in ("domain_file", "problem_file", "plan_file"):
+                    raw[key] = str(dataset_dir / raw[key])
+            raws[1] = edit(raws[1])
+            path.write_text("".join(json.dumps(raw) + "\n" for raw in raws))
+            argv = ["score", "--records", str(records), "--manifest", str(path)]
+        else:
+            path, where = records, "{} line 1: "
+            assert cli.main(["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                             "--records", str(records), "--k", "1"]) == 0
+            capsys.readouterr()
+            lines = records.read_text().splitlines()
+            lines[0] = json.dumps(edit(json.loads(lines[0])))
+            records.write_text("\n".join(lines) + "\n")
+            argv = ["score", "--records", str(records),
+                    "--manifest", str(dataset_dir / "manifest.jsonl")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {where.format(path)}{reason}\n"
+        assert not (tmp_path / "obf").exists()
+
+
 class TestManifestRefusal:
     """A malformed manifest line fails with one error line that names the
     manifest and the line."""
@@ -1018,10 +1164,11 @@ class TestManifestRefusal:
     @pytest.mark.parametrize(
         "line,reason",
         [
-            ("{}", "no 'id' string"),
-            ('{"id": "p", "domain_file": "domain.pddl"}', "no 'problem_file' string"),
-            ('{"id": "p", "domain_file": 3, "problem_file": "p.pddl"}', "no 'domain_file' string"),
-            ('["id"]', "no 'id' string"),
+            ("{}", "'id' is missing"),
+            ('{"id": "p", "domain_file": "domain.pddl"}', "'problem_file' is missing"),
+            ('{"id": "p", "domain_file": 3, "problem_file": "p.pddl"}',
+             "'domain_file' must be a string, got 3"),
+            ('["id"]', 'the value must be an object, got ["id"]'),
             ("not json", "not JSON (Expecting value at column 1)"),
         ],
         ids=["empty-object", "no-problem-file", "number-for-path", "not-an-object", "not-json"],
@@ -1051,14 +1198,14 @@ class TestManifestRefusal:
     @pytest.mark.parametrize(
         "key,value,reason",
         [
-            ("id", 5, "no 'id' string"),
-            ("domain_file", None, "no 'domain_file' string"),
-            ("problem_file", ["p.pddl"], "no 'problem_file' string"),
-            ("plan_file", 5, "'plan_file' is not a string or null"),
-            ("params", 5, "'params' is not an object"),
-            ("benchmark", 5, "'benchmark' is not a string"),
-            ("seed", "1", "'seed' is not an integer"),
-            ("index", True, "'index' is not an integer"),
+            ("id", 5, "'id' must be a string, got 5"),
+            ("domain_file", None, "'domain_file' must be a string, got null"),
+            ("problem_file", ["p.pddl"], "'problem_file' must be a string, got [\"p.pddl\"]"),
+            ("plan_file", 5, "'plan_file' must be a string or null, got 5"),
+            ("params", 5, "'params' must be an object, got 5"),
+            ("benchmark", 5, "'benchmark' must be a string, got 5"),
+            ("seed", "1", "'seed' must be an integer, got \"1\""),
+            ("index", True, "'index' must be an integer, got true"),
         ],
         ids=["id", "domain-file", "problem-file", "plan-file", "params", "benchmark", "seed",
              "index-bool"],

@@ -527,6 +527,21 @@ class TestChatClient:
         assert record["error"].startswith("HTTP 401")
         assert record["request"]["messages"] == [{"role": "user", "content": "judge"}]
 
+    def test_malformed_reply_is_logged(self, endpoint, tmp_path):
+        """A 200 reply that is no chat completion is written to the debug log,
+        with the start of its body, before MalformedResponse is raised."""
+        endpoint.script = [(200, '{"choices": []}')]
+        debug_log = tmp_path / "debug.jsonl"
+        config = EndpointConfig(base_url=endpoint.url, model="m", debug_log=str(debug_log))
+        with pytest.raises(MalformedResponse):
+            ChatClient(config).complete("judge", 0.0, 16)
+        [line] = debug_log.read_text().splitlines()
+        record = json.loads(line)
+        assert record["error"].startswith("unexpected response body: ")
+        assert record["error"].endswith('; body starts: {"choices": []}')
+        assert record["request"]["messages"] == [{"role": "user", "content": "judge"}]
+        assert "response" not in record
+
 
 class TestTransport:
     def test_certificate_failure_is_not_retried(self, monkeypatch):

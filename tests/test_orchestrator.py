@@ -906,7 +906,10 @@ class TestExemplarTwins:
         with pytest.raises(PoolTooSmall):
             select_fewshots(pool, pid, 100, target)
 
-        entry = ManifestEntry(pid, "blocksworld", 1, 96, {"blocks": 5}, Path("d.pddl"), Path("p.pddl"))
+        entry = ManifestEntry(
+            id=pid, domain_file=Path("d.pddl"), problem_file=Path("p.pddl"),
+            benchmark="blocksworld", seed=1, index=96, params={"blocks": 5},
+        )
         planner = RecordingPlanner("")
         monkeypatch.setattr(orchestrator, "make_backends", lambda config, goldens: (planner, OracleCritic()))
         run_batch(Dataset((entry,), domain, {pid: target}, {}), LoopConfig(k=0, shots=64), pool=pool)
