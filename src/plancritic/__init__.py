@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 
 # the submodule each public name comes from
 _SOURCES = {
-    "critics": ("CriticBackend", "CriticConfig", "CritiqueLabel", "extract_verdict"),
+    "critics": ("CriticBackend", "CriticConfig", "extract_verdict"),
     "generators": ("Benchmark", "GenSpec", "generate", "obfuscate"),
-    "orchestrator": ("LoopConfig", "PlannerConfig", "RunRecord", "run_batch", "run_problem"),
+    "orchestrator": ("LoopConfig", "PlannerConfig", "run_batch", "run_problem"),
     "pddl": (
         "ActionSchema",
         "Atom",
@@ -30,9 +30,16 @@ _SOURCES = {
         "print_plan",
         "print_problem",
     ),
-    "report": ("Metrics", "score", "summary_line", "wald_ci"),
+    "report": ("Metrics", "RunRecord", "score", "summary_line", "wald_ci"),
     "search": ("SearchLimits", "SearchStatus", "bfs_plan", "run_plan"),
-    "semantics": ("Correct", "GoalNotReached", "ValidationResult", "WrongAtStep", "validate_plan"),
+    "semantics": (
+        "Correct",
+        "CritiqueLabel",
+        "GoalNotReached",
+        "ValidationResult",
+        "WrongAtStep",
+        "validate_plan",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 _SUBMODULES = {*_SOURCES, "cli", "domains", "jsonform", "llm", "prompting", "report_formats"}

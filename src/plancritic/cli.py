@@ -37,7 +37,7 @@ from .generators import (
     nonspecific_map,
     obfuscate_dataset,
 )
-from .jsonform import FormError, from_json
+from .jsonform import FormError, RefusedValue, from_json
 from .pddl import (
     PddlError,
     parse_domain,
@@ -54,9 +54,10 @@ from .semantics import (
     validation_to_dict,
 )
 
-# the loop's modules (orchestrator, critics, llm, prompting, report) are
-# imported by the commands that use them, so that generate, validate, solve
-# and obfuscate start without them
+# the loop's modules (orchestrator, critics, llm, prompting) and the scorer
+# (report) are imported by the commands that use them, so that generate,
+# validate, solve and obfuscate start without them, and score and report
+# without the loop
 if TYPE_CHECKING:
     from .orchestrator import LoopConfig
     from .report import Metrics
@@ -235,7 +236,6 @@ def _config_from_dict(raw, source: str = "run flags") -> tuple[LoopConfig, str |
     """(config, pool manifest path, pool seed) of a run configuration, from
     the ``--config`` file ``source`` or the run flags; raises UsageError."""
     from .orchestrator import LoopConfig
-    from .prompting import MissingPlaceholderValue
 
     pool_raw = {}
     if isinstance(raw, dict):  # else the reader refuses it
@@ -244,10 +244,9 @@ def _config_from_dict(raw, source: str = "run flags") -> tuple[LoopConfig, str |
     try:
         config = from_json(LoopConfig, raw)
         pool = from_json(PoolSettings, pool_raw)
-    except FormError as exc:
-        raise UsageError(f"bad run configuration: {source}: {exc}") from None
-    except (ValueError, MissingPlaceholderValue) as exc:
-        raise UsageError(f"bad run configuration: {exc}") from exc
+    except FormError as exc:  # a refused value reads the same from the run flags and --config
+        where = "" if isinstance(exc, RefusedValue) else f"{source}: "
+        raise UsageError(f"bad run configuration: {where}{exc}") from None
     if pool_raw and config.shots == 0:  # a pool that no prompt would draw from
         raise UsageError(
             "bad run configuration: a few-shot pool needs shots > 0 "
@@ -339,9 +338,8 @@ def _cmd_run(args) -> int:
 
 def _score_records(args) -> Metrics:
     from . import report
-    from .orchestrator import read_records
 
-    records = read_records(args.records)
+    records = report.read_records(args.records)
     dataset = load_dataset(args.manifest, with_plans=False)  # scoring reads no golden plan
     return report.score(records, dataset.domain, dataset.problems)
 
@@ -470,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         InvalidSpec,
         FileNotFoundError,
         IsADirectoryError,
-        *_loaded("orchestrator", "MalformedRecord"),  # a ValueError, so it is tried first
+        *_loaded("report", "MalformedRecord"),  # a ValueError, so it is tried first
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,18 +36,13 @@ from .semantics import (
     PHRASE_CORRECT,
     PHRASE_GOAL_NOT_REACHED,
     PHRASE_WRONG,
+    CritiqueLabel,
     ValidationResult,
     format_trace,
     format_verdict,
     validate_plan,
     verdict_phrase,
 )
-
-
-class CritiqueLabel(str, Enum):
-    CORRECT = "correct"
-    WRONG = "wrong"
-    GOAL_NOT_REACHED = "goal_not_reached"
 
 
 _PHRASES = {
@@ -135,11 +130,14 @@ class CriticConfig(EndpointConfig):
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "backend", CriticBackend(self.backend))
         object.__setattr__(self, "template", TemplateId(self.template))
         object.__setattr__(self, "exemplars", tuple(self.exemplars))
         if self.self_consistency < 1:
             raise ValueError("self_consistency must be at least 1")
+        if self.temperature is not None and not self.temperature >= 0.0:
+            raise ValueError("temperature must be non-negative, or None for the default")
         for name in ("false_positive", "false_negative"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:

@@ -2,8 +2,10 @@
 every object the program loads (a run configuration, a map file, a manifest
 line, a record line): a field with no default must be present, a key that
 names no field is refused, and a value must be of its field's JSON type (a
-bool is no number; an enum or a ``Path`` is a string).  A reader is built
-once per type; a refused value's path is put into words only when shown."""
+bool is no number; an enum or a ``Path`` is a string).  A value that its
+dataclass refuses, such as a probability above 1, is reported with the path
+of the object that refuses it.  A reader is built once per type; a path is
+put into words only when shown."""
 
 import dataclasses
 import functools
@@ -23,10 +25,22 @@ class FormError(ValueError):
 
     path: tuple = ()
 
-    def __str__(self):
+    @property
+    def where(self) -> str:
+        """``path`` in words, such as ``iterations[0].step``."""
         where = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in self.path)
-        where = where.removeprefix(".")
-        return f"'{where}' {self.args[0]}" if where else f"the value {self.args[0]}"
+        return where.removeprefix(".")
+
+    def __str__(self):
+        return f"'{self.where}' {self.args[0]}" if self.where else f"the value {self.args[0]}"
+
+
+class RefusedValue(FormError):
+    """A value of its field's form that the dataclass refuses (a ValueError
+    raised while building it); ``path`` leads to the refusing object."""
+
+    def __str__(self):
+        return f"{self.where}: {self.args[0]}" if self.where else self.args[0]
 
 
 def from_json(cls, data, base: Path = Path()):
@@ -87,13 +101,18 @@ def _reader(hint, nullable: bool = False):
                             items[key] = item if convert is None else convert(base, item)
                         else:
                             items[key] = by_key[key](item, base)
-                    return hint(**items)
-                for key, item in enumerate(value) if origin is tuple else value.items():
-                    items[key] = read_item(item, base)
+                else:
+                    for key, item in enumerate(value) if origin is tuple else value.items():
+                        items[key] = read_item(item, base)
             except FormError as exc:
                 exc.path = (key, *exc.path)
                 raise
-            return tuple(items.values()) if origin is tuple else items
+            if origin is not None:
+                return tuple(items.values()) if origin is tuple else items
+            try:
+                return hint(**items)
+            except ValueError as exc:
+                raise RefusedValue(str(exc)) from exc
     else:
         convert = None  # a value of the hint's own JSON type is kept as it is
         if hint is Path:  # base / value; "" is null for a path that may be null

@@ -84,6 +84,10 @@ class EndpointConfig:
     timeout: float = 120.0
     debug_log: str | None = None
 
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise ValueError("timeout must be positive")
+
     @property
     def endpoint(self) -> "EndpointConfig":
         """These settings alone, so that two roles' endpoints compare equal."""

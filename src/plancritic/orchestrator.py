@@ -12,7 +12,7 @@ the stop reason, and ``llm_calls``: the backend calls that returned, one
 per planner reply plus the votes of each critique that returned.  A failed
 call, and every vote of a failed critique, are not counted.  A record has
 rounds 0..n-1, n <= k + 1, and only its last can be accepted; readers of
-records rely on this shape, and ``record_from_dict`` refuses any other.
+records rely on this shape, and ``report.record_from_dict`` refuses any other.
 
 A planner often proposes a plan again after it was rejected.  So each run
 keeps, for the life of its problem, the plans proposed so far by reply text
@@ -38,13 +38,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-# the scorer loads with the loop: ``run`` scores the batch it ran, and code
-# that wraps the loop's functions, such as the benchmark's tracer, finds every
-# module of the loop loaded once this one is
-from . import report  # noqa: F401
-from .critics import Critic, CriticConfig, CritiqueLabel, make_critic
+from .critics import Critic, CriticConfig, make_critic
 from .generators import Dataset, ManifestEntry
-from .jsonform import FormError, from_json
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url
 from .pddl import DomainDef, Plan, ProblemDef, print_plan, read_step
 from .prompting import (
@@ -54,17 +49,10 @@ from .prompting import (
     plan_prompt_prefix,
     select_fewshots,
 )
-from .semantics import ValidationResult, validate_plan, verdict_to_dict
+from .report import IterationEntry, RunRecord, StopReason, parse_records, record_to_dict
+from .semantics import CritiqueLabel, ValidationResult, validate_plan, verdict_to_dict
 
 log = logging.getLogger(__name__)
-
-
-class StopReason(str, Enum):
-    CRITIC_ACCEPTED = "critic-accepted"
-    BUDGET_EXCEEDED = "budget-exceeded"
-    ITERATIONS_EXHAUSTED = "iterations-exhausted"
-    TRANSPORT_FAILURE = "transport-failure"
-    INTERNAL_ERROR = "internal-error"
 
 
 def call_count(rounds: int, self_consistency: int = 1) -> int:
@@ -96,7 +84,10 @@ class PlannerConfig(EndpointConfig):
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "backend", PlannerBackend(self.backend))
+        if not self.temperature >= 0.0:
+            raise ValueError("temperature must be non-negative")
         if not 0.0 <= self.golden_prob <= 1.0:
             raise ValueError("golden_prob must be a probability")
         if self.backend is PlannerBackend.LLM:
@@ -161,7 +152,7 @@ def make_planner(
 
 
 # ---------------------------------------------------------------------------
-# Loop configuration and records
+# Loop configuration
 
 
 @dataclass(frozen=True)
@@ -179,29 +170,6 @@ class LoopConfig:
             raise ValueError("shots must be non-negative")
         if self.transcript_budget is not None and self.transcript_budget < 1:
             raise ValueError("transcript_budget must be positive, or None for no cap")
-
-
-@dataclass(frozen=True)
-class IterationEntry:
-    step: int
-    plan: str
-    critic_label: str
-    votes: dict[str, int]
-    plan_prompt_chars: int
-    critique_prompt_chars: int
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    problem_id: str
-    max_steps: int
-    self_consistency: int
-    iterations: tuple[IterationEntry, ...]
-    final_plan: str
-    stop_reason: StopReason
-    llm_calls: int
-    ground_truth: dict | None
-    error: str | None = None
 
 
 _NUMBERING = re.compile(r"^(\d+[.)]\s*|[-*]\s+)")
@@ -327,54 +295,8 @@ def run_problem(
 # Record persistence
 
 
-class MalformedRecord(ValueError):
-    """A records line that ``run_problem`` cannot have written."""
-
-
-def record_to_dict(record: RunRecord) -> dict:
-    """The fields of ``record``, its rounds as dicts; the votes and ground
-    truth dicts are the record's own, not copies (``dataclasses.asdict``
-    would deep-copy them at several times the cost)."""
-    data = dict(vars(record))  # StopReason is a str, so it serializes as its value
-    data["iterations"] = [dict(vars(entry)) for entry in record.iterations]
-    return data
-
-
-def record_from_dict(data: dict) -> RunRecord:
-    """The record ``data`` holds; raises FormError for data not of the form
-    ``RunRecord`` declares, and MalformedRecord for rounds not in the loop's shape."""
-    record = from_json(RunRecord, data)
-    steps = [entry.step for entry in record.iterations]
-    if steps != list(range(len(steps))):
-        raise MalformedRecord(f"round steps {steps} are not 0..{len(steps) - 1}")
-    if len(steps) > record.max_steps + 1:
-        raise MalformedRecord(f"{len(steps)} rounds for max_steps {record.max_steps}")
-    if any(e.critic_label == CritiqueLabel.CORRECT.value for e in record.iterations[:-1]):
-        raise MalformedRecord("a round before the last is labelled correct")
-    return record
-
-
 def _record_line(record: RunRecord) -> str:
     return json.dumps(record_to_dict(record), sort_keys=True) + "\n"
-
-
-def _parse_records(text: str, path: str | Path) -> list[RunRecord]:
-    records = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            try:
-                records.append(record_from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(
-                    f"{path} line {number}: not JSON ({exc.msg} at column {exc.colno})"
-                ) from None
-            except (FormError, MalformedRecord) as exc:
-                raise MalformedRecord(f"{path} line {number}: {exc}") from None
-    return records
-
-
-def read_records(path: str | Path) -> list[RunRecord]:
-    return _parse_records(Path(path).read_text(), path)
 
 
 def _resume_records(path: Path) -> list[RunRecord]:
@@ -390,7 +312,7 @@ def _resume_records(path: Path) -> list[RunRecord]:
         log.warning("%s: dropping a torn last record line (%d bytes)", path, len(data) - whole)
         with path.open("r+b") as fh:
             fh.truncate(whole)
-    return _parse_records(data[:whole].decode(), path)
+    return parse_records(data[:whole].decode(), path)
 
 
 # ---------------------------------------------------------------------------

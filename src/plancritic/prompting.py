@@ -61,7 +61,7 @@ class PoolTooSmall(ValueError):
     pass
 
 
-class MissingPlaceholderValue(KeyError):
+class MissingPlaceholderValue(ValueError):
     def __str__(self) -> str:
         return f"no value for the {{{self.args[0]}}} placeholder"
 

@@ -11,6 +11,10 @@ Scoring is a pure function of records plus the problems they refer to, so
 runs can be re-scored offline without touching any backend.  A batch that has
 just run reads its accuracy from its records' ground truth instead, with
 ``accuracy_line``, which ``run`` prints.
+
+The record format is stated here, where records are read, so that reading
+and scoring them loads none of the loop's modules; the loop writes records
+with ``record_to_dict``.
 """
 
 from __future__ import annotations
@@ -20,16 +24,104 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .critics import CritiqueLabel
+from .jsonform import FormError, from_json
 from .pddl import DomainDef, ProblemDef, parse_plan
 from .report_formats import REPORT_FORMATS
-from .semantics import validate_plan
+from .semantics import CritiqueLabel, validate_plan
 
-if TYPE_CHECKING:  # the loop imports this module
-    from .orchestrator import RunRecord
+
+# ---------------------------------------------------------------------------
+# Records
+
+
+class StopReason(str, Enum):
+    CRITIC_ACCEPTED = "critic-accepted"
+    BUDGET_EXCEEDED = "budget-exceeded"
+    ITERATIONS_EXHAUSTED = "iterations-exhausted"
+    TRANSPORT_FAILURE = "transport-failure"
+    INTERNAL_ERROR = "internal-error"
+
+
+@dataclass(frozen=True)
+class IterationEntry:
+    step: int
+    plan: str
+    critic_label: str
+    votes: dict[str, int]
+    plan_prompt_chars: int
+    critique_prompt_chars: int
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One problem's run: rounds 0..n-1, n <= max_steps + 1, of which only
+    the last can be accepted, and the plan that stands."""
+
+    problem_id: str
+    max_steps: int
+    self_consistency: int
+    iterations: tuple[IterationEntry, ...]
+    final_plan: str
+    stop_reason: StopReason
+    llm_calls: int
+    ground_truth: dict | None
+    error: str | None = None
+
+
+class MalformedRecord(ValueError):
+    """A records line that the loop cannot have written."""
+
+
+def record_to_dict(record: RunRecord) -> dict:
+    """The fields of ``record``, its rounds as dicts; the votes and ground
+    truth dicts are the record's own, not copies (``dataclasses.asdict``
+    would deep-copy them at several times the cost)."""
+    data = dict(vars(record))  # StopReason is a str, so it serializes as its value
+    data["iterations"] = [dict(vars(entry)) for entry in record.iterations]
+    return data
+
+
+def record_from_dict(data: dict) -> RunRecord:
+    """The record ``data`` holds; raises FormError for data not of the form
+    ``RunRecord`` declares, and MalformedRecord for rounds not in the loop's shape."""
+    record = from_json(RunRecord, data)
+    steps = [entry.step for entry in record.iterations]
+    if steps != list(range(len(steps))):
+        raise MalformedRecord(f"round steps {steps} are not 0..{len(steps) - 1}")
+    if len(steps) > record.max_steps + 1:
+        raise MalformedRecord(f"{len(steps)} rounds for max_steps {record.max_steps}")
+    if any(e.critic_label == CritiqueLabel.CORRECT.value for e in record.iterations[:-1]):
+        raise MalformedRecord("a round before the last is labelled correct")
+    return record
+
+
+def parse_records(text: str, path: str | Path) -> list[RunRecord]:
+    """The records of the records file text ``text``, read from ``path``;
+    raises MalformedRecord, with the file and line, for a line that is not one."""
+    records = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                records.append(record_from_dict(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(
+                    f"{path} line {number}: not JSON ({exc.msg} at column {exc.colno})"
+                ) from None
+            except (FormError, MalformedRecord) as exc:
+                raise MalformedRecord(f"{path} line {number}: {exc}") from None
+    return records
+
+
+def read_records(path: str | Path) -> list[RunRecord]:
+    return parse_records(Path(path).read_text(), path)
+
+
+# ---------------------------------------------------------------------------
+# Scoring
 
 Z_95 = 1.96
 

@@ -30,6 +30,7 @@ do, is a different object; it still matches, through ``Atom.__eq__``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from .pddl import (
     ATOM_ORDER,
@@ -37,7 +38,6 @@ from .pddl import (
     Atom,
     DomainDef,
     GroundAction,
-    PddlError,
     Plan,
     ProblemDef,
     UnknownAction,
@@ -45,17 +45,6 @@ from .pddl import (
 )
 
 State = frozenset[Atom]
-
-
-class InapplicableAction(PddlError):
-    """Raised by :func:`apply` when preconditions do not hold."""
-
-    def __init__(self, action: GroundAction, unmet: tuple[Atom, ...]):
-        super().__init__(
-            f"preconditions not met for {action}: " + ", ".join(str(a) for a in unmet)
-        )
-        self.action = action
-        self.unmet = unmet
 
 
 @dataclass(frozen=True)
@@ -80,6 +69,14 @@ PlanVerdict = Correct | WrongAtStep | GoalNotReached
 PHRASE_CORRECT = "the plan is correct"
 PHRASE_WRONG = "the plan is wrong"
 PHRASE_GOAL_NOT_REACHED = "goal not reached"
+
+
+class CritiqueLabel(str, Enum):
+    """A critic's judgement of a plan, one per assessment phrase."""
+
+    CORRECT = "correct"
+    WRONG = "wrong"
+    GOAL_NOT_REACHED = "goal_not_reached"
 
 
 @dataclass(frozen=True)
@@ -170,14 +167,6 @@ def _step(
         if not ok:
             return checks, None
     return checks, (state - dels) | adds
-
-
-def apply(state: State, action: GroundAction, domain: DomainDef) -> State:
-    """Apply ``action`` to ``state``; raises InapplicableAction if it cannot fire."""
-    checks, after = _step(state, action, domain)
-    if after is None:
-        raise InapplicableAction(action, tuple(atom for atom, ok in checks if not ok))
-    return after
 
 
 def goal_satisfied(state: State, problem: ProblemDef) -> tuple[bool, tuple[Atom, ...]]:

@@ -1,8 +1,8 @@
 """Plan mutation helpers, reference versions of the reader, the validator
 and the plan extractor, used by the equivalence tests, and the helpers that
-only tests call (a map's inverse, one step's precondition checks, a records
-file written whole, a dataset held in memory, an atom's substitution, and
-the mystery domain that the deceptive renaming must give).
+only tests call (a map's inverse, one step's precondition checks, one step
+applied, a records file written whole, a dataset held in memory, an atom's
+substitution, and the mystery domain that the deceptive renaming must give).
 
 The reference reader walks the text one character at a time, the way the
 PDDL reader did before it scanned with one regex.  The reference validator
@@ -136,6 +136,25 @@ def is_applicable(state, action: GroundAction, domain: DomainDef) -> tuple:
     checks = precondition_checks(state, action, domain)
     unmet = tuple(atom for atom, ok in checks if not ok)
     return not unmet, unmet
+
+
+class InapplicableAction(PddlError):
+    """Raised by :func:`apply` when preconditions do not hold."""
+
+    def __init__(self, action: GroundAction, unmet: tuple[Atom, ...]):
+        super().__init__(
+            f"preconditions not met for {action}: " + ", ".join(str(a) for a in unmet)
+        )
+        self.action = action
+        self.unmet = unmet
+
+
+def apply(state, action: GroundAction, domain: DomainDef) -> frozenset:
+    """Apply ``action`` to ``state``; raises InapplicableAction if it cannot fire."""
+    checks, after = _step(state, action, domain)
+    if after is None:
+        raise InapplicableAction(action, tuple(atom for atom, ok in checks if not ok))
+    return after
 
 
 def write_records(path, records) -> None:

@@ -16,7 +16,6 @@ from plancritic import cli
 from plancritic.critics import (
     CriticBackend,
     CriticConfig,
-    CritiqueLabel,
     CritiqueVerdict,
     MockCritic,
     OracleCritic,
@@ -27,18 +26,18 @@ from plancritic.orchestrator import (
     LoopConfig,
     MockPlanner,
     PlannerConfig,
-    StopReason,
     call_count,
     run_problem,
 )
 from plancritic.pddl import Atom, print_domain, print_plan
 from plancritic.prompting import Exemplar, Transcript, build_critique_prompt, build_plan_prompt
 from plancritic.prompting import CRITIQUE_TEMPLATES, TemplateId
-from plancritic.report import score, summary_line, wald_ci
+from plancritic.report import StopReason, score, summary_line, wald_ci
 from plancritic.report import Metrics
 from plancritic.search import SearchLimits, SearchStatus, bfs_plan, run_plan
 from plancritic.semantics import (
     Correct,
+    CritiqueLabel,
     GoalNotReached,
     WrongAtStep,
     format_trace,

@@ -18,9 +18,8 @@ from plancritic.generators import (
     load_manifest,
 )
 from plancritic.llm import TransportError
-from plancritic.orchestrator import read_records
 from plancritic.pddl import parse_plan, print_domain, print_plan, print_problem
-from plancritic.report import score
+from plancritic.report import read_records, score
 
 from .conftest import BW5_PROBLEM_TEXT, CORRECT_PLAN_TEXT, WRONG_PLAN_TEXT
 from .helpers import tree_digest
@@ -697,6 +696,40 @@ class TestRunScoreReport:
         assert " must be " in err
         assert not records.exists()
 
+    @pytest.mark.parametrize(
+        "config,refusal",
+        [({"k": 1, "planner": {"backend": "llm", "base_url": "http://127.0.0.1:9/v1",
+                               "model": "m", "timeout": -1}},
+          "planner: timeout must be positive"),
+         ({"critic": {"backend": "oracle", "timeout": 0}}, "critic: timeout must be positive"),
+         ({"planner": {"temperature": -0.5}}, "planner: temperature must be non-negative"),
+         ({"critic": {"backend": "mock", "temperature": -3}},
+          "critic: temperature must be non-negative, or None for the default"),
+         ({"planner": {"backend": "llm", "base_url": "ftp://x", "model": "m"},
+           "critic": {"backend": "llm", "base_url": "http://ok", "model": "m"}},
+          "planner: base_url 'ftp://x' is not an http or https URL with a host"),
+         ({"planner": {"backend": "llm", "base_url": "http://ok", "model": "m"},
+           "critic": {"backend": "llm", "base_url": "ftp://x", "model": "m"}},
+          "critic: base_url 'ftp://x' is not an http or https URL with a host"),
+         ({"critic": {"backend": "llm", "base_url": "http://ok", "model": "m",
+                      "template": "critique_fewshot"}},
+          "critic: no value for the {self_evaluations_exemplars} placeholder")],
+        ids=["planner-timeout", "critic-timeout", "planner-temperature", "critic-temperature",
+             "planner-url", "critic-url", "critic-template"],
+    )
+    def test_refused_value_names_its_section(self, tmp_path, capsys, config, refusal):
+        """A value a config class refuses is reported with its section when
+        the configuration is read, before the manifest, which here does not
+        exist."""
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        records = tmp_path / "r.jsonl"
+        code = cli.main(["run", "--manifest", str(tmp_path / "none.jsonl"),
+                         "--records", str(records), "--config", str(config_file)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad run configuration: {refusal}\n"
+        assert not records.exists()
+
     def test_flags_and_config_write_the_same_records(self, dataset_dir, tmp_path):
         manifest = str(dataset_dir / "manifest.jsonl")
         pool_dir = tmp_path / "pool"
@@ -1339,9 +1372,9 @@ class TestMixedDomains:
             assert "mixes domains" in capsys.readouterr().err
 
 
-def test_cli_imports_no_third_party_module(tmp_path):
-    """Neither the import nor a ``generate --solve`` run loads a third-party
-    module, or any module of the refinement loop and its HTTP client."""
+def _modules_loaded(argv: list[str], cwd: Path) -> set[str]:
+    """The modules that ``import plancritic.cli``, then ``main(argv)`` when
+    ``argv`` is not empty, load in a fresh interpreter; ``main`` must succeed."""
     # only what the program adds: a site hook may load a package at start-up
     code = (
         "import sys; before = set(sys.modules); import plancritic.cli\n"
@@ -1350,14 +1383,20 @@ def test_cli_imports_no_third_party_module(tmp_path):
     )
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd, capture_output=True, text=True, check=True,
+    )
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_cli_imports_no_third_party_module(tmp_path):
+    """Neither the import nor a ``generate --solve`` run loads a third-party
+    module, or any module of the refinement loop and its HTTP client."""
     generate = ["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
                 "--count", "2", "--out", "ds", "--solve"]
     for argv in ([], generate):
-        result = subprocess.run(
-            [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": path},
-            cwd=tmp_path, capture_output=True, text=True, check=True,
-        )
-        loaded = set(result.stdout.splitlines()[-1].split())
+        loaded = _modules_loaded(argv, tmp_path)
         packages = {m.partition(".")[0] for m in loaded}
         assert "plancritic.cli" in loaded
         assert not packages & {"requests", "urllib3", "certifi", "charset_normalizer", "idna"}
@@ -1367,6 +1406,22 @@ def test_cli_imports_no_third_party_module(tmp_path):
             "http.client", "ssl", "concurrent.futures",
         }, argv
     assert (tmp_path / "ds" / "blocksworld-1-0001.plan").is_file()
+
+
+def test_scoring_loads_no_loop_module(dataset_dir, tmp_path):
+    """``score`` and ``report`` read records and score them without any
+    module of the refinement loop or its HTTP client."""
+    manifest, records = str(dataset_dir / "manifest.jsonl"), str(tmp_path / "r.jsonl")
+    assert cli.main(["run", "--manifest", manifest, "--records", records, "--k", "1"]) == 0
+    for argv in (["score", "--records", records, "--manifest", manifest],
+                 ["report", "--records", records, "--manifest", manifest, "--out-dir", "out"]):
+        loaded = _modules_loaded(argv, tmp_path)
+        assert "plancritic.report" in loaded
+        assert not loaded & {
+            "plancritic.orchestrator", "plancritic.critics", "plancritic.llm",
+            "plancritic.prompting", "http.client", "ssl", "concurrent.futures",
+        }, argv
+    assert (tmp_path / "out" / "report.txt").is_file()
 
 
 class TestPackageNames:

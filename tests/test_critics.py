@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from plancritic.critics import (
     CriticBackend,
     CriticConfig,
-    CritiqueLabel,
     CritiqueVerdict,
     LlmCritic,
     MockCritic,
@@ -23,6 +22,7 @@ from plancritic.critics import (
 from plancritic.llm import ChatClient, EndpointConfig, MalformedResponse, TransportError
 from plancritic.pddl import Plan
 from plancritic.prompting import MissingPlaceholderValue, TemplateId, build_critique_prompt
+from plancritic.semantics import CritiqueLabel
 
 C = CritiqueLabel.CORRECT
 W = CritiqueLabel.WRONG

@@ -12,7 +12,6 @@ from plancritic import cli, critics, orchestrator, pddl, prompting
 from plancritic.critics import (
     CriticBackend,
     CriticConfig,
-    CritiqueLabel,
     CritiqueVerdict,
     OracleCritic,
 )
@@ -26,25 +25,18 @@ from plancritic.generators import (
 )
 from plancritic.llm import TransportError
 from plancritic.orchestrator import (
-    IterationEntry,
     LoopConfig,
     LlmPlanner,
-    MalformedRecord,
     MockPlanner,
     Planner,
     PlannerBackend,
     PlannerConfig,
-    RunRecord,
     ScriptedPlanner,
-    StopReason,
     call_count,
     extract_plan,
     make_backends,
     make_planner,
     _record_line,
-    read_records,
-    record_from_dict,
-    record_to_dict,
     run_batch,
     run_problem,
 )
@@ -57,9 +49,19 @@ from plancritic.prompting import (
     build_pool,
     select_fewshots,
 )
-from plancritic.report import score, summary_line
+from plancritic.report import (
+    IterationEntry,
+    MalformedRecord,
+    RunRecord,
+    StopReason,
+    read_records,
+    record_from_dict,
+    record_to_dict,
+    score,
+    summary_line,
+)
 from plancritic.search import SearchLimits, bfs_plan
-from plancritic.semantics import validate_plan, verdict_to_dict
+from plancritic.semantics import CritiqueLabel, validate_plan, verdict_to_dict
 
 from .helpers import dataset_of, reference_extract_plan, write_records
 from .test_critics import FakeEndpoint, chat_body

@@ -7,22 +7,17 @@ import pytest
 from plancritic import orchestrator, report
 from plancritic.critics import CriticBackend, CriticConfig, MockCritic
 from plancritic.generators import GenSpec, generate, load_dataset, write_dataset
-from plancritic.orchestrator import (
-    IterationEntry,
-    LoopConfig,
-    MockPlanner,
-    PlannerConfig,
-    RunRecord,
-    StopReason,
-    run_batch,
-)
+from plancritic.orchestrator import LoopConfig, MockPlanner, PlannerConfig, run_batch
 from plancritic.pddl import parse_plan, print_plan
 from plancritic.semantics import validate_plan, verdict_to_dict
 from plancritic.report import (
     REPORT_FORMATS,
+    IterationEntry,
     Metrics,
     MissingProblem,
+    RunRecord,
     StepMetrics,
+    StopReason,
     accuracy_line,
     emit_report,
     metrics_to_dict,

@@ -24,9 +24,9 @@ from plancritic.search import (
     ground_actions,
     run_plan,
 )
-from plancritic.semantics import apply, goal_satisfied, initial_state, validate_plan
+from plancritic.semantics import goal_satisfied, initial_state, validate_plan
 
-from .helpers import is_applicable
+from .helpers import apply, is_applicable
 
 THREE_BLOCKS = """\
 (define (problem three)

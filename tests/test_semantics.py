@@ -24,12 +24,10 @@ from plancritic.search import SearchLimits, bfs_plan, ground_actions
 from plancritic.semantics import (
     Correct,
     GoalNotReached,
-    InapplicableAction,
     PHRASE_CORRECT,
     PHRASE_GOAL_NOT_REACHED,
     PHRASE_WRONG,
     WrongAtStep,
-    apply,
     format_trace,
     format_verdict,
     initial_state,
@@ -37,6 +35,8 @@ from plancritic.semantics import (
 )
 
 from .helpers import (
+    InapplicableAction,
+    apply,
     is_applicable,
     mutate_drop,
     mutate_swap,
