@@ -6,8 +6,8 @@ Subcommands: ``generate`` benchmark instances, ``validate`` a plan,
 records, and ``report`` them in several formats.
 
 Exit codes: 0 on success, 1 for domain-level failures (unparseable PDDL,
-unsolvable instance, backend failures), 2 for usage errors such as missing
-files or bad flags.
+unsolvable instance), 2 for usage errors such as missing files or bad flags.
+A backend failure in ``run`` is filed in its problem's record.
 """
 
 from __future__ import annotations
@@ -451,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _loaded(module: str, name: str) -> tuple:
     """``(plancritic.<module>.<name>,)`` once a command has imported the
     module, else ``()``.  An except clause is evaluated only when an error
-    reaches it, and an error of a loop module can only come from a command
-    that imported it."""
+    reaches it, and an error of a module that commands import lazily can only
+    come from a command that imported it."""
     loaded = sys.modules.get(f"{__package__}.{module}")
     return (getattr(loaded, name),) if loaded else ()
 
@@ -475,7 +475,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         PddlError,
         ValueError,  # takes in prompting.PoolTooSmall
-        *_loaded("llm", "TransportError"),
         *_loaded("report", "MissingProblem"),
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -138,6 +138,10 @@ class CriticConfig(EndpointConfig):
             raise ValueError("self_consistency must be at least 1")
         if self.temperature is not None and not self.temperature >= 0.0:
             raise ValueError("temperature must be non-negative, or None for the default")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be positive")
+        if self.max_concurrency < 1:
+            raise ValueError("max_concurrency must be at least 1")
         for name in ("false_positive", "false_negative"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:

@@ -23,6 +23,7 @@ and domain/problem names across a domain, its problems, and plans.  The
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 from collections import deque
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import Mapping
 
 from . import domains
-from .jsonform import FormError, from_json
+from .jsonform import from_json, read_lines
 from .pddl import (
     Atom,
     DomainDef,
@@ -630,21 +631,8 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """The entries of a manifest, their files relative to its directory;
     DatasetError names a line that is not JSON or not a ``ManifestEntry``."""
     path = Path(path)
-    base = path.parent
-    entries = []
-    with path.open() as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append(from_json(ManifestEntry, json.loads(line), base))
-            except json.JSONDecodeError as exc:
-                raise DatasetError(
-                    f"{path} line {number}: not JSON ({exc.msg} at column {exc.colno})"
-                ) from None
-            except FormError as exc:
-                raise DatasetError(f"{path} line {number}: {exc}") from None
-    return entries
+    read = functools.partial(from_json, ManifestEntry, base=path.parent)
+    return read_lines(path.read_text(), path, read, DatasetError)
 
 
 def _load_instance(

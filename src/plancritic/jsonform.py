@@ -5,7 +5,8 @@ names no field is refused, and a value must be of its field's JSON type (a
 bool is no number; an enum or a ``Path`` is a string).  A value that its
 dataclass refuses, such as a probability above 1, is reported with the path
 of the object that refuses it.  A reader is built once per type; a path is
-put into words only when shown."""
+put into words only when shown.  ``read_lines`` is the one loop over the
+lines of a JSON-lines file, a manifest or a records file."""
 
 import dataclasses
 import functools
@@ -49,6 +50,26 @@ def from_json(cls, data, base: Path = Path()):
     return _reader(cls)(data, base)
 
 
+def read_lines(text: str, path: str | Path, read, error: type[ValueError]) -> list:
+    """``read`` applied to the value of each non-blank line of the JSON-lines
+    text ``text``, read from ``path``; lines end at ``\\n`` alone, so a raw
+    U+2028 inside a string is no line end.  A line that is not JSON, or that
+    ``read`` refuses with a FormError or ``error``, raises ``error`` naming
+    the file and line."""
+    values = []
+    for number, line in enumerate(text.split("\n"), start=1):
+        if line.strip():
+            try:
+                values.append(read(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise error(
+                    f"{path} line {number}: not JSON ({exc.msg} at column {exc.colno})"
+                ) from None
+            except (FormError, error) as exc:
+                raise error(f"{path} line {number}: {exc}") from None
+    return values
+
+
 def _refused(words: str, value) -> FormError:
     shown = json.dumps(value, default=str)
     return FormError(f"must be {words}, got {shown if len(shown) <= 60 else shown[:57] + '...'}")
@@ -73,7 +94,6 @@ def _reader(hint, nullable: bool = False):
             fields = [f for f in dataclasses.fields(hint) if f.init]
             hints = typing.get_type_hints(hint)
             by_key = {f.name: _reader(hints[f.name]) for f in fields}
-            leaves = {name: getattr(r, "leaf", ((), None)) for name, r in by_key.items()}
             required = dict.fromkeys(  # in field order
                 f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING
             )
@@ -96,11 +116,7 @@ def _reader(hint, nullable: bool = False):
                             key = next(key for key in value if key not in by_key)
                             raise FormError("is an unknown key")
                     for key, item in value.items():
-                        kinds, convert = leaves[key]
-                        if type(item) in kinds:  # a leaf's value, read here without a call
-                            items[key] = item if convert is None else convert(base, item)
-                        else:
-                            items[key] = by_key[key](item, base)
+                        items[key] = by_key[key](item, base)
                 else:
                     for key, item in enumerate(value) if origin is tuple else value.items():
                         items[key] = read_item(item, base)
@@ -130,7 +146,4 @@ def _reader(hint, nullable: bool = False):
             elif value is None and nullable:
                 return None
             raise _refused(words, value)
-
-        if not issubclass(hint, Enum):  # an enum's reader checks that a value names a member
-            read.leaf = (kinds, convert)  # what a container needs to read a value without a call
     return read

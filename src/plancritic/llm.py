@@ -87,6 +87,8 @@ class EndpointConfig:
     def __post_init__(self):
         if not self.timeout > 0:
             raise ValueError("timeout must be positive")
+        if not self.requests_per_second >= 0:
+            raise ValueError("requests_per_second must be non-negative, or 0 for no limit")
 
     @property
     def endpoint(self) -> "EndpointConfig":

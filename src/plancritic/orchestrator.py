@@ -88,6 +88,8 @@ class PlannerConfig(EndpointConfig):
         object.__setattr__(self, "backend", PlannerBackend(self.backend))
         if not self.temperature >= 0.0:
             raise ValueError("temperature must be non-negative")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be positive")
         if not 0.0 <= self.golden_prob <= 1.0:
             raise ValueError("golden_prob must be a probability")
         if self.backend is PlannerBackend.LLM:
@@ -260,7 +262,7 @@ def run_problem(
                 IterationEntry(
                     step=step,
                     plan=latest.text,
-                    critic_label=verdict.label.value,
+                    critic_label=verdict.label,
                     votes={label.value: n for label, n in verdict.votes.items()},
                     plan_prompt_chars=len(plan_prompt),
                     critique_prompt_chars=verdict.prompt_chars,

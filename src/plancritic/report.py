@@ -28,7 +28,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .jsonform import FormError, from_json
+from .jsonform import from_json, read_lines
 from .pddl import DomainDef, ProblemDef, parse_plan
 from .report_formats import REPORT_FORMATS
 from .semantics import CritiqueLabel, validate_plan
@@ -50,8 +50,8 @@ class StopReason(str, Enum):
 class IterationEntry:
     step: int
     plan: str
-    critic_label: str
-    votes: dict[str, int]
+    critic_label: CritiqueLabel
+    votes: dict[str, int]  # by label value
     plan_prompt_chars: int
     critique_prompt_chars: int
 
@@ -59,7 +59,8 @@ class IterationEntry:
 @dataclass(frozen=True)
 class RunRecord:
     """One problem's run: rounds 0..n-1, n <= max_steps + 1, of which only
-    the last can be accepted, and the plan that stands."""
+    the last can be accepted (and is, exactly when the run stopped as
+    critic-accepted), and the plan that stands."""
 
     problem_id: str
     max_steps: int
@@ -74,6 +75,9 @@ class RunRecord:
 
 class MalformedRecord(ValueError):
     """A records line that the loop cannot have written."""
+
+
+_LABELS = frozenset(label.value for label in CritiqueLabel)
 
 
 def record_to_dict(record: RunRecord) -> dict:
@@ -94,26 +98,27 @@ def record_from_dict(data: dict) -> RunRecord:
         raise MalformedRecord(f"round steps {steps} are not 0..{len(steps) - 1}")
     if len(steps) > record.max_steps + 1:
         raise MalformedRecord(f"{len(steps)} rounds for max_steps {record.max_steps}")
-    if any(e.critic_label == CritiqueLabel.CORRECT.value for e in record.iterations[:-1]):
+    if any(e.critic_label == CritiqueLabel.CORRECT for e in record.iterations[:-1]):
         raise MalformedRecord("a round before the last is labelled correct")
+    for entry in record.iterations:
+        for label in entry.votes:
+            if label not in _LABELS:
+                raise MalformedRecord(
+                    f"round {entry.step} has votes for {json.dumps(label)}, which is no label"
+                )
+    accepted = record.stop_reason is StopReason.CRITIC_ACCEPTED
+    if accepted != (bool(steps) and record.iterations[-1].critic_label == CritiqueLabel.CORRECT):
+        raise MalformedRecord(
+            "stop reason critic-accepted without a last round labelled correct" if accepted
+            else f"a last round labelled correct with stop reason {record.stop_reason.value}"
+        )
     return record
 
 
 def parse_records(text: str, path: str | Path) -> list[RunRecord]:
     """The records of the records file text ``text``, read from ``path``;
     raises MalformedRecord, with the file and line, for a line that is not one."""
-    records = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            try:
-                records.append(record_from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(
-                    f"{path} line {number}: not JSON ({exc.msg} at column {exc.colno})"
-                ) from None
-            except (FormError, MalformedRecord) as exc:
-                raise MalformedRecord(f"{path} line {number}: {exc}") from None
-    return records
+    return read_lines(text, path, record_from_dict, MalformedRecord)
 
 
 def read_records(path: str | Path) -> list[RunRecord]:
@@ -207,7 +212,7 @@ def score(
         for step, entry in enumerate(record.iterations):
             truth = is_correct[entry.plan]
             n_correct[step] += truth
-            if entry.critic_label == CritiqueLabel.CORRECT.value:
+            if entry.critic_label == CritiqueLabel.CORRECT:
                 cell = "tp" if truth else "fp"
             else:
                 cell = "fn" if truth else "tn"

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import plancritic
-from plancritic import cli, orchestrator, report
+from plancritic import cli, llm, orchestrator, report
 from plancritic.domains import blocksworld_domain
 from plancritic.generators import (
     DECEPTIVE_ACTIONS,
@@ -17,7 +18,6 @@ from plancritic.generators import (
     load_dataset,
     load_manifest,
 )
-from plancritic.llm import TransportError
 from plancritic.pddl import parse_plan, print_domain, print_plan, print_problem
 from plancritic.report import read_records, score
 
@@ -713,9 +713,18 @@ class TestRunScoreReport:
           "critic: base_url 'ftp://x' is not an http or https URL with a host"),
          ({"critic": {"backend": "llm", "base_url": "http://ok", "model": "m",
                       "template": "critique_fewshot"}},
-          "critic: no value for the {self_evaluations_exemplars} placeholder")],
+          "critic: no value for the {self_evaluations_exemplars} placeholder"),
+         ({"k": 1, "planner": {"requests_per_second": -5}},
+          "planner: requests_per_second must be non-negative, or 0 for no limit"),
+         ({"critic": {"requests_per_second": -0.5}},
+          "critic: requests_per_second must be non-negative, or 0 for no limit"),
+         ({"k": 1, "planner": {"max_output_tokens": -1}},
+          "planner: max_output_tokens must be positive"),
+         ({"critic": {"max_output_tokens": 0}}, "critic: max_output_tokens must be positive"),
+         ({"critic": {"max_concurrency": -3}}, "critic: max_concurrency must be at least 1")],
         ids=["planner-timeout", "critic-timeout", "planner-temperature", "critic-temperature",
-             "planner-url", "critic-url", "critic-template"],
+             "planner-url", "critic-url", "critic-template", "planner-rate", "critic-rate",
+             "planner-tokens", "critic-tokens", "critic-concurrency"],
     )
     def test_refused_value_names_its_section(self, tmp_path, capsys, config, refusal):
         """A value a config class refuses is reported with its section when
@@ -937,17 +946,26 @@ class TestRunScoreReport:
         assert cli.main(["score", "--records", str(records), "--manifest", manifest]) == 1
         assert capsys.readouterr().err == "error: 'no-such-problem'\n"
 
-    def test_transport_error_from_run_exits_1(self, dataset_dir, tmp_path, capsys, monkeypatch):
-        def down(*args, **kwargs):
-            raise TransportError("endpoint down")
-
-        monkeypatch.setattr(orchestrator, "run_batch", down)
-        code = cli.main(
-            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
-             "--records", str(tmp_path / "records.jsonl")]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == "error: endpoint down\n"
+    def test_run_against_a_closed_port_files_transport_failures(
+        self, dataset_dir, tmp_path, monkeypatch
+    ):
+        """A backend failure is filed in its problem's record, and the batch
+        goes on: ``run`` exits 0."""
+        with socket.socket() as probe:  # a port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            closed_port = probe.getsockname()[1]
+        monkeypatch.setattr(llm, "MAX_ATTEMPTS", 1)  # no backoff between retries
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 1, "planner": {
+            "backend": "llm", "base_url": f"http://127.0.0.1:{closed_port}/v1", "model": "m"}}))
+        records = tmp_path / "records.jsonl"
+        code = cli.main(["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                         "--records", str(records), "--config", str(config)])
+        assert code == 0
+        read = read_records(records)
+        assert len(read) == 3
+        assert {r.stop_reason for r in read} == {report.StopReason.TRANSPORT_FAILURE}
+        assert all(r.error.startswith("planner: request failed after 1 attempt(s)") for r in read)
 
 
 # each run flag with a value other than its default, and the --config it
@@ -1009,6 +1027,11 @@ class TestRunFlagsSpellConfig:
         built = self.built(tmp_path, ["--planner", "mock-golden"])
         assert built == self.built(tmp_path, config={"planner": {"backend": "mock"}})
         assert built == self.built(tmp_path, [])
+
+
+def _last_round(**change):
+    """A record edit that changes its last round's fields."""
+    return lambda r: {**r, "iterations": [*r["iterations"][:-1], {**r["iterations"][-1], **change}]}
 
 
 class TestRecordRefusal:
@@ -1088,9 +1111,25 @@ class TestRecordRefusal:
             ),
             (lambda r: [r], "the value must be an object, got [{"),
             (lambda r: {**r, "max_steps": 1}, "3 rounds for max_steps 1"),
+            (
+                _last_round(critic_label="Correct!", votes={"bogus": 7}),
+                "'iterations[2].critic_label' must be one of \"correct\", \"wrong\", "
+                "\"goal_not_reached\", got \"Correct!\"",
+            ),
+            (_last_round(votes={"bogus": 7}), "round 2 has votes for \"bogus\", which is no label"),
+            (
+                lambda r: {**r, "stop_reason": "critic-accepted"},
+                "stop reason critic-accepted without a last round labelled correct",
+            ),
+            (
+                _last_round(critic_label="correct", votes={"correct": 1}),
+                "a last round labelled correct with stop reason iterations-exhausted",
+            ),
         ],
         ids=["only-problem-id", "round-without-field", "wrong-type", "bool-for-int",
-             "round-not-object", "unknown-stop-reason", "not-an-object", "rounds-beyond-k"],
+             "round-not-object", "unknown-stop-reason", "not-an-object", "rounds-beyond-k",
+             "unknown-label", "votes-for-no-label", "accepted-after-wrong",
+             "correct-not-accepted"],
     )
     def test_malformed_line_refused(self, records, dataset_dir, tmp_path, capsys, edit, reason):
         lines = records.read_text().splitlines()
@@ -1115,13 +1154,27 @@ def _set(key, value):
     return lambda raw: {**raw, key: value}
 
 
+def _not_json(raw):
+    return "{not json"
+
+
+def _cut_short(raw):
+    return '{"id": "p",'
+
+
+# a line cut short names the column where it ends, on its own line
+CUT_SHORT = "not JSON (Expecting property name enclosed in double quotes at column 12)"
+
+
 class TestOneReadingRule:
     """Every JSON object the program loads is read by one rule: an unknown
     key, a missing required field, ``true`` for an integer and ``null`` for a
     string that takes no null each exit 2 with one error line that names the
     file, the line of a manifest or records file, and the field.  A run
     configuration has no required field (every setting has a default), and a
-    map file has no integer field, so those two pairs have no case."""
+    map file has no integer field, so those two pairs have no case.  The lines
+    of a manifest, of a records file and of a resumed batch's records file are
+    read by one loop, so a fault in each is worded alike."""
 
     CASES = {
         ("config", "unknown-key"): (_set("note", 1), "'note' is an unknown key"),
@@ -1138,6 +1191,10 @@ class TestOneReadingRule:
         ("manifest", "missing"): (_drop("problem_file"), "'problem_file' is missing"),
         ("manifest", "true-for-int"): (_set("seed", True), "'seed' must be an integer, got true"),
         ("manifest", "null-for-str"): (_set("id", None), "'id' must be a string, got null"),
+        ("manifest", "not-json"): (
+            _not_json, "not JSON (Expecting property name enclosed in double quotes at column 2)"
+        ),
+        ("manifest", "cut-short"): (_cut_short, CUT_SHORT),
         ("record", "unknown-key"): (_set("note", 1), "'note' is an unknown key"),
         ("record", "missing"): (_drop("final_plan"), "'final_plan' is missing"),
         ("record", "true-for-int"): (
@@ -1147,14 +1204,44 @@ class TestOneReadingRule:
         ("record", "null-for-str"): (
             _set("problem_id", None), "'problem_id' must be a string, got null"
         ),
+        ("record", "not-json"): (
+            _not_json, "not JSON (Expecting property name enclosed in double quotes at column 2)"
+        ),
+        ("record", "cut-short"): (_cut_short, CUT_SHORT),
     }
+    # a resumed run reads its records file as score does, with the same cases
+    FAULTS = list(CASES) + [
+        ("resumed", fault) for fault in ("unknown-key", "missing", "not-json", "cut-short")
+    ]
 
-    @pytest.mark.parametrize("reader,fault", list(CASES), ids=["-".join(c) for c in CASES])
-    def test_fault_refused(self, dataset_dir, tmp_path, capsys, reader, fault):
-        edit, reason = self.CASES[reader, fault]
+    @staticmethod
+    def _json_lines(reader, dataset_dir, tmp_path, capsys):
+        """``(path, objects, argv)``: the JSON-lines file that ``reader``
+        reads, its lines as objects, and the command that reads it.  ``score``
+        reads a manifest and a records file; a resumed ``run``, with one
+        problem left, reads its records file."""
+        manifest = str(dataset_dir / "manifest.jsonl")
         records = tmp_path / "records.jsonl"
-        records.write_text("")
+        run = ["run", "--manifest", manifest, "--records", str(records), "--k", "1"]
+        assert cli.main(run) == 0
+        capsys.readouterr()
+        raws = [json.loads(line) for line in records.read_text().splitlines()]
+        if reader == "record":
+            return records, raws, ["score", "--records", str(records), "--manifest", manifest]
+        if reader == "resumed":
+            return records, raws[:2], run
+        path = tmp_path / "manifest.jsonl"
+        raws = [json.loads(line) for line in (dataset_dir / "manifest.jsonl").read_text().splitlines()]
+        for raw in raws:
+            for key in ("domain_file", "problem_file", "plan_file"):
+                raw[key] = str(dataset_dir / raw[key])
+        return path, raws, ["score", "--records", str(records), "--manifest", str(path)]
+
+    @pytest.mark.parametrize("reader,fault", FAULTS, ids=["-".join(c) for c in FAULTS])
+    def test_fault_refused(self, dataset_dir, tmp_path, capsys, reader, fault):
+        edit, reason = self.CASES["record" if reader == "resumed" else reader, fault]
         if reader == "config":
+            records = tmp_path / "records.jsonl"
             path, where = tmp_path / "config.json", "bad run configuration: {}: "
             path.write_text(json.dumps(edit({"k": 1})))
             argv = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
@@ -1165,29 +1252,41 @@ class TestOneReadingRule:
             path.write_text(json.dumps(edit(tables)))
             argv = ["obfuscate", "--manifest", str(dataset_dir / "manifest.jsonl"),
                     "--out", str(tmp_path / "obf"), "--map", str(path)]
-        elif reader == "manifest":
-            path, where = tmp_path / "manifest.jsonl", "{} line 2: "
-            lines = (dataset_dir / "manifest.jsonl").read_text().splitlines()
-            raws = [json.loads(line) for line in lines]
-            for raw in raws:
-                for key in ("domain_file", "problem_file", "plan_file"):
-                    raw[key] = str(dataset_dir / raw[key])
-            raws[1] = edit(raws[1])
-            path.write_text("".join(json.dumps(raw) + "\n" for raw in raws))
-            argv = ["score", "--records", str(records), "--manifest", str(path)]
         else:
-            path, where = records, "{} line 1: "
-            assert cli.main(["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
-                             "--records", str(records), "--k", "1"]) == 0
-            capsys.readouterr()
-            lines = records.read_text().splitlines()
-            lines[0] = json.dumps(edit(json.loads(lines[0])))
-            records.write_text("\n".join(lines) + "\n")
-            argv = ["score", "--records", str(records),
-                    "--manifest", str(dataset_dir / "manifest.jsonl")]
+            path, raws, argv = self._json_lines(reader, dataset_dir, tmp_path, capsys)
+            index = 1 if reader == "manifest" else 0
+            where = f"{{}} line {index + 1}: "
+            lines = [json.dumps(raw) for raw in raws]
+            edited = edit(raws[index])
+            lines[index] = edited if isinstance(edited, str) else json.dumps(edited)
+            path.write_text("".join(line + "\n" for line in lines))
+        before = path.read_bytes()
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {where.format(path)}{reason}\n"
+        assert path.read_bytes() == before  # a resumed run appended no record
         assert not (tmp_path / "obf").exists()
+
+    @pytest.mark.parametrize("layout", ["blank-lines", "crlf", "raw-u2028"])
+    @pytest.mark.parametrize("reader", ["manifest", "record", "resumed"])
+    def test_lines_read(self, dataset_dir, tmp_path, capsys, reader, layout):
+        """Blank lines and ``\\r\\n`` line ends read, and a line ends at ``\\n``
+        alone: a raw U+2028 inside a string (``json.dumps`` escapes it, ``jq``
+        writes it as it is) ends no line."""
+        path, raws, argv = self._json_lines(reader, dataset_dir, tmp_path, capsys)
+        path.write_text("".join(json.dumps(raw) + "\n" for raw in raws))
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        if layout == "raw-u2028":
+            raws[0]["benchmark" if reader == "manifest" else "error"] = "line\u2028separator"
+        lines = [json.dumps(raw, ensure_ascii=False) for raw in raws]
+        text = {"blank-lines": "\n \n" + "\n\n".join(lines) + "\n\n",
+                "crlf": "".join(line + "\r\n" for line in lines),
+                "raw-u2028": "".join(line + "\n" for line in lines)}[layout]
+        path.write_bytes(text.encode())
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert capsys.readouterr().out == expected
+        if reader == "resumed":
+            assert len(read_records(path)) == 3
 
 
 class TestManifestRefusal:

@@ -566,9 +566,10 @@ class TestRecordPersistence:
 
     def test_file_round_trip(self, record, tmp_path):
         path = tmp_path / "records.jsonl"
-        failure = dataclasses.replace(
+        failure = dataclasses.replace(  # the critic's call of the last round failed
             record,
             problem_id="p2",
+            iterations=record.iterations[:-1],
             stop_reason=StopReason.TRANSPORT_FAILURE,
             ground_truth=None,
             error="boom",
@@ -620,8 +621,9 @@ class TestRecordLine:
         records = read_records(path)
         accepted = next(r for r in records if r.stop_reason is StopReason.CRITIC_ACCEPTED)
         exhausted = next(r for r in records if r.stop_reason is StopReason.ITERATIONS_EXHAUSTED)
-        no_truth = dataclasses.replace(
-            accepted, stop_reason=StopReason.TRANSPORT_FAILURE, ground_truth=None, error="down"
+        no_truth = dataclasses.replace(  # the critic's call of the last round failed
+            accepted, iterations=accepted.iterations[:-1], stop_reason=StopReason.TRANSPORT_FAILURE,
+            ground_truth=None, error="down",
         )
         write_records(path, [accepted, exhausted, no_truth])
         read_back = read_records(path)
