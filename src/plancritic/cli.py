@@ -6,7 +6,8 @@ Subcommands: ``generate`` benchmark instances, ``validate`` a plan,
 records, and ``report`` them in several formats.
 
 Exit codes: 0 on success, 1 for domain-level failures (unparseable PDDL,
-unsolvable instance), 2 for usage errors such as missing files or bad flags.
+unsolvable instance, a record of a problem the manifest does not list), 2 for
+usage errors such as missing files or bad flags.
 A backend failure in ``run`` is filed in its problem's record.
 """
 
@@ -47,17 +48,12 @@ from .pddl import (
 )
 from .report_formats import REPORT_FORMATS
 from .search import SearchLimits, SearchStatus, bfs_plan
-from .semantics import (
-    format_trace,
-    format_verdict,
-    validate_plan,
-    validation_to_dict,
-)
 
-# the loop's modules (orchestrator, critics, llm, prompting) and the scorer
-# (report) are imported by the commands that use them, so that generate,
-# validate, solve and obfuscate start without them, and score and report
-# without the loop
+# the validator (semantics), the scorer (report) and the loop's modules
+# (orchestrator, critics, llm, prompting) are imported by the commands that
+# use them, so that generate, solve and obfuscate start with none of them,
+# validate with the validator alone, and score and report without the loop;
+# main catches their errors through the bases imported above
 if TYPE_CHECKING:
     from .orchestrator import LoopConfig
     from .report import Metrics
@@ -152,6 +148,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .semantics import format_trace, format_verdict, validate_plan, validation_to_dict
+
     domain = parse_domain(_read_text(args.domain))
     problem = parse_problem(_read_text(args.problem), domain)
     plan = parse_plan(_read_text(args.plan), domain)
@@ -307,6 +305,8 @@ def _cmd_run(args) -> int:
     from .orchestrator import PlannerBackend, run_batch
     from .prompting import build_pool
 
+    if args.parallelism < 1:
+        raise UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
     config, pool_path, pool_seed = _config_from_args(args)
     # golden plans are read only for the mock planner, which replays them
     dataset = load_dataset(args.manifest, with_plans=config.planner.backend is PlannerBackend.MOCK)
@@ -448,15 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _loaded(module: str, name: str) -> tuple:
-    """``(plancritic.<module>.<name>,)`` once a command has imported the
-    module, else ``()``.  An except clause is evaluated only when an error
-    reaches it, and an error of a module that commands import lazily can only
-    come from a command that imported it."""
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return (getattr(loaded, name),) if loaded else ()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -468,14 +459,12 @@ def main(argv: list[str] | None = None) -> int:
         InvalidSpec,
         FileNotFoundError,
         IsADirectoryError,
-        *_loaded("report", "MalformedRecord"),  # a ValueError, so it is tried first
-    ) as exc:
+    ) as exc:  # DatasetError, a ValueError, takes in report.MalformedRecord
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (
         PddlError,
-        ValueError,  # takes in prompting.PoolTooSmall
-        *_loaded("report", "MissingProblem"),
+        ValueError,  # takes in prompting.PoolTooSmall and report.MissingProblem
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

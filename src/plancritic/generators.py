@@ -650,8 +650,9 @@ def load_entry(entry: ManifestEntry) -> tuple[DomainDef, ProblemDef, Plan | None
 
 
 class DatasetError(ValueError):
-    """A manifest that cannot be loaded as one dataset (a malformed line,
-    empty, mixing domains, or listing an id twice)."""
+    """An input file that cannot be loaded: a manifest that is not one dataset
+    (a malformed line, empty, mixing domains, or listing an id twice), or a
+    records line that is not a record (``report.MalformedRecord``)."""
 
 
 @dataclass(frozen=True)

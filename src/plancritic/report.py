@@ -28,6 +28,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .generators import DatasetError
 from .jsonform import from_json, read_lines
 from .pddl import DomainDef, ProblemDef, parse_plan
 from .report_formats import REPORT_FORMATS
@@ -73,7 +74,7 @@ class RunRecord:
     error: str | None = None
 
 
-class MalformedRecord(ValueError):
+class MalformedRecord(DatasetError):
     """A records line that the loop cannot have written."""
 
 
@@ -131,8 +132,9 @@ def read_records(path: str | Path) -> list[RunRecord]:
 Z_95 = 1.96
 
 
-class MissingProblem(KeyError):
-    pass
+class MissingProblem(ValueError):
+    def __init__(self, problem_id: str):
+        super().__init__(f"records name problem {problem_id!r}, which the manifest does not list")
 
 
 def wald_ci(p: float, n: int) -> float:

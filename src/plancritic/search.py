@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -34,8 +33,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .pddl import Atom, DomainDef, GroundAction, Plan, ProblemDef
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -319,7 +316,6 @@ def bfs_plan(
         state, depth = queue.popleft()
         expanded += 1
         if expanded > limits.max_expanded:
-            log.debug("expansion limit hit after %d states", expanded - 1)
             return SearchResult(
                 SearchStatus.LIMIT_EXCEEDED, None, expanded - 1, len(parent) - 1, operators
             )

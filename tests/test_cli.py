@@ -673,6 +673,19 @@ class TestRunScoreReport:
         )
         assert not records.exists()
 
+    @pytest.mark.parametrize("parallelism", ["0", "-3"])
+    def test_parallelism_below_1_exits_2(self, dataset_dir, tmp_path, capsys, parallelism):
+        records = tmp_path / "r.jsonl"
+        code = cli.main(
+            ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records),
+             "--parallelism", parallelism]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --parallelism must be at least 1, got {parallelism}\n"
+        )
+        assert not records.exists()
+
     @pytest.mark.parametrize(
         "config",
         [{"shots": 0, "transcript_budget": "abc"}, {"k": 2.5}, {"k": True}, {"k": "2"},
@@ -944,7 +957,9 @@ class TestRunScoreReport:
         records.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert cli.main(["score", "--records", str(records), "--manifest", manifest]) == 1
-        assert capsys.readouterr().err == "error: 'no-such-problem'\n"
+        assert capsys.readouterr().err == (
+            "error: records name problem 'no-such-problem', which the manifest does not list\n"
+        )
 
     def test_run_against_a_closed_port_files_transport_failures(
         self, dataset_dir, tmp_path, monkeypatch
@@ -1489,22 +1504,35 @@ def _modules_loaded(argv: list[str], cwd: Path) -> set[str]:
     return set(result.stdout.splitlines()[-1].split())
 
 
+LOOP_AND_HTTP = {
+    "plancritic.orchestrator", "plancritic.critics", "plancritic.llm", "plancritic.prompting",
+    "http.client", "ssl", "concurrent.futures",
+}
+
+
 def test_cli_imports_no_third_party_module(tmp_path):
-    """Neither the import nor a ``generate --solve`` run loads a third-party
-    module, or any module of the refinement loop and its HTTP client."""
+    """Neither the import nor a ``generate --solve``, ``solve`` or
+    ``obfuscate`` run loads a third-party module, the validator, the scorer,
+    ``logging``, or any module of the refinement loop and its HTTP client;
+    ``validate`` loads the validator and still none of the others."""
     generate = ["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
                 "--count", "2", "--out", "ds", "--solve"]
-    for argv in ([], generate):
+    solve = ["solve", "--domain", "ds/domain.pddl", "--problem", "ds/blocksworld-1-0000.pddl"]
+    obfuscate = ["obfuscate", "--manifest", "ds/manifest.jsonl", "--out", "obf"]
+    forbidden = LOOP_AND_HTTP | {"plancritic.report", "plancritic.semantics", "logging"}
+    for argv in ([], generate, solve, obfuscate):
         loaded = _modules_loaded(argv, tmp_path)
         packages = {m.partition(".")[0] for m in loaded}
         assert "plancritic.cli" in loaded
         assert not packages & {"requests", "urllib3", "certifi", "charset_normalizer", "idna"}
-        assert not loaded & {
-            "plancritic.orchestrator", "plancritic.critics", "plancritic.llm",
-            "plancritic.prompting", "plancritic.report",
-            "http.client", "ssl", "concurrent.futures",
-        }, argv
+        assert not loaded & forbidden, argv
     assert (tmp_path / "ds" / "blocksworld-1-0001.plan").is_file()
+    assert (tmp_path / "obf" / "manifest.jsonl").is_file()
+    validate = ["validate", "--domain", "ds/domain.pddl",
+                "--problem", "ds/blocksworld-1-0000.pddl", "--plan", "ds/blocksworld-1-0000.plan"]
+    loaded = _modules_loaded(validate, tmp_path)
+    assert "plancritic.semantics" in loaded
+    assert not loaded & (LOOP_AND_HTTP | {"plancritic.report", "logging"})
 
 
 def test_scoring_loads_no_loop_module(dataset_dir, tmp_path):
@@ -1516,10 +1544,7 @@ def test_scoring_loads_no_loop_module(dataset_dir, tmp_path):
                  ["report", "--records", records, "--manifest", manifest, "--out-dir", "out"]):
         loaded = _modules_loaded(argv, tmp_path)
         assert "plancritic.report" in loaded
-        assert not loaded & {
-            "plancritic.orchestrator", "plancritic.critics", "plancritic.llm",
-            "plancritic.prompting", "http.client", "ssl", "concurrent.futures",
-        }, argv
+        assert not loaded & LOOP_AND_HTTP, argv
     assert (tmp_path / "out" / "report.txt").is_file()
 
 
