@@ -38,7 +38,7 @@ from .generators import (
     nonspecific_map,
     obfuscate_dataset,
 )
-from .jsonform import FormError, RefusedValue, from_json
+from .jsonform import AtLeast, FormError, OutOfRange, RefusedValue, from_json
 from .pddl import (
     PddlError,
     parse_domain,
@@ -110,13 +110,8 @@ LIMIT_FIELDS = ("max_expanded", "max_plan_length")
 
 
 def _limits_from_args(args) -> SearchLimits:
-    """The search limits given; the parser sets a limit flag only when it is
-    given, so ``SearchLimits`` holds the defaults."""
-    given = {name: vars(args)[name] for name in LIMIT_FIELDS if name in vars(args)}
-    try:
-        return SearchLimits(**given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    """The limits given: the parser sets only the limit flags given."""
+    return SearchLimits(**{name: vars(args)[name] for name in LIMIT_FIELDS if name in vars(args)})
 
 
 def _cmd_generate(args) -> int:
@@ -195,6 +190,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_obfuscate(args) -> int:
+    if Path(args.out).resolve() == Path(args.manifest).resolve().parent:
+        raise UsageError(f"--out {args.out} would overwrite the dataset of --manifest")
     dataset = load_dataset(args.manifest)
     try:
         if args.map:
@@ -305,8 +302,7 @@ def _cmd_run(args) -> int:
     from .orchestrator import PlannerBackend, run_batch
     from .prompting import build_pool
 
-    if args.parallelism < 1:
-        raise UsageError(f"--parallelism must be at least 1, got {args.parallelism}")
+    AtLeast(1).check("--parallelism", args.parallelism)
     config, pool_path, pool_seed = _config_from_args(args)
     # golden plans are read only for the mock planner, which replays them
     dataset = load_dataset(args.manifest, with_plans=config.planner.backend is PlannerBackend.MOCK)
@@ -453,19 +449,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        UsageError,
-        DatasetError,
-        InvalidSpec,
-        FileNotFoundError,
-        IsADirectoryError,
-    ) as exc:  # DatasetError, a ValueError, takes in report.MalformedRecord
+    # DatasetError, a ValueError, takes in report.MalformedRecord
+    except (UsageError, DatasetError, InvalidSpec, OutOfRange, FileNotFoundError,
+            FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        PddlError,
-        ValueError,  # takes in prompting.PoolTooSmall and report.MissingProblem
-    ) as exc:
+    # ValueError takes in prompting.PoolTooSmall and report.MissingProblem
+    except (PddlError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -27,8 +27,9 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Annotated, Sequence
 
+from .jsonform import AtLeast, Between
 from .llm import ChatClient, EndpointConfig, split_base_url
 from .pddl import DomainDef, Plan, ProblemDef
 from .prompting import TemplateId, build_critique_prompt, check_critique_template
@@ -117,16 +118,16 @@ class CriticBackend(str, Enum):
 @dataclass(frozen=True)
 class CriticConfig(EndpointConfig):
     backend: CriticBackend = CriticBackend.ORACLE
-    self_consistency: int = 1
+    self_consistency: Annotated[int, AtLeast(1)] = 1
     template: TemplateId = TemplateId.CRITIQUE_0SHOT_DD
-    temperature: float | None = None  # default: 0.0 for N=1, 0.7 otherwise
+    temperature: Annotated[float | None, AtLeast(0)] = None  # None: 0.0 for N=1, else 0.7
     exemplars: tuple[str, ...] = ()
     # llm backend (endpoint fields come from EndpointConfig)
-    max_output_tokens: int = 4096
-    max_concurrency: int = 4  # most votes the critic has in flight at once
+    max_output_tokens: Annotated[int, AtLeast(1)] = 4096
+    max_concurrency: Annotated[int, AtLeast(1)] = 4  # most votes in flight at once
     # mock backend
-    false_positive: float = 0.0
-    false_negative: float = 0.0
+    false_positive: Annotated[float, Between(0, 1)] = 0.0
+    false_negative: Annotated[float, Between(0, 1)] = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -134,18 +135,6 @@ class CriticConfig(EndpointConfig):
         object.__setattr__(self, "backend", CriticBackend(self.backend))
         object.__setattr__(self, "template", TemplateId(self.template))
         object.__setattr__(self, "exemplars", tuple(self.exemplars))
-        if self.self_consistency < 1:
-            raise ValueError("self_consistency must be at least 1")
-        if self.temperature is not None and not self.temperature >= 0.0:
-            raise ValueError("temperature must be non-negative, or None for the default")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be positive")
-        if self.max_concurrency < 1:
-            raise ValueError("max_concurrency must be at least 1")
-        for name in ("false_positive", "false_negative"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be a probability")
         if self.backend is CriticBackend.LLM:
             split_base_url(self.base_url)
             check_critique_template(self.template, self.exemplars)

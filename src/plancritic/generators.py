@@ -30,10 +30,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Annotated, Mapping
 
 from . import domains
-from .jsonform import from_json, read_lines
+from .jsonform import AtLeast, Between, check_bounds, from_json, read_lines
 from .pddl import (
     Atom,
     DomainDef,
@@ -74,57 +74,40 @@ class InvalidSpec(ValueError):
 class GenSpec:
     benchmark: Benchmark
     seed: int
-    count: int
+    count: Annotated[int, AtLeast(1)]
     # blocksworld
-    blocks: int | None = None
+    blocks: Annotated[int | None, Between(2, 20)] = None
     # logistics
-    cities: int | None = None
-    places_per_city: int | None = None
-    packages: int | None = None
-    trucks: int | None = None
-    airplanes: int | None = None
+    cities: Annotated[int | None, AtLeast(1)] = None
+    places_per_city: Annotated[int | None, AtLeast(1)] = None
+    packages: Annotated[int | None, AtLeast(0)] = None
+    trucks: Annotated[int | None, AtLeast(0)] = None
+    airplanes: Annotated[int | None, AtLeast(0)] = None
     # minigrid
-    grid_width: int | None = None
-    grid_height: int | None = None
-    keys: int | None = None  # 0 for minigrid when not given
+    grid_width: Annotated[int | None, AtLeast(1)] = None
+    grid_height: Annotated[int | None, AtLeast(1)] = None
+    keys: Annotated[int | None, AtLeast(0)] = None  # 0 for minigrid when not given
 
     def __post_init__(self):
         object.__setattr__(self, "benchmark", Benchmark(self.benchmark))
-        if self.count < 0:
-            raise InvalidSpec("count must be non-negative")
+        check_bounds(self)
         b = self.benchmark
-        foreign = [
-            name
-            for other, names in SIZE_FIELDS.items()
-            if other is not b
-            for name in names
-            if getattr(self, name) is not None
-        ]
+        foreign = [name for other, names in SIZE_FIELDS.items() if other is not b
+                   for name in names if getattr(self, name) is not None]
         if foreign:
             raise InvalidSpec(f"{b.value} takes no {', '.join(foreign)}")
         if b is Benchmark.MINIGRID and self.keys is None:
             object.__setattr__(self, "keys", 0)
-        if b is Benchmark.BLOCKSWORLD:
-            if self.blocks is None or not 2 <= self.blocks <= 20:
-                raise InvalidSpec("blocksworld needs a block count in [2, 20]")
-        elif b is Benchmark.LOGISTICS:
-            for name in SIZE_FIELDS[b]:
-                value = getattr(self, name)
-                if value is None or value < 0:
-                    raise InvalidSpec(f"logistics needs a non-negative {name}")
-            if self.cities < 1 or self.places_per_city < 1:
-                raise InvalidSpec("logistics needs at least one city and one place per city")
+        missing = [name for name in SIZE_FIELDS[b] if getattr(self, name) is None]
+        if missing:
+            raise InvalidSpec(f"{b.value} needs {', '.join(missing)}")
+        if b is Benchmark.LOGISTICS:
             if self.trucks < self.cities and self.places_per_city > 1:
                 raise InvalidSpec("logistics needs one truck per city to stay solvable")
             if self.airplanes < 1 and self.cities > 1:
                 raise InvalidSpec("multi-city logistics needs an airplane")
             if self.packages > 0 and self.cities * self.places_per_city < 2:
                 raise InvalidSpec("deliveries need at least two places")
-        elif b is Benchmark.MINIGRID:
-            if self.grid_width is None or self.grid_height is None:
-                raise InvalidSpec("minigrid needs grid_width and grid_height")
-            if self.grid_width < 1 or self.grid_height < 1 or self.keys < 0:
-                raise InvalidSpec("minigrid sizes must be positive (keys may be zero)")
 
     @classmethod
     def blocksworld(cls, blocks: int, seed: int, count: int) -> "GenSpec":
@@ -150,15 +133,8 @@ class GenSpec:
     def minigrid(cls, width: int, height: int, keys: int, seed: int, count: int) -> "GenSpec":
         return cls(Benchmark.MINIGRID, seed, count, grid_width=width, grid_height=height, keys=keys)
 
-    def params(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            if f.name in ("benchmark", "seed", "count"):
-                continue
-            value = getattr(self, f.name)
-            if value is not None:
-                out[f.name] = value
-        return out
+    def params(self) -> dict:  # the benchmark's sizes, each of which the spec holds
+        return {name: getattr(self, name) for name in SIZE_FIELDS[self.benchmark]}
 
 
 def _rng_for(spec: GenSpec, index: int) -> random.Random:

@@ -6,7 +6,9 @@ bool is no number; an enum or a ``Path`` is a string).  A value that its
 dataclass refuses, such as a probability above 1, is reported with the path
 of the object that refuses it.  A reader is built once per type; a path is
 put into words only when shown.  ``read_lines`` is the one loop over the
-lines of a JSON-lines file, a manifest or a records file."""
+lines of a JSON-lines file, a manifest or a records file.  ``check_bounds``,
+run by a dataclass's ``__post_init__``, enforces the range each field's
+annotation states (``k: Annotated[int, AtLeast(0)]``), however it is built."""
 
 import dataclasses
 import functools
@@ -42,6 +44,61 @@ class RefusedValue(FormError):
 
     def __str__(self):
         return f"{self.where}: {self.args[0]}" if self.where else self.args[0]
+
+
+class OutOfRange(ValueError):
+    """A value outside the range its field's annotation states."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Bound:
+    """A field's range, stated in its annotation by a subclass; NaN is in no range."""
+
+    low: float
+    high: float = float("inf")
+
+    def holds(self, value) -> bool:
+        return self.low <= value <= self.high
+
+    def check(self, name: str, value) -> None:
+        if not self.holds(value):  # 2.0 is shown as 2, as a flag or a JSON value may give it
+            raise OutOfRange(f"{name} must be {self}, got {str(value).removesuffix('.0')}")
+
+    def __str__(self):
+        return self.words.format(self.low, self.high)
+
+
+class AtLeast(Bound):
+    words = "at least {}"
+
+
+class Between(Bound):
+    words = "between {} and {}"
+
+
+class Above(Bound):
+    words = "greater than {}"
+
+    def holds(self, value) -> bool:
+        return self.low < value <= self.high
+
+
+@functools.cache
+def bounds(cls) -> tuple[tuple[str, Bound, bool], ...]:
+    """(field, bound, nullable) for each bound that the annotations of the
+    dataclass ``cls`` state, in field order."""
+    hints = typing.get_type_hints(cls, include_extras=True).items()
+    return tuple((name, bound, type(None) in typing.get_args(hint.__origin__))
+                 for name, hint in hints if typing.get_origin(hint) is typing.Annotated
+                 for bound in hint.__metadata__ if isinstance(bound, Bound))
+
+
+def check_bounds(obj) -> None:
+    """Raise OutOfRange for the first field of the dataclass ``obj`` outside
+    its stated range; a null passes the range of a field that may be null."""
+    for name, bound, nullable in bounds(type(obj)):
+        if getattr(obj, name) is not None or not nullable:
+            bound.check(name, getattr(obj, name))
 
 
 def from_json(cls, data, base: Path = Path()):

@@ -26,7 +26,10 @@ import time
 import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import Annotated
 from urllib.parse import urlsplit
+
+from .jsonform import Above, AtLeast, check_bounds
 
 log = logging.getLogger(__name__)
 
@@ -80,15 +83,11 @@ class EndpointConfig:
     base_url: str = ""
     model: str = ""
     api_key_env: str = "PLANCRITIC_API_KEY"
-    requests_per_second: float = 0.0
-    timeout: float = 120.0
+    requests_per_second: Annotated[float, AtLeast(0)] = 0.0  # 0 for no limit
+    timeout: Annotated[float, Above(0)] = 120.0
     debug_log: str | None = None
 
-    def __post_init__(self):
-        if not self.timeout > 0:
-            raise ValueError("timeout must be positive")
-        if not self.requests_per_second >= 0:
-            raise ValueError("requests_per_second must be non-negative, or 0 for no limit")
+    __post_init__ = check_bounds  # the planner's and the critic's fields too
 
     @property
     def endpoint(self) -> "EndpointConfig":

@@ -36,10 +36,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Annotated, Mapping, Sequence
 
 from .critics import Critic, CriticConfig, make_critic
 from .generators import Dataset, ManifestEntry
+from .jsonform import AtLeast, Between, check_bounds
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url
 from .pddl import DomainDef, Plan, ProblemDef, print_plan, read_step
 from .prompting import (
@@ -77,21 +78,15 @@ class PlannerBackend(str, Enum):
 class PlannerConfig(EndpointConfig):
     backend: PlannerBackend = PlannerBackend.MOCK
     # llm backend (endpoint fields come from EndpointConfig)
-    temperature: float = 0.0
-    max_output_tokens: int = 2048
+    temperature: Annotated[float, AtLeast(0)] = 0.0
+    max_output_tokens: Annotated[int, AtLeast(1)] = 2048
     # mock backend
-    golden_prob: float = 1.0
+    golden_prob: Annotated[float, Between(0, 1)] = 1.0
     seed: int = 0
 
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "backend", PlannerBackend(self.backend))
-        if not self.temperature >= 0.0:
-            raise ValueError("temperature must be non-negative")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be positive")
-        if not 0.0 <= self.golden_prob <= 1.0:
-            raise ValueError("golden_prob must be a probability")
         if self.backend is PlannerBackend.LLM:
             split_base_url(self.base_url)
 
@@ -159,19 +154,13 @@ def make_planner(
 
 @dataclass(frozen=True)
 class LoopConfig:
-    k: int = 10  # critique-and-retry budget after the baseline attempt
-    shots: int = 0  # few-shot exemplars per plan prompt; above 0 needs a pool
-    transcript_budget: int | None = 400_000  # characters; None disables the cap
+    k: Annotated[int, AtLeast(0)] = 10  # critique-and-retry rounds after the baseline
+    shots: Annotated[int, AtLeast(0)] = 0  # exemplars per plan prompt; above 0 needs a pool
+    transcript_budget: Annotated[int | None, AtLeast(1)] = 400_000  # characters; None: no cap
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     critic: CriticConfig = field(default_factory=CriticConfig)
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
-        if self.shots < 0:
-            raise ValueError("shots must be non-negative")
-        if self.transcript_budget is not None and self.transcript_budget < 1:
-            raise ValueError("transcript_budget must be positive, or None for no cap")
+    __post_init__ = check_bounds
 
 
 _NUMBERING = re.compile(r"^(\d+[.)]\s*|[-*]\s+)")

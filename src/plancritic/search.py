@@ -30,19 +30,18 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
+from .jsonform import AtLeast, check_bounds
 from .pddl import Atom, DomainDef, GroundAction, Plan, ProblemDef
 
 
 @dataclass(frozen=True)
 class SearchLimits:
-    max_expanded: int = 200_000
-    max_plan_length: int = 100
+    max_expanded: Annotated[int, AtLeast(1)] = 200_000
+    max_plan_length: Annotated[int, AtLeast(1)] = 100
 
-    def __post_init__(self):
-        if self.max_expanded <= 0 or self.max_plan_length <= 0:
-            raise ValueError("search limits must be positive")
+    __post_init__ = check_bounds
 
 
 class SearchStatus(Enum):

@@ -1,25 +1,38 @@
+import argparse
+import dataclasses
 import importlib
 import json
 import math
 import os
+import pkgutil
+import shutil
 import socket
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import plancritic
 from plancritic import cli, llm, orchestrator, report
+from plancritic.critics import CriticConfig
 from plancritic.domains import blocksworld_domain
 from plancritic.generators import (
     DECEPTIVE_ACTIONS,
     DECEPTIVE_PREDICATES,
+    SIZE_FIELDS,
+    Benchmark,
+    GenSpec,
+    InvalidSpec,
     load_dataset,
     load_manifest,
 )
+from plancritic.jsonform import Above, OutOfRange, bounds
+from plancritic.orchestrator import LoopConfig, PlannerConfig
 from plancritic.pddl import parse_plan, print_domain, print_plan, print_problem
 from plancritic.report import read_records, score
+from plancritic.search import SearchLimits
 
 from .conftest import BW5_PROBLEM_TEXT, CORRECT_PLAN_TEXT, WRONG_PLAN_TEXT
 from .helpers import tree_digest
@@ -124,7 +137,7 @@ class TestGenerate:
              "--count", "1", "--out", str(tmp_path), "--solve", "--max-length", "0"]
         )
         assert code == 2
-        assert "search limits" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: max_plan_length must be at least 1, got 0\n"
 
     def test_search_limit_without_solve_refused(self, tmp_path, capsys):
         code = cli.main(
@@ -278,7 +291,7 @@ class TestSolve:
              "--problem", str(fixture_files["problem"]), "--max-expanded", "0"]
         )
         assert code == 2
-        assert "search limits" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: max_expanded must be at least 1, got 0\n"
 
 
 class TestObfuscate:
@@ -301,6 +314,20 @@ class TestObfuscate:
         )
         assert validate_code == 0
         assert "the plan is correct" in capsys.readouterr().out
+
+    def test_out_of_the_manifest_directory_refused(self, dataset_dir, tmp_path, capsys):
+        """Obfuscating a dataset into its own directory would replace it and
+        keep no inverse map; the command writes nothing."""
+        copy = tmp_path / "data"
+        shutil.copytree(dataset_dir, copy)
+        before = tree_digest(copy)
+        for out in (str(copy), f"{copy}/../{copy.name}/"):
+            code = cli.main(["obfuscate", "--manifest", str(copy / "manifest.jsonl"), "--out", out])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: --out {out} would overwrite the dataset of --manifest\n"
+            )
+        assert tree_digest(copy) == before
 
     def test_map_file(self, dataset_dir, tmp_path):
         mapping = tmp_path / "map.json"
@@ -713,11 +740,12 @@ class TestRunScoreReport:
         "config,refusal",
         [({"k": 1, "planner": {"backend": "llm", "base_url": "http://127.0.0.1:9/v1",
                                "model": "m", "timeout": -1}},
-          "planner: timeout must be positive"),
-         ({"critic": {"backend": "oracle", "timeout": 0}}, "critic: timeout must be positive"),
-         ({"planner": {"temperature": -0.5}}, "planner: temperature must be non-negative"),
+          "planner: timeout must be greater than 0, got -1"),
+         ({"critic": {"backend": "oracle", "timeout": 0}},
+          "critic: timeout must be greater than 0, got 0"),
+         ({"planner": {"temperature": -0.5}}, "planner: temperature must be at least 0, got -0.5"),
          ({"critic": {"backend": "mock", "temperature": -3}},
-          "critic: temperature must be non-negative, or None for the default"),
+          "critic: temperature must be at least 0, got -3"),
          ({"planner": {"backend": "llm", "base_url": "ftp://x", "model": "m"},
            "critic": {"backend": "llm", "base_url": "http://ok", "model": "m"}},
           "planner: base_url 'ftp://x' is not an http or https URL with a host"),
@@ -728,13 +756,15 @@ class TestRunScoreReport:
                       "template": "critique_fewshot"}},
           "critic: no value for the {self_evaluations_exemplars} placeholder"),
          ({"k": 1, "planner": {"requests_per_second": -5}},
-          "planner: requests_per_second must be non-negative, or 0 for no limit"),
+          "planner: requests_per_second must be at least 0, got -5"),
          ({"critic": {"requests_per_second": -0.5}},
-          "critic: requests_per_second must be non-negative, or 0 for no limit"),
+          "critic: requests_per_second must be at least 0, got -0.5"),
          ({"k": 1, "planner": {"max_output_tokens": -1}},
-          "planner: max_output_tokens must be positive"),
-         ({"critic": {"max_output_tokens": 0}}, "critic: max_output_tokens must be positive"),
-         ({"critic": {"max_concurrency": -3}}, "critic: max_concurrency must be at least 1")],
+          "planner: max_output_tokens must be at least 1, got -1"),
+         ({"critic": {"max_output_tokens": 0}},
+          "critic: max_output_tokens must be at least 1, got 0"),
+         ({"critic": {"max_concurrency": -3}},
+          "critic: max_concurrency must be at least 1, got -3")],
         ids=["planner-timeout", "critic-timeout", "planner-temperature", "critic-temperature",
              "planner-url", "critic-url", "critic-template", "planner-rate", "critic-rate",
              "planner-tokens", "critic-tokens", "critic-concurrency"],
@@ -1422,6 +1452,27 @@ class TestGoldenPlansReadOnlyWhereUsed:
         assert cli.main(["run", "--manifest", manifest, "--records", str(tmp_path / "r2.jsonl")]) == 1
 
 
+@pytest.mark.parametrize("command", ["generate", "obfuscate", "report"])
+def test_output_path_that_is_a_file_exits_2(command, dataset_dir, tmp_path, capsys):
+    manifest = str(dataset_dir / "manifest.jsonl")
+    records = tmp_path / "r.jsonl"
+    assert cli.main(["run", "--manifest", manifest, "--records", str(records), "--k", "1"]) == 0
+    capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv = {
+        "generate": ["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
+                     "--count", "1", "--out", str(taken)],
+        "obfuscate": ["obfuscate", "--manifest", manifest, "--out", str(taken)],
+        "report": ["report", "--records", str(records), "--manifest", manifest,
+                   "--out-dir", str(taken)],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert taken.read_text() == "kept\n"
+
+
 class TestArgparseBehavior:
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -1582,3 +1633,144 @@ class TestPackageNames:
 
     def test_dir_lists_all(self):
         assert set(plancritic.__all__) <= set(dir(plancritic))
+
+
+# ---------------------------------------------------------------------------
+# every range a field's annotation states, read as the checker reads it
+
+
+def _bounded_fields() -> list[tuple]:
+    """(class, field, bound, nullable) for each bound of each dataclass that a
+    module of the package defines."""
+    found = []
+    for info in pkgutil.iter_modules(plancritic.__path__):
+        module = importlib.import_module(f"plancritic.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                found += [(cls, *bound) for bound in bounds(cls)]
+    return found
+
+
+BOUNDED = _bounded_fields()
+
+# the sizes of a valid spec of each benchmark, at the low end of every range
+_SIZES = {
+    Benchmark.BLOCKSWORLD: {"blocks": 3},
+    Benchmark.LOGISTICS: {"cities": 1, "places_per_city": 1, "packages": 0, "trucks": 0,
+                          "airplanes": 0},
+    Benchmark.MINIGRID: {"grid_width": 1, "grid_height": 1, "keys": 0},
+}
+
+
+def _valid(cls, name) -> dict:
+    """Keyword arguments of a valid ``cls`` in which ``name`` has a say."""
+    if cls is GenSpec:
+        family = next((b for b, names in SIZE_FIELDS.items() if name in names),
+                      Benchmark.BLOCKSWORLD)
+        return {"benchmark": family.value, "seed": 1, "count": 1, **_SIZES[family]}
+    return {}
+
+
+def _edges(bound, kind) -> tuple[list, list]:
+    """(the values at ``bound``, the values one step past it) of a field of
+    type ``kind``; NaN is past every float bound."""
+    def step(x, towards):
+        return x + (1 if towards > x else -1) if kind is int else math.nextafter(x, towards)
+
+    low = kind(bound.low)
+    if isinstance(bound, Above):
+        inside, outside = [step(low, math.inf)], [low]
+    else:
+        inside, outside = [low], [step(low, -math.inf)]
+    if bound.high < math.inf:
+        inside.append(kind(bound.high))
+        outside.append(step(kind(bound.high), math.inf))
+    return inside, outside + [math.nan] * (kind is float)
+
+
+def _subcommand_flags(command: str) -> dict[str, str]:
+    """{dest: option} of each flag of ``command``."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a.option_strings[0] for a in sub.choices[command]._actions if a.option_strings}
+
+
+_SECTIONS = {"": LoopConfig, "planner": PlannerConfig, "critic": CriticConfig}
+
+
+def _argvs(cls, name, value, paths, tmp_path) -> list[tuple[list[str], Path]]:
+    """(argv, the output it must not create) of each command whose flag or
+    ``--config`` key sets ``name`` of ``cls`` to ``value``."""
+    argvs = []
+    records = tmp_path / "r.jsonl"
+    run = ["run", "--manifest", paths["manifest"], "--records", str(records)]
+    for section, config_class in _SECTIONS.items():
+        if cls is config_class:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({section: {name: value}} if section else {name: value}))
+            argvs.append((run + ["--config", str(config)], records))
+    for flag, (_, keys) in cli.RUN_FLAGS.items():
+        for key in keys.split():
+            section, _, field = key.rpartition(".")
+            if field == name and cls is _SECTIONS.get(section):
+                argvs.append((run + [f"{flag}={value}"], records))
+    generate = _subcommand_flags("generate")
+    out = tmp_path / "out"
+    if cls is GenSpec:
+        values = {**_valid(cls, name), name: value}
+        argvs.append((["generate", "--out", str(out)]
+                      + [f"{generate[dest]}={v}" for dest, v in values.items()], out))
+    if cls is SearchLimits:
+        argvs.append((["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
+                       "--count", "1", "--out", str(out), "--solve",
+                       f"{generate[name]}={value}"], out))
+        argvs.append((["solve", "--domain", paths["domain"], "--problem", paths["problem"],
+                       "--out", str(out), f"{_subcommand_flags('solve')[name]}={value}"], out))
+    return argvs
+
+
+@pytest.mark.parametrize("cls,name,bound,nullable", BOUNDED,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, *_ in BOUNDED])
+def test_every_bound_holds_and_is_refused_by_every_command(
+    cls, name, bound, nullable, dataset_dir, fixture_files, tmp_path, capsys
+):
+    """At its bound a field's value constructs; one step past it, or NaN for
+    a float, raises OutOfRange naming the field, and each run, generate or
+    solve flag and each ``--config`` key that sets the field exits 2 with
+    that one line, leaving no output behind."""
+    hint = typing.get_type_hints(cls)[name]
+    kind = float if float in (hint, *typing.get_args(hint)) else int
+    inside, outside = _edges(bound, kind)
+    valid = _valid(cls, name)
+    for value in inside:
+        assert getattr(cls(**{**valid, name: value}), name) == value
+    if nullable:
+        try:
+            cls(**{**valid, name: None})
+        except InvalidSpec as exc:  # GenSpec's presence rule, not a range
+            assert " needs " in str(exc)
+    paths = {"manifest": str(dataset_dir / "manifest.jsonl"),
+             "domain": str(fixture_files["domain"]), "problem": str(fixture_files["problem"])}
+    for value in outside:
+        message = f"{name} must be {bound}, got {str(value).removesuffix('.0')}"
+        with pytest.raises(OutOfRange) as exc:
+            cls(**{**valid, name: value})
+        assert str(exc.value) == message
+        for argv, output in _argvs(cls, name, value, paths, tmp_path):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.endswith(f"{message}\n"), err
+            assert err.count("\n") == 1, err
+            assert not output.exists(), argv
+
+
+def test_every_flag_bound_is_reached(tmp_path):
+    """The bound test above reaches the command line by every route: a
+    generate size, a search limit, a run flag, and a ``--config`` key of the
+    top level and of a section."""
+    paths = {"manifest": "m", "domain": "d", "problem": "p"}
+    reached = {(cls.__name__, name) for cls, name, bound, _ in BOUNDED
+               if _argvs(cls, name, bound.low, paths, tmp_path)}
+    assert reached >= {("GenSpec", "count"), ("GenSpec", "blocks"),
+                       ("SearchLimits", "max_expanded"), ("LoopConfig", "k"),
+                       ("CriticConfig", "self_consistency"), ("PlannerConfig", "timeout")}

@@ -28,6 +28,7 @@ from plancritic.generators import (
     obfuscate_dataset,
     write_dataset,
 )
+from plancritic.jsonform import OutOfRange
 from plancritic.pddl import Atom, print_domain, print_plan, print_problem
 from plancritic.search import SearchLimits, SearchStatus, bfs_plan
 from plancritic.semantics import WrongAtStep, validate_plan
@@ -38,7 +39,7 @@ from .helpers import inverse_map, mystery_domain, tree_digest
 class TestGenSpec:
     @pytest.mark.parametrize("blocks", [1, 0, 21, -3])
     def test_blocks_out_of_range(self, blocks):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(OutOfRange, match=f"^blocks must be between 2 and 20, got {blocks}$"):
             GenSpec.blocksworld(blocks=blocks, seed=0, count=1)
 
     def test_blocks_range_boundaries(self):
@@ -46,23 +47,28 @@ class TestGenSpec:
         GenSpec.blocksworld(blocks=20, seed=0, count=1)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(OutOfRange, match="^count must be at least 1, got -1$"):
             GenSpec.blocksworld(blocks=3, seed=0, count=-1)
 
-    def test_zero_count_gives_empty_dataset(self):
-        _, problems = generate(GenSpec.blocksworld(blocks=3, seed=0, count=0))
-        assert problems == []
+    def test_zero_count_refused(self):
+        """A dataset of no problems is one that every reader refuses."""
+        with pytest.raises(OutOfRange, match="^count must be at least 1, got 0$"):
+            GenSpec.blocksworld(blocks=3, seed=0, count=0)
 
     def test_logistics_needs_sizes(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(OutOfRange, match="^cities must be at least 1, got 0$"):
             GenSpec(Benchmark.LOGISTICS, 0, 1, cities=0, places_per_city=1,
                     packages=1, trucks=1, airplanes=1)
+        with pytest.raises(InvalidSpec, match="^logistics needs trucks, airplanes$"):
+            GenSpec(Benchmark.LOGISTICS, 0, 1, cities=1, places_per_city=1, packages=1)
 
     def test_minigrid_sizes(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(OutOfRange, match="^grid_width must be at least 1, got 0$"):
             GenSpec.minigrid(width=0, height=2, keys=0, seed=0, count=1)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(OutOfRange, match="^keys must be at least 0, got -1$"):
             GenSpec.minigrid(width=2, height=2, keys=-1, seed=0, count=1)
+        with pytest.raises(InvalidSpec, match="^minigrid needs grid_height$"):
+            GenSpec(Benchmark.MINIGRID, 0, 1, grid_width=2)
 
     def test_minigrid_keys_default_to_zero(self):
         spec = GenSpec(Benchmark.MINIGRID, 0, 1, grid_width=3, grid_height=3)
