@@ -7,7 +7,8 @@ records, and ``report`` them in several formats.
 
 Exit codes: 0 on success, 1 for domain-level failures (unparseable PDDL,
 unsolvable instance, a record of a problem the manifest does not list), 2 for
-usage errors such as missing files or bad flags.
+usage errors such as missing or unreadable files, bad flags, or an output
+path that names an input.
 A backend failure in ``run`` is filed in its problem's record.
 """
 
@@ -67,16 +68,17 @@ class UsageError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"no such file: {path}")
-    return p.read_text()
+def _refuse_overwrite(out: str | None, inputs: dict[str, str | Path | None], flag="--out") -> None:
+    """Raise UsageError, before anything is written, when the output path
+    ``out`` of ``flag`` resolves to one of ``inputs``, each named by what it is."""
+    for name, path in inputs.items():
+        if None not in (out, path) and Path(out).resolve() == Path(path).resolve():
+            raise UsageError(f"{flag} {out} would overwrite {name}")
 
 
 def _read_json(path: str):
     try:
-        return json.loads(_read_text(path))
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: not JSON ({exc.msg} at line {exc.lineno}, column {exc.colno})"
@@ -145,9 +147,9 @@ def _cmd_generate(args) -> int:
 def _cmd_validate(args) -> int:
     from .semantics import format_trace, format_verdict, validate_plan, validation_to_dict
 
-    domain = parse_domain(_read_text(args.domain))
-    problem = parse_problem(_read_text(args.problem), domain)
-    plan = parse_plan(_read_text(args.plan), domain)
+    domain = parse_domain(Path(args.domain).read_text())
+    problem = parse_problem(Path(args.problem).read_text(), domain)
+    plan = parse_plan(Path(args.plan).read_text(), domain)
     result = validate_plan(problem, plan, domain)
     if args.json:
         print(json.dumps(validation_to_dict(result), indent=2, sort_keys=True))
@@ -161,8 +163,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    domain = parse_domain(_read_text(args.domain))
-    problem = parse_problem(_read_text(args.problem), domain)
+    _refuse_overwrite(args.out, {"--domain": args.domain, "--problem": args.problem})
+    domain = parse_domain(Path(args.domain).read_text())
+    problem = parse_problem(Path(args.problem).read_text(), domain)
     result = bfs_plan(domain, problem, _limits_from_args(args))
     if args.stats:
         print(
@@ -190,8 +193,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_obfuscate(args) -> int:
-    if Path(args.out).resolve() == Path(args.manifest).resolve().parent:
-        raise UsageError(f"--out {args.out} would overwrite the dataset of --manifest")
+    _refuse_overwrite(args.out, {"the dataset of --manifest": Path(args.manifest).resolve().parent})
     dataset = load_dataset(args.manifest)
     try:
         if args.map:
@@ -304,6 +306,9 @@ def _cmd_run(args) -> int:
 
     AtLeast(1).check("--parallelism", args.parallelism)
     config, pool_path, pool_seed = _config_from_args(args)
+    # a resumed run cuts a torn last line from its records file, and appends to it
+    _refuse_overwrite(args.records, {"--manifest": args.manifest, "--config": args.config,
+                                     "the pool manifest": pool_path}, "--records")
     # golden plans are read only for the mock planner, which replays them
     dataset = load_dataset(args.manifest, with_plans=config.planner.backend is PlannerBackend.MOCK)
     pool = None
@@ -324,7 +329,7 @@ def _cmd_run(args) -> int:
     )
     stops = Counter(record.stop_reason.value for record in records)
     stop_text = ", ".join(f"{k}={v}" for k, v in sorted(stops.items()))
-    line = report.accuracy_line(records, dataset.domain, dataset.problems)
+    line = report.accuracy_line(records)
     print(f"{line} stops: {stop_text}")
     return EXIT_OK
 
@@ -343,6 +348,7 @@ def _score_records(args) -> Metrics:
 def _cmd_score(args) -> int:
     from . import report
 
+    _refuse_overwrite(args.out, {"--records": args.records, "--manifest": args.manifest})
     text = report.metrics_json(_score_records(args))
     print(text)
     if args.out:
@@ -449,9 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # DatasetError, a ValueError, takes in report.MalformedRecord
-    except (UsageError, DatasetError, InvalidSpec, OutOfRange, FileNotFoundError,
-            FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
+    # DatasetError, a ValueError, takes in report.MalformedRecord; OSError,
+    # a file that cannot be read or written
+    except (UsageError, DatasetError, InvalidSpec, OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # ValueError takes in prompting.PoolTooSmall and report.MissingProblem

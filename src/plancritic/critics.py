@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Annotated, Sequence
 
@@ -33,25 +33,7 @@ from .jsonform import AtLeast, Between
 from .llm import ChatClient, EndpointConfig, split_base_url
 from .pddl import DomainDef, Plan, ProblemDef
 from .prompting import TemplateId, build_critique_prompt, check_critique_template
-from .semantics import (
-    PHRASE_CORRECT,
-    PHRASE_GOAL_NOT_REACHED,
-    PHRASE_WRONG,
-    CritiqueLabel,
-    ValidationResult,
-    format_trace,
-    format_verdict,
-    validate_plan,
-    verdict_phrase,
-)
-
-
-_PHRASES = {
-    CritiqueLabel.CORRECT: PHRASE_CORRECT,
-    CritiqueLabel.WRONG: PHRASE_WRONG,
-    CritiqueLabel.GOAL_NOT_REACHED: PHRASE_GOAL_NOT_REACHED,
-}
-_LABELS = {phrase: label for label, phrase in _PHRASES.items()}
+from .semantics import CritiqueLabel, ValidationResult, format_trace, format_verdict, validate_plan
 
 
 def extract_verdict(text: str) -> CritiqueLabel:
@@ -63,8 +45,8 @@ def extract_verdict(text: str) -> CritiqueLabel:
     lowered = text.lower()
     best_label = CritiqueLabel.WRONG
     best_pos = -1
-    for label, phrase in _PHRASES.items():
-        pos = lowered.rfind(phrase)
+    for label in CritiqueLabel:
+        pos = lowered.rfind(label.phrase)
         if pos > best_pos:
             best_pos = pos
             best_label = label
@@ -96,17 +78,22 @@ def self_consistency(labels: Sequence[CritiqueLabel]) -> CritiqueLabel:
 class CritiqueVerdict:
     label: CritiqueLabel
     text: str  # raw critique text (a representative sample when N > 1)
-    sample_count: int
     votes: dict[CritiqueLabel, int]
     prompt_chars: int = 0  # length of the critique prompt sent; 0 when none was
 
+    @property
+    def sample_count(self) -> int:
+        return sum(self.votes.values())
+
     @classmethod
-    def from_samples(cls, samples: Sequence[tuple[CritiqueLabel, str]]) -> "CritiqueVerdict":
+    def from_samples(
+        cls, samples: Sequence[tuple[CritiqueLabel, str]], prompt_chars: int = 0
+    ) -> "CritiqueVerdict":
         labels = [label for label, _ in samples]
         final = self_consistency(labels)
         votes = {label: labels.count(label) for label in CritiqueLabel if label in labels}
         text = next((t for l, t in samples if l is final), samples[-1][1])
-        return cls(final, text, len(samples), votes)
+        return cls(final, text, votes, prompt_chars)
 
 
 class CriticBackend(str, Enum):
@@ -169,7 +156,7 @@ class Critic:
 def _oracle_sample(result: ValidationResult) -> tuple[CritiqueLabel, str]:
     trace = format_trace(result)
     text = (trace + "\n\n" if trace else "") + format_verdict(result.verdict)
-    return _LABELS[verdict_phrase(result.verdict)], text
+    return result.verdict.label, text
 
 
 class OracleCritic(Critic):
@@ -209,7 +196,7 @@ class MockCritic(Critic):
     def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         if result is None:
             result = validate_plan(problem, plan, domain)
-        true_label = _LABELS[verdict_phrase(result.verdict)]
+        true_label = result.verdict.label
         rng = random.Random(f"critic:{self.config.seed}:{problem_id}:{iteration}")
         samples = []
         for _ in range(self.config.self_consistency):
@@ -219,7 +206,7 @@ class MockCritic(Critic):
                     label = CritiqueLabel.WRONG
             elif rng.random() < self.config.false_positive:
                 label = CritiqueLabel.CORRECT
-            samples.append((label, f"Assessment: {_PHRASES[label]}"))
+            samples.append((label, f"Assessment: {label.phrase}"))
         return CritiqueVerdict.from_samples(samples)
 
 
@@ -247,7 +234,7 @@ class LlmCritic(Critic):
 
         votes = range(self.config.self_consistency)
         samples = list(self._pool.map(one, votes) if self._pool else map(one, votes))
-        return replace(CritiqueVerdict.from_samples(samples), prompt_chars=len(prompt))
+        return CritiqueVerdict.from_samples(samples, len(prompt))
 
     def close(self) -> None:
         if self._pool is not None:

@@ -582,8 +582,14 @@ def _write_files(
 ) -> Path:
     """Write ``domain.pddl``, each entry's problem file and plan file (when it
     names one) under the entry's file names, and ``manifest.jsonl`` with one
-    line per entry.  Returns the manifest path."""
+    line per entry.  The files in ``out_dir`` that a manifest there listed
+    and the new one does not are deleted; a manifest there that does not load
+    raises DatasetError before anything is written.  Returns the manifest path."""
     out = Path(out_dir)
+    manifest = out / "manifest.jsonl"
+    old = load_manifest(manifest) if manifest.exists() else []
+    stale = {path for entry in old for path in (entry.problem_file, entry.plan_file)
+             if path is not None and path.parent == out}
     out.mkdir(parents=True, exist_ok=True)
     (out / "domain.pddl").write_text(print_domain(domain) + "\n")
     lines = []
@@ -591,15 +597,19 @@ def _write_files(
         # vars, not dataclasses.asdict, which would deep-copy params
         record = dict(vars(entry), domain_file="domain.pddl", problem_file=entry.problem_file.name)
         (out / entry.problem_file.name).write_text(print_problem(problem) + "\n")
+        stale.discard(out / entry.problem_file.name)
         if entry.plan_file is None:
             del record["plan_file"]
         else:
             record["plan_file"] = entry.plan_file.name
             text = print_plan(plan)
             (out / entry.plan_file.name).write_text(text + "\n" if text else "")
+            stale.discard(out / entry.plan_file.name)
         lines.append(json.dumps(record, sort_keys=True) + "\n")
-    manifest = out / "manifest.jsonl"
     manifest.write_text("".join(lines))
+    for path in stale - {manifest, out / "domain.pddl"}:
+        if path.is_file():
+            path.unlink()
     return manifest
 
 

@@ -136,8 +136,8 @@ def _refused(words: str, value) -> FormError:
 def _reader(hint, nullable: bool = False):
     """A function ``(value, base)`` that returns ``value`` read as ``hint``,
     or None for null when ``nullable``.  The reader of an array, a mapping or
-    a dataclass reads each item, and puts a refused item's index or key in
-    front of the error's path."""
+    a dataclass reads each item (and each key of a mapping, as its key type),
+    and puts a refused item's index or key in front of the error's path."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None, the one union the program declares
         (some,) = [arg for arg in args if arg is not type(None)]
@@ -156,6 +156,7 @@ def _reader(hint, nullable: bool = False):
             )
         else:
             read_item = _reader(args[0] if origin is tuple else args[1])
+            read_key = None if origin is tuple else _reader(args[0])
 
         def read(value, base):
             if type(value) is not (list if origin is tuple else dict):
@@ -174,9 +175,12 @@ def _reader(hint, nullable: bool = False):
                             raise FormError("is an unknown key")
                     for key, item in value.items():
                         items[key] = by_key[key](item, base)
-                else:
-                    for key, item in enumerate(value) if origin is tuple else value.items():
+                elif origin is tuple:
+                    for key, item in enumerate(value):
                         items[key] = read_item(item, base)
+                else:
+                    for key, item in value.items():
+                        items[read_key(key, base)] = read_item(item, base)
             except FormError as exc:
                 exc.path = (key, *exc.path)
                 raise

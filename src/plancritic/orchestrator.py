@@ -252,7 +252,7 @@ def run_problem(
                     step=step,
                     plan=latest.text,
                     critic_label=verdict.label,
-                    votes={label.value: n for label, n in verdict.votes.items()},
+                    votes=verdict.votes,
                     plan_prompt_chars=len(plan_prompt),
                     critique_prompt_chars=verdict.prompt_chars,
                 )
@@ -295,15 +295,17 @@ def _resume_records(path: Path) -> list[RunRecord]:
 
     Every record is written as one whole line, so a last line without its
     newline was torn by a crash mid-write: it is dropped and cut from the
-    file, so that new records append after the last whole one.
+    file, so that new records append after the last whole one.  It is cut
+    only once the whole lines have read as records.
     """
     data = path.read_bytes()
     whole = data.rfind(b"\n") + 1
+    records = parse_records(data[:whole].decode(), path)
     if whole < len(data):
         log.warning("%s: dropping a torn last record line (%d bytes)", path, len(data) - whole)
         with path.open("r+b") as fh:
             fh.truncate(whole)
-    return parse_records(data[:whole].decode(), path)
+    return records
 
 
 # ---------------------------------------------------------------------------

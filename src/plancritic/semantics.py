@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 from .pddl import (
     ATOM_ORDER,
@@ -47,24 +48,6 @@ from .pddl import (
 State = frozenset[Atom]
 
 
-@dataclass(frozen=True)
-class Correct:
-    pass
-
-
-@dataclass(frozen=True)
-class WrongAtStep:
-    step: int  # 1-based index of the first failing action
-    unmet: tuple[Atom, ...]
-
-
-@dataclass(frozen=True)
-class GoalNotReached:
-    unsatisfied: tuple[Atom, ...]
-
-
-PlanVerdict = Correct | WrongAtStep | GoalNotReached
-
 # the assessment phrases critics are asked to conclude with
 PHRASE_CORRECT = "the plan is correct"
 PHRASE_WRONG = "the plan is wrong"
@@ -72,11 +55,39 @@ PHRASE_GOAL_NOT_REACHED = "goal not reached"
 
 
 class CritiqueLabel(str, Enum):
-    """A critic's judgement of a plan, one per assessment phrase."""
+    """A critic's judgement of a plan; its value is its name in records, and
+    ``phrase`` the assessment phrase a critique concludes with."""
 
-    CORRECT = "correct"
-    WRONG = "wrong"
-    GOAL_NOT_REACHED = "goal_not_reached"
+    CORRECT = "correct", PHRASE_CORRECT
+    WRONG = "wrong", PHRASE_WRONG
+    GOAL_NOT_REACHED = "goal_not_reached", PHRASE_GOAL_NOT_REACHED
+
+    def __new__(cls, value: str, phrase: str):
+        label = str.__new__(cls, value)
+        label._value_, label.phrase = value, phrase
+        return label
+
+
+# each verdict names the label a critic that agrees with it gives
+@dataclass(frozen=True)
+class Correct:
+    label: ClassVar[CritiqueLabel] = CritiqueLabel.CORRECT
+
+
+@dataclass(frozen=True)
+class WrongAtStep:
+    label: ClassVar[CritiqueLabel] = CritiqueLabel.WRONG
+    step: int  # 1-based index of the first failing action
+    unmet: tuple[Atom, ...]
+
+
+@dataclass(frozen=True)
+class GoalNotReached:
+    label: ClassVar[CritiqueLabel] = CritiqueLabel.GOAL_NOT_REACHED
+    unsatisfied: tuple[Atom, ...]
+
+
+PlanVerdict = Correct | WrongAtStep | GoalNotReached
 
 
 @dataclass(frozen=True)
@@ -200,11 +211,7 @@ def validate_plan(problem: ProblemDef, plan: Plan, domain: DomainDef) -> Validat
 
 
 def verdict_phrase(verdict: PlanVerdict) -> str:
-    if isinstance(verdict, Correct):
-        return PHRASE_CORRECT
-    if isinstance(verdict, WrongAtStep):
-        return PHRASE_WRONG
-    return PHRASE_GOAL_NOT_REACHED
+    return verdict.label.phrase
 
 
 def format_state(state: State) -> str:
@@ -233,14 +240,13 @@ def format_trace(result: ValidationResult) -> str:
 def format_verdict(verdict: PlanVerdict) -> str:
     """Human-readable detail ending with the literal assessment phrase."""
     if isinstance(verdict, Correct):
-        return "all goal atoms hold in the final state.\n" + PHRASE_CORRECT
-    if isinstance(verdict, WrongAtStep):
+        detail = "all goal atoms hold in the final state."
+    elif isinstance(verdict, WrongAtStep):
         unmet = ", ".join(str(a) for a in verdict.unmet)
-        return (
-            f"the preconditions {unmet} are not met at step {verdict.step}.\n" + PHRASE_WRONG
-        )
-    unsat = ", ".join(str(a) for a in verdict.unsatisfied)
-    return f"unsatisfied goal atoms: {unsat}.\n" + PHRASE_GOAL_NOT_REACHED
+        detail = f"the preconditions {unmet} are not met at step {verdict.step}."
+    else:
+        detail = f"unsatisfied goal atoms: {', '.join(str(a) for a in verdict.unsatisfied)}."
+    return detail + "\n" + verdict.label.phrase
 
 
 def verdict_to_dict(verdict: PlanVerdict) -> dict:

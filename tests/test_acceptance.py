@@ -194,9 +194,7 @@ class _ScriptedCritic:
 
     def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         label = C if iteration + 1 >= self.accept_at else W
-        return CritiqueVerdict(
-            label=label, text=f"the plan is {label.value}", sample_count=1, votes={label: 1}
-        )
+        return CritiqueVerdict(label=label, text=f"the plan is {label.value}", votes={label: 1})
 
 
 def test_criterion_04_call_accounting_is_exact(bw_domain, bw5_problem, correct_plan):

@@ -166,6 +166,34 @@ class TestGenerate:
         assert err == "error: --preset is for the logistics benchmark, not blocksworld\n"
         assert not (tmp_path / "manifest.jsonl").exists()
 
+    def test_regenerating_deletes_the_files_no_longer_listed(self, tmp_path):
+        """A smaller dataset written over a larger one leaves none of the
+        larger one's problem and plan files; a file no manifest listed stays."""
+        args = ["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
+                "--out", str(tmp_path), "--solve", "--count"]
+        assert cli.main(args + ["3"]) == 0
+        (tmp_path / "notes.txt").write_text("kept\n")
+        assert cli.main(args + ["1"]) == 0
+        assert sorted(os.listdir(tmp_path)) == [
+            "blocksworld-1-0000.pddl", "blocksworld-1-0000.plan", "domain.pddl",
+            "manifest.jsonl", "notes.txt",
+        ]
+        assert len(load_manifest(tmp_path / "manifest.jsonl")) == 1
+
+    def test_old_manifest_that_does_not_load_exits_2(self, tmp_path, capsys):
+        """A manifest in --out that does not load names no files to delete, so
+        nothing is written."""
+        (tmp_path / "manifest.jsonl").write_text("{not json\n")
+        before = tree_digest(tmp_path)
+        code = cli.main(["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
+                         "--count", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'manifest.jsonl'} line 1: not JSON "
+            "(Expecting property name enclosed in double quotes at column 2)\n"
+        )
+        assert tree_digest(tmp_path) == before
+
 
 class TestValidate:
     def test_correct_plan(self, fixture_files, capsys):
@@ -328,6 +356,19 @@ class TestObfuscate:
                 f"error: --out {out} would overwrite the dataset of --manifest\n"
             )
         assert tree_digest(copy) == before
+
+    def test_regenerating_deletes_the_files_no_longer_listed(self, dataset_dir, tmp_path):
+        out = tmp_path / "mystery"
+        assert cli.main(["obfuscate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                         "--out", str(out)]) == 0
+        one = tmp_path / "one"  # the first of dataset_dir's three problems
+        assert cli.main(["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "7",
+                         "--count", "1", "--out", str(one), "--solve"]) == 0
+        assert cli.main(["obfuscate", "--manifest", str(one / "manifest.jsonl"),
+                         "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == [
+            "blocksworld-7-0000.pddl", "blocksworld-7-0000.plan", "domain.pddl", "manifest.jsonl",
+        ]
 
     def test_map_file(self, dataset_dir, tmp_path):
         mapping = tmp_path / "map.json"
@@ -971,6 +1012,19 @@ class TestRunScoreReport:
         )
         assert code == 2
 
+    def test_records_file_that_is_not_records_is_left_as_it_was(self, dataset_dir, tmp_path, capsys):
+        """A file that does not read as records keeps its last line, which
+        would read as a torn record, when the run is refused."""
+        records = tmp_path / "notes.txt"
+        records.write_text("notes\nlast line")
+        code = cli.main(["run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                         "--records", str(records), "--k", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {records} line 1: not JSON (Expecting value at column 1)\n"
+        )
+        assert records.read_text() == "notes\nlast line"
+
     def test_score_missing_records_file(self, dataset_dir, capsys):
         code = cli.main(
             ["score", "--records", "/nonexistent/records.jsonl",
@@ -1161,7 +1215,11 @@ class TestRecordRefusal:
                 "'iterations[2].critic_label' must be one of \"correct\", \"wrong\", "
                 "\"goal_not_reached\", got \"Correct!\"",
             ),
-            (_last_round(votes={"bogus": 7}), "round 2 has votes for \"bogus\", which is no label"),
+            (
+                _last_round(votes={"bogus": 7}),
+                "'iterations[2].votes.bogus' must be one of \"correct\", \"wrong\", "
+                "\"goal_not_reached\", got \"bogus\"",
+            ),
             (
                 lambda r: {**r, "stop_reason": "critic-accepted"},
                 "stop reason critic-accepted without a last round labelled correct",
@@ -1213,8 +1271,9 @@ CUT_SHORT = "not JSON (Expecting property name enclosed in double quotes at colu
 
 class TestOneReadingRule:
     """Every JSON object the program loads is read by one rule: an unknown
-    key, a missing required field, ``true`` for an integer and ``null`` for a
-    string that takes no null each exit 2 with one error line that names the
+    key, a missing required field, ``true`` for an integer, ``null`` for a
+    string that takes no null and a mapping key not of its key type (a vote
+    for no label) each exit 2 with one error line that names the
     file, the line of a manifest or records file, and the field.  A run
     configuration has no required field (every setting has a default), and a
     map file has no integer field, so those two pairs have no case.  The lines
@@ -1248,6 +1307,11 @@ class TestOneReadingRule:
         ),
         ("record", "null-for-str"): (
             _set("problem_id", None), "'problem_id' must be a string, got null"
+        ),
+        ("record", "bad-vote-key"): (
+            lambda raw: {**raw, "iterations": [{**raw["iterations"][0], "votes": {"yes": 1}}]},
+            "'iterations[0].votes.yes' must be one of \"correct\", \"wrong\", "
+            "\"goal_not_reached\", got \"yes\"",
         ),
         ("record", "not-json"): (
             _not_json, "not JSON (Expecting property name enclosed in double quotes at column 2)"
@@ -1471,6 +1535,59 @@ def test_output_path_that_is_a_file_exits_2(command, dataset_dir, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "command,flag", [("score", "--records"), ("score", "--manifest"), ("solve", "--domain"),
+                     ("solve", "--problem"), ("run", "--manifest"), ("run", "--config")],
+)
+def test_output_over_an_input_exits_2(command, flag, dataset_dir, tmp_path, capsys):
+    """No command writes its output over a file it reads: it exits 2 before
+    writing, and every input is left as it was.  The manifest and the config
+    end without a newline, which a resumed run would cut as a torn record."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    manifest, records, config = data / "manifest.jsonl", data / "records.jsonl", data / "k1.json"
+    assert cli.main(["run", "--manifest", str(manifest), "--records", str(records), "--k", "1"]) == 0
+    capsys.readouterr()
+    manifest.write_text(manifest.read_text().rstrip("\n"))
+    config.write_text('{"k": 1}')
+    inputs = {
+        "score": {"--records": records, "--manifest": manifest},
+        "solve": {"--domain": data / "domain.pddl", "--problem": data / "blocksworld-7-0000.pddl"},
+        "run": {"--manifest": manifest, "--config": config},
+    }[command]
+    before = tree_digest(data)
+    out = f"{data}/../{data.name}/{inputs[flag].name}"  # the same file by another spelling
+    out_flag = "--records" if command == "run" else "--out"
+    argv = [command, *(arg for item in inputs.items() for arg in map(str, item)), out_flag, out]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {out_flag} {out} would overwrite {flag}\n"
+    assert tree_digest(data) == before
+
+
+LONG_NAME = "x" * 300  # longer than a file name may be
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1", "--count", "1",
+          "--out", "{tmp}/" + LONG_NAME], "[Errno 36] File name too long: "),
+        (["validate", "--domain", "{tmp}/" + LONG_NAME, "--problem", "{tmp}/p.pddl",
+          "--plan", "{tmp}/p.plan"], "[Errno 36] File name too long: "),
+        (["validate", "--domain", "{tmp}/missing.pddl", "--problem", "{tmp}/p.pddl",
+          "--plan", "{tmp}/p.plan"], "[Errno 2] No such file or directory: '{tmp}/missing.pddl'"),
+    ],
+    ids=["generate-long-out", "validate-long-domain", "validate-missing"],
+)
+def test_file_system_error_exits_2(argv, message, tmp_path, capsys):
+    """A path the system refuses, or a missing input, is one ``error:`` line
+    and exit 2, in the system's wording, whichever command meets it."""
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(tmp=tmp_path)), err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestArgparseBehavior:

@@ -20,9 +20,15 @@ from plancritic.critics import (
     self_consistency,
 )
 from plancritic.llm import ChatClient, EndpointConfig, MalformedResponse, TransportError
-from plancritic.pddl import Plan
+from plancritic.pddl import Atom, Plan
 from plancritic.prompting import MissingPlaceholderValue, TemplateId, build_critique_prompt
-from plancritic.semantics import CritiqueLabel
+from plancritic.semantics import (
+    Correct,
+    CritiqueLabel,
+    GoalNotReached,
+    WrongAtStep,
+    format_verdict,
+)
 
 C = CritiqueLabel.CORRECT
 W = CritiqueLabel.WRONG
@@ -44,6 +50,16 @@ class TestExtractVerdict:
     )
     def test_single_phrase(self, text, expected):
         assert extract_verdict(text) is expected
+
+    @pytest.mark.parametrize(
+        "verdict",
+        [Correct(), WrongAtStep(2, (Atom("clear", ("b1",)),)),
+         GoalNotReached((Atom("on", ("b1", "b2")),))],
+        ids=["correct", "wrong-at-step", "goal-not-reached"],
+    )
+    def test_reads_the_label_of_each_verdict(self, verdict):
+        """The validator's write-up of a verdict reads back as the label the verdict names."""
+        assert extract_verdict(format_verdict(verdict)) is verdict.label
 
     def test_last_occurrence_wins(self):
         text = "the plan is correct... wait, no: the plan is wrong"

@@ -83,7 +83,6 @@ class ScriptedCritic:
         return CritiqueVerdict(
             label=label,
             text=f"the plan is {label.value}",
-            sample_count=self.samples,
             votes={label: self.samples},
         )
 
@@ -136,7 +135,7 @@ class CrashingCritic(ScriptedCritic):
 
     def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         if problem_id not in self.crash_ids:
-            return CritiqueVerdict(label=C, text="the plan is correct", sample_count=1, votes={C: 1})
+            return CritiqueVerdict(label=C, text="the plan is correct", votes={C: 1})
         if iteration == self.at:
             raise RuntimeError("critic bug")
         return super().critique(domain, problem, plan, problem_id=problem_id, iteration=iteration)
@@ -571,7 +570,6 @@ class TestRecordPersistence:
             problem_id="p2",
             iterations=record.iterations[:-1],
             stop_reason=StopReason.TRANSPORT_FAILURE,
-            ground_truth=None,
             error="boom",
         )
         write_records(path, [record, failure])
@@ -623,7 +621,7 @@ class TestRecordLine:
         exhausted = next(r for r in records if r.stop_reason is StopReason.ITERATIONS_EXHAUSTED)
         no_truth = dataclasses.replace(  # the critic's call of the last round failed
             accepted, iterations=accepted.iterations[:-1], stop_reason=StopReason.TRANSPORT_FAILURE,
-            ground_truth=None, error="down",
+            error="down",
         )
         write_records(path, [accepted, exhausted, no_truth])
         read_back = read_records(path)

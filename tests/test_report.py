@@ -194,17 +194,19 @@ class TestScore:
 
 
 class TestAccuracyLine:
-    """``run``'s line has the figures ``score`` computes, whether they are
-    read from the records' ground truth or, where a record has none, from
-    its final plan."""
+    """``run``'s line has the figures ``score`` computes, read from the
+    records' ground truth, which every record holds."""
 
     def expected(self, records, domain, problems):
         metrics = score(records, domain, problems)
         return f"n={metrics.n} accuracy={metrics.accuracy:.4f} ({summary_line(metrics)})"
 
-    def test_without_ground_truth(self, records, bw_domain, problems):
-        assert accuracy_line(records, bw_domain, problems) == self.expected(records, bw_domain, problems)
-        assert accuracy_line(records, bw_domain, problems) == "n=4 accuracy=0.5000 (50.0±49.0)"
+    def test_null_ground_truth_refused(self, records):
+        line = json.dumps(report.record_to_dict(records[0]))
+        assert '"ground_truth": null' in line
+        with pytest.raises(report.MalformedRecord) as refused:
+            report.parse_records(line + "\n", "records.jsonl")
+        assert str(refused.value) == "records.jsonl line 1: 'ground_truth' must be an object, got null"
 
     def test_reads_ground_truth(self, records, bw_domain, problems, monkeypatch):
         with_truth = [
@@ -212,19 +214,15 @@ class TestAccuracyLine:
                 problems[r.problem_id], parse_plan(r.final_plan, bw_domain), bw_domain).verdict))
             for r in records
         ]
-        line = accuracy_line(with_truth[:3], bw_domain, problems)
+        line = accuracy_line(with_truth[:3])
         assert line == self.expected(with_truth[:3], bw_domain, problems)
         monkeypatch.setattr(report, "parse_plan", None)  # never called
-        assert accuracy_line(with_truth[:3], bw_domain, problems) == line
+        assert accuracy_line(with_truth[:3]) == line
+        assert accuracy_line(with_truth) == "n=4 accuracy=0.5000 (50.0±49.0)"
 
-    def test_missing_problem(self, records, bw_domain, problems):
-        del problems["p4"]
-        with pytest.raises(MissingProblem):
-            accuracy_line(records, bw_domain, problems)
-
-    def test_empty_records(self, bw_domain, problems):
+    def test_empty_records(self):
         with pytest.raises(ValueError):
-            accuracy_line([], bw_domain, problems)
+            accuracy_line([])
 
 
 class TestScoreOfALoopRun:
