@@ -359,6 +359,9 @@ def _cmd_score(args) -> int:
 def _cmd_report(args) -> int:
     from . import report
 
+    inputs = {"--records": args.records, "--manifest": args.manifest}
+    for name in REPORT_FORMATS[args.format]:
+        _refuse_overwrite(str(Path(args.out_dir, name)), inputs, "the report file")
     metrics = _score_records(args)
     written = report.emit_report(metrics, args.format, args.out_dir)
     for path in written:

@@ -1,4 +1,4 @@
-"""Plan critics: verdict extraction, self-consistency voting, and backends.
+"""Plan critics: verdict extraction, voted verdicts, and backends.
 
 A critic judges a candidate plan and answers with one of three labels,
 matching the assessment phrases a critique prompt asks for.  Three backends
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +34,8 @@ from .jsonform import AtLeast, Between
 from .llm import ChatClient, EndpointConfig, split_base_url
 from .pddl import DomainDef, Plan, ProblemDef
 from .prompting import TemplateId, build_critique_prompt, check_critique_template
-from .semantics import CritiqueLabel, ValidationResult, format_trace, format_verdict, validate_plan
+from .semantics import CritiqueLabel, ValidationResult, format_trace, format_verdict
+from .semantics import self_consistency, validate_plan
 
 
 def extract_verdict(text: str) -> CritiqueLabel:
@@ -53,33 +55,15 @@ def extract_verdict(text: str) -> CritiqueLabel:
     return best_label
 
 
-def self_consistency(labels: Sequence[CritiqueLabel]) -> CritiqueLabel:
-    """Majority vote over sampled labels.
-
-    The plan counts as correct only when strictly more votes say correct than
-    not; every tie resolves to wrong.  Among not-correct votes, goal-not-
-    reached is reported only when it strictly outnumbers wrong.
-    """
-    if not labels:
-        raise ValueError("no votes to aggregate")
-    n_correct = sum(1 for l in labels if l is CritiqueLabel.CORRECT)
-    n_other = len(labels) - n_correct
-    if n_correct > n_other:
-        return CritiqueLabel.CORRECT
-    if n_correct == n_other:
-        return CritiqueLabel.WRONG
-    n_gnr = sum(1 for l in labels if l is CritiqueLabel.GOAL_NOT_REACHED)
-    if n_gnr > n_other - n_gnr:
-        return CritiqueLabel.GOAL_NOT_REACHED
-    return CritiqueLabel.WRONG
-
-
 @dataclass(frozen=True)
 class CritiqueVerdict:
-    label: CritiqueLabel
     text: str  # raw critique text (a representative sample when N > 1)
     votes: dict[CritiqueLabel, int]
     prompt_chars: int = 0  # length of the critique prompt sent; 0 when none was
+
+    @property
+    def label(self) -> CritiqueLabel:
+        return self_consistency(self.votes)
 
     @property
     def sample_count(self) -> int:
@@ -89,11 +73,10 @@ class CritiqueVerdict:
     def from_samples(
         cls, samples: Sequence[tuple[CritiqueLabel, str]], prompt_chars: int = 0
     ) -> "CritiqueVerdict":
-        labels = [label for label, _ in samples]
-        final = self_consistency(labels)
-        votes = {label: labels.count(label) for label in CritiqueLabel if label in labels}
+        votes = dict(Counter(label for label, _ in samples))
+        final = self_consistency(votes)
         text = next((t for l, t in samples if l is final), samples[-1][1])
-        return cls(final, text, votes, prompt_chars)
+        return cls(text, votes, prompt_chars)
 
 
 class CriticBackend(str, Enum):

@@ -39,13 +39,7 @@ class TemplateId(str, Enum):
     CRITIQUE_VERIFY_PLAN = "critique_verify_plan"
 
 
-CRITIQUE_TEMPLATES = (
-    TemplateId.CRITIQUE_FEWSHOT,
-    TemplateId.CRITIQUE_0SHOT_DD,
-    TemplateId.CRITIQUE_0SHOT_NO_DD,
-    TemplateId.CRITIQUE_NO_3STEP,
-    TemplateId.CRITIQUE_VERIFY_PLAN,
-)
+CRITIQUE_TEMPLATES = tuple(t for t in TemplateId if t is not TemplateId.PLAN_FEWSHOT)
 
 
 class BudgetExceeded(Exception):
@@ -178,16 +172,14 @@ def select_fewshots(
 
 class Transcript:
     """Ordered record of rejected attempts, each rendered once, as it is
-    appended, with a character budget; ``len`` counts the attempts."""
+    appended, with a character budget."""
 
     def __init__(self, char_budget: int | None = None):
         self.char_budget = char_budget
         self._text = ""
-        self._turns = 0
 
     def append(self, plan_text: str, critique_text: str) -> None:
         self._text += f"The clean plan:\n{plan_text}\n{critique_text}\n\n{REPAIR_REQUEST}\n"
-        self._turns += 1
 
     def render(self) -> str:
         return self._text
@@ -199,9 +191,6 @@ class Transcript:
         if self.char_budget is not None and len(text) > self.char_budget:
             raise BudgetExceeded(len(text), self.char_budget)
         return text
-
-    def __len__(self) -> int:
-        return self._turns
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .generators import DatasetError
 from .jsonform import from_json, read_lines
 from .pddl import DomainDef, ProblemDef, parse_plan
 from .report_formats import REPORT_FORMATS
-from .semantics import CritiqueLabel, validate_plan
+from .semantics import CritiqueLabel, self_consistency, validate_plan
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +96,19 @@ def record_from_dict(data: dict) -> RunRecord:
         raise MalformedRecord(f"round steps {steps} are not 0..{len(steps) - 1}")
     if len(steps) > record.max_steps + 1:
         raise MalformedRecord(f"{len(steps)} rounds for max_steps {record.max_steps}")
+    for entry in record.iterations:  # 1..self_consistency votes, labelled what they give
+        n = sum(entry.votes.values())
+        if not 0 < n <= record.self_consistency:
+            raise MalformedRecord(
+                f"round {entry.step} has {n} votes for self_consistency {record.self_consistency}"
+            )
+        if min(entry.votes.values()) < 1:
+            raise MalformedRecord(f"round {entry.step} has a vote count below 1")
+        if self_consistency(entry.votes) is not entry.critic_label:
+            raise MalformedRecord(
+                f"round {entry.step} is labelled {entry.critic_label.value}, "
+                f"but its votes give {self_consistency(entry.votes).value}"
+            )
     if any(e.critic_label == CritiqueLabel.CORRECT for e in record.iterations[:-1]):
         raise MalformedRecord("a round before the last is labelled correct")
     accepted = record.stop_reason is StopReason.CRITIC_ACCEPTED
@@ -309,25 +322,21 @@ def _table_text(metrics: Metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FILE_TEXTS = {
+    "report.txt": _table_text,
+    "steps.csv": _steps_csv,
+    "summary.txt": lambda metrics: summary_line(metrics) + "\n",
+    "metrics.json": lambda metrics: metrics_json(metrics) + "\n",
+}
+
+
 def emit_report(metrics: Metrics, fmt: str, out_dir: str | Path) -> list[Path]:
-    """Write the report in one format; returns the files written."""
+    """Write the files of the report format ``fmt`` in ``out_dir``; returns them."""
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if fmt == "table-text":
-        path = out / "report.txt"
-        path.write_text(_table_text(metrics))
-        written.append(path)
-    elif fmt == "csv":
-        steps = out / "steps.csv"
-        steps.write_text(_steps_csv(metrics))
-        summary = out / "summary.txt"
-        summary.write_text(summary_line(metrics) + "\n")
-        written.extend([steps, summary])
-    else:
-        path = out / "metrics.json"
-        path.write_text(metrics_json(metrics) + "\n")
-        written.append(path)
+    written = [out / name for name in REPORT_FORMATS[fmt]]
+    for path in written:
+        path.write_text(_FILE_TEXTS[path.name](metrics))
     return written

@@ -1,4 +1,5 @@
-"""The formats ``report`` emits, apart from the scoring code, so that the
-command line can offer them without importing ``report`` at start-up."""
+"""Each format ``report`` emits and the files it writes, apart from the scoring
+code, so that the command line reads them without importing ``report``."""
 
-REPORT_FORMATS = ("table-text", "csv", "structured")
+REPORT_FORMATS = {"table-text": ("report.txt",), "csv": ("steps.csv", "summary.txt"),
+                  "structured": ("metrics.json",)}

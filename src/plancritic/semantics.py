@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar
+from typing import ClassVar, Mapping
 
 from .pddl import (
     ATOM_ORDER,
@@ -66,6 +66,20 @@ class CritiqueLabel(str, Enum):
         label = str.__new__(cls, value)
         label._value_, label.phrase = value, phrase
         return label
+
+
+def self_consistency(votes: Mapping[CritiqueLabel, int]) -> CritiqueLabel:
+    """The label that ``votes``, a count for each label, give: correct only
+    when strictly more votes say correct than not, so that every tie is wrong;
+    goal-not-reached when it strictly outnumbers wrong among the rest."""
+    n_correct, n_wrong, n_gnr = [votes.get(label, 0) for label in CritiqueLabel]
+    if not n_correct + n_wrong + n_gnr:
+        raise ValueError("no votes to aggregate")
+    if n_correct > n_wrong + n_gnr:
+        return CritiqueLabel.CORRECT
+    if n_correct < n_wrong + n_gnr and n_gnr > n_wrong:
+        return CritiqueLabel.GOAL_NOT_REACHED
+    return CritiqueLabel.WRONG
 
 
 # each verdict names the label a critic that agrees with it gives

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 from plancritic import cli
@@ -19,7 +20,6 @@ from plancritic.critics import (
     CritiqueVerdict,
     MockCritic,
     OracleCritic,
-    self_consistency,
 )
 from plancritic.generators import GenSpec, deceptive_map, generate, obfuscate
 from plancritic.orchestrator import (
@@ -42,6 +42,7 @@ from plancritic.semantics import (
     WrongAtStep,
     format_trace,
     format_verdict,
+    self_consistency,
     validate_plan,
 )
 
@@ -194,7 +195,7 @@ class _ScriptedCritic:
 
     def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         label = C if iteration + 1 >= self.accept_at else W
-        return CritiqueVerdict(label=label, text=f"the plan is {label.value}", votes={label: 1})
+        return CritiqueVerdict(text=f"the plan is {label.value}", votes={label: 1})
 
 
 def test_criterion_04_call_accounting_is_exact(bw_domain, bw5_problem, correct_plan):
@@ -253,13 +254,13 @@ def test_criterion_05_vote_aggregation_truth_table():
     checked = 0
     for n in range(1, 6):
         for labels in itertools.product((C, W, G), repeat=n):
-            assert self_consistency(list(labels)) is expected(labels), labels
+            assert self_consistency(Counter(labels)) is expected(labels), labels
             checked += 1
     assert checked == 363  # all sequences, so order independence is covered
 
-    assert self_consistency([C, W]) is W
-    assert self_consistency([C, C, G, G]) is W
-    assert self_consistency([W, G, G]) is G
+    assert self_consistency(Counter([C, W])) is W
+    assert self_consistency(Counter([C, C, G, G])) is W
+    assert self_consistency(Counter([W, G, G])) is G
 
 
 def test_criterion_06_repair_loop_converges():

@@ -123,6 +123,33 @@ class TestGenerate:
         assert capsys.readouterr().err.count("error:") == 1
         assert not (tmp_path / "manifest.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "sizes,reason",
+        [(["--cities", "2", "--places-per-city", "2", "--trucks", "1", "--airplanes", "1"],
+          "logistics needs one truck per city to stay solvable"),
+         (["--cities", "2", "--places-per-city", "1", "--trucks", "2", "--airplanes", "0"],
+          "multi-city logistics needs an airplane"),
+         (["--cities", "1", "--places-per-city", "1", "--trucks", "1", "--airplanes", "0"],
+          "deliveries need at least two places")],
+        ids=["truck-per-city", "airplane", "two-places"],
+    )
+    def test_logistics_joint_rule_exits_2(self, tmp_path, capsys, sizes, reason):
+        code = cli.main(["generate", "--benchmark", "logistics", *sizes, "--packages", "1",
+                         "--seed", "1", "--count", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not (tmp_path / "manifest.jsonl").exists()
+
+    def test_solve_that_cannot_solve_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["generate", "--benchmark", "blocksworld", "--blocks", "5", "--seed", "1",
+                         "--count", "1", "--out", str(out), "--solve", "--max-expanded", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: could not solve generated instance BW-rand-5 (limit-exceeded)\n"
+        )
+        assert not out.exists()
+
     def test_minigrid_keys_default_to_zero(self, tmp_path):
         args = ["generate", "--benchmark", "minigrid", "--width", "3", "--height", "3",
                 "--seed", "5", "--count", "2"]
@@ -443,6 +470,23 @@ class TestObfuscate:
             "error: --mode deceptive does not fit this dataset: map is missing renames for: "
         ) and err.count("\n") == 1
         assert not (tmp_path / "obf").exists()
+
+    def test_nonspecific_mode(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "obf"
+        code = cli.main(["obfuscate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                         "--out", str(out), "--mode", "nonspecific"])
+        assert code == 0
+        domain_text = (out / "domain.pddl").read_text()
+        assert domain_text.startswith("(define (domain nonspecific-domain)")
+        assert "(:action action-1" in domain_text and "pick-up" not in domain_text
+        assert '"obfuscation": "nonspecific"' in (out / "manifest.jsonl").read_text()
+        entry = load_manifest(out / "manifest.jsonl")[0]
+        capsys.readouterr()
+        assert cli.main(["validate", "--domain", str(entry.domain_file), "--problem",
+                         str(entry.problem_file), "--plan", str(entry.plan_file), "--quiet"]) == 0
+        assert capsys.readouterr().out == (
+            "all goal atoms hold in the final state.\nthe plan is correct\n"
+        )
 
     def test_identity_mode(self, dataset_dir, tmp_path):
         out = tmp_path / "same"
@@ -1171,7 +1215,9 @@ class TestRecordRefusal:
         [
             (lambda rounds: [rounds[0], rounds[2]], "round steps [0, 2] are not 0..1"),
             (
-                lambda rounds: [{**rounds[0], "critic_label": "correct"}, rounds[1]],
+                lambda rounds: [
+                    {**rounds[0], "critic_label": "correct", "votes": {"correct": 1}}, rounds[1]
+                ],
                 "a round before the last is labelled correct",
             ),
         ],
@@ -1228,11 +1274,33 @@ class TestRecordRefusal:
                 _last_round(critic_label="correct", votes={"correct": 1}),
                 "a last round labelled correct with stop reason iterations-exhausted",
             ),
+            (
+                _last_round(votes={"wrong": 5}),
+                "round 2 has 5 votes for self_consistency 1",
+            ),
+            (_last_round(votes={}), "round 2 has 0 votes for self_consistency 1"),
+            (
+                lambda r: _last_round(votes={"wrong": 2, "correct": -1})(
+                    {**r, "self_consistency": 3}
+                ),
+                "round 2 has a vote count below 1",
+            ),
+            (
+                _last_round(critic_label="wrong", votes={"correct": 1}),
+                "round 2 is labelled wrong, but its votes give correct",
+            ),
+            (
+                lambda r: _last_round(
+                    critic_label="wrong", votes={"wrong": 1, "goal_not_reached": 2}
+                )({**r, "self_consistency": 3}),
+                "round 2 is labelled wrong, but its votes give goal_not_reached",
+            ),
         ],
         ids=["only-problem-id", "round-without-field", "wrong-type", "bool-for-int",
              "round-not-object", "unknown-stop-reason", "not-an-object", "rounds-beyond-k",
              "unknown-label", "votes-for-no-label", "accepted-after-wrong",
-             "correct-not-accepted"],
+             "correct-not-accepted", "votes-above-self-consistency", "no-votes",
+             "vote-count-below-1", "label-not-its-votes", "label-not-its-split-votes"],
     )
     def test_malformed_line_refused(self, records, dataset_dir, tmp_path, capsys, edit, reason):
         lines = records.read_text().splitlines()
@@ -1565,6 +1633,31 @@ def test_output_over_an_input_exits_2(command, flag, dataset_dir, tmp_path, caps
     assert capsys.readouterr().err == f"error: {out_flag} {out} would overwrite {flag}\n"
     assert tree_digest(data) == before
 
+
+
+@pytest.mark.parametrize(
+    "fmt,flag,name",
+    [("table-text", "--records", "report.txt"), ("csv", "--records", "summary.txt"),
+     ("csv", "--manifest", "steps.csv"), ("structured", "--manifest", "metrics.json")],
+)
+def test_report_file_over_an_input_exits_2(fmt, flag, name, dataset_dir, tmp_path, capsys):
+    """``report`` writes none of its format's files over an input: each file
+    is checked before scoring, and every input is left as it was."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    inputs = {"--records": data / "records.jsonl", "--manifest": data / "manifest.jsonl"}
+    run = ["run", "--manifest", str(inputs["--manifest"]), "--records", str(inputs["--records"])]
+    assert cli.main([*run, "--k", "1"]) == 0
+    capsys.readouterr()
+    inputs[flag] = inputs[flag].rename(data / name)
+    before = tree_digest(data)
+    out_dir = f"{data}/../{data.name}"  # the input's directory by another spelling
+    argv = ["report", *(arg for item in inputs.items() for arg in map(str, item)),
+            "--format", fmt, "--out-dir", out_dir]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: the report file {out_dir}/{name} would overwrite {flag}\n"
+    assert tree_digest(data) == before
 
 LONG_NAME = "x" * 300  # longer than a file name may be
 

@@ -2,6 +2,7 @@ import json
 import socket
 import ssl
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -17,7 +18,6 @@ from plancritic.critics import (
     OracleCritic,
     extract_verdict,
     make_critic,
-    self_consistency,
 )
 from plancritic.llm import ChatClient, EndpointConfig, MalformedResponse, TransportError
 from plancritic.pddl import Atom, Plan
@@ -28,6 +28,7 @@ from plancritic.semantics import (
     GoalNotReached,
     WrongAtStep,
     format_verdict,
+    self_consistency,
 )
 
 C = CritiqueLabel.CORRECT
@@ -119,20 +120,20 @@ class TestSelfConsistency:
         ],
     )
     def test_cases(self, labels, expected):
-        assert self_consistency(labels) is expected
+        assert self_consistency(Counter(labels)) is expected
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            self_consistency([])
+            self_consistency(Counter())
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from([C, W, G]), min_size=1, max_size=5), st.randoms())
     def test_permutation_invariant_and_matches_reference(self, labels, rnd):
         expected = reference_vote(labels)
-        assert self_consistency(labels) is expected
+        assert self_consistency(Counter(labels)) is expected
         shuffled = list(labels)
         rnd.shuffle(shuffled)
-        assert self_consistency(shuffled) is expected
+        assert self_consistency(Counter(shuffled)) is expected
 
 
 class TestCritiqueVerdict:
@@ -144,6 +145,12 @@ class TestCritiqueVerdict:
         assert verdict.votes == {C: 1, W: 2}
         assert sum(verdict.votes.values()) == verdict.sample_count
         assert verdict.text == "first wrong"  # first sample matching the outcome
+
+    @pytest.mark.parametrize(
+        "votes,label", [({C: 2}, C), ({C: 1, W: 1}, W), ({C: 1, G: 1}, W), ({W: 1, G: 2}, G)]
+    )
+    def test_label_is_what_its_votes_give(self, votes, label):
+        assert CritiqueVerdict("critique", votes).label is label
 
 
 class TestCriticConfig:

@@ -80,11 +80,7 @@ class ScriptedCritic:
 
     def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         label = self.labels[min(iteration, len(self.labels) - 1)]
-        return CritiqueVerdict(
-            label=label,
-            text=f"the plan is {label.value}",
-            votes={label: self.samples},
-        )
+        return CritiqueVerdict(text=f"the plan is {label.value}", votes={label: self.samples})
 
 
 class RecordingPlanner(Planner):
@@ -135,7 +131,7 @@ class CrashingCritic(ScriptedCritic):
 
     def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         if problem_id not in self.crash_ids:
-            return CritiqueVerdict(label=C, text="the plan is correct", votes={C: 1})
+            return CritiqueVerdict(text="the plan is correct", votes={C: 1})
         if iteration == self.at:
             raise RuntimeError("critic bug")
         return super().critique(domain, problem, plan, problem_id=problem_id, iteration=iteration)

@@ -324,6 +324,83 @@ class TestSubsetRules:
         assert (err.value.line, err.value.column) == (2, 12)
 
 
+
+def _in_action(body: str) -> str:
+    """A domain of one predicate whose one action reads ``body``."""
+    return f"(define (domain d) (:predicates (p ?x)) (:action a {body}))"
+
+
+def _problem(body: str) -> str:
+    return f"(define (problem t) (:domain d) {body})"
+
+
+# (text, what it is, error class, message, line, column): one case for each
+# refusal of the domain and problem readers that no other test reaches
+REFUSALS = [
+    ("", "domain", PddlSyntaxError, "empty domain", None, None),
+    ("(define (domain d)) x", "domain", PddlSyntaxError, "trailing content after domain", 1, 21),
+    ("define", "domain", PddlSyntaxError, "domain must be a parenthesized expression", 1, 1),
+    ("(define (domain :d))", "domain", PddlSyntaxError, "invalid domain name ':d'", 1, 17),
+    (_problem("(:objects a - block) (:goal (p a))"), "problem", UnsupportedFeature,
+     "types are not supported", 1, 45),
+    ("(domain d)", "domain", PddlSyntaxError, "domain must start with (define ...)", 1, 1),
+    ("(define)", "domain", PddlSyntaxError, "missing (domain NAME)", 1, 1),
+    ("(define (domain))", "domain", PddlSyntaxError, "missing (domain NAME)", 1, 9),
+    ("(define (domain d) x)", "domain", PddlSyntaxError, "expected a domain section", 1, 20),
+    ("(define (domain d) (:types a))", "domain", UnsupportedFeature,
+     "domain section ':types'", 1, 20),
+    ("(define (domain d) (:predicates (p x)))", "domain", PddlSyntaxError,
+     "parameter 'x' must start with '?'", 1, 36),
+    ("(define (domain d) (:predicates p))", "domain", PddlSyntaxError,
+     "expected atom in :predicates", 1, 33),
+    ("(define (domain d) (:predicates ()))", "domain", PddlSyntaxError,
+     "empty atom in :predicates", 1, 33),
+    (_in_action(":parameters (?x) :precondition (or (p ?x) (p ?x))"), "domain",
+     UnsupportedFeature, "'or' is not supported", 1, 84),
+    (_in_action(":parameters (?x) :precondition (and (and (p ?x)))"), "domain",
+     PddlSyntaxError, "misplaced 'and' in precondition of a", 1, 89),
+    (_in_action(":parameters (?x) :precondition (p -)"), "domain", UnsupportedFeature,
+     "types are not supported", 1, 86),
+    (_problem("(:objects o) (:init (p ?x)) (:goal (p o))"), "problem", PddlSyntaxError,
+     "variable '?x' in ground atom", 1, 56),
+    (_in_action(":parameters (?x) :precondition (p o)"), "domain", UnsupportedFeature,
+     "constant 'o' in action definition", 1, 86),
+    (_in_action(":parameters (?x) :effect (not (p ?x) (p ?x))"), "domain", PddlSyntaxError,
+     "'not' takes exactly one atom", 1, 77),
+    (_in_action(":parameters (?x) :precondition p"), "domain", PddlSyntaxError,
+     "expected precondition of a", 1, 83),
+    ("(define (domain d) (:action))", "domain", PddlSyntaxError,
+     "incomplete action definition", 1, 20),
+    (_in_action(":parameters (?x) :parameters (?x)"), "domain", PddlSyntaxError,
+     "duplicate :parameters in action a", 1, 69),
+    (_in_action(":parameters (?x) :effect"), "domain", PddlSyntaxError,
+     "missing value for :effect", 1, 69),
+    (_in_action(":parameters ?x"), "domain", PddlSyntaxError,
+     "expected parameter list for a", 1, 64),
+    (_in_action(":cost 1"), "domain", UnsupportedFeature, "action section ':cost'", 1, 52),
+    ("(define (domain d) (:predicates (p) (p)))", "domain", PddlSyntaxError,
+     "duplicate predicate 'p'", 1, 37),
+    ("(define (problem t) (:goal (p o)))", "problem", PddlSyntaxError,
+     "problem is missing a (:domain ...) section", None, None),
+    ("(define (problem t) (:domain d e))", "problem", PddlSyntaxError,
+     "(:domain NAME) takes one name", 1, 21),
+    (_problem("(:objects o) (:goal (p o) (p o))"), "problem", PddlSyntaxError,
+     "(:goal ...) takes one formula", 1, 46),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "text,what,error,message,line,column", REFUSALS, ids=[case[3] for case in REFUSALS]
+    )
+    def test_refused_at(self, text, what, error, message, line, column):
+        domain = parse_domain(_in_action(":parameters (?x) :effect (p ?x)"))
+        with pytest.raises(error) as err:
+            parse_domain(text) if what == "domain" else parse_problem(text, domain)
+        where = "" if line is None else f" (line {line}, column {column})"
+        assert str(err.value) == message + where
+        assert (err.value.line, err.value.column) == (line, column)
+
 class TestParsePlan:
     def test_two_step_plan(self, bw_domain):
         plan = parse_plan("(unstack b3 b4)\n(stack b3 b2)", bw_domain)
@@ -515,6 +592,21 @@ class TestRoundTrip:
 
     def test_empty_plan_prints_empty(self):
         assert print_plan(Plan(())) == ""
+
+    def test_empty_forms(self):
+        """No predicates, an action without a precondition or effects, no
+        objects and an empty goal each print in their empty form and read back."""
+        domain = parse_domain("(define (domain d) (:action a :parameters ()))")
+        assert print_domain(domain) == (
+            "(define (domain d)\n(:requirements :strips)\n(:predicates)\n\n(:action a\n"
+            "  :parameters ()\n  :precondition (and)\n  :effect (and)))"
+        )
+        assert parse_domain(print_domain(domain)) == domain
+        problem = parse_problem("(define (problem t) (:domain d) (:goal (and)))", domain)
+        assert print_problem(problem) == (
+            "(define (problem t)\n(:domain d)\n(:objects)\n(:init\n)\n(:goal (and))\n)"
+        )
+        assert parse_problem(print_problem(problem), domain) == problem
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -101,6 +101,7 @@ class TestPlanPromptStructure:
 
     def test_transcript_rendering(self):
         transcript = Transcript()
+        assert transcript.render() == ""
         transcript.append("(pick-up a)", "critique text\nthe plan is wrong")
         rendered = transcript.render()
         assert rendered == (
@@ -108,7 +109,10 @@ class TestPlanPromptStructure:
             + REPAIR_REQUEST
             + "\n"
         )
-        assert len(transcript) == 1
+        transcript.append("(pick-up b)", "goal not reached")
+        assert transcript.render() == (
+            rendered + "The clean plan:\n(pick-up b)\ngoal not reached\n\n" + REPAIR_REQUEST + "\n"
+        )
 
     def test_budget_enforced(self, bw_domain, bw5_problem):
         transcript = Transcript(char_budget=100)

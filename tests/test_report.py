@@ -329,3 +329,46 @@ class TestEmission:
         assert "table-text" in REPORT_FORMATS
         with pytest.raises(ValueError):
             emit_report(metrics, "yaml", tmp_path)
+
+    def test_bytes_of_every_format(self, tmp_path):
+        """Each format writes its files, named in ``REPORT_FORMATS``, with
+        these bytes for one fixed set of figures."""
+        metrics = Metrics(
+            n=3, accuracy=2 / 3, ci_half_width=wald_ci(2 / 3, 3), mean_llm_calls=2.5, steps=(
+                StepMetrics(0, 1, 1 / 3, tp=1, fp=1, tn=1, fn=0),
+                StepMetrics(1, 2, 2 / 3, tp=0, fp=0, tn=1, fn=0),
+            )
+        )
+        expected = {
+            "table-text": {
+                "report.txt": "accuracy: 66.7±53.3 (n=3)\nmean llm calls: 2.50\n\n"
+                "step  correct  accuracy     tp     fp     tn     fn  precision     recall\n"
+                "   0        1     0.333      1      1      1      0      0.500      1.000\n"
+                "   1        2     0.667      0      0      1      0          -          -\n",
+            },
+            "csv": {
+                "steps.csv": "step,n_correct,accuracy,tp,fp,tn,fn,precision,recall\n"
+                "0,1,0.333333,1,1,1,0,0.500000,1.000000\n1,2,0.666667,0,0,1,0,,\n",
+                "summary.txt": "66.7±53.3\n",
+            },
+            "structured": {
+                "metrics.json": "\n".join([
+                    '{', '  "accuracy": 0.666667,', '  "ci_half_width": 0.533444,',
+                    '  "mean_llm_calls": 2.5,', '  "n": 3,', '  "steps": [', '    {',
+                    '      "accuracy": 0.333333,', '      "critic_accuracy": 0.666667,',
+                    '      "fn": 0,', '      "fp": 1,', '      "n_correct": 1,',
+                    '      "precision": 0.5,', '      "recall": 1.0,', '      "step": 0,',
+                    '      "tn": 1,', '      "tp": 1', '    },', '    {',
+                    '      "accuracy": 0.666667,', '      "critic_accuracy": 1.0,',
+                    '      "fn": 0,', '      "fp": 0,', '      "n_correct": 2,',
+                    '      "precision": null,', '      "recall": null,', '      "step": 1,',
+                    '      "tn": 1,', '      "tp": 0', '    }', '  ],',
+                    '  "summary": "66.7\\u00b153.3"', '}', '',
+                ]),
+            },
+        }
+        assert list(expected) == list(REPORT_FORMATS)
+        for fmt, files in expected.items():
+            out = tmp_path / fmt
+            assert emit_report(metrics, fmt, out) == [out / name for name in REPORT_FORMATS[fmt]]
+            assert {path.name: path.read_text() for path in out.iterdir()} == files

@@ -146,6 +146,19 @@ class TestFormatting:
         assert "- (clear b2): false" in text
         assert "preconditions are not met." in text
 
+    def test_step_without_preconditions(self):
+        domain = parse_domain(
+            "(define (domain d) (:predicates (p ?x)) (:action a :parameters (?x) :effect (p ?x)))"
+        )
+        problem = parse_problem(
+            "(define (problem t) (:domain d) (:objects o) (:goal (p o)))", domain
+        )
+        result = validate_plan(problem, parse_plan("(a o)", domain), domain)
+        assert format_trace(result) == (
+            "**step 1: (a o)**\npreconditions:\n- none\nall preconditions are met.\n"
+            "resulting state:\n(p o)"
+        )
+
     def test_verdict_text_ends_with_phrase(self, bw_domain, bw5_problem, wrong_plan, correct_plan):
         wrong = validate_plan(bw5_problem, wrong_plan, bw_domain)
         assert format_verdict(wrong.verdict).endswith(PHRASE_WRONG)
