@@ -33,6 +33,7 @@ from .generators import (
     InvalidSpec,
     ObfuscationMap,
     ObfuscationMode,
+    UnreadableMap,
     deceptive_map,
     identity_map,
     load_dataset,
@@ -209,7 +210,8 @@ def _cmd_obfuscate(args) -> int:
         else:
             mapping = identity_map(dataset.domain)
         manifest = obfuscate_dataset(dataset, mapping, args.out)
-    except (FormError, IncompleteMap, CollidingMap) as exc:  # raised before any file is written
+    # raised before any file is written
+    except (FormError, IncompleteMap, CollidingMap, UnreadableMap) as exc:
         if args.map:
             raise UsageError(f"bad map file {args.map}: {exc}") from exc
         raise UsageError(f"--mode {args.mode} does not fit this dataset: {exc}") from exc

@@ -15,15 +15,14 @@ exist:
 The refinement loop hands every critic its ``ValidationResult`` of the plan
 as ``result``.  The oracle and mock critics judge from it and validate
 nothing themselves; called without one, they validate the plan.  The llm
-critic ignores it.  The oracle writes its critique text once per distinct
-result: the loop holds one result per distinct plan of a problem, so a
-repeated plan is written up once.
+critic ignores it.  The oracle critic holds no cache: its text is the
+result's write-up, which ``format_trace`` keeps on the result, and the loop
+holds one result per distinct plan, so a repeated plan is written up once.
 """
 
 from __future__ import annotations
 
 import random
-import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -144,21 +143,16 @@ def _oracle_sample(result: ValidationResult) -> tuple[CritiqueLabel, str]:
 
 class OracleCritic(Critic):
     """Always answers with the ground-truth verdict, written up as a
-    step-by-step verification once per distinct validation result."""
+    step-by-step verification; the write-up is kept on the result, so the
+    critic holds nothing but its config."""
 
     def __init__(self, config: CriticConfig | None = None):
         self.config = config or CriticConfig(backend=CriticBackend.ORACLE)
-        # the sample of each result judged, kept while the result is alive
-        # (the loop keeps a problem's results until the problem's run ends)
-        self._samples: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         if result is None:
             result = validate_plan(problem, plan, domain)
-        sample = self._samples.get(result)
-        if sample is None:
-            sample = self._samples[result] = _oracle_sample(result)
-        return CritiqueVerdict.from_samples([sample] * self.config.self_consistency)
+        return CritiqueVerdict.from_samples([_oracle_sample(result)] * self.config.self_consistency)
 
 
 class MockCritic(Critic):

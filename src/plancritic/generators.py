@@ -42,6 +42,7 @@ from .pddl import (
     Predicate,
     ActionSchema,
     Literal,
+    PddlError,
     ProblemDef,
     parse_domain,
     parse_plan,
@@ -386,6 +387,10 @@ class CollidingMap(ValueError):
     pass
 
 
+class UnreadableMap(ValueError):
+    """A rename whose text the reader refuses, such as ``not`` or a name with a blank."""
+
+
 @dataclass(frozen=True)
 class ObfuscationMap:
     """Bijective renaming tables.
@@ -687,4 +692,20 @@ def obfuscate_dataset(dataset: Dataset, mapping: ObfuscationMap, out_dir: str | 
         [dataset.plans.get(e.id, Plan(())) for e in entries],
         mapping,
     )
+    _read_back(domain, problems, plans)
     return _write_files(out_dir, domain, entries, problems, plans)
+
+
+def _read_back(domain: DomainDef, problems: list[ProblemDef], plans: list[Plan]) -> None:
+    """Raise UnreadableMap unless the texts of a renamed dataset read back,
+    so that no dataset is written that no reader accepts."""
+    name = "domain"
+    try:
+        read = parse_domain(print_domain(domain))
+        for problem, plan in zip(problems, plans):
+            name = f"problem {problem.name}"
+            parse_problem(print_problem(problem), read)
+            name = f"plan of {problem.name}"
+            parse_plan(print_plan(plan), read)
+    except PddlError as exc:
+        raise UnreadableMap(f"the renamed {name} does not read back: {exc}") from None

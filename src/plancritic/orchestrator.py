@@ -17,9 +17,9 @@ records rely on this shape, and ``report.record_from_dict`` refuses any other.
 A planner often proposes a plan again after it was rejected.  So each run
 keeps, for the life of its problem, the plans proposed so far by reply text
 and by steps: each distinct reply is extracted once, and each distinct plan
-is printed and validated once.  Every critic is handed that validation (the
-oracle and mock critics judge from it), and the record's ground truth reads
-it too.
+is printed and validated once, when it is first proposed.  Every critic is
+handed that validation (the oracle and mock critics judge from it, and the
+oracle's write-up is kept on it), and the record's ground truth reads it too.
 
 Batches execute problems independently (optionally in parallel), persist
 records as they finish, and can resume from a partially written record file.
@@ -42,7 +42,7 @@ from .critics import Critic, CriticConfig, make_critic
 from .generators import Dataset, ManifestEntry
 from .jsonform import AtLeast, Between, check_bounds
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url
-from .pddl import DomainDef, Plan, ProblemDef, print_plan, read_step
+from .pddl import DomainDef, Plan, ProblemDef, parse_plan, print_plan, read_step
 from .prompting import (
     BudgetExceeded,
     FewShotPool,
@@ -50,8 +50,9 @@ from .prompting import (
     plan_prompt_prefix,
     select_fewshots,
 )
-from .report import IterationEntry, RunRecord, StopReason, parse_records, record_to_dict
-from .semantics import CritiqueLabel, ValidationResult, validate_plan, verdict_to_dict
+from .report import IterationEntry, RunRecord, StopReason, check_ground_truth, parse_records
+from .report import record_to_dict
+from .semantics import CritiqueLabel, validate_plan, verdict_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -179,20 +180,14 @@ def extract_plan(text: str, domain: DomainDef) -> Plan:
 
 
 class _Proposal:
-    """One distinct plan of a problem: printed once, validated once when its
-    validation is first asked for."""
+    """One distinct plan of a problem, printed and validated when it is made."""
 
     __slots__ = ("plan", "text", "result")
 
-    def __init__(self, plan: Plan):
+    def __init__(self, plan: Plan, problem: ProblemDef, domain: DomainDef):
         self.plan = plan
         self.text = print_plan(plan)
-        self.result: ValidationResult | None = None
-
-    def validation(self, problem: ProblemDef, domain: DomainDef) -> ValidationResult:
-        if self.result is None:
-            self.result = validate_plan(problem, self.plan, domain)
-        return self.result
+        self.result = validate_plan(problem, plan, domain)
 
 
 def run_problem(
@@ -221,7 +216,7 @@ def run_problem(
     iterations: list[IterationEntry] = []
     by_reply: dict[str, _Proposal] = {}
     by_steps: dict[tuple, _Proposal] = {}
-    latest = _Proposal(Plan(()))  # the latest plan proposed; it stands whatever stops the run
+    latest: _Proposal | None = None  # the latest plan proposed; it stands whatever stops the run
     stop = StopReason.ITERATIONS_EXHAUSTED
     error: str | None = None
     calls = 0
@@ -238,13 +233,12 @@ def run_problem(
                 plan = extract_plan(raw, domain)
                 proposal = by_steps.get(plan.steps)
                 if proposal is None:
-                    proposal = by_steps[plan.steps] = _Proposal(plan)
+                    proposal = by_steps[plan.steps] = _Proposal(plan, problem, domain)
                 by_reply[raw] = proposal
             latest = proposal
             role = "critic"
-            result = latest.validation(problem, domain)
             verdict = critic.critique(
-                domain, problem, latest.plan, problem_id=pid, iteration=step, result=result
+                domain, problem, latest.plan, problem_id=pid, iteration=step, result=latest.result
             )
             calls += verdict.sample_count
             iterations.append(
@@ -269,6 +263,8 @@ def run_problem(
         log.exception("run failed for %s", pid)
         stop, error = StopReason.INTERNAL_ERROR, f"{type(exc).__name__}: {exc}"
 
+    if latest is None:  # nothing was proposed: the empty plan stands
+        latest = _Proposal(Plan(()), problem, domain)
     return RunRecord(
         problem_id=pid,
         max_steps=config.k,
@@ -277,7 +273,7 @@ def run_problem(
         final_plan=latest.text,
         stop_reason=stop,
         llm_calls=calls,
-        ground_truth=verdict_to_dict(latest.validation(problem, domain).verdict),
+        ground_truth=verdict_to_dict(latest.result.verdict),
         error=error,
     )
 
@@ -290,17 +286,23 @@ def _record_line(record: RunRecord) -> str:
     return json.dumps(record_to_dict(record), sort_keys=True) + "\n"
 
 
-def _resume_records(path: Path) -> list[RunRecord]:
+def _resume_records(path: Path, dataset: Dataset) -> list[RunRecord]:
     """The stored records of an interrupted batch.
 
     Every record is written as one whole line, so a last line without its
     newline was torn by a crash mid-write: it is dropped and cut from the
     file, so that new records append after the last whole one.  It is cut
-    only once the whole lines have read as records.
+    only once the whole lines have read as records, and the ground truth of
+    each record of a problem of ``dataset`` matches its final plan.
     """
     data = path.read_bytes()
     whole = data.rfind(b"\n") + 1
     records = parse_records(data[:whole].decode(), path)
+    for record in records:
+        problem = dataset.problems.get(record.problem_id)
+        if problem is not None:
+            plan = parse_plan(record.final_plan, dataset.domain)
+            check_ground_truth(record, validate_plan(problem, plan, dataset.domain))
     if whole < len(data):
         log.warning("%s: dropping a torn last record line (%d bytes)", path, len(data) - whole)
         with path.open("r+b") as fh:
@@ -345,7 +347,7 @@ def run_batch(
 
     existing: dict[str, RunRecord] = {}
     if records_path is not None and Path(records_path).exists():
-        existing = {r.problem_id: r for r in _resume_records(Path(records_path))}
+        existing = {r.problem_id: r for r in _resume_records(Path(records_path), dataset)}
 
     todo = [e for e in dataset.entries if e.id not in existing]
     # all shots are chosen before any backend call, so a pool too small fails first

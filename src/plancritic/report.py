@@ -10,7 +10,10 @@ plan judged correct) against ground truth.
 Scoring is a pure function of records plus the problems they refer to, so
 runs can be re-scored offline without touching any backend.  A batch that has
 just run reads its accuracy from its records' ground truth instead, with
-``accuracy_line``, which ``run`` prints.
+``accuracy_line``, which ``run`` prints.  A record's ground truth is
+``verdict_to_dict`` of the validator's verdict on its final plan;
+``check_ground_truth`` holds stored records to that, in ``score`` and when a
+run resumes.
 
 The record format is stated here, where records are read, so that reading
 and scoring them loads none of the loop's modules; the loop writes records
@@ -32,7 +35,8 @@ from .generators import DatasetError
 from .jsonform import from_json, read_lines
 from .pddl import DomainDef, ProblemDef, parse_plan
 from .report_formats import REPORT_FORMATS
-from .semantics import CritiqueLabel, self_consistency, validate_plan
+from .semantics import CritiqueLabel, ValidationResult, self_consistency, validate_plan
+from .semantics import verdict_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +74,7 @@ class RunRecord:
     final_plan: str
     stop_reason: StopReason
     llm_calls: int
-    ground_truth: dict  # the validator's verdict on final_plan
+    ground_truth: dict  # verdict_to_dict of the validator's verdict on final_plan
     error: str | None = None
 
 
@@ -89,7 +93,8 @@ def record_to_dict(record: RunRecord) -> dict:
 
 def record_from_dict(data: dict) -> RunRecord:
     """The record ``data`` holds; raises FormError for data not of the form
-    ``RunRecord`` declares, and MalformedRecord for rounds not in the loop's shape."""
+    ``RunRecord`` declares, and MalformedRecord for rounds not in the loop's
+    shape or a field that does not follow from them as the loop derives it."""
     record = from_json(RunRecord, data)
     steps = [entry.step for entry in record.iterations]
     if steps != list(range(len(steps))):
@@ -117,7 +122,32 @@ def record_from_dict(data: dict) -> RunRecord:
             "stop reason critic-accepted without a last round labelled correct" if accepted
             else f"a last round labelled correct with stop reason {record.stop_reason.value}"
         )
+    # a round cut short by a failed critique is left out, but the planner
+    # reply it judged is counted, and the plan of that reply stands
+    cut = record.stop_reason in (StopReason.TRANSPORT_FAILURE, StopReason.INTERNAL_ERROR)
+    calls = len(steps) + sum(sum(entry.votes.values()) for entry in record.iterations)
+    if record.llm_calls not in ((calls, calls + 1) if cut else (calls,)):
+        raise MalformedRecord(f"llm_calls {record.llm_calls} for {len(steps)} rounds and their votes")
+    # a run that nothing cut short alone carries no error
+    clean = record.stop_reason in (StopReason.CRITIC_ACCEPTED, StopReason.ITERATIONS_EXHAUSTED)
+    if (record.error is None) != clean:
+        raise MalformedRecord(f"stop reason {record.stop_reason.value} with error {record.error!r}")
+    if record.stop_reason is StopReason.ITERATIONS_EXHAUSTED and len(steps) != record.max_steps + 1:
+        raise MalformedRecord(f"iterations-exhausted after {len(steps)} of {record.max_steps + 1} rounds")
+    if not cut and record.final_plan != (record.iterations[-1].plan if steps else ""):
+        raise MalformedRecord("final_plan is not the last round's plan")
     return record
+
+
+def check_ground_truth(record: RunRecord, final: ValidationResult) -> None:
+    """Raise MalformedRecord unless ``record``'s ground truth is
+    ``verdict_to_dict`` of the verdict of ``final``, its final plan's validation."""
+    truth = verdict_to_dict(final.verdict)
+    if record.ground_truth != truth:
+        raise MalformedRecord(
+            f"the record of problem {record.problem_id!r} has ground_truth "
+            f"{json.dumps(record.ground_truth)}, but its final plan validates as {json.dumps(truth)}"
+        )
 
 
 def parse_records(text: str, path: str | Path) -> list[RunRecord]:
@@ -209,14 +239,15 @@ def score(
     confusion = [{"tp": 0, "fp": 0, "tn": 0, "fn": 0} for _ in range(k + 1)]
     for record in records:
         problem = problems[record.problem_id]
-        is_correct: dict[str, bool] = {}  # by plan text, each validated once
+        results: dict[str, ValidationResult] = {}  # by plan text, each validated once
         for text in [entry.plan for entry in record.iterations] + [record.final_plan]:
-            if text not in is_correct:
-                plan = parse_plan(text, domain)
-                is_correct[text] = validate_plan(problem, plan, domain).is_correct
-        n_final_correct += is_correct[record.final_plan]
+            if text not in results:
+                results[text] = validate_plan(problem, parse_plan(text, domain), domain)
+        final = results[record.final_plan]
+        check_ground_truth(record, final)
+        n_final_correct += final.is_correct
         for step, entry in enumerate(record.iterations):
-            truth = is_correct[entry.plan]
+            truth = results[entry.plan].is_correct
             n_correct[step] += truth
             if entry.critic_label == CritiqueLabel.CORRECT:
                 cell = "tp" if truth else "fp"
@@ -224,7 +255,7 @@ def score(
                 cell = "fn" if truth else "tn"
             confusion[step][cell] += 1
         for step in range(len(record.iterations), k + 1):  # the run is over: its final plan stands
-            n_correct[step] += is_correct[record.final_plan]
+            n_correct[step] += final.is_correct
 
     accuracy = n_final_correct / n
     return Metrics(

@@ -128,6 +128,8 @@ class ValidationResult:
     verdict: PlanVerdict
     trace: tuple[StepTrace, ...]
 
+    _text = None  # not a field: the text of format_trace, once rendered
+
     @property
     def is_correct(self) -> bool:
         return isinstance(self.verdict, Correct)
@@ -232,23 +234,25 @@ def format_state(state: State) -> str:
     return "\n".join(map(str, sorted(state, key=ATOM_ORDER)))
 
 
+def _format_step(step: StepTrace) -> str:
+    lines = [f"**step {step.index}: {step.action}**", "preconditions:"]
+    for atom, ok in step.checks:
+        lines.append(f"- {atom}: {'true' if ok else 'false'}")
+    if not step.checks:
+        lines.append("- none")
+    if step.applied:
+        lines += ["all preconditions are met.", "resulting state:", format_state(step.state_after)]
+    else:
+        lines.append("preconditions are not met.")
+    return "\n".join(lines)
+
+
 def format_trace(result: ValidationResult) -> str:
-    """Render the step-by-step verification, one block per simulated step."""
-    blocks = []
-    for step in result.trace:
-        lines = [f"**step {step.index}: {step.action}**", "preconditions:"]
-        for atom, ok in step.checks:
-            lines.append(f"- {atom}: {'true' if ok else 'false'}")
-        if not step.checks:
-            lines.append("- none")
-        if step.applied:
-            lines.append("all preconditions are met.")
-            lines.append("resulting state:")
-            lines.append(format_state(step.state_after))
-        else:
-            lines.append("preconditions are not met.")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
+    """The step-by-step verification, one block per simulated step: rendered
+    on the first call and kept on ``result``, as ``print_domain`` keeps its text."""
+    if result._text is None:
+        result.__dict__["_text"] = "\n\n".join(map(_format_step, result.trace))
+    return result._text
 
 
 def format_verdict(verdict: PlanVerdict) -> str:

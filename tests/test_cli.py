@@ -446,8 +446,15 @@ class TestObfuscate:
         [({"predicates": {"clear": "province"}, "actions": DECEPTIVE_ACTIONS},
           "map is missing renames for: "),
          ({"predicates": {**DECEPTIVE_PREDICATES, "on": "planet"}, "actions": DECEPTIVE_ACTIONS},
-          "predicate renames collide")],
-        ids=["incomplete", "colliding"],
+          "predicate renames collide"),
+         # a rename the reader refuses would write a dataset that no command reads
+         ({"predicates": {**DECEPTIVE_PREDICATES, "clear": "not"}, "actions": DECEPTIVE_ACTIONS},
+          "the renamed domain does not read back: negation is not supported in :predicates"),
+         ({"predicates": DECEPTIVE_PREDICATES, "actions": {**DECEPTIVE_ACTIONS, "pick-up": "pick up"}},
+          "the renamed domain does not read back: action section 'up'"),
+         ({"predicates": DECEPTIVE_PREDICATES, "actions": DECEPTIVE_ACTIONS, "objects": {"b1": "?x"}},
+          "does not read back: invalid object name '?x'")],
+        ids=["incomplete", "colliding", "predicate-not", "action-with-blank", "object-variable"],
     )
     def test_map_file_that_does_not_fit_exits_2(self, dataset_dir, tmp_path, capsys, tables,
                                                  reason):
@@ -457,7 +464,8 @@ class TestObfuscate:
                          "--out", str(tmp_path / "obf"), "--map", str(mapping)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bad map file {mapping}: {reason}") and err.count("\n") == 1
+        assert err.startswith(f"error: bad map file {mapping}: ") and err.count("\n") == 1
+        assert reason in err
         assert not (tmp_path / "obf").exists()
 
     def test_deceptive_mode_on_logistics_exits_2(self, logistics_dir, tmp_path, capsys):
@@ -1295,12 +1303,31 @@ class TestRecordRefusal:
                 )({**r, "self_consistency": 3}),
                 "round 2 is labelled wrong, but its votes give goal_not_reached",
             ),
+            # each of the fields the loop derives from the rounds follows from them
+            (lambda r: {**r, "llm_calls": 0}, "llm_calls 0 for 3 rounds and their votes"),
+            (lambda r: {**r, "llm_calls": 7}, "llm_calls 7 for 3 rounds and their votes"),
+            (
+                lambda r: {**r, "error": "boom"},
+                "stop reason iterations-exhausted with error 'boom'",
+            ),
+            (
+                lambda r: {**r, "stop_reason": "budget-exceeded"},
+                "stop reason budget-exceeded with error None",
+            ),
+            (
+                lambda r: {**r, "iterations": r["iterations"][:2], "llm_calls": 4,
+                           "final_plan": r["iterations"][1]["plan"]},
+                "iterations-exhausted after 2 of 3 rounds",
+            ),
+            (lambda r: {**r, "final_plan": ""}, "final_plan is not the last round's plan"),
         ],
         ids=["only-problem-id", "round-without-field", "wrong-type", "bool-for-int",
              "round-not-object", "unknown-stop-reason", "not-an-object", "rounds-beyond-k",
              "unknown-label", "votes-for-no-label", "accepted-after-wrong",
              "correct-not-accepted", "votes-above-self-consistency", "no-votes",
-             "vote-count-below-1", "label-not-its-votes", "label-not-its-split-votes"],
+             "vote-count-below-1", "label-not-its-votes", "label-not-its-split-votes",
+             "no-llm-calls", "one-call-more-uncut", "error-without-failure",
+             "failure-without-error", "exhausted-early", "final-plan-not-proposed"],
     )
     def test_malformed_line_refused(self, records, dataset_dir, tmp_path, capsys, edit, reason):
         lines = records.read_text().splitlines()
@@ -1308,6 +1335,26 @@ class TestRecordRefusal:
         records.write_text("\n".join(lines) + "\n")
         for argv in self._commands(dataset_dir, records, tmp_path):
             assert reason in self._assert_refused(argv, records, 1, capsys)
+
+    def test_ground_truth_not_its_final_plan_refused(self, records, dataset_dir, tmp_path, capsys):
+        """A record's ground truth is the validator's verdict on its final plan:
+        score and report refuse one that is not, and a resumed run refuses it
+        before it cuts a torn last line or appends a record."""
+        lines = records.read_text().splitlines()
+        data = json.loads(lines[1])
+        assert data["ground_truth"]["verdict"] != "correct"
+        data["ground_truth"] = {"verdict": "correct"}
+        lines[1] = json.dumps(data, sort_keys=True)
+        score, report, run = self._commands(dataset_dir, records, tmp_path)
+        for argv, tail in [(score, lines[2]), (report, lines[2]), (run, lines[2][:40])]:
+            records.write_text("\n".join(lines[:2] + [tail]))  # a resumed run finds a torn line
+            before = records.read_bytes()
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: the record of problem {data['problem_id']!r} has ")
+            assert err.count("\n") == 1 and 'ground_truth {"verdict": "correct"}' in err
+            assert records.read_bytes() == before
+        assert not (tmp_path / "report").exists()
 
     def test_line_not_json_refused(self, records, dataset_dir, tmp_path, capsys):
         lines = records.read_text().splitlines()
@@ -1450,6 +1497,8 @@ class TestOneReadingRule:
         alone: a raw U+2028 inside a string (``json.dumps`` escapes it, ``jq``
         writes it as it is) ends no line."""
         path, raws, argv = self._json_lines(reader, dataset_dir, tmp_path, capsys)
+        if layout == "raw-u2028" and reader != "manifest":  # a record with an error: its critique failed
+            raws[0].update(iterations=[], llm_calls=1, stop_reason="transport-failure", error="critic: down")
         path.write_text("".join(json.dumps(raw) + "\n" for raw in raws))
         assert cli.main(argv) == 0
         expected = capsys.readouterr().out

@@ -602,6 +602,26 @@ class TestTransport:
         [request] = endpoint.requests
         assert request["auth"] == "Bearer secret-key"
 
+    def test_reset_on_a_fresh_connection_costs_an_attempt(self, monkeypatch):
+        """Only a kept-alive connection is reopened at no cost: a reset on a
+        connection just opened is the endpoint's failure, retried after a backoff."""
+        replies = [ConnectionResetError("reset by peer"), (200, "", chat_body("ok").encode())]
+        attempts, sleeps = [], []
+
+        def exchange(connection, path, body, headers):
+            attempts.append(connection.sock)
+            reply = replies.pop(0)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        monkeypatch.setattr("plancritic.llm._exchange", exchange)
+        monkeypatch.setattr("plancritic.llm.time.sleep", sleeps.append)
+        client = ChatClient(EndpointConfig(base_url="http://127.0.0.1:9/v1", model="m"), backoff=0.5)
+        assert client.complete("judge", 0.0, 16) == "ok"
+        assert attempts == [None, None]  # each on a connection with no socket yet
+        assert sleeps == [0.5]
+
     def test_dropped_keep_alive_connection_is_reopened_at_no_cost(self, monkeypatch):
         # answers one request per connection over HTTP/1.1, without announcing
         # "Connection: close", then closes the socket

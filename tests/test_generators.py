@@ -29,7 +29,7 @@ from plancritic.generators import (
     write_dataset,
 )
 from plancritic.jsonform import OutOfRange
-from plancritic.pddl import Atom, print_domain, print_plan, print_problem
+from plancritic.pddl import Atom, GroundAction, Plan, print_domain, print_plan, print_problem
 from plancritic.search import SearchLimits, SearchStatus, bfs_plan
 from plancritic.semantics import WrongAtStep, validate_plan
 
@@ -257,6 +257,12 @@ class TestObfuscation:
         )
         with pytest.raises(IncompleteMap):
             obfuscate(bw_domain, [], None, mapping)
+
+    def test_plan_action_the_map_lacks_rejected(self, bw_domain, bw5_problem, wrong_plan):
+        """A plan may name an action its domain lacks; the map has no rename for it."""
+        plan = Plan(wrong_plan.steps + (GroundAction("fly", ("b1",)),))
+        with pytest.raises(IncompleteMap, match="map is missing a rename for action 'fly'"):
+            obfuscate(bw_domain, [bw5_problem], [plan], deceptive_map())
 
     def test_colliding_values_rejected(self, bw_domain):
         mapping = ObfuscationMap(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plancritic import cli, critics, orchestrator, pddl, prompting
+from plancritic import cli, critics, orchestrator, pddl, prompting, semantics
 from plancritic.critics import (
     CriticBackend,
     CriticConfig,
@@ -566,6 +566,7 @@ class TestRecordPersistence:
             problem_id="p2",
             iterations=record.iterations[:-1],
             stop_reason=StopReason.TRANSPORT_FAILURE,
+            llm_calls=record.llm_calls - 1,  # the planner reply counts, the failed vote does not
             error="boom",
         )
         write_records(path, [record, failure])
@@ -588,6 +589,77 @@ class TestRecordPersistence:
                 problem_id="p1",
             )
         ]
+
+
+class PlannerDownAt(ScriptedPlanner):
+    """Replays ``plan_text`` and raises ``exc`` at round ``at``."""
+
+    def __init__(self, plan_text, at, exc):
+        super().__init__({"p1": [plan_text]})
+        self.at, self.exc = at, exc
+
+    def generate(self, prompt, *, problem_id, iteration):
+        if iteration == self.at:
+            raise self.exc
+        return super().generate(prompt, problem_id=problem_id, iteration=iteration)
+
+
+class CriticDownAt(ScriptedCritic):
+    """Rejects every plan, ``samples`` votes each, and raises ``exc`` at round ``at``."""
+
+    def __init__(self, at, exc, samples):
+        super().__init__([W], samples)
+        self.at, self.exc = at, exc
+
+    def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
+        if iteration == self.at:
+            raise self.exc
+        return super().critique(domain, problem, plan, problem_id=problem_id, iteration=iteration)
+
+
+class TestEveryStopReasonReadsBack:
+    """Every record ``run_problem`` writes, whatever stopped the run, is one
+    that ``record_from_dict`` accepts and whose ground truth ``score`` accepts."""
+
+    @pytest.mark.parametrize(
+        "case,stop",
+        [
+            ("accepted", StopReason.CRITIC_ACCEPTED),
+            ("exhausted", StopReason.ITERATIONS_EXHAUSTED),
+            ("budget-at-round-0", StopReason.BUDGET_EXCEEDED),
+            ("budget-at-round-1", StopReason.BUDGET_EXCEEDED),
+            ("planner-down", StopReason.TRANSPORT_FAILURE),
+            ("critic-down", StopReason.TRANSPORT_FAILURE),
+            ("planner-bug", StopReason.INTERNAL_ERROR),
+            ("critic-bug", StopReason.INTERNAL_ERROR),
+        ],
+    )
+    def test_record_reads_back(self, bw_domain, bw5_problem, wrong_plan, correct_plan, case, stop):
+        wrong, good = print_plan(wrong_plan), print_plan(correct_plan)
+        c = 3
+        config = LoopConfig(k=2, critic=CriticConfig(self_consistency=c))
+        round_zero = len(build_plan_prompt(bw_domain, bw5_problem, (), Transcript()))
+        planner, critic = ScriptedPlanner({"p1": [wrong]}), ScriptedCritic([W], c)
+        if case == "accepted":
+            planner, critic = ScriptedPlanner({"p1": [wrong, good]}), OracleCritic(config.critic)
+        elif case.startswith("budget"):
+            budget = round_zero - 1 if case == "budget-at-round-0" else round_zero
+            config = dataclasses.replace(config, transcript_budget=budget)
+        elif case.startswith("planner"):
+            exc = TransportError("down") if case == "planner-down" else RuntimeError("bug")
+            planner = PlannerDownAt(wrong, 1, exc)
+        elif case.startswith("critic"):
+            exc = TransportError("down") if case == "critic-down" else RuntimeError("bug")
+            planner, critic = ScriptedPlanner({"p1": [wrong, good]}), CriticDownAt(1, exc, c)
+        record = run_problem(bw_domain, bw5_problem, config, planner, critic, problem_id="p1")
+        assert record.stop_reason is stop
+        assert record_from_dict(json.loads(_record_line(record))) == record
+        assert score([record], bw_domain, {"p1": bw5_problem}).n == 1
+        if case == "budget-at-round-0":  # nothing was proposed: the empty plan stands
+            assert record.iterations == () and record.final_plan == ""
+        if case.startswith("critic"):  # the plan the failed critique judged stands
+            assert record.final_plan == good != record.iterations[-1].plan
+            assert record.llm_calls == call_count(1, c) + 1
 
 
 @pytest.fixture(scope="module")
@@ -617,7 +689,7 @@ class TestRecordLine:
         exhausted = next(r for r in records if r.stop_reason is StopReason.ITERATIONS_EXHAUSTED)
         no_truth = dataclasses.replace(  # the critic's call of the last round failed
             accepted, iterations=accepted.iterations[:-1], stop_reason=StopReason.TRANSPORT_FAILURE,
-            error="down",
+            llm_calls=accepted.llm_calls - 1, error="down",
         )
         write_records(path, [accepted, exhausted, no_truth])
         read_back = read_records(path)
@@ -650,10 +722,11 @@ class TestRunBatch:
         first = run_batch(dataset, self.config(), records_path=path)
         assert read_records(path) == first
         # tamper with one stored record; a resumed batch must reuse it verbatim
-        tampered = dataclasses.replace(first[0], error="cached-sentinel")
+        entry = dataclasses.replace(first[0].iterations[0], plan_prompt_chars=-7)
+        tampered = dataclasses.replace(first[0], iterations=(entry,) + first[0].iterations[1:])
         write_records(path, [tampered] + first[1:])
         second = run_batch(dataset, self.config(), records_path=path)
-        assert second[0].error == "cached-sentinel"
+        assert second[0].iterations[0].plan_prompt_chars == -7
         assert second[1:] == first[1:]
         assert len(read_records(path)) == len(dataset.entries)  # nothing re-appended
 
@@ -851,6 +924,16 @@ class TestSharedEndpoint:
         # ten request starts 50 ms apart; a limiter per role would allow 0.2 s
         assert elapsed >= 0.45
 
+    def test_reply_content_not_text_is_a_transport_failure(self, dataset, endpoint):
+        endpoint.script = [(200, json.dumps({"choices": [{"message": {"content": 5}}]}))]
+        one = dataclasses.replace(dataset, entries=dataset.entries[:1])
+        [record] = run_batch(one, self.config(endpoint))
+        assert record.stop_reason is StopReason.TRANSPORT_FAILURE
+        assert record.error == "planner: message content is not text"
+        assert record.iterations == () and record.final_plan == "" and record.llm_calls == 0
+        assert len(endpoint.requests) == 1  # a malformed reply is not retried
+        assert record_from_dict(json.loads(_record_line(record))) == record
+
     def test_parallel_batch_shares_one_debug_log(self, dataset, endpoint, tmp_path):
         debug_log = tmp_path / "debug.jsonl"
         interval = sys.getswitchinterval()
@@ -946,7 +1029,7 @@ class TestFixedWorkDoneOnce:
 
         count(orchestrator, "validate_plan", calls["validate"])
         count(critics, "validate_plan", calls["validate"])
-        count(critics, "format_trace", calls["trace"])
+        count(semantics, "_format_step", calls["trace"])  # inside the trace renderer
         count(prompting, "print_problem", calls["problem"])
         count(pddl, "_format_conjunction", calls["conjunction"])  # inside the domain printer
         prompts = {}
@@ -972,7 +1055,8 @@ class TestFixedWorkDoneOnce:
         # one validation and one write-up per distinct plan of each problem
         assert len(calls["validate"]) == distinct
         assert len({(id(problem), plan.steps) for problem, plan, _ in calls["validate"]}) == distinct
-        assert len(calls["trace"]) == distinct
+        # a write-up formats each step of the plan's trace
+        assert len(calls["trace"]) == sum(len(validate_plan(*args).trace) for args in calls["validate"])
         # one shot block per pool exemplar, one instance text per target, and
         # one domain text: a render formats each action's precondition and effect
         assert len(calls["problem"]) == len(pool) + len(records)

@@ -8,7 +8,8 @@ from plancritic import orchestrator, report
 from plancritic.critics import CriticBackend, CriticConfig, MockCritic
 from plancritic.generators import GenSpec, generate, load_dataset, write_dataset
 from plancritic.orchestrator import LoopConfig, MockPlanner, PlannerConfig, run_batch
-from plancritic.pddl import parse_plan, print_plan
+from plancritic.domains import blocksworld_domain
+from plancritic.pddl import parse_plan, parse_problem, print_plan
 from plancritic.semantics import validate_plan, verdict_to_dict
 from plancritic.report import (
     REPORT_FORMATS,
@@ -26,6 +27,8 @@ from plancritic.report import (
     wald_ci,
 )
 from plancritic.search import SearchLimits, bfs_plan
+
+from .conftest import BW5_PROBLEM_TEXT
 
 
 class TestWaldCi:
@@ -63,7 +66,13 @@ class TestStepMetrics:
         assert s.critic_accuracy is None
 
 
+BW_DOMAIN = blocksworld_domain()
+BW5_PROBLEM = parse_problem(BW5_PROBLEM_TEXT, BW_DOMAIN)
+
+
 def make_record(pid, entries, final, stop, calls, max_steps=2):
+    """A record of the 5-block problem, which every scored record here names,
+    with the ground truth of ``final`` on it."""
     iterations = tuple(
         IterationEntry(
             step=step,
@@ -83,7 +92,9 @@ def make_record(pid, entries, final, stop, calls, max_steps=2):
         final_plan=final,
         stop_reason=stop,
         llm_calls=calls,
-        ground_truth=None,
+        ground_truth=verdict_to_dict(
+            validate_plan(BW5_PROBLEM, parse_plan(final, BW_DOMAIN), BW_DOMAIN).verdict
+        ),
     )
 
 
@@ -193,6 +204,29 @@ class TestScore:
             score([], bw_domain, problems)
 
 
+def as_json(record):
+    return json.loads(json.dumps(report.record_to_dict(record)))
+
+
+class TestDerivedFieldsRefused:
+    """A record whose derived fields do not follow from its rounds is refused
+    (the other cases are in ``test_cli.TestRecordRefusal``)."""
+
+    def test_cut_record(self, records):
+        """A record cut short by a failed critique counts its rounds and votes,
+        or one call more for the planner reply of the round left out; and it
+        carries an error."""
+        cut = dataclasses.replace(records[0], iterations=records[0].iterations[:1],
+                                  stop_reason=StopReason.TRANSPORT_FAILURE, error="critic: down")
+        data = as_json(cut)
+        for calls in (2, 3):
+            assert report.record_from_dict({**data, "llm_calls": calls}).llm_calls == calls
+        with pytest.raises(report.MalformedRecord, match="llm_calls 4 for 1 rounds"):
+            report.record_from_dict({**data, "llm_calls": 4})
+        with pytest.raises(report.MalformedRecord, match="transport-failure with error None"):
+            report.record_from_dict({**data, "llm_calls": 3, "error": None})
+
+
 class TestAccuracyLine:
     """``run``'s line has the figures ``score`` computes, read from the
     records' ground truth, which every record holds."""
@@ -202,7 +236,7 @@ class TestAccuracyLine:
         return f"n={metrics.n} accuracy={metrics.accuracy:.4f} ({summary_line(metrics)})"
 
     def test_null_ground_truth_refused(self, records):
-        line = json.dumps(report.record_to_dict(records[0]))
+        line = json.dumps(report.record_to_dict(dataclasses.replace(records[0], ground_truth=None)))
         assert '"ground_truth": null' in line
         with pytest.raises(report.MalformedRecord) as refused:
             report.parse_records(line + "\n", "records.jsonl")
