@@ -578,37 +578,40 @@ def write_dataset(
             benchmark=bench, seed=spec.seed, index=index, params=spec.params(),
             plan_file=None if plans[index] is None else Path(f"{stem}.plan"),
         ))
-    return _write_files(out_dir, domain, entries, problems, plans)
+    return _write_files(
+        out_dir, entries, print_domain(domain), [print_problem(p) for p in problems],
+        [None if plan is None else print_plan(plan) for plan in plans],
+    )
 
 
 def _write_files(
-    out_dir: str | Path, domain: DomainDef, entries: list[ManifestEntry],
-    problems: list[ProblemDef], plans: list[Plan | None]
+    out_dir: str | Path, entries: list[ManifestEntry], domain_text: str,
+    problem_texts: list[str], plan_texts: list[str | None]
 ) -> Path:
-    """Write ``domain.pddl``, each entry's problem file and plan file (when it
-    names one) under the entry's file names, and ``manifest.jsonl`` with one
-    line per entry.  The files in ``out_dir`` that a manifest there listed
-    and the new one does not are deleted; a manifest there that does not load
-    raises DatasetError before anything is written.  Returns the manifest path."""
+    """Write the printed domain to ``domain.pddl``, each entry's problem text
+    and plan text (when it names a plan file) under the entry's file names,
+    and ``manifest.jsonl`` with one line per entry.  The files in ``out_dir``
+    that a manifest there listed and the new one does not are deleted; a
+    manifest there that does not load raises DatasetError before anything is
+    written.  Returns the manifest path."""
     out = Path(out_dir)
     manifest = out / "manifest.jsonl"
     old = load_manifest(manifest) if manifest.exists() else []
     stale = {path for entry in old for path in (entry.problem_file, entry.plan_file)
              if path is not None and path.parent == out}
     out.mkdir(parents=True, exist_ok=True)
-    (out / "domain.pddl").write_text(print_domain(domain) + "\n")
+    (out / "domain.pddl").write_text(domain_text + "\n")
     lines = []
-    for entry, problem, plan in zip(entries, problems, plans):
+    for entry, problem_text, plan_text in zip(entries, problem_texts, plan_texts):
         # vars, not dataclasses.asdict, which would deep-copy params
         record = dict(vars(entry), domain_file="domain.pddl", problem_file=entry.problem_file.name)
-        (out / entry.problem_file.name).write_text(print_problem(problem) + "\n")
+        (out / entry.problem_file.name).write_text(problem_text + "\n")
         stale.discard(out / entry.problem_file.name)
         if entry.plan_file is None:
             del record["plan_file"]
         else:
             record["plan_file"] = entry.plan_file.name
-            text = print_plan(plan)
-            (out / entry.plan_file.name).write_text(text + "\n" if text else "")
+            (out / entry.plan_file.name).write_text(plan_text + "\n" if plan_text else "")
             stale.discard(out / entry.plan_file.name)
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     manifest.write_text("".join(lines))
@@ -692,20 +695,26 @@ def obfuscate_dataset(dataset: Dataset, mapping: ObfuscationMap, out_dir: str | 
         [dataset.plans.get(e.id, Plan(())) for e in entries],
         mapping,
     )
-    _read_back(domain, problems, plans)
-    return _write_files(out_dir, domain, entries, problems, plans)
+    return _write_files(out_dir, entries, *_read_back(domain, problems, plans))
 
 
-def _read_back(domain: DomainDef, problems: list[ProblemDef], plans: list[Plan]) -> None:
-    """Raise UnreadableMap unless the texts of a renamed dataset read back,
-    so that no dataset is written that no reader accepts."""
+def _read_back(
+    domain: DomainDef, problems: list[ProblemDef], plans: list[Plan]
+) -> tuple[str, list[str], list[str]]:
+    """The printed domain, problems and plans of a renamed dataset; raises
+    UnreadableMap unless each text reads back, so that no dataset is written
+    that no reader accepts."""
     name = "domain"
+    domain_text, problem_texts, plan_texts = print_domain(domain), [], []
     try:
-        read = parse_domain(print_domain(domain))
+        read = parse_domain(domain_text)
         for problem, plan in zip(problems, plans):
             name = f"problem {problem.name}"
-            parse_problem(print_problem(problem), read)
+            problem_texts.append(print_problem(problem))
+            parse_problem(problem_texts[-1], read)
             name = f"plan of {problem.name}"
-            parse_plan(print_plan(plan), read)
+            plan_texts.append(print_plan(plan))
+            parse_plan(plan_texts[-1], read)
     except PddlError as exc:
         raise UnreadableMap(f"the renamed {name} does not read back: {exc}") from None
+    return domain_text, problem_texts, plan_texts

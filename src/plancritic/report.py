@@ -134,7 +134,7 @@ def record_from_dict(data: dict) -> RunRecord:
         raise MalformedRecord(f"stop reason {record.stop_reason.value} with error {record.error!r}")
     if record.stop_reason is StopReason.ITERATIONS_EXHAUSTED and len(steps) != record.max_steps + 1:
         raise MalformedRecord(f"iterations-exhausted after {len(steps)} of {record.max_steps + 1} rounds")
-    if not cut and record.final_plan != (record.iterations[-1].plan if steps else ""):
+    if record.llm_calls == calls and record.final_plan != (record.iterations[-1].plan if steps else ""):
         raise MalformedRecord("final_plan is not the last round's plan")
     return record
 

@@ -453,19 +453,20 @@ class TestObfuscate:
          ({"predicates": DECEPTIVE_PREDICATES, "actions": {**DECEPTIVE_ACTIONS, "pick-up": "pick up"}},
           "the renamed domain does not read back: action section 'up'"),
          ({"predicates": DECEPTIVE_PREDICATES, "actions": DECEPTIVE_ACTIONS, "objects": {"b1": "?x"}},
-          "does not read back: invalid object name '?x'")],
+          "the renamed problem {problem} does not read back: invalid object name '?x'")],
         ids=["incomplete", "colliding", "predicate-not", "action-with-blank", "object-variable"],
     )
     def test_map_file_that_does_not_fit_exits_2(self, dataset_dir, tmp_path, capsys, tables,
                                                  reason):
         mapping = tmp_path / "map.json"
         mapping.write_text(json.dumps(tables))
+        dataset = load_dataset(dataset_dir / "manifest.jsonl")
+        reason = reason.format(problem=dataset.problems[dataset.entries[0].id].name)
         code = cli.main(["obfuscate", "--manifest", str(dataset_dir / "manifest.jsonl"),
                          "--out", str(tmp_path / "obf"), "--map", str(mapping)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bad map file {mapping}: ") and err.count("\n") == 1
-        assert reason in err
+        assert err.startswith(f"error: bad map file {mapping}: {reason}") and err.count("\n") == 1
         assert not (tmp_path / "obf").exists()
 
     def test_deceptive_mode_on_logistics_exits_2(self, logistics_dir, tmp_path, capsys):

@@ -214,13 +214,18 @@ class TestDerivedFieldsRefused:
 
     def test_cut_record(self, records):
         """A record cut short by a failed critique counts its rounds and votes,
-        or one call more for the planner reply of the round left out; and it
-        carries an error."""
+        or one call more for the planner reply of the round left out, whose
+        plan alone may stand in place of the last round's; and it carries an
+        error."""
         cut = dataclasses.replace(records[0], iterations=records[0].iterations[:1],
                                   stop_reason=StopReason.TRANSPORT_FAILURE, error="critic: down")
-        data = as_json(cut)
+        data = as_json(cut)  # round 0 proposed the wrong plan; the final plan is the good one
+        assert report.record_from_dict({**data, "llm_calls": 3}).llm_calls == 3
+        with pytest.raises(report.MalformedRecord, match="final_plan is not the last round's plan"):
+            report.record_from_dict({**data, "llm_calls": 2})
+        last = {**data, "final_plan": data["iterations"][0]["plan"]}
         for calls in (2, 3):
-            assert report.record_from_dict({**data, "llm_calls": calls}).llm_calls == calls
+            assert report.record_from_dict({**last, "llm_calls": calls}).llm_calls == calls
         with pytest.raises(report.MalformedRecord, match="llm_calls 4 for 1 rounds"):
             report.record_from_dict({**data, "llm_calls": 4})
         with pytest.raises(report.MalformedRecord, match="transport-failure with error None"):
