@@ -460,9 +460,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OutOfRange as exc:  # a generate or solve flag's dest is its field's name
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {a.dest: a.option_strings[0]
+                 for a in sub.choices[args.command]._actions if a.option_strings}
+        print(f"error: {flags.get(exc.field, exc.field)} {exc.rule}", file=sys.stderr)
+        return EXIT_USAGE
     # DatasetError, a ValueError, takes in report.MalformedRecord; OSError,
     # a file that cannot be read or written
-    except (UsageError, DatasetError, InvalidSpec, OutOfRange, OSError) as exc:
+    except (UsageError, DatasetError, InvalidSpec, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # ValueError takes in prompting.PoolTooSmall and report.MissingProblem

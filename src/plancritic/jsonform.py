@@ -47,7 +47,15 @@ class RefusedValue(FormError):
 
 
 class OutOfRange(ValueError):
-    """A value outside the range its field's annotation states."""
+    """A value outside the range its field's annotation states: ``field``
+    names it, and ``rule`` is the words that follow the name."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(field, rule)
+        self.field, self.rule = field, rule
+
+    def __str__(self):
+        return f"{self.field} {self.rule}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +70,7 @@ class Bound:
 
     def check(self, name: str, value) -> None:
         if not self.holds(value):  # 2.0 is shown as 2, as a flag or a JSON value may give it
-            raise OutOfRange(f"{name} must be {self}, got {str(value).removesuffix('.0')}")
+            raise OutOfRange(name, f"must be {self}, got {str(value).removesuffix('.0')}")
 
     def __str__(self):
         return self.words.format(self.low, self.high)

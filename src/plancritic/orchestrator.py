@@ -59,10 +59,8 @@ log = logging.getLogger(__name__)
 
 def call_count(rounds: int, self_consistency: int = 1) -> int:
     """Calls of ``rounds`` whole rounds: what ``run_problem`` counts when no call fails."""
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
-    if self_consistency < 1:
-        raise ValueError("self_consistency must be at least 1")
+    AtLeast(0).check("rounds", rounds)
+    AtLeast(1).check("self_consistency", self_consistency)
     return rounds + self_consistency * rounds
 
 

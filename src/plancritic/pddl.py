@@ -186,8 +186,9 @@ class DomainDef:
     its grounding by domain, and each lookup would otherwise hash every
     action schema again.  ``print_domain`` keeps the text on the domain the
     first time it prints it, so every prompt that shows the domain reuses
-    it.  Equality stays field by field.  Neither the hash nor the text is
-    pickled.
+    it, and the validator keeps its table of bound actions here
+    (``semantics._ground``).  Equality stays field by field.  None of the
+    hash, the text and the table is pickled.
     """
 
     name: str
@@ -196,6 +197,7 @@ class DomainDef:
     actions: tuple[ActionSchema, ...]
 
     _text = None  # not a field: the printed text, once printed
+    _bound = None  # not a field: the validator's bound actions, by (name, args)
 
     def __post_init__(self):
         self.__dict__["_hash"] = hash((self.name, self.requirements, self.predicates, self.actions))

@@ -29,10 +29,10 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Annotated, Mapping, Sequence
 
 from .generators import DatasetError
-from .jsonform import from_json, read_lines
+from .jsonform import AtLeast, check_bounds, from_json, read_lines
 from .pddl import DomainDef, ProblemDef, parse_plan
 from .report_formats import REPORT_FORMATS
 from .semantics import CritiqueLabel, ValidationResult, self_consistency, validate_plan
@@ -57,8 +57,10 @@ class IterationEntry:
     plan: str
     critic_label: CritiqueLabel
     votes: dict[CritiqueLabel, int]
-    plan_prompt_chars: int
-    critique_prompt_chars: int
+    plan_prompt_chars: Annotated[int, AtLeast(0)]
+    critique_prompt_chars: Annotated[int, AtLeast(0)]
+
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -68,14 +70,16 @@ class RunRecord:
     critic-accepted), and the plan that stands."""
 
     problem_id: str
-    max_steps: int
-    self_consistency: int
+    max_steps: Annotated[int, AtLeast(0)]
+    self_consistency: Annotated[int, AtLeast(1)]
     iterations: tuple[IterationEntry, ...]
     final_plan: str
     stop_reason: StopReason
     llm_calls: int
     ground_truth: dict  # verdict_to_dict of the validator's verdict on final_plan
     error: str | None = None
+
+    __post_init__ = check_bounds
 
 
 class MalformedRecord(DatasetError):

@@ -7,17 +7,9 @@ inapplicable action, and reports one of three verdicts: the plan is correct,
 the plan is wrong at a specific step (with every unmet precondition listed),
 or the plan executes but the goal is not reached.
 
-Each ground action is bound to its schema once per domain.  A table maps it
-to its ground preconditions in schema order and its frozen delete and add
-sets.  The table belongs to the latest ``DomainDef`` object validated under
-and is keyed by that object's identity, not its value: a domain carries its
-hash, but comparing two equal domain objects walks both, and
-``load_dataset`` parses a fresh ``DomainDef`` for each batch.  A new domain
-object replaces the pair whole, so a thread never reads one domain's table
-under another domain.  A failed bind
-(unknown action, wrong arity) stores nothing and raises on every call.  The
-table is keyed by the action's ``(name, args)`` tuple, which hashes and
-compares in C.
+Each ground action is bound to its schema once per domain, into a table
+kept on the ``DomainDef`` itself, as ``print_domain`` keeps its text there.
+A failed bind (unknown action, wrong arity) stores nothing.
 
 The bound atoms come from the intern table of ``pddl``, the one the reader
 takes a problem's ``:init`` and goal atoms from.  So a precondition and the
@@ -110,7 +102,6 @@ class StepTrace:
 
     index: int  # 1-based
     action: GroundAction
-    state_before: State
     checks: tuple[tuple[Atom, bool], ...]
     state_after: State | None  # None when the step failed
 
@@ -135,27 +126,18 @@ class ValidationResult:
         return isinstance(self.verdict, Correct)
 
 
-def initial_state(problem: ProblemDef) -> State:
-    return frozenset(problem.init)
-
-
 # a ground action's preconditions in schema order, its deletes and its adds
 Grounded = tuple[tuple[Atom, ...], frozenset[Atom], frozenset[Atom]]
 
-# the latest domain object validated under and the ground actions bound under
-# it, by (name, args)
-_grounded: tuple[DomainDef | None, dict[tuple[str, tuple[str, ...]], Grounded]] = (None, {})
-
 
 def _ground(domain: DomainDef, action: GroundAction) -> Grounded:
-    """``action`` bound under ``domain``, from the table when it was bound
-    before; raises UnknownAction or ArityMismatch, storing nothing.  Each
-    atom comes from the reader's intern table."""
-    global _grounded
-    held, table = _grounded
-    if held is not domain:
-        table = {}
-        _grounded = (domain, table)
+    """``action`` bound under ``domain``, from the domain's table when it was
+    bound before; raises UnknownAction or ArityMismatch, storing nothing.
+    The table is keyed by ``(name, args)``, and each atom comes from the
+    reader's intern table."""
+    table = domain._bound
+    if table is None:  # setdefault is atomic, so the threads of a batch share one table
+        table = domain.__dict__.setdefault("_bound", {})
     key = (action.name, action.args)
     grounded = table.get(key)
     if grounded is None:
@@ -185,9 +167,9 @@ def _step(
     """The precondition checks of ``action`` against ``state``, and the
     successor state when every check holds (None otherwise).
 
-    The ground preconditions, deletes and adds come from the table of the
-    current domain object (see the module docstring); a bind that fails is
-    not stored, so it fails again on the next call."""
+    The ground preconditions, deletes and adds come from the table kept on
+    ``domain``; a bind that fails is not stored, so it fails again on the
+    next call."""
     precondition, dels, adds = _ground(domain, action)
     checks = tuple([(atom, atom in state) for atom in precondition])
     for _, ok in checks:
@@ -196,30 +178,24 @@ def _step(
     return checks, (state - dels) | adds
 
 
-def goal_satisfied(state: State, problem: ProblemDef) -> tuple[bool, tuple[Atom, ...]]:
-    """Return ``(ok, unsatisfied)`` with misses in goal declaration order."""
-    unsatisfied = tuple(atom for atom in problem.goal if atom not in state)
-    return not unsatisfied, unsatisfied
-
-
 def validate_plan(problem: ProblemDef, plan: Plan, domain: DomainDef) -> ValidationResult:
     """Simulate ``plan`` from the initial state and judge it.
 
     The trace covers exactly the executed prefix, including the failing step
     when there is one.
     """
-    state = initial_state(problem)
+    state = problem.init
     trace: list[StepTrace] = []
     for index, action in enumerate(plan.steps, start=1):
         checks, after = _step(state, action, domain)
-        trace.append(StepTrace(index, action, state, checks, after))
+        trace.append(StepTrace(index, action, checks, after))
         if after is None:
             return ValidationResult(WrongAtStep(index, trace[-1].unmet), tuple(trace))
         state = after
-    ok, unsatisfied = goal_satisfied(state, problem)
-    if ok:
-        return ValidationResult(Correct(), tuple(trace))
-    return ValidationResult(GoalNotReached(unsatisfied), tuple(trace))
+    unsatisfied = tuple(atom for atom in problem.goal if atom not in state)
+    if unsatisfied:
+        return ValidationResult(GoalNotReached(unsatisfied), tuple(trace))
+    return ValidationResult(Correct(), tuple(trace))
 
 
 # ---------------------------------------------------------------------------

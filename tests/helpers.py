@@ -236,7 +236,7 @@ def reference_validate(problem: ProblemDef, plan: Plan, domain: DomainDef) -> Va
     trace = []
     for index, action in enumerate(plan.steps, start=1):
         checks, after = reference_step(state, action, domain)
-        trace.append(StepTrace(index, action, state, checks, after))
+        trace.append(StepTrace(index, action, checks, after))
         if after is None:
             return ValidationResult(WrongAtStep(index, trace[-1].unmet), tuple(trace))
         state = after

@@ -33,6 +33,7 @@ from plancritic.orchestrator import LoopConfig, PlannerConfig
 from plancritic.pddl import parse_plan, print_domain, print_plan, print_problem
 from plancritic.report import read_records, score
 from plancritic.search import SearchLimits
+from plancritic.semantics import CritiqueLabel
 
 from .conftest import BW5_PROBLEM_TEXT, CORRECT_PLAN_TEXT, WRONG_PLAN_TEXT
 from .helpers import tree_digest
@@ -164,7 +165,16 @@ class TestGenerate:
              "--count", "1", "--out", str(tmp_path), "--solve", "--max-length", "0"]
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: max_plan_length must be at least 1, got 0\n"
+        assert capsys.readouterr().err == "error: --max-length must be at least 1, got 0\n"
+
+    def test_bad_size_names_its_flag(self, tmp_path, capsys):
+        """A refused size names the flag given, not the field it sets."""
+        out = tmp_path / "w0"
+        code = cli.main(["generate", "--benchmark", "minigrid", "--width", "0", "--height", "2",
+                         "--seed", "1", "--count", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --width must be at least 1, got 0\n"
+        assert not out.exists()
 
     def test_search_limit_without_solve_refused(self, tmp_path, capsys):
         code = cli.main(
@@ -346,7 +356,7 @@ class TestSolve:
              "--problem", str(fixture_files["problem"]), "--max-expanded", "0"]
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: max_expanded must be at least 1, got 0\n"
+        assert capsys.readouterr().err == "error: --max-expanded must be at least 1, got 0\n"
 
 
 class TestObfuscate:
@@ -1186,6 +1196,18 @@ def _last_round(**change):
     return lambda r: {**r, "iterations": [*r["iterations"][:-1], {**r["iterations"][-1], **change}]}
 
 
+# the ground truth of the empty plan on the first problem of dataset_dir
+UNPLANNED_TRUTH = {"unsatisfied": ["(on b1 b2)"], "verdict": "goal_not_reached"}
+
+
+def _unplanned(**change):
+    """A record edit that makes the record's run end over budget before any
+    round, so that its final plan is the empty one."""
+    return lambda r: {**r, "iterations": [], "stop_reason": "budget-exceeded", "llm_calls": 0,
+                      "error": "over budget", "final_plan": "", "ground_truth": UNPLANNED_TRUTH,
+                      **change}
+
+
 class TestRecordRefusal:
     """A records line the loop cannot have written fails with one error line
     that names the file and line, before any work."""
@@ -1321,6 +1343,13 @@ class TestRecordRefusal:
                 "iterations-exhausted after 2 of 3 rounds",
             ),
             (lambda r: {**r, "final_plan": ""}, "final_plan is not the last round's plan"),
+            # ranges the loop's config keeps, on a record with no round to refuse
+            (_unplanned(max_steps=-1), "max_steps must be at least 0, got -1"),
+            (_unplanned(self_consistency=0), "self_consistency must be at least 1, got 0"),
+            (
+                _last_round(plan_prompt_chars=-7),
+                "iterations[2]: plan_prompt_chars must be at least 0, got -7",
+            ),
         ],
         ids=["only-problem-id", "round-without-field", "wrong-type", "bool-for-int",
              "round-not-object", "unknown-stop-reason", "not-an-object", "rounds-beyond-k",
@@ -1328,7 +1357,8 @@ class TestRecordRefusal:
              "correct-not-accepted", "votes-above-self-consistency", "no-votes",
              "vote-count-below-1", "label-not-its-votes", "label-not-its-split-votes",
              "no-llm-calls", "one-call-more-uncut", "error-without-failure",
-             "failure-without-error", "exhausted-early", "final-plan-not-proposed"],
+             "failure-without-error", "exhausted-early", "final-plan-not-proposed",
+             "max-steps-below-0", "self-consistency-0", "prompt-chars-below-0"],
     )
     def test_malformed_line_refused(self, records, dataset_dir, tmp_path, capsys, edit, reason):
         lines = records.read_text().splitlines()
@@ -1929,6 +1959,15 @@ def _valid(cls, name) -> dict:
         family = next((b for b, names in SIZE_FIELDS.items() if name in names),
                       Benchmark.BLOCKSWORLD)
         return {"benchmark": family.value, "seed": 1, "count": 1, **_SIZES[family]}
+    if cls is report.IterationEntry:
+        return {"step": 0, "plan": "", "critic_label": CritiqueLabel.WRONG,
+                "votes": {CritiqueLabel.WRONG: 1}, "plan_prompt_chars": 0,
+                "critique_prompt_chars": 0}
+    if cls is report.RunRecord:  # one round, proposing nothing, on the first fixture problem
+        return {"problem_id": "blocksworld-7-0000", "max_steps": 0, "self_consistency": 1,
+                "iterations": (report.IterationEntry(**_valid(report.IterationEntry, "")),),
+                "final_plan": "", "stop_reason": report.StopReason.ITERATIONS_EXHAUSTED,
+                "llm_calls": 2, "ground_truth": UNPLANNED_TRUTH}
     return {}
 
 
@@ -1958,9 +1997,10 @@ def _subcommand_flags(command: str) -> dict[str, str]:
 _SECTIONS = {"": LoopConfig, "planner": PlannerConfig, "critic": CriticConfig}
 
 
-def _argvs(cls, name, value, paths, tmp_path) -> list[tuple[list[str], Path]]:
-    """(argv, the output it must not create) of each command whose flag or
-    ``--config`` key sets ``name`` of ``cls`` to ``value``."""
+def _argvs(cls, name, value, paths, tmp_path) -> list[tuple[list[str], Path, str]]:
+    """(argv, the output it must not create, the name its error line gives
+    the value) of each command whose flag, ``--config`` key or records line
+    sets ``name`` of ``cls`` to ``value``."""
     argvs = []
     records = tmp_path / "r.jsonl"
     run = ["run", "--manifest", paths["manifest"], "--records", str(records)]
@@ -1968,24 +2008,32 @@ def _argvs(cls, name, value, paths, tmp_path) -> list[tuple[list[str], Path]]:
         if cls is config_class:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({section: {name: value}} if section else {name: value}))
-            argvs.append((run + ["--config", str(config)], records))
+            argvs.append((run + ["--config", str(config)], records, name))
     for flag, (_, keys) in cli.RUN_FLAGS.items():
         for key in keys.split():
             section, _, field = key.rpartition(".")
             if field == name and cls is _SECTIONS.get(section):
-                argvs.append((run + [f"{flag}={value}"], records))
+                argvs.append((run + [f"{flag}={value}"], records, name))
     generate = _subcommand_flags("generate")
     out = tmp_path / "out"
     if cls is GenSpec:
         values = {**_valid(cls, name), name: value}
         argvs.append((["generate", "--out", str(out)]
-                      + [f"{generate[dest]}={v}" for dest, v in values.items()], out))
+                      + [f"{generate[dest]}={v}" for dest, v in values.items()], out,
+                      generate[name]))
     if cls is SearchLimits:
         argvs.append((["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
                        "--count", "1", "--out", str(out), "--solve",
-                       f"{generate[name]}={value}"], out))
+                       f"{generate[name]}={value}"], out, generate[name]))
+        solve = _subcommand_flags("solve")
         argvs.append((["solve", "--domain", paths["domain"], "--problem", paths["problem"],
-                       "--out", str(out), f"{_subcommand_flags('solve')[name]}={value}"], out))
+                       "--out", str(out), f"{solve[name]}={value}"], out, solve[name]))
+    if cls in (report.RunRecord, report.IterationEntry):
+        record = report.record_to_dict(report.RunRecord(**_valid(report.RunRecord, name)))
+        (record if cls is report.RunRecord else record["iterations"][0])[name] = value
+        records.write_text(json.dumps(record) + "\n")
+        argvs.append((["score", "--records", str(records), "--manifest", paths["manifest"],
+                       "--out", str(out)], out, name))
     return argvs
 
 
@@ -1996,8 +2044,9 @@ def test_every_bound_holds_and_is_refused_by_every_command(
 ):
     """At its bound a field's value constructs; one step past it, or NaN for
     a float, raises OutOfRange naming the field, and each run, generate or
-    solve flag and each ``--config`` key that sets the field exits 2 with
-    that one line, leaving no output behind."""
+    solve flag, each ``--config`` key and each records line that sets the
+    field exits 2 with that one line, leaving no output behind; a generate or
+    solve line names the flag in place of the field."""
     hint = typing.get_type_hints(cls)[name]
     kind = float if float in (hint, *typing.get_args(hint)) else int
     inside, outside = _edges(bound, kind)
@@ -2012,14 +2061,14 @@ def test_every_bound_holds_and_is_refused_by_every_command(
     paths = {"manifest": str(dataset_dir / "manifest.jsonl"),
              "domain": str(fixture_files["domain"]), "problem": str(fixture_files["problem"])}
     for value in outside:
-        message = f"{name} must be {bound}, got {str(value).removesuffix('.0')}"
+        rule = f"must be {bound}, got {str(value).removesuffix('.0')}"
         with pytest.raises(OutOfRange) as exc:
             cls(**{**valid, name: value})
-        assert str(exc.value) == message
-        for argv, output in _argvs(cls, name, value, paths, tmp_path):
+        assert str(exc.value) == f"{name} {rule}"
+        for argv, output, shown in _argvs(cls, name, value, paths, tmp_path):
             assert cli.main(argv) == 2, argv
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.endswith(f"{message}\n"), err
+            assert err.startswith("error: ") and err.endswith(f"{shown} {rule}\n"), err
             assert err.count("\n") == 1, err
             assert not output.exists(), argv
 
@@ -2033,4 +2082,5 @@ def test_every_flag_bound_is_reached(tmp_path):
                if _argvs(cls, name, bound.low, paths, tmp_path)}
     assert reached >= {("GenSpec", "count"), ("GenSpec", "blocks"),
                        ("SearchLimits", "max_expanded"), ("LoopConfig", "k"),
-                       ("CriticConfig", "self_consistency"), ("PlannerConfig", "timeout")}
+                       ("CriticConfig", "self_consistency"), ("PlannerConfig", "timeout"),
+                       ("RunRecord", "max_steps"), ("IterationEntry", "plan_prompt_chars")}

@@ -722,11 +722,11 @@ class TestRunBatch:
         first = run_batch(dataset, self.config(), records_path=path)
         assert read_records(path) == first
         # tamper with one stored record; a resumed batch must reuse it verbatim
-        entry = dataclasses.replace(first[0].iterations[0], plan_prompt_chars=-7)
+        entry = dataclasses.replace(first[0].iterations[0], plan_prompt_chars=7)
         tampered = dataclasses.replace(first[0], iterations=(entry,) + first[0].iterations[1:])
         write_records(path, [tampered] + first[1:])
         second = run_batch(dataset, self.config(), records_path=path)
-        assert second[0].iterations[0].plan_prompt_chars == -7
+        assert second[0].iterations[0].plan_prompt_chars == 7
         assert second[1:] == first[1:]
         assert len(read_records(path)) == len(dataset.entries)  # nothing re-appended
 

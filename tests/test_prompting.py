@@ -223,6 +223,10 @@ class TestFewShotSelection:
     def test_zero_shots(self, pool, bw5_problem):
         assert select_fewshots(pool, "t", 0, bw5_problem) == ()
 
+    def test_negative_shots_refused(self, pool, bw5_problem):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            select_fewshots(pool, "t", -1, bw5_problem)
+
     def test_pool_rejects_invalid_exemplar(self, bw_domain, bw5_problem):
         with pytest.raises(ValueError, match="does not validate"):
             build_pool(dataset_of(bw_domain, {"p": bw5_problem}, {"p": Plan(())}), seed=0)

@@ -24,7 +24,7 @@ from plancritic.search import (
     ground_actions,
     run_plan,
 )
-from plancritic.semantics import goal_satisfied, initial_state, validate_plan
+from plancritic.semantics import validate_plan
 
 from .helpers import apply, is_applicable
 
@@ -41,8 +41,8 @@ THREE_BLOCKS = """\
 def reference_shortest_length(domain, problem, max_depth=30):
     """Independent breadth-first search written directly over the semantics
     module, used to cross-check bfs_plan's optimality."""
-    start = initial_state(problem)
-    if goal_satisfied(start, problem)[0]:
+    start = problem.init
+    if all(atom in start for atom in problem.goal):
         return 0
     actions = ground_actions(domain, problem)
     seen = {start}
@@ -57,7 +57,7 @@ def reference_shortest_length(domain, problem, max_depth=30):
             nxt = apply(state, action, domain)
             if nxt in seen:
                 continue
-            if goal_satisfied(nxt, problem)[0]:
+            if all(atom in nxt for atom in problem.goal):
                 return depth + 1
             seen.add(nxt)
             frontier.append((nxt, depth + 1))
@@ -492,6 +492,16 @@ class TestIndependentExecutor:
         assert outcome.failed_step is None
         assert not outcome.goal_satisfied
         assert not outcome.accepted
+
+    def test_unknown_action_raises(self, bw_domain, bw5_problem, correct_plan):
+        plan = Plan((correct_plan.steps[0], GroundAction("teleport", ("b5",))))
+        with pytest.raises(ValueError, match="^unknown action 'teleport'$"):
+            run_plan(bw_domain, bw5_problem, plan)
+
+    def test_wrong_argument_count_raises(self, bw_domain, bw5_problem):
+        plan = Plan((GroundAction("unstack", ("b5",)),))
+        with pytest.raises(ValueError, match=r"^wrong argument count for \(unstack b5\)$"):
+            run_plan(bw_domain, bw5_problem, plan)
 
 
 def _imported_modules(source: str) -> set[str]:

@@ -30,7 +30,6 @@ from plancritic.semantics import (
     WrongAtStep,
     format_trace,
     format_verdict,
-    initial_state,
     validate_plan,
 )
 
@@ -62,7 +61,7 @@ STATE_AFTER_STEP_1 = frozenset(
 
 class TestApplicability:
     def test_first_step_applicable(self, bw_domain, bw5_problem):
-        state = initial_state(bw5_problem)
+        state = bw5_problem.init
         checks = precondition_checks(state, GroundAction("unstack", ("b5", "b2")), bw_domain)
         assert checks == (
             (Atom("on", ("b5", "b2")), True),
@@ -73,13 +72,13 @@ class TestApplicability:
         assert ok and unmet == ()
 
     def test_pickup_covered_block_fails(self, bw_domain, bw5_problem):
-        state = initial_state(bw5_problem)
+        state = bw5_problem.init
         ok, unmet = is_applicable(state, GroundAction("pick-up", ("b2",)), bw_domain)
         assert not ok
         assert Atom("clear", ("b2",)) in unmet
 
     def test_apply_rejects_inapplicable(self, bw_domain, bw5_problem):
-        state = initial_state(bw5_problem)
+        state = bw5_problem.init
         with pytest.raises(InapplicableAction):
             apply(state, GroundAction("pick-up", ("b2",)), bw_domain)
 
@@ -99,7 +98,7 @@ class TestValidatePlan:
         assert result.trace[-1].applied is False
         assert result.trace[-1].action == GroundAction("pick-up", ("b2",))
         # b2 is on the table at that point; only (clear b2) is missing
-        assert Atom("ontable", ("b2",)) in result.trace[-1].state_before
+        assert Atom("ontable", ("b2",)) in result.trace[-2].state_after
 
     def test_step_1_resulting_state(self, bw_domain, bw5_problem, wrong_plan):
         result = validate_plan(bw5_problem, wrong_plan, bw_domain)
@@ -179,7 +178,7 @@ class TestFrameProperty:
         domain, problems = generate(GenSpec.blocksworld(blocks=4, seed=seed, count=1))
         problem = problems[0]
         rng = random.Random(seed)
-        state = initial_state(problem)
+        state = problem.init
         actions = ground_actions(domain, problem)
         for _ in range(6):
             applicable = [a for a in actions if is_applicable(state, a, domain)[0]]
@@ -267,8 +266,9 @@ class TestReferenceEquivalence:
             for plan in plan_variants(golden, rng):
                 expected = reference_validate(problem, plan, domain)
                 assert validate_plan(problem, plan, domain) == expected
+                state = problem.init
                 for step in expected.trace:
-                    state, action = step.state_before, step.action
+                    action = step.action
                     assert precondition_checks(state, action, domain) == step.checks
                     assert is_applicable(state, action, domain) == (step.applied, step.unmet)
                     if step.applied:
@@ -277,6 +277,7 @@ class TestReferenceEquivalence:
                         with pytest.raises(InapplicableAction) as failed:
                             apply(state, action, domain)
                         assert failed.value.unmet == step.unmet
+                    state = step.state_after
                 compared += 1
         assert compared >= 2 * len(problems)
 
@@ -318,7 +319,7 @@ class TestDomainTable:
             result = validate_plan(problem, plan, domain)
             assert (result.verdict, result.trace[0].state_after) == expected[id(domain)]
             assert result == reference_validate(problem, plan, domain)
-            state = initial_state(problem)
+            state = problem.init
             assert apply(state, plan.steps[0], domain) == expected[id(domain)][1]
 
     def test_threads_on_two_domains_each_see_their_own(self, domains):
@@ -350,7 +351,7 @@ class TestDomainTable:
         before = validate_plan(bw5_problem, correct_plan, bw_domain)
         unknown = Plan((correct_plan.steps[0], GroundAction("teleport", ("b5",))))
         short = GroundAction("unstack", ("b5",))
-        state = initial_state(bw5_problem)
+        state = bw5_problem.init
         for _ in range(3):
             with pytest.raises(UnknownAction):
                 validate_plan(bw5_problem, unknown, bw_domain)
