@@ -5,10 +5,15 @@ Subcommands: ``generate`` benchmark instances, ``validate`` a plan,
 ``run`` the full refinement loop over a manifest, ``score`` persisted run
 records, and ``report`` them in several formats.
 
+Each path argument's role is its parser ``type``, a ``PathRole``: a file
+read, a manifest read with every file it lists, a file written, or a directory
+written into.  ``_refuse_overwrite`` reads the roles, so that no command
+writes over a file it reads.
+
 Exit codes: 0 on success, 1 for domain-level failures (unparseable PDDL,
 unsolvable instance, a record of a problem the manifest does not list), 2 for
 usage errors such as missing or unreadable files, bad flags, or an output
-path that names an input.
+that is the same file as an input.
 A backend failure in ``run`` is filed in its problem's record.
 """
 
@@ -17,8 +22,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from collections import Counter
+from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -27,6 +34,7 @@ from .generators import (
     SIZE_FIELDS,
     Benchmark,
     CollidingMap,
+    Dataset,
     DatasetError,
     GenSpec,
     IncompleteMap,
@@ -69,12 +77,76 @@ class UsageError(Exception):
     pass
 
 
-def _refuse_overwrite(out: str | None, inputs: dict[str, str | Path | None], flag="--out") -> None:
-    """Raise UsageError, before anything is written, when the output path
-    ``out`` of ``flag`` resolves to one of ``inputs``, each named by what it is."""
-    for name, path in inputs.items():
-        if None not in (out, path) and Path(out).resolve() == Path(path).resolve():
-            raise UsageError(f"{flag} {out} would overwrite {name}")
+class PathRole(Enum):
+    """What a command does with a path argument, stated once as the
+    argument's parser ``type``, which passes the path through unchanged."""
+
+    READ = "a file the command reads"
+    MANIFEST = "a manifest the command reads, with every file it lists"
+    WRITE = "a file the command writes"
+    DATASET_DIR = "a directory the command writes a dataset into, under its input's names"
+    REPORT_DIR = "a directory the command writes the files of its --format into"
+
+    def __call__(self, path: str) -> str:
+        return path
+
+
+def _options(args) -> dict[str, argparse.Action]:
+    """The options of the subcommand that ran, by dest."""
+    return {action.dest: action for action in args.parser._actions if action.option_strings}
+
+
+def _flag(args, name: str) -> str:
+    """The flag of the subcommand that ran whose dest is ``name``, else ``name``."""
+    action = _options(args).get(name)
+    return action.option_strings[0] if action else name
+
+
+def _file_id(path) -> tuple[int, int] | None:
+    try:
+        stat = os.stat(path)
+    except OSError:  # no file there yet: its write, if any, reports its own error
+        return None
+    return stat.st_dev, stat.st_ino
+
+
+def _refuse_overwrite(args, **datasets: Dataset | None) -> None:
+    """Raise UsageError when a file that the command that ran would write is
+    the same file as one it reads, each known by its argument's ``PathRole``.
+    Each manifest's loaded dataset, in ``datasets`` under its argument's dest
+    even when a config named it, adds the manifest and every file it lists to
+    the inputs, and its problem and plan file names to a ``DATASET_DIR``'s
+    files.  A command calls this after it loads its inputs, before it writes."""
+    outputs, inputs = {}, []  # what writes each output, by path; each input's name and paths
+    for dest, action in _options(args).items():
+        path, flag, role = vars(args).get(dest), action.option_strings[0], action.type
+        if role is PathRole.MANIFEST and (path is not None or datasets.get(dest)):
+            dataset = datasets[dest]  # a manifest given is loaded before the check
+            name = flag if path is not None else f"the manifest {dataset.manifest}"
+            inputs += [(name, [dataset.manifest]), (f"a file that {name} lists", (
+                file for entry in dataset.entries
+                for file in (entry.domain_file, entry.problem_file, entry.plan_file) if file
+            ))]
+        elif path is not None and role is PathRole.READ:
+            inputs.append((flag, [path]))
+        elif path is not None and role is PathRole.WRITE:
+            outputs.setdefault(path, f"{flag} {path} would overwrite")
+        elif path is not None and role in (PathRole.DATASET_DIR, PathRole.REPORT_DIR):
+            names = REPORT_FORMATS[args.format] if role is PathRole.REPORT_DIR else [
+                "domain.pddl", "manifest.jsonl",
+                *(file.name for dataset in datasets.values() if dataset for entry in dataset.entries
+                  for file in (entry.problem_file, entry.plan_file) if file),
+            ]
+            for name in names:
+                outputs.setdefault(Path(path, name), f"{flag} {path} would write {name} over")
+    written = {}  # what writes each output that exists, by its (st_dev, st_ino)
+    for path, writes in outputs.items():
+        written.setdefault(_file_id(path), writes)
+    written.pop(None, None)
+    for name, paths in inputs if written else ():  # no input can be an output that is not there
+        for file in map(_file_id, dict.fromkeys(paths)):
+            if file in written:
+                raise UsageError(f"{written[file]} {name}")
 
 
 def _read_json(path: str):
@@ -102,8 +174,7 @@ def _spec_from_args(args) -> GenSpec:
         if benchmark is not Benchmark.LOGISTICS:
             raise UsageError(f"--preset is for the logistics benchmark, not {benchmark.value}")
         if sizes:
-            given = ", ".join(sizes)
-            raise UsageError(f"--preset sets every logistics size, so it takes no {given}")
+            raise InvalidSpec("--preset sets every logistics size, so it takes no", *sizes)
         preset = GenSpec.logistics_easy if args.preset == "easy" else GenSpec.logistics_hard
         return preset(args.seed, args.count)
     return GenSpec(benchmark, args.seed, args.count, **sizes)
@@ -164,9 +235,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    _refuse_overwrite(args.out, {"--domain": args.domain, "--problem": args.problem})
     domain = parse_domain(Path(args.domain).read_text())
     problem = parse_problem(Path(args.problem).read_text(), domain)
+    _refuse_overwrite(args)
     result = bfs_plan(domain, problem, _limits_from_args(args))
     if args.stats:
         print(
@@ -194,7 +265,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_obfuscate(args) -> int:
-    _refuse_overwrite(args.out, {"the dataset of --manifest": Path(args.manifest).resolve().parent})
     dataset = load_dataset(args.manifest)
     try:
         if args.map:
@@ -209,6 +279,7 @@ def _cmd_obfuscate(args) -> int:
             mapping = nonspecific_map(dataset.domain)
         else:
             mapping = identity_map(dataset.domain)
+        _refuse_overwrite(args, manifest=dataset)
         manifest = obfuscate_dataset(dataset, mapping, args.out)
     # raised before any file is written
     except (FormError, IncompleteMap, CollidingMap, UnreadableMap) as exc:
@@ -266,7 +337,8 @@ RUN_FLAGS = {
     "--planner": ({"choices": ["mock-golden", "mock", "llm"]}, "planner.backend"),
     "--k": ({"type": int}, "k"),
     "--shots": ({"type": int}, "shots"),
-    "--pool": ({"help": "manifest of solved problems for few-shot examples"}, "pool_manifest"),
+    "--pool": ({"type": PathRole.MANIFEST,
+                "help": "manifest of solved problems for few-shot examples"}, "pool_manifest"),
     "--pool-seed": ({"type": int}, "pool_seed"),
     "--budget": ({"type": int}, "transcript_budget"),
     "--self-consistency": ({"type": int}, "critic.self_consistency"),
@@ -308,12 +380,9 @@ def _cmd_run(args) -> int:
 
     AtLeast(1).check("--parallelism", args.parallelism)
     config, pool_path, pool_seed = _config_from_args(args)
-    # a resumed run cuts a torn last line from its records file, and appends to it
-    _refuse_overwrite(args.records, {"--manifest": args.manifest, "--config": args.config,
-                                     "the pool manifest": pool_path}, "--records")
     # golden plans are read only for the mock planner, which replays them
     dataset = load_dataset(args.manifest, with_plans=config.planner.backend is PlannerBackend.MOCK)
-    pool = None
+    pool = pool_dataset = None
     if config.shots > 0:
         pool_dataset = load_dataset(pool_path)
         if pool_dataset.domain != dataset.domain:
@@ -322,6 +391,8 @@ def _cmd_run(args) -> int:
                 f"the run is for {dataset.domain.name}"
             )
         pool = build_pool(pool_dataset, pool_seed)
+    # a resumed run cuts a torn last line from its records file, and appends to it
+    _refuse_overwrite(args, manifest=dataset, pool=pool_dataset)
     records = run_batch(
         dataset,
         config,
@@ -344,13 +415,13 @@ def _score_records(args) -> Metrics:
 
     records = report.read_records(args.records)
     dataset = load_dataset(args.manifest, with_plans=False)  # scoring reads no golden plan
+    _refuse_overwrite(args, manifest=dataset)
     return report.score(records, dataset.domain, dataset.problems)
 
 
 def _cmd_score(args) -> int:
     from . import report
 
-    _refuse_overwrite(args.out, {"--records": args.records, "--manifest": args.manifest})
     text = report.metrics_json(_score_records(args))
     print(text)
     if args.out:
@@ -361,9 +432,6 @@ def _cmd_score(args) -> int:
 def _cmd_report(args) -> int:
     from . import report
 
-    inputs = {"--records": args.records, "--manifest": args.manifest}
-    for name in REPORT_FORMATS[args.format]:
-        _refuse_overwrite(str(Path(args.out_dir, name)), inputs, "the report file")
     metrics = _score_records(args)
     written = report.emit_report(metrics, args.format, args.out_dir)
     for path in written:
@@ -391,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", required=True, choices=[b.value for b in Benchmark])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=PathRole.DATASET_DIR)
     p.add_argument("--blocks", type=int)
     p.add_argument("--preset", choices=["easy", "hard"])
     p.add_argument("--cities", type=int)
@@ -407,32 +475,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("validate", help="validate a plan against a problem")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--problem", required=True)
-    p.add_argument("--plan", required=True)
+    p.add_argument("--domain", required=True, type=PathRole.READ)
+    p.add_argument("--problem", required=True, type=PathRole.READ)
+    p.add_argument("--plan", required=True, type=PathRole.READ)
     p.add_argument("--json", action="store_true")
     p.add_argument("--quiet", action="store_true", help="print only the verdict")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("solve", help="find a shortest plan by breadth-first search")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--problem", required=True)
-    p.add_argument("--out")
+    p.add_argument("--domain", required=True, type=PathRole.READ)
+    p.add_argument("--problem", required=True, type=PathRole.READ)
+    p.add_argument("--out", type=PathRole.WRITE)
     p.add_argument("--stats", action="store_true", help="print search counts on stderr")
     _add_limit_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("obfuscate", help="rename a dataset's vocabulary")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--manifest", required=True, type=PathRole.MANIFEST)
+    p.add_argument("--out", required=True, type=PathRole.DATASET_DIR)
     p.add_argument("--mode", choices=[m.value for m in ObfuscationMode], default="deceptive")
-    p.add_argument("--map", help="JSON map file overriding --mode")
+    p.add_argument("--map", type=PathRole.READ, help="JSON map file overriding --mode")
     p.set_defaults(func=_cmd_obfuscate)
 
     p = sub.add_parser("run", help="run the iterative critique loop over a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--records", required=True, help="JSONL output; reused to resume")
-    p.add_argument("--config", help="JSON run configuration, in place of the run flags")
+    p.add_argument("--manifest", required=True, type=PathRole.MANIFEST)
+    p.add_argument("--records", required=True, type=PathRole.WRITE,
+                   help="JSONL output; reused to resume")
+    p.add_argument("--config", type=PathRole.READ,
+                   help="JSON run configuration, in place of the run flags")
     flags = p.add_argument_group("run flags, not with --config", argument_default=argparse.SUPPRESS)
     for flag, (settings, _) in RUN_FLAGS.items():
         flags.add_argument(flag, dest=flag[2:], **settings)
@@ -440,17 +510,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("score", help="score persisted run records")
-    p.add_argument("--records", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out")
+    p.add_argument("--records", required=True, type=PathRole.READ)
+    p.add_argument("--manifest", required=True, type=PathRole.MANIFEST)
+    p.add_argument("--out", type=PathRole.WRITE)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("report", help="emit a report from run records")
-    p.add_argument("--records", required=True)
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--records", required=True, type=PathRole.READ)
+    p.add_argument("--manifest", required=True, type=PathRole.MANIFEST)
     p.add_argument("--format", choices=REPORT_FORMATS, default="table-text")
-    p.add_argument("--out-dir", required=True, dest="out_dir")
+    p.add_argument("--out-dir", required=True, dest="out_dir", type=PathRole.REPORT_DIR)
     p.set_defaults(func=_cmd_report)
+
+    for p in sub.choices.values():  # for the options of the subcommand that ran
+        p.set_defaults(parser=p)
 
     return parser
 
@@ -460,15 +533,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OutOfRange as exc:  # a generate or solve flag's dest is its field's name
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        flags = {a.dest: a.option_strings[0]
-                 for a in sub.choices[args.command]._actions if a.option_strings}
-        print(f"error: {flags.get(exc.field, exc.field)} {exc.rule}", file=sys.stderr)
+    # a generate or solve flag's dest is the name of the field it sets
+    except OutOfRange as exc:
+        print(f"error: {_flag(args, exc.field)} {exc.rule}", file=sys.stderr)
+        return EXIT_USAGE
+    except InvalidSpec as exc:
+        flags = ", ".join(_flag(args, name) for name in exc.fields)
+        print(f"error: {exc.rule} {flags}".rstrip(), file=sys.stderr)
         return EXIT_USAGE
     # DatasetError, a ValueError, takes in report.MalformedRecord; OSError,
     # a file that cannot be read or written
-    except (UsageError, DatasetError, InvalidSpec, OSError) as exc:
+    except (UsageError, DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # ValueError takes in prompting.PoolTooSmall and report.MissingProblem

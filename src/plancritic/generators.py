@@ -68,7 +68,12 @@ SIZE_FIELDS = {
 
 
 class InvalidSpec(ValueError):
-    pass
+    """A spec that breaks a joint rule: ``rule`` is its words, and ``fields``
+    the size fields it names after them, if any."""
+
+    def __init__(self, rule: str, *fields: str):
+        super().__init__(" ".join([rule, ", ".join(fields)]) if fields else rule)
+        self.rule, self.fields = rule, fields
 
 
 @dataclass(frozen=True)
@@ -96,12 +101,12 @@ class GenSpec:
         foreign = [name for other, names in SIZE_FIELDS.items() if other is not b
                    for name in names if getattr(self, name) is not None]
         if foreign:
-            raise InvalidSpec(f"{b.value} takes no {', '.join(foreign)}")
+            raise InvalidSpec(f"{b.value} takes no", *foreign)
         if b is Benchmark.MINIGRID and self.keys is None:
             object.__setattr__(self, "keys", 0)
         missing = [name for name in SIZE_FIELDS[b] if getattr(self, name) is None]
         if missing:
-            raise InvalidSpec(f"{b.value} needs {', '.join(missing)}")
+            raise InvalidSpec(f"{b.value} needs", *missing)
         if b is Benchmark.LOGISTICS:
             if self.trucks < self.cities and self.places_per_city > 1:
                 raise InvalidSpec("logistics needs one truck per city to stay solvable")
@@ -629,17 +634,26 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     return read_lines(path.read_text(), path, read, DatasetError)
 
 
+def _parse_file(parse, path: Path, *args):
+    """``parse`` of the text of ``path``; a PddlError names the file."""
+    try:
+        return parse(path.read_text(), *args)
+    except PddlError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _load_instance(
     entry: ManifestEntry, domain: DomainDef, with_plan: bool = True
 ) -> tuple[ProblemDef, Plan | None]:
-    problem = parse_problem(entry.problem_file.read_text(), domain)
+    problem = _parse_file(parse_problem, entry.problem_file, domain)
     if entry.plan_file is None or not with_plan:
         return problem, None
-    return problem, parse_plan(entry.plan_file.read_text(), domain)
+    return problem, _parse_file(parse_plan, entry.plan_file, domain)
 
 
 def load_entry(entry: ManifestEntry) -> tuple[DomainDef, ProblemDef, Plan | None]:
-    domain = parse_domain(entry.domain_file.read_text())
+    domain = _parse_file(parse_domain, entry.domain_file)
     return (domain, *_load_instance(entry, domain))
 
 
@@ -652,24 +666,27 @@ class DatasetError(ValueError):
 @dataclass(frozen=True)
 class Dataset:
     """A loaded manifest: its entries, their one domain, and problems and
-    golden plans by entry id (``plans`` only holds entries with a plan file)."""
+    golden plans by entry id (``plans`` only holds entries with a plan file),
+    and the manifest's path (None for a dataset built in memory)."""
 
     entries: tuple[ManifestEntry, ...]
     domain: DomainDef
     problems: Mapping[str, ProblemDef]
     plans: Mapping[str, Plan]
+    manifest: Path | None = None
 
 
 def load_dataset(manifest: str | Path, with_plans: bool = True) -> Dataset:
     """Load a manifest, parsing each distinct domain file once; raises
     DatasetError when it is empty, its entries resolve to different domains,
     or it lists an id twice.  With ``with_plans`` false no plan file is read
-    and the dataset's ``plans`` is empty, for callers that use no golden plan."""
+    and the dataset's ``plans`` is empty, for callers that use no golden plan.
+    A PddlError from a domain, problem or plan file names that file."""
     entries = tuple(load_manifest(manifest))
     if not entries:
         raise DatasetError(f"empty manifest: {manifest}")
     files = dict.fromkeys(entry.domain_file for entry in entries)
-    domain, *others = (parse_domain(path.read_text()) for path in files)
+    domain, *others = (_parse_file(parse_domain, path) for path in files)
     if any(other != domain for other in others):
         raise DatasetError(f"manifest mixes domains: {manifest}")
     problems, plans = {}, {}
@@ -679,7 +696,7 @@ def load_dataset(manifest: str | Path, with_plans: bool = True) -> Dataset:
         problems[entry.id], plan = _load_instance(entry, domain, with_plans)
         if plan is not None:
             plans[entry.id] = plan
-    return Dataset(entries, domain, problems, plans)
+    return Dataset(entries, domain, problems, plans, Path(manifest))
 
 
 def obfuscate_dataset(dataset: Dataset, mapping: ObfuscationMap, out_dir: str | Path) -> Path:

@@ -176,6 +176,24 @@ class TestGenerate:
         assert capsys.readouterr().err == "error: --width must be at least 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sizes,line",
+        [(["--benchmark", "minigrid", "--width", "2"], "minigrid needs --height"),
+         (["--benchmark", "blocksworld", "--places-per-city", "2"],
+          "blocksworld takes no --places-per-city"),
+         (["--benchmark", "logistics", "--preset", "easy", "--places-per-city", "2"],
+          "--preset sets every logistics size, so it takes no --places-per-city")],
+        ids=["missing", "of-another-benchmark", "with-preset"],
+    )
+    def test_size_rule_names_its_flags(self, tmp_path, capsys, sizes, line):
+        """A size that is missing, of another benchmark or given with
+        ``--preset`` is named by the flag given, not the field it sets."""
+        out = tmp_path / "out"
+        code = cli.main(["generate", *sizes, "--seed", "1", "--count", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out.exists()
+
     def test_search_limit_without_solve_refused(self, tmp_path, capsys):
         code = cli.main(
             ["generate", "--benchmark", "blocksworld", "--blocks", "3", "--seed", "1",
@@ -390,7 +408,7 @@ class TestObfuscate:
             code = cli.main(["obfuscate", "--manifest", str(copy / "manifest.jsonl"), "--out", out])
             assert code == 2
             assert capsys.readouterr().err == (
-                f"error: --out {out} would overwrite the dataset of --manifest\n"
+                f"error: --out {out} would write manifest.jsonl over --manifest\n"
             )
         assert tree_digest(copy) == before
 
@@ -1687,12 +1705,19 @@ def test_output_path_that_is_a_file_exits_2(command, dataset_dir, tmp_path, caps
 
 @pytest.mark.parametrize(
     "command,flag", [("score", "--records"), ("score", "--manifest"), ("solve", "--domain"),
-                     ("solve", "--problem"), ("run", "--manifest"), ("run", "--config")],
+                     ("solve", "--problem"), ("run", "--manifest"), ("run", "--config"),
+                     # a file that the manifest lists, named in place of a flag
+                     ("score", "domain.pddl"), ("score", "blocksworld-7-0000.pddl"),
+                     ("score", "blocksworld-7-0000.plan"), ("run", "blocksworld-7-0001.pddl"),
+                     ("obfuscate", "domain.pddl")],
 )
 def test_output_over_an_input_exits_2(command, flag, dataset_dir, tmp_path, capsys):
-    """No command writes its output over a file it reads: it exits 2 before
-    writing, and every input is left as it was.  The manifest and the config
-    end without a newline, which a resumed run would cut as a torn record."""
+    """No command writes its output over a file it reads, nor over a file
+    that a manifest it reads lists: it exits 2 before writing, and every
+    input is left as it was.  The manifest and the config end without a
+    newline, which a resumed run would cut as a torn record.  ``obfuscate``
+    reads a manifest that lists its files from another directory, and its
+    ``--out`` is theirs."""
     data = tmp_path / "data"
     shutil.copytree(dataset_dir, data)
     manifest, records, config = data / "manifest.jsonl", data / "records.jsonl", data / "k1.json"
@@ -1700,19 +1725,84 @@ def test_output_over_an_input_exits_2(command, flag, dataset_dir, tmp_path, caps
     capsys.readouterr()
     manifest.write_text(manifest.read_text().rstrip("\n"))
     config.write_text('{"k": 1}')
+    elsewhere = tmp_path / "elsewhere" / "manifest.jsonl"
+    elsewhere.parent.mkdir()
+    elsewhere.write_text("".join(
+        json.dumps({**entry, "domain_file": f"../data/{entry['domain_file']}",
+                    "problem_file": f"../data/{entry['problem_file']}", "plan_file": None}) + "\n"
+        for entry in map(json.loads, manifest.read_text().splitlines())
+    ))
     inputs = {
         "score": {"--records": records, "--manifest": manifest},
         "solve": {"--domain": data / "domain.pddl", "--problem": data / "blocksworld-7-0000.pddl"},
         "run": {"--manifest": manifest, "--config": config},
+        "obfuscate": {"--manifest": elsewhere},
     }[command]
     before = tree_digest(data)
-    out = f"{data}/../{data.name}/{inputs[flag].name}"  # the same file by another spelling
     out_flag = "--records" if command == "run" else "--out"
+    if command == "obfuscate":  # the directory of the files the manifest lists
+        out = f"{data}/../{data.name}"
+        writes = f"--out {out} would write {flag} over"
+    else:  # the same file by another spelling
+        out = f"{data}/../{data.name}/{inputs[flag].name if flag in inputs else flag}"
+        writes = f"{out_flag} {out} would overwrite"
     argv = [command, *(arg for item in inputs.items() for arg in map(str, item)), out_flag, out]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: {out_flag} {out} would overwrite {flag}\n"
+    what = flag if flag in inputs else "a file that --manifest lists"
+    assert capsys.readouterr().err == f"error: {writes} {what}\n"
     assert tree_digest(data) == before
 
+
+
+@pytest.mark.parametrize("named_by", ["--pool", "--config"])
+@pytest.mark.parametrize("target", ["manifest.jsonl", "blocksworld-7-0002.plan"])
+def test_records_over_the_pool_exits_2(named_by, target, dataset_dir, tmp_path, capsys):
+    """A run's few-shot pool is an input whether ``--pool`` or ``--config``
+    names it: ``--records`` over its manifest, or over a file it lists, exits
+    2 and leaves the pool as it was."""
+    pool = tmp_path / "pool"
+    shutil.copytree(dataset_dir, pool)
+    pool_manifest = pool / "manifest.jsonl"
+    flags, name = ["--shots", "1", "--pool", str(pool_manifest)], "--pool"
+    if named_by == "--config":
+        config = tmp_path / "shots.json"
+        config.write_text(json.dumps({"shots": 1, "pool_manifest": str(pool_manifest)}))
+        flags, name = ["--config", str(config)], f"the manifest {pool_manifest}"
+    before = tree_digest(pool)
+    records = pool / target
+    argv = ["run", "--manifest", str(dataset_dir / "manifest.jsonl"), "--records", str(records)]
+    assert cli.main([*argv, *flags]) == 2
+    what = name if target == "manifest.jsonl" else f"a file that {name} lists"
+    assert capsys.readouterr().err == f"error: --records {records} would overwrite {what}\n"
+    assert tree_digest(pool) == before
+
+
+def test_every_path_argument_has_a_role():
+    """Every option that takes free text takes a path, and states its role
+    as its parser type, which is what ``_refuse_overwrite`` reads."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    roles = set()
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.option_strings and action.nargs != 0 and action.choices is None \
+                    and action.type not in (int, float):
+                assert isinstance(action.type, cli.PathRole), (command, action.option_strings)
+                roles.add(action.type)
+    assert roles == set(cli.PathRole)
+
+
+def test_pddl_error_in_a_dataset_file_names_it(dataset_dir, tmp_path, capsys):
+    """A PDDL error in one file of a dataset names that file; it still exits 1."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    manifest, records = str(data / "manifest.jsonl"), str(tmp_path / "r.jsonl")
+    assert cli.main(["run", "--manifest", manifest, "--records", records, "--k", "1"]) == 0
+    capsys.readouterr()
+    broken = data / "blocksworld-7-0001.pddl"
+    broken.write_text(broken.read_text() + ")\n")
+    assert cli.main(["score", "--records", records, "--manifest", manifest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -1736,7 +1826,7 @@ def test_report_file_over_an_input_exits_2(fmt, flag, name, dataset_dir, tmp_pat
             "--format", fmt, "--out-dir", out_dir]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err == f"error: the report file {out_dir}/{name} would overwrite {flag}\n"
+    assert err == f"error: --out-dir {out_dir} would write {name} over {flag}\n"
     assert tree_digest(data) == before
 
 LONG_NAME = "x" * 300  # longer than a file name may be

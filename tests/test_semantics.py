@@ -333,7 +333,7 @@ class TestDomainTable:
                 if validate_plan(problem, plan, domains[i]) != expected[i]:
                     wrong.append(i)
 
-        # more threads than cores, switching often, so the table is swapped mid-step
+        # more threads than cores, switching often, so steps on the two domains interleave
         threads = [threading.Thread(target=validate, args=(i % 2,)) for i in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
