@@ -47,6 +47,7 @@ from .generators import (
     load_dataset,
     nonspecific_map,
     obfuscate_dataset,
+    parse_file,
 )
 from .jsonform import AtLeast, FormError, OutOfRange, RefusedValue, from_json
 from .pddl import (
@@ -219,9 +220,9 @@ def _cmd_generate(args) -> int:
 def _cmd_validate(args) -> int:
     from .semantics import format_trace, format_verdict, validate_plan, validation_to_dict
 
-    domain = parse_domain(Path(args.domain).read_text())
-    problem = parse_problem(Path(args.problem).read_text(), domain)
-    plan = parse_plan(Path(args.plan).read_text(), domain)
+    domain = parse_file(parse_domain, Path(args.domain))
+    problem = parse_file(parse_problem, Path(args.problem), domain)
+    plan = parse_file(parse_plan, Path(args.plan), domain)
     result = validate_plan(problem, plan, domain)
     if args.json:
         print(json.dumps(validation_to_dict(result), indent=2, sort_keys=True))
@@ -235,8 +236,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    domain = parse_domain(Path(args.domain).read_text())
-    problem = parse_problem(Path(args.problem).read_text(), domain)
+    domain = parse_file(parse_domain, Path(args.domain))
+    problem = parse_file(parse_problem, Path(args.problem), domain)
     _refuse_overwrite(args)
     result = bfs_plan(domain, problem, _limits_from_args(args))
     if args.stats:

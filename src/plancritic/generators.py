@@ -634,7 +634,7 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     return read_lines(path.read_text(), path, read, DatasetError)
 
 
-def _parse_file(parse, path: Path, *args):
+def parse_file(parse, path: Path, *args):
     """``parse`` of the text of ``path``; a PddlError names the file."""
     try:
         return parse(path.read_text(), *args)
@@ -646,14 +646,14 @@ def _parse_file(parse, path: Path, *args):
 def _load_instance(
     entry: ManifestEntry, domain: DomainDef, with_plan: bool = True
 ) -> tuple[ProblemDef, Plan | None]:
-    problem = _parse_file(parse_problem, entry.problem_file, domain)
+    problem = parse_file(parse_problem, entry.problem_file, domain)
     if entry.plan_file is None or not with_plan:
         return problem, None
-    return problem, _parse_file(parse_plan, entry.plan_file, domain)
+    return problem, parse_file(parse_plan, entry.plan_file, domain)
 
 
 def load_entry(entry: ManifestEntry) -> tuple[DomainDef, ProblemDef, Plan | None]:
-    domain = _parse_file(parse_domain, entry.domain_file)
+    domain = parse_file(parse_domain, entry.domain_file)
     return (domain, *_load_instance(entry, domain))
 
 
@@ -686,7 +686,7 @@ def load_dataset(manifest: str | Path, with_plans: bool = True) -> Dataset:
     if not entries:
         raise DatasetError(f"empty manifest: {manifest}")
     files = dict.fromkeys(entry.domain_file for entry in entries)
-    domain, *others = (_parse_file(parse_domain, path) for path in files)
+    domain, *others = (parse_file(parse_domain, path) for path in files)
     if any(other != domain for other in others):
         raise DatasetError(f"manifest mixes domains: {manifest}")
     problems, plans = {}, {}

@@ -10,16 +10,25 @@ ground positive init atoms, and a conjunctive positive goal.  Everything else
 negation outside effects) raises :class:`UnsupportedFeature`; a repeated
 section other than ``:action`` raises :class:`PddlSyntaxError`.
 
-The reader scans a text with one compiled regex, whose ``findall`` yields the
-lexemes (parentheses, symbols, and comments as empty strings).  Symbols stay
-plain strings in the tree, and a list records the lexeme numbers of itself
-and of its items.  A line and column are worked out from match offsets only
-when an error, or a test, asks for one: only ``\\n`` ends a line, and every
-other character is one column.
+The tree reader scans a text with one compiled regex, whose ``findall``
+yields the lexemes (parentheses, symbols, and comments as empty strings).
+Symbols stay plain strings in the tree, and a list records the lexeme numbers
+of itself and of its items.  A line and column are worked out from match
+offsets only when an error, or a test, asks for one: only ``\\n`` ends a line,
+and every other character is one column.
 
-``read_step`` reads one plan line, for ``parse_plan`` and
-``orchestrator.extract_plan`` alike.  ``problem_key`` is what a problem asks,
-apart from its names, so two problems posing one task share it.
+A problem has two paths.  The accept path reads a text in the layout that
+``print_problem`` writes, with any whitespace between lexemes, in one
+``fullmatch`` of ``_PROBLEM``, and makes the tree reader's checks on what it
+matched.  Any other text, or one those checks refuse, goes to the tree reader
+(``_read_problem``), which reads any other layout and explains every error:
+the problem, or the error with its line and column, is the same on both
+paths.  Plan lines work the same way: ``read_step`` reads one, for
+``parse_plan`` and ``orchestrator.extract_plan`` alike, and
+``_refuse_plan_line`` explains a refused one.
+
+``problem_key`` is what a problem asks, apart from its names, so two problems
+posing one task share it.
 
 An atom carries its hash, computed when it is built, and renders its text
 once.  Every ground atom the reader returns, and every atom the validator
@@ -187,8 +196,10 @@ class DomainDef:
     action schema again.  ``print_domain`` keeps the text on the domain the
     first time it prints it, so every prompt that shows the domain reuses
     it, and the validator keeps its table of bound actions here
-    (``semantics._ground``).  Equality stays field by field.  None of the
-    hash, the text and the table is pickled.
+    (``semantics._ground``).  The arity of each predicate that an atom may
+    name is kept here when the domain is built, for ``parse_problem``.
+    Equality stays field by field.  None of the hash, the text and the two
+    tables is pickled.
     """
 
     name: str
@@ -200,7 +211,15 @@ class DomainDef:
     _bound = None  # not a field: the validator's bound actions, by (name, args)
 
     def __post_init__(self):
-        self.__dict__["_hash"] = hash((self.name, self.requirements, self.predicates, self.actions))
+        fields = self.__dict__
+        fields["_hash"] = hash((self.name, self.requirements, self.predicates, self.actions))
+        # every declared name that _atom_name accepts: all of them, unless the
+        # domain was built in code rather than read
+        fields["_arities"] = {
+            p.name: p.arity
+            for p in self.predicates
+            if p.name.lower() not in _NOT_NAMES and _is_name(p.name)
+        }
 
     def __hash__(self) -> int:
         return self._hash
@@ -351,6 +370,11 @@ def _symbol(node: _SList, i: int, what: str) -> str:
     if not isinstance(item, str):
         raise PddlSyntaxError(f"expected {what}", *item.position())
     return item
+
+
+def _is_name(name: str) -> bool:
+    """Whether ``name`` can name a thing; ``_check_name`` explains why not."""
+    return not name.startswith((":", "?")) and name != "-"
 
 
 def _check_name(name: str, node: _SList, i: int, what: str) -> str:
@@ -582,8 +606,62 @@ def parse_domain(text: str) -> DomainDef:
 # Problem parsing
 
 
+# The layout print_problem writes, with any whitespace between lexemes: the
+# problem's name, its domain's name, the text of its objects and the texts of
+# the atoms of :init and of (:goal (and ...)).  No class of a lexeme overlaps
+# whitespace, so a match runs in linear time.
+_TOKEN = r"[^\s();]+"
+_ATOMS = rf"((?:\s*\(\s*{_TOKEN}(?:\s+{_TOKEN})*\s*\))*)"
+_PROBLEM = re.compile(
+    rf"\s*\(\s*define\s*\(\s*problem\s+({_TOKEN})\s*\)"
+    rf"\s*\(\s*:domain\s+({_TOKEN})\s*\)"
+    rf"\s*\(\s*:objects((?:\s+{_TOKEN})*)\s*\)"
+    rf"\s*\(\s*:init{_ATOMS}\s*\)"
+    rf"\s*\(\s*:goal\s*\(\s*and{_ATOMS}\s*\)\s*\)\s*\)\s*"
+)
+# the predicate and the argument text of each atom in an atom text of _PROBLEM
+_ATOM_PARTS = re.compile(r"\(\s*([^\s()]+)([^()]*)\)")
+
+
 def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
-    """Parse a PDDL problem and check it is consistent with ``domain``."""
+    """Parse a PDDL problem and check it is consistent with ``domain``.
+
+    A text in ``print_problem``'s layout is read in one match; any other, and
+    any that fails a check, is read by the tree reader, which gives the same
+    problem or the same error (see the module docstring).
+    """
+    match = _PROBLEM.fullmatch(text)
+    if match is not None:
+        name, domain_name, object_text, init_text, goal_text = match.groups()
+        objects = tuple(object_text.split())
+        object_set = set(objects)
+        if (
+            domain_name == domain.name
+            and _is_name(name)
+            and len(object_set) == len(objects)
+            and all(map(_is_name, objects))
+        ):
+            init = _accept_atoms(init_text, domain._arities, object_set)
+            goal = _accept_atoms(goal_text, domain._arities, object_set)
+            if init is not None and goal is not None:
+                return ProblemDef(name, domain_name, objects, frozenset(init), tuple(goal))
+    return _read_problem(text, domain)
+
+
+def _accept_atoms(text: str, arities: dict[str, int], objects: set[str]) -> list[Atom] | None:
+    """The atoms of ``text``, an atom text of ``_PROBLEM``, if each names a
+    predicate of ``arities`` with its arity and only ``objects``; else None."""
+    atoms = []
+    for pred, arg_text in _ATOM_PARTS.findall(text):
+        args = tuple(arg_text.split())
+        if arities.get(pred) != len(args) or not objects.issuperset(args):
+            return None
+        atoms.append(intern_atom(pred, args))
+    return atoms
+
+
+def _read_problem(text: str, domain: DomainDef) -> ProblemDef:
+    """``parse_problem`` by the tree reader, for a text of any layout."""
     name, sections = _read_define(text, "problem", (":domain", ":objects", ":init", ":goal"))
     # no problem section repeats; read them in dependency order, so every
     # atom is checked against the domain and the objects where it is read
@@ -608,26 +686,9 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
     objects: tuple[str, ...] = ()
     if ":objects" in section:
         objects = _parse_names(section[":objects"], 1, "object name", variables=False)
-    object_set = set(objects)
-    predicates = {p.name: p for p in domain.predicates}
-    # the declared names that _atom_name accepts: all of them, unless the
-    # domain was built in code rather than read
-    arities = {
-        pred: p.arity
-        for pred, p in predicates.items()
-        if pred.lower() not in _NOT_NAMES and pred[:1] not in (":", "?") and pred != "-"
-    }
-
-    def parse(parent: _SList, i: int, what: str) -> Atom:
-        # an atom of declared objects over an accepted predicate, with its arity,
-        # passes every check of _parse_atom, which reads any other to its error
-        node = parent.items[i]
-        if node.__class__ is _SList and node.items:
-            args = node.items[1:]
-            if arities.get(node.items[0]) == len(args) and object_set.issuperset(args):
-                return intern_atom(node.items[0], args)
-        return _parse_atom(parent, i, what, predicates, object_set)
-
+    parse = partial(
+        _parse_atom, predicates={p.name: p for p in domain.predicates}, objects=set(objects)
+    )
     init_node = section.get(":init")
     init = [parse(init_node, i, ":init") for i in range(1, len(init_node.items))] if init_node else []
     goal = _parse_conjunction(goal_node, 1, ":goal", parse)

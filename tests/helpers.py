@@ -5,7 +5,9 @@ applied, a records file written whole, a dataset held in memory, an atom's
 substitution, and the mystery domain that the deceptive renaming must give).
 
 The reference reader walks the text one character at a time, the way the
-PDDL reader did before it scanned with one regex.  The reference validator
+PDDL reader did before it scanned with one regex.  The reference problem
+parser is ``parse_problem`` as it was before it read the printed layout in
+one match: every text goes to the tree reader.  The reference validator
 binds the schema afresh on every step, substituting each precondition and
 effect, the way the validator did before it kept a table of ground actions;
 it shares no code with ``semantics._step``.  The reference plan parser is
@@ -35,6 +37,7 @@ from pathlib import Path
 from plancritic.generators import Dataset, ManifestEntry, ObfuscationMap
 from plancritic.orchestrator import _NUMBERING, _record_line
 from plancritic.pddl import (
+    _NOT_NAMES,
     ArityMismatch,
     Atom,
     DomainDef,
@@ -44,6 +47,13 @@ from plancritic.pddl import (
     Plan,
     ProblemDef,
     UnknownAction,
+    _parse_atom,
+    _parse_conjunction,
+    _parse_names,
+    _read_define,
+    _SList,
+    _symbol,
+    intern_atom,
     parse_domain,
 )
 from plancritic.search import ground_actions, run_plan
@@ -378,3 +388,49 @@ def reference_extract_plan(text: str, domain: DomainDef) -> Plan:
         steps.extend(parsed.steps)
     return Plan(tuple(steps))
 
+
+
+def reference_parse_problem(text: str, domain: DomainDef) -> ProblemDef:
+    """The problem, or the error, ``pddl.parse_problem`` must give."""
+    name, sections = _read_define(text, "problem", (":domain", ":objects", ":init", ":goal"))
+    section = dict(sections)
+    if ":domain" not in section:
+        raise PddlSyntaxError("problem is missing a (:domain ...) section")
+    node = section[":domain"]
+    if len(node.items) != 2:
+        raise PddlSyntaxError("(:domain NAME) takes one name", *node.position())
+    domain_name = _symbol(node, 1, "domain name")
+    if domain_name != domain.name:
+        raise PddlSyntaxError(
+            f"problem references domain {domain_name!r}, expected {domain.name!r}",
+            *node.item_position(1),
+        )
+    if ":goal" not in section:
+        raise PddlSyntaxError("problem is missing a (:goal ...) section")
+    goal_node = section[":goal"]
+    if len(goal_node.items) != 2:
+        raise PddlSyntaxError("(:goal ...) takes one formula", *goal_node.position())
+
+    objects: tuple[str, ...] = ()
+    if ":objects" in section:
+        objects = _parse_names(section[":objects"], 1, "object name", variables=False)
+    object_set = set(objects)
+    predicates = {p.name: p for p in domain.predicates}
+    arities = {
+        pred: p.arity
+        for pred, p in predicates.items()
+        if pred.lower() not in _NOT_NAMES and pred[:1] not in (":", "?") and pred != "-"
+    }
+
+    def parse(parent: _SList, i: int, what: str) -> Atom:
+        node = parent.items[i]
+        if node.__class__ is _SList and node.items:
+            args = node.items[1:]
+            if arities.get(node.items[0]) == len(args) and object_set.issuperset(args):
+                return intern_atom(node.items[0], args)
+        return _parse_atom(parent, i, what, predicates, object_set)
+
+    init_node = section.get(":init")
+    init = [parse(init_node, i, ":init") for i in range(1, len(init_node.items))] if init_node else []
+    goal = _parse_conjunction(goal_node, 1, ":goal", parse)
+    return ProblemDef(name, domain_name, objects, frozenset(init), goal)

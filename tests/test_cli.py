@@ -1805,6 +1805,37 @@ def test_pddl_error_in_a_dataset_file_names_it(dataset_dir, tmp_path, capsys):
     assert err.startswith(f"error: {broken}: ") and err.count("\n") == 1, err
 
 
+# one fault per file: a text in it, what replaces the text, and the error
+_FAULTS = {
+    "domain": (":strips", ":adl", "requirement :adl is not supported (line 2, column 1)"),
+    "problem": ("(handempty)", "(foo b1)", "undeclared predicate 'foo' in :init (line 6, column 2)"),
+    "plan": ("(pick-up b1)", "(jump b1)", "unknown action 'jump' (line 11, column 1)"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,bad",
+    [("validate", "domain"), ("validate", "problem"), ("validate", "plan"),
+     ("solve", "domain"), ("solve", "problem")],
+)
+def test_pddl_error_in_a_named_file_names_it(command, bad, fixture_files, tmp_path, capsys):
+    """``validate`` reads three PDDL files and ``solve`` two: an error names
+    the one it is in, and still exits 1."""
+    files = {"domain": fixture_files["domain"], "problem": fixture_files["problem"],
+             "plan": fixture_files["wrong"]}
+    old, new, message = _FAULTS[bad]
+    broken = tmp_path / files[bad].name
+    text = files[bad].read_text()
+    assert text.count(old) == 1
+    broken.write_text(text.replace(old, new))
+    files[bad] = broken
+    argv = [command, "--domain", str(files["domain"]), "--problem", str(files["problem"])]
+    if command == "validate":
+        argv += ["--plan", str(files["plan"])]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {broken}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "fmt,flag,name",
     [("table-text", "--records", "report.txt"), ("csv", "--records", "summary.txt"),

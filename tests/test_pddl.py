@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import os
 import pickle
+import random
+import re
 import subprocess
 import sys
 import time
@@ -13,15 +16,27 @@ from hypothesis import strategies as st
 import plancritic
 from plancritic import pddl
 from plancritic.domains import blocksworld_domain, logistics_domain, minigrid_domain
-from plancritic.generators import Benchmark, GenSpec, generate
+from plancritic.generators import (
+    Benchmark,
+    GenSpec,
+    deceptive_map,
+    generate,
+    load_dataset,
+    nonspecific_map,
+    obfuscate_dataset,
+    write_dataset,
+)
 from plancritic.orchestrator import extract_plan
 from plancritic.pddl import (
     ArityMismatch,
     Atom,
+    DomainDef,
     GroundAction,
     PddlError,
     PddlSyntaxError,
     Plan,
+    Predicate,
+    ProblemDef,
     UnknownAction,
     UnknownObject,
     UnknownPredicate,
@@ -41,6 +56,7 @@ from .helpers import (
     mystery_domain,
     reference_extract_plan,
     reference_parse_plan,
+    reference_parse_problem,
     reference_read,
 )
 
@@ -692,6 +708,231 @@ class TestReader:
         text = BW5_PROBLEM_TEXT.replace("(clear b3)", "(clear\tb9)")
         with pytest.raises(UnknownObject, match=r"'b9' in :init \(line 11, column 8\)$"):
             parse_problem(text, bw_domain)
+
+
+@functools.cache
+def _printed(benchmark: Benchmark, seed: int) -> tuple:
+    """A generated domain and the printed text of one of its problems."""
+    if benchmark is Benchmark.BLOCKSWORLD:
+        spec = GenSpec.blocksworld(blocks=4, seed=seed, count=1)
+    elif benchmark is Benchmark.LOGISTICS:
+        spec = GenSpec.logistics_easy(seed=seed, count=1)
+    else:
+        spec = GenSpec.minigrid(width=2, height=2, keys=1, seed=seed, count=1)
+    domain, (problem,) = generate(spec)
+    return domain, print_problem(problem)
+
+
+# an atom of a printed problem: not a section, the problem's head or (and ...)
+_PRINTED_ATOM = re.compile(r"\((?!:|problem\s|and[\s)])([^\s()]+)([^()]*)\)")
+_TOKEN = re.compile(r"[^\s();]+")
+_SPACES = ["\t", "\x0b", "\xa0", "\u2028", "\x1c", "  ", "\r\n"]
+
+
+def _sections(text: str) -> list[str]:
+    """The head line, each section and the closing line of a printed problem."""
+    lines = text.split("\n")
+    parts = [lines[0]]
+    for line in lines[1:-1]:
+        if line.startswith("(:"):
+            parts.append(line)
+        else:
+            parts[-1] += "\n" + line
+    return [*parts, lines[-1]]
+
+
+def _rearranged(text: str, rnd: random.Random, change) -> str:
+    """``text`` with ``change(sections, rnd)`` made to its sections' list."""
+    parts = _sections(text)
+    if len(parts) < 3:
+        return text
+    body = parts[1:-1]
+    change(body, rnd)
+    return "\n".join([parts[0], *body, parts[-1]])
+
+
+def _swap(body: list, rnd: random.Random) -> None:
+    i, j = rnd.randrange(len(body)), rnd.randrange(len(body))
+    body[i], body[j] = body[j], body[i]
+
+
+def _set_section(key: str, value):
+    """A mutation that writes ``value(section)`` over the section named ``key``."""
+
+    def change(body: list, rnd: random.Random) -> None:
+        for i, section in enumerate(body):
+            if section.startswith(key):
+                body[i] = value(section)
+
+    return lambda text, rnd: _rearranged(text, rnd, change)
+
+
+def _single_goal(section: str) -> str:
+    """The goal's first atom, in place of its conjunction."""
+    atoms = _PRINTED_ATOM.findall(section)
+    return f"(:goal ({atoms[0][0]}{atoms[0][1]}))" if atoms else section
+
+
+def _in_atom(edit):
+    """A mutation that applies ``edit(pred, args, rnd)`` to one random atom."""
+
+    def mutate(text: str, rnd: random.Random) -> str:
+        atoms = list(_PRINTED_ATOM.finditer(text))
+        if not atoms:
+            return text
+        atom = rnd.choice(atoms)
+        pred, args = edit(atom.group(1), atom.group(2).split(), rnd)
+        return text[: atom.start()] + "(" + " ".join([pred, *args]) + ")" + text[atom.end() :]
+
+    return mutate
+
+
+def _spaced(text: str, rnd: random.Random) -> str:
+    """Another whitespace character in place of one, or inside a parenthesis."""
+    where = [i for i, ch in enumerate(text) if ch in " \n()"]
+    i, space = rnd.choice(where), rnd.choice(_SPACES)
+    if text[i] == "(":
+        return text[: i + 1] + space + text[i + 1 :]
+    if text[i] == ")":
+        return text[:i] + space + text[i:]
+    return text[:i] + space + text[i + 1 :]
+
+
+def _commented(text: str, rnd: random.Random) -> str:
+    lines = text.split("\n")
+    i = rnd.randrange(len(lines))
+    if rnd.random() < 0.5:
+        lines[i] = "; note (x\n" + lines[i]
+    else:
+        lines[i] += " ;) note"
+    return "\n".join(lines)
+
+
+def _uppercased(text: str, rnd: random.Random) -> str:
+    word = rnd.choice(["(define", "(problem", "(:domain", "(:objects", "(:init", "(:goal", "(and"])
+    return text.replace(word, word.upper(), 1)
+
+
+def _renamed(text: str, rnd: random.Random) -> str:
+    """One token, a name or a keyword, in place of another."""
+    tokens = list(_TOKEN.finditer(text))
+    token = rnd.choice(tokens)
+    name = rnd.choice([":x", "?x", "-", "-x", "x-", rnd.choice(tokens).group()])
+    return text[: token.start()] + name + text[token.end() :]
+
+
+def _objects(edit):
+    def mutate(text: str, rnd: random.Random) -> str:
+        match = re.search(r"\(:objects([^()]*)\)", text)
+        if match is None:
+            return text
+        names = edit(match.group(1).split(), rnd)
+        section = "(:objects" + "".join(" " + name for name in names) + ")"
+        return text[: match.start()] + section + text[match.end() :]
+
+    return mutate
+
+
+def _edited(text: str, rnd: random.Random) -> str:
+    i = rnd.randrange(len(text) + 1)
+    if rnd.random() < 0.5 and i < len(text):
+        return text[:i] + text[i + 1 :]
+    return text[:i] + rnd.choice("();x -?:") + text[i:]
+
+
+# each a mutation of a printed problem, named for the test's report
+_MUTATIONS = {
+    "whitespace": _spaced,
+    "comment": _commented,
+    "uppercase": _uppercased,
+    "swap-sections": lambda text, rnd: _rearranged(text, rnd, _swap),
+    "drop-section": lambda text, rnd: _rearranged(
+        text, rnd, lambda body, rnd: body.pop(rnd.randrange(len(body)))
+    ),
+    "repeat-section": lambda text, rnd: _rearranged(
+        text, rnd, lambda body, rnd: body.append(rnd.choice(body))
+    ),
+    "duplicate-object": _objects(lambda names, rnd: [*names, rnd.choice(names or ["x"])]),
+    "undeclared-object": _in_atom(lambda pred, args, rnd: (pred, [*args[1:], "zz9"])),
+    "arity": _in_atom(lambda pred, args, rnd: (pred, args[1:] if args else ["x", "y"])),
+    "undeclared-predicate": _in_atom(lambda pred, args, rnd: ("shiny", args)),
+    "variable-argument": _in_atom(lambda pred, args, rnd: (pred, [*args[1:], "?x"])),
+    "bad-name": _renamed,
+    "object-name": _objects(lambda names, rnd: [*names, rnd.choice([":x", "?x", "-"])]),
+    "domain-name": lambda text, rnd: re.sub(r"\(:domain [^)]*\)", "(:domain other)", text),
+    "trailing": lambda text, rnd: text + rnd.choice([" x", "()", ")", "(", " (a)", "\n;end"]),
+    "empty-objects": _set_section("(:objects", lambda section: "(:objects)"),
+    "empty-init": _set_section("(:init", lambda section: "(:init)"),
+    "empty-goal": _set_section("(:goal", lambda section: "(:goal (and))"),
+    "single-goal": _set_section("(:goal", _single_goal),
+    "character": _edited,
+}
+
+
+class TestProblemPaths:
+    """A printed problem is read in one match, and any other text by the tree
+    reader; either way the problem, or the error with its line and column, is
+    the one the tree reader alone gave (``helpers.reference_parse_problem``)."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(
+        benchmark=st.sampled_from(list(Benchmark)),
+        seed=st.integers(min_value=0, max_value=5),
+        mutations=st.lists(st.sampled_from(sorted(_MUTATIONS)), max_size=3),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_same_problem_or_error_as_reference(self, benchmark, seed, mutations, rnd):
+        domain, text = _printed(benchmark, seed)
+        for mutation in mutations:
+            text = _MUTATIONS[mutation](text, rnd)
+        expected = _outcome(reference_parse_problem, text, domain)
+        assert _outcome(parse_problem, text, domain) == expected
+
+    def test_printed_problems_never_reach_the_tree_reader(self, tmp_path, monkeypatch):
+        """Each problem that the generators and the obfuscations write, loaded
+        as a dataset, is read in one match, and reads back as itself."""
+
+        def tree_reader(text, domain):
+            raise AssertionError(f"the tree reader read a printed problem:\n{text}")
+
+        monkeypatch.setattr(pddl, "_read_problem", tree_reader)
+        specs = [
+            GenSpec.blocksworld(blocks=5, seed=1, count=10),
+            GenSpec.logistics_easy(seed=1, count=5),
+            GenSpec.logistics_hard(seed=1, count=3),
+            GenSpec.minigrid(width=3, height=3, keys=2, seed=1, count=5),
+        ]
+        for n, spec in enumerate(specs):
+            domain, problems = generate(spec)
+            assert [parse_problem(print_problem(p), domain) for p in problems] == problems
+            dataset = load_dataset(write_dataset(tmp_path / f"{n}", domain, problems, spec))
+            assert list(dataset.problems.values()) == problems
+            maps = [nonspecific_map(domain)]
+            if spec.benchmark is Benchmark.BLOCKSWORLD:
+                maps.append(deceptive_map())
+            for mapping in maps:
+                out = tmp_path / f"{n}-{mapping.mode.value}"
+                renamed = load_dataset(obfuscate_dataset(dataset, mapping, out))
+                assert len(renamed.problems) == len(problems)
+
+    @pytest.mark.parametrize("word", ["not", "AND", "or", ":p", "?p", "-"])
+    def test_a_predicate_that_no_atom_may_name(self, word):
+        """A domain built in code may declare a predicate that no atom can
+        name; a printed atom over it is refused as the tree reader refuses it."""
+        domain = DomainDef("d", (":strips",), (Predicate(word, ("?x",)),), ())
+        problem = ProblemDef("t", "d", ("o",), frozenset({Atom(word, ("o",))}), ())
+        text = print_problem(problem)
+        expected = _outcome(reference_parse_problem, text, domain)
+        assert isinstance(expected, tuple)
+        assert _outcome(parse_problem, text, domain) == expected
+
+    def test_a_failed_match_takes_linear_time(self, bw_domain):
+        """A long text that the match refuses only at its end is refused fast."""
+        atoms = "".join(f"(on b{i} b{i + 1})\n" for i in range(20_000))
+        text = f"(define (problem p)\n(:domain blocksworld-4ops)\n(:objects)\n(:init\n{atoms}(on"
+        start = time.perf_counter()
+        assert pddl._PROBLEM.fullmatch(text) is None
+        assert time.perf_counter() - start < 2.0
 
 
 class TestAtom:
