@@ -7,10 +7,10 @@ substitution, and the mystery domain that the deceptive renaming must give).
 The reference reader walks the text one character at a time, the way the
 PDDL reader did before it scanned with one regex.  The reference problem
 parser is ``parse_problem`` as it was before it read the printed layout in
-one match: every text goes to the tree reader.  The reference validator
-binds the schema afresh on every step, substituting each precondition and
-effect, the way the validator did before it kept a table of ground actions;
-it shares no code with ``semantics._step``.  The reference plan parser is
+one match: every text goes to the tree reader, whose per-atom shortcut it
+keeps.  The reference validator binds the schema afresh on every step,
+substituting each precondition and effect, the way the validator did before
+it kept a table of ground actions; it shares no code with ``semantics._step``.  The reference plan parser is
 ``parse_plan`` as it was before it shared ``read_step`` with the extractor,
 reading a refused line with the reference reader.  The reference extractor
 runs it on every reply line, as ``extract_plan`` did before it read each line
@@ -387,7 +387,6 @@ def reference_extract_plan(text: str, domain: DomainDef) -> Plan:
             continue
         steps.extend(parsed.steps)
     return Plan(tuple(steps))
-
 
 
 def reference_parse_problem(text: str, domain: DomainDef) -> ProblemDef:
