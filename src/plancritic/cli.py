@@ -11,9 +11,10 @@ written into.  ``_refuse_overwrite`` reads the roles, so that no command
 writes over a file it reads.
 
 Exit codes: 0 on success, 1 for domain-level failures (unparseable PDDL,
-unsolvable instance, a record of a problem the manifest does not list), 2 for
-usage errors such as missing or unreadable files, bad flags, or an output
-that is the same file as an input.
+unsolvable instance, a record of a problem the manifest does not list, a
+stdout closed before the output was written), 2 for usage errors such as
+missing or unreadable files, bad flags, or an output that is the same file as
+an input.
 A backend failure in ``run`` is filed in its problem's record.
 """
 
@@ -533,7 +534,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
     # a generate or solve flag's dest is the name of the field it sets
     except OutOfRange as exc:
         print(f"error: {_flag(args, exc.field)} {exc.rule}", file=sys.stderr)
@@ -542,6 +545,11 @@ def main(argv: list[str] | None = None) -> int:
         flags = ", ".join(_flag(args, name) for name in exc.fields)
         print(f"error: {exc.rule} {flags}".rstrip(), file=sys.stderr)
         return EXIT_USAGE
+    # stdout's reader has gone (plancritic score | head -1): the rest of the
+    # output goes to devnull, so that the interpreter's last flush is quiet
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
     # DatasetError, a ValueError, takes in report.MalformedRecord; OSError,
     # a file that cannot be read or written
     except (UsageError, DatasetError, OSError) as exc:

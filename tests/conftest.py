@@ -16,6 +16,9 @@ import pytest
 from plancritic.domains import blocksworld_domain
 from plancritic.pddl import parse_plan, parse_problem
 
+# test_settings runs pytest on a test file of its own
+pytest_plugins = ["pytester"]
+
 BW5_PROBLEM_TEXT = """\
 (define (problem BW-rand-5)
 (:domain blocksworld-4ops)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import shutil
 import socket
 import subprocess
@@ -981,9 +982,10 @@ class TestRunScoreReport:
         "flags,config",
         [(["--pool", "/nonexistent/pool.jsonl", "--pool-seed", "4"],
           {"pool_manifest": "/nonexistent/pool.jsonl", "pool_seed": 4}),
+         (["--pool", "pool.jsonl"], {"pool_manifest": "pool.jsonl"}),
          (["--pool-seed", "0"], {"pool_seed": 0}),
          (["--shots", "0", "--pool", "pool.jsonl"], {"shots": 0, "pool_manifest": "pool.jsonl"})],
-        ids=["pool-and-seed", "seed-alone", "zero-shots-given"],
+        ids=["pool-and-seed", "pool-alone", "seed-alone", "zero-shots-given"],
     )
     def test_pool_without_shots_exit_2_from_flags_and_config(
         self, dataset_dir, tmp_path, capsys, flags, config
@@ -1777,12 +1779,17 @@ def test_records_over_the_pool_exits_2(named_by, target, dataset_dir, tmp_path, 
     assert tree_digest(pool) == before
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """{name: parser} of each subcommand of ``build_parser``."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def test_every_path_argument_has_a_role():
     """Every option that takes free text takes a path, and states its role
     as its parser type, which is what ``_refuse_overwrite`` reads."""
-    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     roles = set()
-    for command, parser in sub.choices.items():
+    for command, parser in _subcommands().items():
         for action in parser._actions:
             if action.option_strings and action.nargs != 0 and action.choices is None \
                     and action.type not in (int, float):
@@ -1948,6 +1955,14 @@ class TestMixedDomains:
             assert "mixes domains" in capsys.readouterr().err
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's package first on the path, for a
+    fresh interpreter."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _modules_loaded(argv: list[str], cwd: Path) -> set[str]:
     """The modules that ``import plancritic.cli``, then ``main(argv)`` when
     ``argv`` is not empty, load in a fresh interpreter; ``main`` must succeed."""
@@ -1957,10 +1972,8 @@ def _modules_loaded(argv: list[str], cwd: Path) -> set[str]:
         "code = plancritic.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
         "print(*sorted(set(sys.modules) - before)); sys.exit(code)"
     )
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", code, *argv], env=_src_env(),
         cwd=cwd, capture_output=True, text=True, check=True,
     )
     return set(result.stdout.splitlines()[-1].split())
@@ -2010,6 +2023,35 @@ def test_scoring_loads_no_loop_module(dataset_dir, tmp_path):
     assert (tmp_path / "out" / "report.txt").is_file()
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_quietly(unbuffered, dataset_dir, tmp_path):
+    """``plancritic score ... | head -1``: a stdout whose reader has gone is
+    no usage error.  ``python -m plancritic.cli`` exits 1 and prints neither
+    an ``error:`` line nor the interpreter's complaint about its last flush,
+    whether its stdout is buffered or not."""
+    manifest, records = str(dataset_dir / "manifest.jsonl"), str(tmp_path / "r.jsonl")
+    assert cli.main(["run", "--manifest", manifest, "--records", records, "--k", "1"]) == 0
+    argv = [sys.executable, "-m", "plancritic.cli", "score", "--records", records,
+            "--manifest", manifest]
+    with subprocess.Popen(argv, env={**_src_env(), "PYTHONUNBUFFERED": unbuffered},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()  # before score has written anything
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1, err
+    assert "error:" not in err and "Exception ignored" not in err, err
+
+
+def test_installed_smoke_runs_every_subcommand():
+    """CI's install step runs each subcommand once through the installed
+    ``plancritic`` console script, so a new subcommand cannot skip it."""
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    (step,) = re.findall(r"^ *- name: Installed console script\n(.*?)(?=^ *- name: |\Z)",
+                         workflow, re.MULTILINE | re.DOTALL)
+    missing = [name for name in _subcommands()
+               if not re.search(rf"^ *plancritic {name} ", step, re.MULTILINE)]
+    assert not missing, missing
+
+
 class TestPackageNames:
     """``plancritic`` reads its public names from their submodules on first
     access."""
@@ -2033,10 +2075,7 @@ class TestPackageNames:
             "assert plancritic.report is sys.modules['plancritic.report']\n"
             "assert plancritic.search.bfs_plan is plancritic.bfs_plan\n"
         )
-        src = str(Path(cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env={**os.environ, "PYTHONPATH": path})
+        subprocess.run([sys.executable, "-c", code], check=True, env=_src_env())
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
@@ -2111,8 +2150,7 @@ def _edges(bound, kind) -> tuple[list, list]:
 
 def _subcommand_flags(command: str) -> dict[str, str]:
     """{dest: option} of each flag of ``command``."""
-    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest: a.option_strings[0] for a in sub.choices[command]._actions if a.option_strings}
+    return {a.dest: a.option_strings[0] for a in _subcommands()[command]._actions if a.option_strings}
 
 
 _SECTIONS = {"": LoopConfig, "planner": PlannerConfig, "critic": CriticConfig}
