@@ -15,9 +15,12 @@ exist:
 The refinement loop hands every critic its ``ValidationResult`` of the plan
 as ``result``.  The oracle and mock critics judge from it and validate
 nothing themselves; called without one, they validate the plan.  The llm
-critic ignores it.  The oracle critic holds no cache: its text is the
-result's write-up, which ``format_trace`` keeps on the result, and the loop
-holds one result per distinct plan, so a repeated plan is written up once.
+critic ignores it.  The oracle critic holds no cache: its verdict keeps the
+result and writes it up only when its ``text`` is first read, which the loop
+does only after a rejection, so an accepted round renders nothing.  The
+write-up's step-by-step part is what ``format_trace`` keeps on the result,
+and the loop holds one result per distinct plan, so a plan rejected again is
+written up once.
 """
 
 from __future__ import annotations
@@ -54,11 +57,39 @@ def extract_verdict(text: str) -> CritiqueLabel:
     return best_label
 
 
-@dataclass(frozen=True)
 class CritiqueVerdict:
-    text: str  # raw critique text (a representative sample when N > 1)
-    votes: dict[CritiqueLabel, int]
-    prompt_chars: int = 0  # length of the critique prompt sent; 0 when none was
+    """A critic's answer: its critique text (a representative sample when
+    N > 1), its votes, and the length of the critique prompt it sent (0 when
+    none was).
+
+    The oracle's verdict keeps its validation, ``result``, in place of a
+    text: its text is the validation written up step by step, rendered when
+    ``text`` is first read and kept on the verdict.
+    """
+
+    __slots__ = ("_text", "votes", "prompt_chars", "_result")
+
+    def __init__(
+        self,
+        text: str | None,
+        votes: dict[CritiqueLabel, int],
+        prompt_chars: int = 0,
+        *,
+        result: ValidationResult | None = None,
+    ):
+        self._text = text  # None until the write-up of ``result`` is read
+        self.votes = votes
+        self.prompt_chars = prompt_chars
+        self._result = result
+
+    @property
+    def text(self) -> str:
+        text = self._text
+        if text is None:
+            result = self._result
+            trace = format_trace(result)
+            text = self._text = (trace + "\n\n" if trace else "") + format_verdict(result.verdict)
+        return text
 
     @property
     def label(self) -> CritiqueLabel:
@@ -135,16 +166,12 @@ class Critic:
         """Release what the critic holds; only the llm critic holds anything."""
 
 
-def _oracle_sample(result: ValidationResult) -> tuple[CritiqueLabel, str]:
-    trace = format_trace(result)
-    text = (trace + "\n\n" if trace else "") + format_verdict(result.verdict)
-    return result.verdict.label, text
-
-
 class OracleCritic(Critic):
     """Always answers with the ground-truth verdict, written up as a
-    step-by-step verification; the write-up is kept on the result, so the
-    critic holds nothing but its config."""
+    step-by-step verification.  The verdict keeps the validation and renders
+    the write-up when its text is first read, so a plan that is accepted, and
+    whose text no one reads, is never written up; the critic holds nothing
+    but its config."""
 
     def __init__(self, config: CriticConfig | None = None):
         self.config = config or CriticConfig(backend=CriticBackend.ORACLE)
@@ -152,7 +179,8 @@ class OracleCritic(Critic):
     def critique(self, domain, problem, plan, *, problem_id, iteration, result=None):
         if result is None:
             result = validate_plan(problem, plan, domain)
-        return CritiqueVerdict.from_samples([_oracle_sample(result)] * self.config.self_consistency)
+        votes = {result.verdict.label: self.config.self_consistency}
+        return CritiqueVerdict(None, votes, result=result)
 
 
 class MockCritic(Critic):

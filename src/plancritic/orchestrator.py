@@ -20,6 +20,9 @@ and by steps: each distinct reply is extracted once, and each distinct plan
 is printed and validated once, when it is first proposed.  Every critic is
 handed that validation (the oracle and mock critics judge from it, and the
 oracle's write-up is kept on it), and the record's ground truth reads it too.
+A critique's text is read only when the round is rejected, to append it to
+the transcript; so the oracle writes up no accepted plan, and a plan rejected
+again reuses its write-up.
 
 Batches execute problems independently (optionally in parallel), persist
 records as they finish, and can resume from a partially written record file.
@@ -42,7 +45,7 @@ from .critics import Critic, CriticConfig, make_critic
 from .generators import Dataset, ManifestEntry
 from .jsonform import AtLeast, Between, check_bounds
 from .llm import ChatClient, EndpointConfig, MalformedResponse, TransportError, split_base_url
-from .pddl import DomainDef, Plan, ProblemDef, parse_plan, print_plan, read_step
+from .pddl import DomainDef, Plan, ProblemDef, parse_plan, print_plan, read_printed_plan, read_step
 from .prompting import (
     BudgetExceeded,
     FewShotPool,
@@ -168,7 +171,14 @@ _NUMBERING = re.compile(r"^(\d+[.)]\s*|[-*]\s+)")
 def extract_plan(text: str, domain: DomainDef) -> Plan:
     """Pull a plan out of raw model output: without its ``;`` comment, blanks
     and list numbering or bullet, a line is kept exactly when ``parse_plan``
-    accepts it alone.  Output with no such line yields the empty plan."""
+    accepts it alone.  Output with no such line yields the empty plan.
+
+    Output that is a whole plan in ``print_plan``'s layout, as a mock
+    planner's is, is read in one match (``pddl.read_printed_plan``); other
+    output is read line by line."""
+    plan = read_printed_plan(text, domain)
+    if plan is not None:
+        return plan
     steps = []
     for raw_line in text.splitlines():
         step = read_step(_NUMBERING.sub("", raw_line.split(";", 1)[0].strip()), domain)

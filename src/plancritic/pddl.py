@@ -23,9 +23,14 @@ A problem has two paths.  The accept path reads a text in the layout that
 matched.  Any other text, or one those checks refuse, goes to the tree reader
 (``_read_problem``), which reads any other layout and explains every error:
 the problem, or the error with its line and column, is the same on both
-paths.  Plan lines work the same way: ``read_step`` reads one, for
-``parse_plan`` and ``orchestrator.extract_plan`` alike, and
-``_refuse_plan_line`` explains a refused one.
+paths.  A plan has two paths too.  ``read_printed_plan`` reads a text in the
+layout that ``print_plan`` writes in one ``fullmatch`` and one ``findall``,
+and makes ``read_step``'s checks on each step; any other text, or one those
+checks refuse, is read line by line (``_read_plan_lines``), which gives the
+same plan or the same error.  ``read_step`` reads one plan line, for the line
+reader and ``orchestrator.extract_plan`` alike, and ``_refuse_plan_line``
+explains a refused one.  ``extract_plan`` takes the one-match path too when
+a whole reply is a printed plan.
 
 ``problem_key`` is what a problem asks, apart from its names, so two problems
 posing one task share it.
@@ -196,10 +201,11 @@ class DomainDef:
     action schema again.  ``print_domain`` keeps the text on the domain the
     first time it prints it, so every prompt that shows the domain reuses
     it, and the validator keeps its table of bound actions here
-    (``semantics._ground``).  The arity of each predicate that an atom may
-    name is kept here when the domain is built, for ``parse_problem``.
-    Equality stays field by field.  None of the hash, the text and the two
-    tables is pickled.
+    (``semantics._ground``), as ``read_printed_plan`` keeps the ground actions
+    it has read.  The arity of each predicate that an atom may name is kept
+    here when the domain is built, for ``parse_problem``.  Equality stays
+    field by field.  None of the hash, the text and the three tables is
+    pickled.
     """
 
     name: str
@@ -209,6 +215,7 @@ class DomainDef:
 
     _text = None  # not a field: the printed text, once printed
     _bound = None  # not a field: the validator's bound actions, by (name, args)
+    _steps = None  # not a field: the ground actions of printed plans, by their text
 
     def __post_init__(self):
         fields = self.__dict__
@@ -702,6 +709,13 @@ def _read_problem(text: str, domain: DomainDef) -> ProblemDef:
 # One ground action: the name and the arguments, as one string.  The token
 # and whitespace classes are disjoint, so a match runs in linear time.
 _STEP = re.compile(r"\(\s*([^\s();]+)((?:\s+[^\s();]+)*)\s*\)")
+# The layout print_plan writes, and a plan file holds: one step a line, one
+# space between its lexemes, and lines ended by \n, the last perhaps not.  No
+# token holds a space or a parenthesis, so a match runs in linear time.
+_PRINTED_STEP = rf"\({_TOKEN}(?: {_TOKEN})*\)"
+_PRINTED_PLAN = re.compile(rf"(?:{_PRINTED_STEP}(?:\n{_PRINTED_STEP})*\n?)?")
+# the text of each step of a text of _PRINTED_PLAN
+_PRINTED_STEPS = re.compile(r"\([^)]*\)")
 
 
 def read_step(line: str, domain: DomainDef) -> GroundAction | None:
@@ -718,6 +732,31 @@ def read_step(line: str, domain: DomainDef) -> GroundAction | None:
     if "?" in arg_text and any(arg.startswith("?") for arg in args):
         return None
     return GroundAction(name, tuple(args))
+
+
+def read_printed_plan(text: str, domain: DomainDef) -> Plan | None:
+    """The plan of ``text`` if it is in ``print_plan``'s layout and
+    ``read_step`` accepts each of its lines; else None.
+
+    One ``fullmatch`` checks the layout and one ``findall`` splits the steps.
+    A step's text is read by ``read_step`` (a known action, its arity, no
+    ``?`` argument) the first time it is seen, and the ground action is kept
+    in a table on ``domain``, by its text; a refused text is not kept."""
+    if _PRINTED_PLAN.fullmatch(text) is None:
+        return None
+    table = domain._steps
+    if table is None:  # setdefault is atomic, so the threads of a batch share one table
+        table = domain.__dict__.setdefault("_steps", {})
+    steps = []
+    for step_text in _PRINTED_STEPS.findall(text):
+        step = table.get(step_text)
+        if step is None:
+            step = read_step(step_text, domain)
+            if step is None:
+                return None
+            table[step_text] = step
+        steps.append(step)
+    return Plan(tuple(steps))
 
 
 def _refuse_plan_line(code: str, lineno: int, domain: DomainDef) -> NoReturn:
@@ -748,7 +787,17 @@ def parse_plan(text: str, domain: DomainDef) -> Plan:
     Blank lines and ``;`` comments are skipped.  Action names must be defined
     by ``domain`` and argument counts must match the schema's parameters.  An
     error carries the plan line and the column in that raw line.
+
+    A text in ``print_plan``'s layout is read in one match
+    (``read_printed_plan``); any other, and any that fails a check, is read
+    line by line, which gives the same plan or the same error.
     """
+    plan = read_printed_plan(text, domain)
+    return _read_plan_lines(text, domain) if plan is None else plan
+
+
+def _read_plan_lines(text: str, domain: DomainDef) -> Plan:
+    """``parse_plan`` line by line, for a text of any layout."""
     steps: list[GroundAction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split(";", 1)[0]

@@ -285,11 +285,15 @@ class TestMockCritic:
         short = Plan(correct_plan.steps[:-1])
         mock = MockCritic(CriticConfig(backend=CriticBackend.MOCK, self_consistency=3))
         oracle = OracleCritic()
+        truths = []
         for plan in (correct_plan, wrong_plan, short):
             verdict = mock.critique(bw_domain, bw5_problem, plan, problem_id="p", iteration=0)
-            truth = oracle.critique(bw_domain, bw5_problem, plan, problem_id="p", iteration=0)
-            assert verdict.label is truth.label
-        assert len(calls) == 3  # the oracle's three critiques only
+            truths.append(oracle.critique(bw_domain, bw5_problem, plan, problem_id="p", iteration=0))
+            assert verdict.label is truths[-1].label
+        assert calls == []  # an oracle critique renders nothing until its text is read
+        for truth in truths:
+            assert truth.text is truth.text
+        assert len(calls) == 3  # the first read renders, once for each of the three results
 
 
 # ---------------------------------------------------------------------------

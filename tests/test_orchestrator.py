@@ -1052,11 +1052,21 @@ class TestFixedWorkDoneOnce:
         distinct = sum(len({entry.plan for entry in r.iterations}) for r in records)
         assert all(r.final_plan == r.iterations[-1].plan for r in records)
         assert rounds > distinct  # plans were proposed again
-        # one validation and one write-up per distinct plan of each problem
+        # one validation per distinct plan of each problem
         assert len(calls["validate"]) == distinct
         assert len({(id(problem), plan.steps) for problem, plan, _ in calls["validate"]}) == distinct
-        # a write-up formats each step of the plan's trace
-        assert len(calls["trace"]) == sum(len(validate_plan(*args).trace) for args in calls["validate"])
+        # one write-up per distinct rejected plan of each problem, which
+        # formats each step of the plan's trace; an accepted plan is not written up
+        rejected = {
+            (record.problem_id, entry.plan)
+            for record in records
+            for entry in record.iterations
+            if entry.critic_label is not C
+        }
+        assert len(calls["trace"]) == sum(
+            len(validate_plan(dataset.problems[pid], parse_plan(plan, dataset.domain), dataset.domain).trace)
+            for pid, plan in rejected
+        )
         # one shot block per pool exemplar, one instance text per target, and
         # one domain text: a render formats each action's precondition and effect
         assert len(calls["problem"]) == len(pool) + len(records)
