@@ -27,8 +27,10 @@ from plancritic.semantics import (
     CritiqueLabel,
     GoalNotReached,
     WrongAtStep,
+    format_trace,
     format_verdict,
     self_consistency,
+    validate_plan,
 )
 
 C = CritiqueLabel.CORRECT
@@ -232,6 +234,31 @@ class TestOracleCritic:
         )
         assert verdict.sample_count == 3
         assert verdict.votes == {C: 3}
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("which", ["correct", "wrong-at-step", "goal-not-reached", "empty"])
+    def test_text_read_later_is_the_eager_text(self, bw_domain, bw5_problem, wrong_plan, correct_plan, which, n):
+        """The text read after the fact, with other critiques made between,
+        is the one the oracle built eagerly: the trace, a blank line and the
+        verdict (the verdict alone for a plan with no steps), with the votes."""
+        plan = {
+            "correct": correct_plan,
+            "wrong-at-step": wrong_plan,
+            "goal-not-reached": Plan(correct_plan.steps[:-1]),
+            "empty": Plan(()),
+        }[which]
+        critic = OracleCritic(CriticConfig(backend=CriticBackend.ORACLE, self_consistency=n))
+        verdict = critic.critique(bw_domain, bw5_problem, plan, problem_id="p", iteration=0)
+        for other in (correct_plan, wrong_plan):
+            critic.critique(bw_domain, bw5_problem, other, problem_id="p", iteration=1).text
+        result = validate_plan(bw5_problem, plan, bw_domain)  # a fresh validation, written up now
+        trace = format_trace(result)
+        eager = CritiqueVerdict.from_samples(
+            [(result.verdict.label, (trace + "\n\n" if trace else "") + format_verdict(result.verdict))] * n
+        )
+        assert (verdict.text, verdict.votes, verdict.prompt_chars) == (eager.text, eager.votes, 0)
+        assert verdict.label is eager.label and verdict.sample_count == n
+        assert bool(trace) is (which != "empty")
 
 
 class TestMockCritic:

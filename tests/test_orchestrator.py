@@ -1066,7 +1066,7 @@ class TestFixedWorkDoneOnce:
         assert len(calls["trace"]) == sum(
             len(validate_plan(dataset.problems[pid], parse_plan(plan, dataset.domain), dataset.domain).trace)
             for pid, plan in rejected
-        )
+        ) == 102  # 282 when every distinct plan was written up
         # one shot block per pool exemplar, one instance text per target, and
         # one domain text: a render formats each action's precondition and effect
         assert len(calls["problem"]) == len(pool) + len(records)
@@ -1097,6 +1097,29 @@ class TestFixedWorkDoneOnce:
         planner = ScriptedPlanner({"p1": [text, numbered, text + "\nDone."]})
         record = run_problem(bw_domain, bw5_problem, LoopConfig(k=3), planner, OracleCritic(), problem_id="p1")
         assert len(record.iterations) == 4 and len(validated) == 1
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_an_accepted_round_is_not_written_up(
+        self, bw_domain, bw5_problem, correct_plan, wrong_plan, n, monkeypatch
+    ):
+        """The oracle writes up a plan only when the loop reads its critique,
+        after a rejection: a run accepted at round 0 renders no trace, and one
+        accepted at round 1 renders the rejected plan's alone."""
+        rendered = []
+        real = critics.format_trace
+        monkeypatch.setattr(critics, "format_trace", lambda result: rendered.append(result) or real(result))
+        config = LoopConfig(k=3, critic=CriticConfig(backend=CriticBackend.ORACLE, self_consistency=n))
+        critic = OracleCritic(config.critic)
+        correct, wrong = print_plan(correct_plan), print_plan(wrong_plan)
+        planner = ScriptedPlanner({"p1": [correct], "p2": [wrong, correct]})
+        record = run_problem(bw_domain, bw5_problem, config, planner, critic, problem_id="p1")
+        assert record.stop_reason is StopReason.CRITIC_ACCEPTED and len(record.iterations) == 1
+        assert rendered == []
+        record = run_problem(bw_domain, bw5_problem, config, planner, critic, problem_id="p2")
+        assert record.stop_reason is StopReason.CRITIC_ACCEPTED and len(record.iterations) == 2
+        assert [result.verdict for result in rendered] == [
+            validate_plan(bw5_problem, wrong_plan, bw_domain).verdict
+        ]
 
     def test_critic_behind_a_wrapper_is_handed_the_result(
         self, bw_domain, bw5_problem, wrong_plan, monkeypatch

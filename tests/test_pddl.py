@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plancritic
-from plancritic import pddl
+from plancritic import orchestrator, pddl
 from plancritic.domains import blocksworld_domain, logistics_domain, minigrid_domain
 from plancritic.generators import (
     Benchmark,
@@ -26,7 +26,7 @@ from plancritic.generators import (
     obfuscate_dataset,
     write_dataset,
 )
-from plancritic.orchestrator import extract_plan
+from plancritic.orchestrator import LoopConfig, PlannerConfig, extract_plan, run_batch
 from plancritic.pddl import (
     ArityMismatch,
     Atom,
@@ -49,6 +49,9 @@ from plancritic.pddl import (
     print_problem,
 )
 from plancritic.pddl import _read_all, _SList, intern_atom
+from plancritic.prompting import build_pool
+from plancritic.report import score
+from plancritic.search import SearchLimits, bfs_plan
 
 from .conftest import BW5_PROBLEM_TEXT
 from .helpers import (
@@ -496,6 +499,55 @@ _PLAN_TEXT = st.lists(
 ).map(lambda lines: "".join(line + end for line, end in lines))
 
 
+def _near_miss(change):
+    """A mutation that makes ``change(lines, i)`` to line ``i`` of a printed plan."""
+
+    def mutate(text: str, rnd: random.Random) -> str:
+        lines = text.split("\n")
+        change(lines, rnd.randrange(len(lines)))
+        return "\n".join(lines)
+
+    return mutate
+
+
+def _set_line(value):
+    return _near_miss(lambda lines, i: lines.__setitem__(i, value(lines[i])))
+
+
+# edits that take a printed plan just out of print_plan's layout
+_NEAR_MISSES = {
+    "double-space": _set_line(lambda line: line.replace(" ", "  ", 1)),
+    "tab": _set_line(lambda line: line.replace(" ", "\t", 1)),
+    "crlf": _set_line(lambda line: line + "\r"),
+    "trailing-blank": _set_line(lambda line: line + " "),
+    "empty-line": _near_miss(lambda lines, i: lines.insert(i, "")),
+    "comment": _set_line(lambda line: line + " ; (done)"),
+    "numbered": _set_line(lambda line: "1. " + line),
+}
+
+
+@st.composite
+def _printed_plan_text(draw) -> str:
+    """``print_plan``'s text of steps that the domain may lack, may hold a
+    ``?x`` or take the wrong number of arguments, perhaps ended by a newline
+    as a plan file is, with up to two near-miss edits."""
+    steps = draw(
+        st.lists(
+            st.builds(
+                GroundAction,
+                st.sampled_from(["pick-up", "put-down", "stack", "unstack", "fly", "Stack"]),
+                st.lists(st.sampled_from(["b1", "b2", "b3", "?x", "a?b"]), max_size=3).map(tuple),
+            ),
+            max_size=6,
+        )
+    )
+    text = print_plan(Plan(tuple(steps))) + draw(st.sampled_from(["", "\n"]))
+    rnd = draw(st.randoms(use_true_random=False))
+    for name in draw(st.lists(st.sampled_from(sorted(_NEAR_MISSES)), max_size=2)):
+        text = _NEAR_MISSES[name](text, rnd)
+    return text
+
+
 class TestPlanLineReader:
     """``parse_plan`` reads a line with one pattern match; these tables hold
     what the general s-expression reader gave for the same lines."""
@@ -569,7 +621,7 @@ class TestPlanLineReader:
         assert str(err.value) == message
 
     @settings(max_examples=500, deadline=None)
-    @given(_PLAN_TEXT)
+    @given(st.one_of(_PLAN_TEXT, _printed_plan_text()))
     def test_same_outcome_as_reference(self, bw_domain, text):
         # the whole text, and each line alone, which is what extract_plan keeps
         for part in [text, *text.splitlines()]:
@@ -586,6 +638,62 @@ class TestPlanLineReader:
         with pytest.raises(PddlSyntaxError):
             parse_plan(text, bw_domain)
         assert time.perf_counter() - start < 2.0
+
+
+class TestPlanPaths:
+    """A printed plan is read in one match, and any other text line by line;
+    the ``_PLAN_TEXT`` and near-miss cases of ``test_same_outcome_as_reference``
+    hold both paths to the reference reader."""
+
+    def test_printed_plans_never_reach_the_line_reader(self, tmp_path, monkeypatch):
+        """Each plan that the generators, the obfuscations, a few-shot mock
+        run and its records hold is read in one match."""
+
+        def line_reader(text, *args):
+            raise AssertionError(f"a printed plan was read line by line:\n{text}")
+
+        monkeypatch.setattr(pddl, "_read_plan_lines", line_reader)
+        monkeypatch.setattr(orchestrator, "read_step", line_reader)  # extract_plan's line path
+        specs = [
+            (GenSpec.blocksworld(blocks=5, seed=1, count=6), GenSpec.blocksworld(blocks=5, seed=2, count=3)),
+            (GenSpec.logistics_easy(seed=1, count=2), GenSpec.logistics_easy(seed=2, count=3)),
+            (
+                GenSpec.minigrid(width=3, height=3, keys=1, seed=1, count=3),
+                GenSpec.minigrid(width=3, height=3, keys=1, seed=2, count=3),
+            ),
+        ]
+        config = LoopConfig(k=4, shots=2, planner=PlannerConfig(golden_prob=0.3, seed=5))
+        for n, (spec, pool_spec) in enumerate(specs):
+            datasets = [_solved(tmp_path / f"{n}", spec), _solved(tmp_path / f"{n}-pool", pool_spec)]
+            maps = [nonspecific_map(datasets[0].domain)]
+            if spec.benchmark is Benchmark.BLOCKSWORLD:
+                maps.append(deceptive_map())
+            for mapping in maps:
+                for dataset in datasets[:2]:
+                    out = tmp_path / f"{dataset.entries[0].id}-{mapping.mode.value}"
+                    datasets.append(load_dataset(obfuscate_dataset(dataset, mapping, out)))
+            for dataset, pool in zip(datasets[::2], datasets[1::2]):
+                records = run_batch(dataset, config, pool=build_pool(pool, 0))
+                assert any(len(r.iterations) > 1 for r in records)
+                metrics = score(records, dataset.domain, dataset.problems)
+                assert metrics.n == len(records)
+
+    def test_a_failed_match_takes_linear_time(self, bw_domain):
+        """A 20,000-step printed plan that breaks the layout at its last
+        character is refused fast, by the match and by the line reader."""
+        text = "\n".join(["(pick-up b1)"] * 20_000)[:-1]
+        start = time.perf_counter()
+        assert pddl._PRINTED_PLAN.fullmatch(text) is None
+        with pytest.raises(PddlSyntaxError, match=r"unbalanced '\(' \(line 20000, column 1\)$"):
+            parse_plan(text, bw_domain)
+        assert time.perf_counter() - start < 2.0
+
+
+def _solved(out: Path, spec: GenSpec):
+    """The dataset of ``spec``'s problems with their shortest plans, written to ``out``."""
+    domain, problems = generate(spec)
+    plans = [bfs_plan(domain, problem, SearchLimits()).plan for problem in problems]
+    return load_dataset(write_dataset(out, domain, problems, spec, plans))
 
 
 class TestRoundTrip:
